@@ -22,14 +22,15 @@ from typing import Callable, Mapping, Optional, Sequence
 from .errors import CutoffTooSmallError, InputError
 from .exactlin import (
     ONE,
+    KernelBasis,
     QMatrix,
     RowSpace,
     Vector,
     ZERO,
     column_space_basis,
     kernel_basis,
+    rank,
     rat,
-    solve,
     unit_vector,
     vec_is_zero,
     zero_vector,
@@ -101,7 +102,9 @@ class TruncatedDGA:
     supplied lazily; results are cached.  ``levels`` optionally attaches a
     filtration level to every basis element (used by the spectral sequence
     machinery); ``level_fn(k, p)`` may instead return a basis of the level
-    ``>= p`` subspace in degree ``k``.
+    ``>= p`` subspace in degree ``k``.  An algebra carried by a subspace of
+    an ambient algebra (fiber products, global sections) keeps the per-degree
+    ``kernels`` whose vectors are its basis in ambient coordinates.
     """
 
     def __init__(
@@ -115,6 +118,7 @@ class TruncatedDGA:
         levels: Optional[Sequence[Sequence[int]]] = None,
         level_fn: Optional[Callable[[int, int], list[Vector]]] = None,
         monomials: Optional[Sequence[Sequence[Monomial]]] = None,
+        kernels: Optional[Sequence[KernelBasis]] = None,
         check: bool = True,
         name: str = "",
     ):
@@ -148,6 +152,7 @@ class TruncatedDGA:
         self.levels = [list(l) for l in levels] if levels is not None else None
         self._level_fn = level_fn
         self.monomials = [list(m) for m in monomials] if monomials is not None else None
+        self.kernels = list(kernels) if kernels is not None else None
         self.name = name
         if check:
             self._check_d_squared()
@@ -631,13 +636,17 @@ def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = Non
 
 @dataclass
 class GradedCohomology:
-    """Chosen cocycle representatives and class arithmetic up to a degree."""
+    """Chosen cocycle representatives and class arithmetic up to a degree.
+
+    ``spaces[k]`` spans the cocycles of degree k, generated by a boundary
+    basis first and then by ``reps[k]``.
+    """
 
     algebra: TruncatedDGA
     upto: int
     dims: list[int]
     reps: list[list[Vector]]
-    boundaries: list[list[Vector]]
+    spaces: list[RowSpace] = field(repr=False)
     _tables: dict = field(default_factory=dict, repr=False)
 
     def dim(self, k: int) -> int:
@@ -649,16 +658,11 @@ class GradedCohomology:
             raise InputError(f"degree {k} outside the computed range")
         if k < self.algebra.cutoff and not vec_is_zero(self.algebra.apply_d(k, v)):
             raise InputError("class_of called on a non-cocycle")
-        cols = [list(r) for r in self.reps[k]] + [list(b) for b in self.boundaries[k]]
-        if not cols:
-            if vec_is_zero(v):
-                return ()
+        space = self.spaces[k]
+        if not space.rank and not vec_is_zero(v):
             raise InputError("nonzero vector in a degree with no cocycles")
-        m = QMatrix.from_cols([tuple(c) for c in cols], self.algebra.dim(k))
-        sol = solve(m, v)
-        if sol is None:
-            raise InputError("vector is not a cocycle modulo boundaries")
-        return tuple(sol[: len(self.reps[k])])
+        (coords,) = space.express([v], "vector is not a cocycle modulo boundaries")
+        return coords[space.rank - self.dims[k] :]
 
     def cup(self, p: int, i: int, q: int, j: int) -> Vector:
         """Class coordinates of [rep_i^p * rep_j^q] in H^{p+q}."""
@@ -692,7 +696,7 @@ def cohomology(a: TruncatedDGA, upto: int) -> GradedCohomology:
         )
     dims: list[int] = []
     reps: list[list[Vector]] = []
-    bnds: list[list[Vector]] = []
+    spaces: list[RowSpace] = []
     for k in range(upto + 1):
         cocycles = kernel_basis(a.d_matrix(k))
         boundary = column_space_basis(a.d_matrix(k - 1)) if k >= 1 else []
@@ -700,8 +704,8 @@ def cohomology(a: TruncatedDGA, upto: int) -> GradedCohomology:
         chosen = [v for v in cocycles if rs.add(v)]
         dims.append(len(chosen))
         reps.append(chosen)
-        bnds.append(boundary)
-    return GradedCohomology(a, upto, dims, reps, bnds)
+        spaces.append(rs)
+    return GradedCohomology(a, upto, dims, reps, spaces)
 
 
 def cohomology_dims(a: TruncatedDGA, upto: int) -> list[int]:
@@ -822,16 +826,8 @@ def induced_map(
     ht = target_h if target_h is not None else cohomology(h.target, upto)
     out = []
     for k in range(upto + 1):
-        cols = []
-        for r in hs.reps[k]:
-            img = h.apply(k, r)
-            cols.append(ht.class_of(k, img))
-        entries = {}
-        for c, col in enumerate(cols):
-            for r, v in enumerate(col):
-                if v:
-                    entries[(r, c)] = v
-        out.append(QMatrix(ht.dims[k], hs.dims[k], entries))
+        cols = [ht.class_of(k, h.apply(k, r)) for r in hs.reps[k]]
+        out.append(QMatrix.from_cols(cols, ht.dims[k]))
     return out
 
 
@@ -845,9 +841,7 @@ def is_quasi_iso(
     hs = source_h if source_h is not None else cohomology(h.source, upto)
     ht = target_h if target_h is not None else cohomology(h.target, upto)
     mats = induced_map(h, upto, hs, ht)
-    from .exactlin import rank as _rank
-
     for k in range(upto + 1):
-        if hs.dims[k] != ht.dims[k] or _rank(mats[k]) != hs.dims[k]:
+        if hs.dims[k] != ht.dims[k] or rank(mats[k]) != hs.dims[k]:
             return False, k
     return True, None

@@ -30,9 +30,11 @@ System specs are ``{"type": "explicit", "base": K, "fibers": {simplex: alg},
 "tensor_with": alg}``.
 
 Rational literals are ``"p/q"`` strings or integers; decimal notation is
-rejected everywhere.  Exit codes: 0 success, 1 mathematical check failure,
-2 input error.  The machine-readable report section is canonical JSON and is
-byte-identical across runs on the same input; timing goes to stderr.
+rejected everywhere.  Integer fields (degrees, cutoffs, dimensions, faces,
+exponents, indices) are JSON integers or integral strings such as ``"3"``.
+Exit codes: 0 success, 1 mathematical check failure, 2 input error.  The
+machine-readable report section is canonical JSON and is byte-identical
+across runs on the same input; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -77,6 +79,23 @@ def _rat(x) -> Fraction:
     raise InputError(f"bad rational literal {x!r}")
 
 
+def _int(x, what: str) -> int:
+    """An integer from a JSON integer or an integral string such as ``"3"``."""
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise InputError(f"{what} must be an integer, got {x!r}")
+
+
+def _req(spec, key: str):
+    """A required field of a JSON object."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise InputError(f"missing field {key!r}")
+    return spec[key]
+
+
 def _matrix(rows: list, nrows: int, ncols: int) -> QMatrix:
     if len(rows) != nrows:
         raise InputError(f"matrix has {len(rows)} rows, expected {nrows}")
@@ -118,7 +137,7 @@ class Problem:
         self.complexes: dict[str, polyforms.SimplicialComplexK] = {}
         for name, spec in doc.get("complexes", {}).items():
             self.complexes[name] = polyforms.SimplicialComplexK.from_maximal(
-                [tuple(s) for s in spec["maximal"]]
+                [tuple(s) for s in _req(spec, "maximal")]
             )
         for name in self._algebra_specs:
             self._resolve_algebra(name, [])
@@ -133,6 +152,11 @@ class Problem:
         if name not in self.algebras:
             raise InputError(f"unknown algebra {name!r}")
         return self.algebras[name]
+
+    def complex(self, name) -> polyforms.SimplicialComplexK:
+        if name not in self.complexes:
+            raise InputError(f"unknown complex {name!r}")
+        return self.complexes[name]
 
     def morphism(self, name) -> DGMorphism:
         if name not in self.morphisms:
@@ -156,7 +180,7 @@ class Problem:
         kind = spec.get("type")
         cutoff = spec.get("cutoff", self.default_cutoff)
         if kind == "free":
-            gens = [(g[0], int(g[1])) for g in spec.get("generators", [])]
+            gens = [(g[0], _int(g[1], "generator degree")) for g in spec.get("generators", [])]
             gca = FreeGCA(gens)
             diff = {}
             for gname, terms in spec.get("differential", {}).items():
@@ -165,26 +189,34 @@ class Problem:
             self.free_algebras[name] = free
             if cutoff is None:
                 raise InputError(f"free algebra {name!r} needs a cutoff")
-            alg = cdga.truncate(free, int(cutoff))
+            alg = cdga.truncate(free, _int(cutoff, "cutoff"))
         elif kind == "power-quotient":
-            alg = cdga.power_quotient_dga(int(spec["degree"]), int(spec["power"]), int(cutoff))
+            alg = cdga.power_quotient_dga(
+                _int(_req(spec, "degree"), "degree"),
+                _int(_req(spec, "power"), "power"),
+                _int(cutoff, "cutoff"),
+            )
         elif kind == "point":
-            alg = cdga.point_dga(int(cutoff))
+            alg = cdga.point_dga(_int(cutoff, "cutoff"))
         elif kind == "product":
-            parts = [self._resolve_algebra(n, stack + [name]) for n in spec["factors"]]
+            parts = [self._resolve_algebra(n, stack + [name]) for n in _req(spec, "factors")]
             if len(parts) != 2:
                 raise InputError("product takes exactly two factors")
-            alg = cdga.direct_sum(parts[0], parts[1], cutoff=int(cutoff) if cutoff else None)
+            alg = cdga.direct_sum(
+                parts[0], parts[1], cutoff=_int(cutoff, "cutoff") if cutoff else None
+            )
         elif kind == "tensor":
-            parts = [self._resolve_algebra(n, stack + [name]) for n in spec["factors"]]
+            parts = [self._resolve_algebra(n, stack + [name]) for n in _req(spec, "factors")]
             if len(parts) != 2:
                 raise InputError("tensor takes exactly two factors")
-            alg = cdga.tensor_product(parts[0], parts[1], cutoff=int(cutoff) if cutoff else None)
+            alg = cdga.tensor_product(
+                parts[0], parts[1], cutoff=_int(cutoff, "cutoff") if cutoff else None
+            )
         elif kind == "simplex-forms":
             alg = polyforms.forms_dga(
-                int(spec["dim"]),
-                int(spec["total_degree"]),
-                cutoff=int(cutoff) if cutoff is not None else None,
+                _int(_req(spec, "dim"), "dim"),
+                _int(_req(spec, "total_degree"), "total_degree"),
+                cutoff=_int(cutoff, "cutoff") if cutoff is not None else None,
             )
         elif kind == "truncated":
             alg = _parse_truncated(spec)
@@ -201,10 +233,10 @@ class Problem:
                 raise InputError(f"unknown morphism {spec!r}")
             return self.morphisms[spec]
         kind = spec.get("type", "matrices")
-        src = self.algebras[spec["source"]]
-        tgt = self.algebras[spec["target"]]
+        src = self.algebra(_req(spec, "source"))
+        tgt = self.algebra(_req(spec, "target"))
         if kind == "face-restriction":
-            mats = polyforms.face_restriction_matrices(src, tgt, int(spec["face"]))
+            mats = polyforms.face_restriction_matrices(src, tgt, _int(_req(spec, "face"), "face"))
             return DGMorphism(src, tgt, mats, check="none")
         if kind == "matrices":
             cap = min(src.cutoff, tgt.cutoff)
@@ -222,27 +254,27 @@ class Problem:
     # -- systems --------------------------------------------------------------
     def _build_system(self, spec) -> localsys.FiniteLocalSystem:
         kind = spec.get("type", "explicit")
-        base = self.complexes[spec["base"]]
+        base = self.complex(_req(spec, "base"))
         if kind == "forms":
             sys_ = localsys.forms_system(
                 base,
-                int(spec["total_degree"]),
-                cutoff=int(spec["cutoff"]) if spec.get("cutoff") is not None else None,
+                _int(_req(spec, "total_degree"), "total_degree"),
+                cutoff=_int(spec["cutoff"], "cutoff") if spec.get("cutoff") is not None else None,
             )
             factor = spec.get("tensor_with")
             if factor:
                 sys_ = localsys.tensor_system(
-                    sys_, self.algebras[factor], cutoff=int(spec["cutoff"])
+                    sys_, self.algebra(factor), cutoff=_int(_req(spec, "cutoff"), "cutoff")
                 )
             return sys_
         if kind == "explicit":
             fibers = {}
-            for key, alg_name in spec["fibers"].items():
-                fibers[_simplex_key(key)] = self.algebras[alg_name]
+            for key, alg_name in _req(spec, "fibers").items():
+                fibers[_simplex_key(key)] = self.algebra(alg_name)
             restr = {}
             for key, morph in spec.get("restrictions", {}).items():
                 skey, face = key.rsplit("|", 1)
-                restr[(_simplex_key(skey), int(face))] = self._build_morphism(morph)
+                restr[(_simplex_key(skey), _int(face, "face"))] = self._build_morphism(morph)
             e = localsys.FiniteLocalSystem(base, fibers, restr)
             problems = localsys.validate(e)
             if problems:
@@ -256,25 +288,26 @@ def _element(gca: FreeGCA, terms) -> Any:
     for coeff, expo in terms:
         mono = [0] * gca.ngens
         for gname, e in expo.items():
-            mono[gca.index[gname]] = int(e)
+            mono[gca.index[gname]] = _int(e, "exponent")
         out = out + _rat(coeff) * gca.element({tuple(mono): Fraction(1)})
     return out
 
 
 def _parse_truncated(spec) -> TruncatedDGA:
-    dims = [int(x) for x in spec["dims"]]
+    dims = [_int(x, "dimension") for x in _req(spec, "dims")]
     cutoff = len(dims) - 1
-    unit = tuple(_rat(x) for x in spec["unit"])
+    unit = tuple(_rat(x) for x in _req(spec, "unit"))
     diff_mats = []
     dd = spec.get("diff", {})
     for k in range(cutoff):
         entries = {}
         for r, c, v in dd.get(str(k), []):
-            entries[(int(r), int(c))] = _rat(v)
+            entries[(_int(r, "row"), _int(c, "column"))] = _rat(v)
         diff_mats.append(QMatrix(dims[k + 1], dims[k], entries))
     table = {}
     for i, a, j, b, vec in spec.get("mult", []):
-        table[(int(i), int(a), int(j), int(b))] = tuple(_rat(x) for x in vec)
+        key = (_int(i, "degree"), _int(a, "index"), _int(j, "degree"), _int(b, "index"))
+        table[key] = tuple(_rat(x) for x in vec)
     return cdga.from_tables(
         cutoff,
         dims,
@@ -356,7 +389,7 @@ def _need(problem: Problem, key: str, flags) -> Any:
 
 def task_cohomology(problem: Problem, flags) -> tuple[int, dict]:
     alg = problem.algebra(_need(problem, "algebra", flags))
-    upto = int(_need(problem, "upto", flags))
+    upto = _int(_need(problem, "upto", flags), "upto")
     h = cdga.cohomology(alg, upto)
     products = []
     for p in range(upto + 1):
@@ -383,7 +416,7 @@ def task_cohomology(problem: Problem, flags) -> tuple[int, dict]:
 
 def task_minimal_model(problem: Problem, flags) -> tuple[int, dict]:
     target = problem.algebra(_need(problem, "target", flags))
-    upto = int(_need(problem, "upto", flags))
+    upto = _int(_need(problem, "upto", flags), "upto")
     res = sullivan.minimal_model(target, upto)
     gens = [[g.name, g.degree] for g in res.model.gca.generators]
     diffs = {g.name: _poly_str(res.model, g.name) for g in res.model.gca.generators}
@@ -403,20 +436,22 @@ def task_loop_model(problem: Problem, flags) -> tuple[int, dict]:
     base = problem.free_algebras[name]
     lm = sullivan.loop_model(base)
     upto = problem.task_args.get("upto", problem.parameters.get("upto"))
+    if upto is not None:
+        upto = _int(upto, "upto")
     result = {
         "generators": [[g.name, g.degree] for g in lm.gca.generators],
         "differentials": {g.name: repr(lm.diff[g.name]) for g in lm.gca.generators},
-        "model": emit_free(lm, int(upto) + 2 if upto is not None else 6),
+        "model": emit_free(lm, upto + 2 if upto is not None else 6),
     }
     if upto is not None:
-        t = cdga.truncate(lm, int(upto) + 1)
-        result["cohomology_dims"] = cdga.cohomology_dims(t, int(upto))
+        t = cdga.truncate(lm, upto + 1)
+        result["cohomology_dims"] = cdga.cohomology_dims(t, upto)
     return 0, result
 
 
 def task_suspend(problem: Problem, flags) -> tuple[int, dict]:
     m = problem.algebra(_need(problem, "model", flags))
-    upto = int(_need(problem, "upto", flags))
+    upto = _int(_need(problem, "upto", flags), "upto")
     s = gluing.suspension_model(m, upto)
     h = cdga.cohomology(s.carrier, upto - 1)
     vanishing = True
@@ -438,7 +473,7 @@ def task_suspend(problem: Problem, flags) -> tuple[int, dict]:
 def task_glue(problem: Problem, flags) -> tuple[int, dict]:
     f = problem.morphism(_need(problem, "f", flags))
     g = problem.morphism(_need(problem, "g", flags))
-    upto = int(_need(problem, "upto", flags))
+    upto = _int(_need(problem, "upto", flags), "upto")
     fp = gluing.fiber_product(f, g, upto)
     h = cdga.cohomology_dims(fp.carrier, upto - 1)
     result = {"carrier_dims": list(fp.carrier.dims), "cohomology_dims": h}
@@ -458,7 +493,7 @@ def task_glue(problem: Problem, flags) -> tuple[int, dict]:
 
 def task_gamma(problem: Problem, flags) -> tuple[int, dict]:
     e = problem.system(_need(problem, "system", flags))
-    upto = int(_need(problem, "upto", flags))
+    upto = _int(_need(problem, "upto", flags), "upto")
     g = localsys.global_sections(e, upto)
     result = {
         "dims": list(g.dims),
@@ -469,8 +504,8 @@ def task_gamma(problem: Problem, flags) -> tuple[int, dict]:
 
 def task_ss(problem: Problem, flags) -> tuple[int, dict]:
     e = problem.system(_need(problem, "system", flags))
-    p_max = int(_need(problem, "p_max", flags))
-    q_max = int(_need(problem, "q_max", flags))
+    p_max = _int(_need(problem, "p_max", flags), "p_max")
+    q_max = _int(_need(problem, "q_max", flags), "q_max")
     fc = specseq.skeletal_filtration(e, p_max + q_max + 1)
     tower = specseq.PageTower(fc)
     e2 = {}
@@ -500,9 +535,9 @@ def task_ss(problem: Problem, flags) -> tuple[int, dict]:
 
 
 def task_check_admissible(problem: Problem, flags) -> tuple[int, dict]:
-    n_max = int(_need(problem, "n_max", flags))
-    budget = int(problem.task_args.get("samples", 20))
-    seed = int(problem.task_args.get("seed", 0))
+    n_max = _int(_need(problem, "n_max", flags), "n_max")
+    budget = _int(problem.task_args.get("samples", 20), "samples")
+    seed = _int(problem.task_args.get("seed", 0), "seed")
     rep = polyforms.check_admissible_axioms(n_max, sample_budget=budget, seed=seed)
     result = {
         "unit_dimension_zero": rep.axiom_unit_dimension_zero,

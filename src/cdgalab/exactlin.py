@@ -1,7 +1,8 @@
 """Exact rational linear algebra kernel.
 
 Every cohomology, rank and solving operation in the library funnels through
-this module.  Scalars are :class:`fractions.Fraction` (arbitrary precision,
+this module, and it is the only one that writes a vector in a subspace's
+basis (:class:`RowSpace`, :class:`KernelBasis`).  Scalars are :class:`fractions.Fraction` (arbitrary precision,
 always in lowest terms, positive denominator), so results are exact and
 reproducible.  Matrices are stored sparsely; elimination falls back to dense
 rows below 64 columns where sparse bookkeeping would only add overhead.
@@ -66,24 +67,12 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vec_scale(c: Fraction, a: Vector) -> Vector:
     return tuple(c * x for x in a)
 
 
 def vec_is_zero(a: Vector) -> bool:
     return all(x == 0 for x in a)
-
-
-def dot(a: Vector, b: Vector) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
 
 
 def concat(*vs: Vector) -> Vector:
@@ -159,9 +148,6 @@ class QMatrix:
     # -- access -------------------------------------------------------
     def entry(self, r: int, c: int) -> Fraction:
         return self.entries.get((r, c), ZERO)
-
-    def row(self, r: int) -> Vector:
-        return tuple(self.entries.get((r, c), ZERO) for c in range(self.cols))
 
     def column(self, c: int) -> Vector:
         return tuple(self.entries.get((r, c), ZERO) for r in range(self.rows))
@@ -476,12 +462,36 @@ def complement_basis(sub: Sequence[Vector], ambient_dim: int) -> list[Vector]:
     return [unit_vector(ambient_dim, j) for j in range(ambient_dim) if j not in pivot_set]
 
 
-class RowSpace:
-    """Incrementally maintained row space with exact membership tests."""
+class _Coordinates:
+    """Writing vectors in a basis; subclasses provide ``coords_many``."""
+
+    def coords(self, v: Sequence[Fraction]) -> Optional[Vector]:
+        """Coordinates of ``v`` in the basis, or None when ``v`` lies outside."""
+        return self.coords_many([v])[0]
+
+    def express(self, vectors: Sequence[Sequence[Fraction]], message: str) -> list[Vector]:
+        """Coordinates of every vector; raises InputError(message) if one lies outside."""
+        out = self.coords_many(vectors)
+        if any(c is None for c in out):
+            raise InputError(message)
+        return out  # type: ignore[return-value]
+
+
+class RowSpace(_Coordinates):
+    """Incrementally maintained row space with exact membership and coordinates.
+
+    ``generators`` are the added vectors that enlarged the span, in order;
+    :meth:`coords` writes a member of the span in them.  The transform it
+    reads from comes from one elimination of the generators, made on the
+    first query and kept until the span grows again, so spaces that only
+    test membership never pay for it.
+    """
 
     def __init__(self, dim: int, vectors: Iterable[Vector] = ()):  # noqa: D401
         self.dim = dim
         self._rows: dict[int, dict[int, Fraction]] = {}
+        self.generators: list[Vector] = []
+        self._transform: Optional[dict[int, dict[int, Fraction]]] = None
         for v in vectors:
             self.add(v)
 
@@ -526,11 +536,98 @@ class RowSpace:
                     elif c in row:
                         del row[c]
         self._rows[p] = new_row
+        self.generators.append(tuple(v))
+        self._transform = None
         return True
 
-    def basis(self) -> list[Vector]:
-        out = []
-        for p in sorted(self._rows):
-            row = self._rows[p]
-            out.append(tuple(row.get(c, ZERO) for c in range(self.dim)))
+    def _transforms(self) -> dict[int, dict[int, Fraction]]:
+        """Per pivot column, the echelon row as a combination of the generators.
+
+        The reduced echelon form of ``[generators | identity]`` has all its
+        pivots left of the bar, because the generators are independent; right
+        of the bar it records the combinations.
+        """
+        if self._transform is None:
+            r, n = self.rank, self.dim
+            entries = {(i, n + i): ONE for i in range(r)}
+            for i, g in enumerate(self.generators):
+                for c, x in enumerate(g):
+                    if x:
+                        entries[(i, c)] = x
+            _, pivots, red = rref(QMatrix(r, n + r, entries))
+            rows: list[dict[int, Fraction]] = [{} for _ in range(r)]
+            for (i, c), x in red.entries.items():
+                if c >= n:
+                    rows[i][c - n] = x
+            self._transform = dict(zip(pivots, rows))
+        return self._transform
+
+    def coords_many(self, vectors: Sequence[Sequence[Fraction]]) -> list[Optional[Vector]]:
+        """Coordinates in ``generators``, or None for vectors outside the span.
+
+        A member of the span is the sum of the echelon rows weighted by its
+        own entries at the pivot columns, because the echelon form is reduced.
+        """
+        out: list[Optional[Vector]] = []
+        for v in vectors:
+            if self.reduce(v):
+                out.append(None)
+                continue
+            acc = [ZERO] * self.rank
+            for p, row in self._transforms().items():
+                f = v[p]
+                if f:
+                    for j, t in row.items():
+                        acc[j] += f * t
+            out.append(tuple(acc))
         return out
+
+
+class KernelBasis(_Coordinates):
+    """A basis of ``ker m`` whose coordinates are read off, never solved for.
+
+    Every vector must be the only one that is nonzero at some column, as each
+    vector of :func:`kernel_basis` is at its free column.  ``m x = 0``
+    certifies that ``x`` lies in the span; its coordinate on a vector is then
+    ``x`` at that column over the vector's own entry there.
+    """
+
+    def __init__(self, m: QMatrix, vectors: Sequence[Vector]):
+        self.matrix = m
+        self.vectors = list(vectors)
+        self.inclusion = QMatrix.from_cols(self.vectors, m.cols)
+        counts = [0] * m.cols
+        for r, _c in self.inclusion.entries:
+            counts[r] += 1
+        self._reads: list[tuple[int, Fraction]] = []
+        for v in self.vectors:
+            col = next((c for c, x in enumerate(v) if x and counts[c] == 1), None)
+            if col is None:
+                raise InputError("kernel vector has no column where the others vanish")
+            self._reads.append((col, ONE / v[col]))
+
+    @property
+    def rank(self) -> int:
+        return len(self.vectors)
+
+    def coords_many(self, vectors: Sequence[Sequence[Fraction]]) -> list[Optional[Vector]]:
+        out: list[Optional[Vector]] = []
+        for x in vectors:
+            if any(self.matrix.matvec(x)):
+                out.append(None)
+            else:
+                out.append(tuple(x[c] * s for c, s in self._reads))
+        return out
+
+
+def preimage_basis(a: QMatrix, sub: Sequence[Vector]) -> list[Vector]:
+    """Basis of ``{x : a x in span(sub)}``.
+
+    The heads of the canonical kernel of ``[a | -sub]`` span it; each head
+    independent of the earlier ones is kept, in kernel order.
+    """
+    if not sub:
+        return kernel_basis(a)
+    stacked = a.hstack(QMatrix.from_cols(sub, a.rows).scale(-1))
+    space = RowSpace(a.cols)
+    return [h for h in (v[: a.cols] for v in kernel_basis(stacked)) if space.add(h)]

@@ -30,6 +30,7 @@ from .cdga import (
 from .errors import CutoffTooSmallError, InputError, PreconditionError
 from .exactlin import (
     ONE,
+    KernelBasis,
     QMatrix,
     Vector,
     ZERO,
@@ -37,11 +38,10 @@ from .exactlin import (
     complement_basis,
     concat,
     kernel_basis,
+    preimage_basis,
     rank,
-    solve,
     solve_many,
     unit_vector,
-    vec_is_zero,
     zero_vector,
 )
 
@@ -52,10 +52,18 @@ class FiberProductDGA:
 
     f: DGMorphism
     g: DGMorphism
-    carrier: TruncatedDGA
-    inclusions: list[QMatrix]  # carrier basis written in A (+) B coordinates
+    carrier: TruncatedDGA  # its kernels hold its basis inside A (+) B
     proj_a: DGMorphism
     proj_b: DGMorphism
+
+    @property
+    def kernels(self) -> list[KernelBasis]:
+        return self.carrier.kernels  # type: ignore[return-value]
+
+    @property
+    def inclusions(self) -> list[QMatrix]:
+        """Carrier basis written in A (+) B coordinates, per degree."""
+        return [ker.inclusion for ker in self.kernels]
 
     @property
     def a(self) -> TruncatedDGA:
@@ -67,86 +75,57 @@ class FiberProductDGA:
 
 
 def _kernel_carrier(
-    ambient_dims: list[int],
-    kernel_vectors: list[list[Vector]],
+    kernels: list[KernelBasis],
     ambient_d: list[QMatrix],
     ambient_mult,
     ambient_unit: Vector,
     cutoff: int,
     ambient_level_subspace=None,
     name: str = "",
-) -> tuple[TruncatedDGA, list[QMatrix]]:
+) -> TruncatedDGA:
     """Shared construction: a sub-DG-algebra presented by kernel bases.
 
     ``ambient_mult(k1, v1, k2, v2)`` multiplies ambient vectors (may raise
     CutoffTooSmallError), ``ambient_d[k]`` differentiates them.  Returns the
-    TruncatedDGA in the kernel bases plus the per-degree inclusion matrices.
+    TruncatedDGA whose degree-k basis is ``kernels[k].vectors``.
     """
-    dims = [len(kernel_vectors[k]) for k in range(cutoff + 1)]
-    incl = [
-        QMatrix.from_cols(kernel_vectors[k], ambient_dims[k]) for k in range(cutoff + 1)
-    ]
-
+    dims = [kernels[k].rank for k in range(cutoff + 1)]
     diff_mats = []
     for k in range(cutoff):
-        images = [ambient_d[k].matvec(v) for v in kernel_vectors[k]]
-        sols = solve_many(incl[k + 1], images)
-        entries = {}
-        for c, sol in enumerate(sols):
-            if sol is None:
-                raise InputError("differential does not preserve the kernel subspace")
-            for r, val in enumerate(sol):
-                if val:
-                    entries[(r, c)] = val
-        diff_mats.append(QMatrix(dims[k + 1], dims[k], entries))
+        images = [ambient_d[k].matvec(v) for v in kernels[k].vectors]
+        cols = kernels[k + 1].express(
+            images, "differential does not preserve the kernel subspace"
+        )
+        diff_mats.append(QMatrix.from_cols(cols, dims[k + 1]))
 
     def mult_fn(i, a, j, b):
         try:
-            prod = ambient_mult(i, kernel_vectors[i][a], j, kernel_vectors[j][b])
+            prod = ambient_mult(i, kernels[i].vectors[a], j, kernels[j].vectors[b])
         except CutoffTooSmallError:
             return None
-        sol = solve(incl[i + j], prod)
-        if sol is None:
-            raise InputError("product does not preserve the kernel subspace")
-        return sol
+        return kernels[i + j].express([prod], "product does not preserve the kernel subspace")[0]
 
-    unit_sol = solve(incl[0], ambient_unit)
-    if unit_sol is None:
-        raise InputError("the unit is not a compatible family")
+    (unit,) = kernels[0].express([ambient_unit], "the unit is not a compatible family")
 
     level_fn = None
     if ambient_level_subspace is not None:
-        def level_fn(k, p, _incl=incl, _dims=dims):
+        def level_fn(k, p):
+            # x in carrier coords with incl * x inside span(sub); incl is
+            # injective, so an empty sub has only x = 0
             sub = ambient_level_subspace(k, p)
-            if not sub:
-                return []
-            # x in carrier coords with incl * x inside span(sub)
-            sub_m = QMatrix.from_cols(sub, ambient_dims[k])
-            stacked = _incl[k].hstack(sub_m.scale(-1))
-            out = []
-            seen = set()
-            for v in kernel_basis(stacked):
-                head = v[: _dims[k]]
-                if not vec_is_zero(head) and head not in seen:
-                    seen.add(head)
-                    out.append(head)
-            # reduce to an independent set
-            from .exactlin import RowSpace
+            return preimage_basis(kernels[k].inclusion, sub) if sub else []
 
-            rs = RowSpace(_dims[k])
-            return [v for v in out if rs.add(v)]
-
-    carrier = TruncatedDGA(
+    return TruncatedDGA(
         cutoff,
         dims,
-        unit_sol,
+        unit,
         diff_mats,
         mult_fn,
         level_fn=level_fn,
+        kernels=kernels,
         check=False,
         name=name,
     )
-    return carrier, incl
 
 
 def fiber_product(f: DGMorphism, g: DGMorphism, upto: int) -> FiberProductDGA:
@@ -164,7 +143,7 @@ def fiber_product(f: DGMorphism, g: DGMorphism, upto: int) -> FiberProductDGA:
     kernels = []
     for k in range(cutoff + 1):
         m = f.mats[k].hstack(g.mats[k].scale(-1))
-        kernels.append(kernel_basis(m))
+        kernels.append(KernelBasis(m, kernel_basis(m)))
 
     ambient_d = []
     for k in range(cutoff):
@@ -194,8 +173,7 @@ def fiber_product(f: DGMorphism, g: DGMorphism, upto: int) -> FiberProductDGA:
         or b.levels is not None
         or b._level_fn is not None
     )
-    carrier, incl = _kernel_carrier(
-        ambient_dims,
+    carrier = _kernel_carrier(
         kernels,
         ambient_d,
         ambient_mult,
@@ -214,7 +192,7 @@ def fiber_product(f: DGMorphism, g: DGMorphism, upto: int) -> FiberProductDGA:
                 carrier.dim(k),
                 {
                     (r, cc): v
-                    for (r, cc), v in incl[k].entries.items()
+                    for (r, cc), v in kernels[k].inclusion.entries.items()
                     if r < a.dim(k)
                 },
             )
@@ -231,7 +209,7 @@ def fiber_product(f: DGMorphism, g: DGMorphism, upto: int) -> FiberProductDGA:
                 carrier.dim(k),
                 {
                     (r - a.dim(k), cc): v
-                    for (r, cc), v in incl[k].entries.items()
+                    for (r, cc), v in kernels[k].inclusion.entries.items()
                     if r >= a.dim(k)
                 },
             )
@@ -239,7 +217,7 @@ def fiber_product(f: DGMorphism, g: DGMorphism, upto: int) -> FiberProductDGA:
         ],
         check="none",
     )
-    return FiberProductDGA(f, g, carrier, incl, proj_a, proj_b)
+    return FiberProductDGA(f, g, carrier, proj_a, proj_b)
 
 
 # ---------------------------------------------------------------------------
@@ -285,43 +263,30 @@ def mayer_vietoris(fp: FiberProductDGA, upto: int) -> MayerVietorisReport:
     for k in range(upto + 1):
         cols = []
         for v in h_fp.reps[k]:
-            amb = fp.inclusions[k].matvec(v)
+            amb = fp.kernels[k].inclusion.matvec(v)
             ca = h_a.class_of(k, amb[: a.dim(k)])
             cb = h_b.class_of(k, amb[a.dim(k) :])
             cols.append(tuple(ca) + tuple(cb))
-        rep.restriction.append(
-            QMatrix.from_cols(cols, h_a.dims[k] + h_b.dims[k])
-            if cols
-            else QMatrix.zero(h_a.dims[k] + h_b.dims[k], 0)
-        )
+        rep.restriction.append(QMatrix.from_cols(cols, h_a.dims[k] + h_b.dims[k]))
         # difference map f* - g*
         cols = []
         for v in h_a.reps[k]:
             cols.append(h_c.class_of(k, fp.f.apply(k, v)))
         for v in h_b.reps[k]:
             cols.append(tuple(-x for x in h_c.class_of(k, fp.g.apply(k, v))))
-        rep.difference.append(
-            QMatrix.from_cols(cols, h_c.dims[k]) if cols else QMatrix.zero(h_c.dims[k], 0)
-        )
+        rep.difference.append(QMatrix.from_cols(cols, h_c.dims[k]))
     # connecting map
     for k in range(upto):
-        cols = []
-        for v in h_c.reps[k]:
-            m = fp.f.mats[k].hstack(fp.g.mats[k].scale(-1))
-            pre = solve(m, v)
-            if pre is None:
-                raise PreconditionError(f"no preimage for a class in degree {k}")
-            da = a.apply_d(k, pre[: a.dim(k)])
-            db = b.apply_d(k, pre[a.dim(k) :])
-            sol = solve(fp.inclusions[k + 1], concat(da, db))
-            if sol is None:
-                raise InputError("connecting image is not in the fiber product")
-            cols.append(h_fp.class_of(k + 1, sol))
-        rep.connecting.append(
-            QMatrix.from_cols(cols, h_fp.dims[k + 1])
-            if cols
-            else QMatrix.zero(h_fp.dims[k + 1], 0)
-        )
+        pres = solve_many(fp.kernels[k].matrix, h_c.reps[k])
+        if any(pre is None for pre in pres):
+            raise PreconditionError(f"no preimage for a class in degree {k}")
+        images = [
+            concat(a.apply_d(k, pre[: a.dim(k)]), b.apply_d(k, pre[a.dim(k) :]))
+            for pre in pres
+        ]
+        sols = fp.kernels[k + 1].express(images, "connecting image is not in the fiber product")
+        cols = [h_fp.class_of(k + 1, sol) for sol in sols]
+        rep.connecting.append(QMatrix.from_cols(cols, h_fp.dims[k + 1]))
 
     # exactness at every node
     def check(node, incoming: QMatrix, outgoing: QMatrix):
@@ -388,17 +353,9 @@ def suspension_model(m: TruncatedDGA, upto: int) -> SuspensionModel:
         if k == 0 or k == 1:
             diff_mats.append(QMatrix.zero(dims[k + 1] if k + 1 <= upto else 0, dims[k]))
             continue
-        cols = []
-        for v in shifted[k]:
-            img = m.apply_d(k - 1, v)
-            # express in the degree-k shifted basis (full basis for k >= 2)
-            cols.append(img)
-        entries = {}
-        for c, col in enumerate(cols):
-            for r, val in enumerate(col):
-                if val:
-                    entries[(r, c)] = val
-        diff_mats.append(QMatrix(dims[k + 1], dims[k], entries))
+        # images already lie in the degree-k shifted basis (full basis for k >= 2)
+        cols = [m.apply_d(k - 1, v) for v in shifted[k]]
+        diff_mats.append(QMatrix.from_cols(cols, dims[k + 1]))
 
     def mult_fn(i, a, j, b):
         k = i + j
@@ -449,22 +406,13 @@ def induced_fp_map(
     cap = min(src.carrier.cutoff, dst.carrier.cutoff)
     mats = []
     for k in range(cap + 1):
-        imgs = []
-        for col in range(src.carrier.dim(k)):
-            amb = src.inclusions[k].column(col)
-            da = src.a.dim(k)
-            x1 = on_a.apply(k, amb[:da])
-            x2 = on_b.apply(k, amb[da:])
-            imgs.append(concat(x1, x2))
-        sols = solve_many(dst.inclusions[k], imgs)
-        entries = {}
-        for c, sol in enumerate(sols):
-            if sol is None:
-                raise InputError("image does not satisfy the target leg equation")
-            for r, v in enumerate(sol):
-                if v:
-                    entries[(r, c)] = v
-        mats.append(QMatrix(dst.carrier.dim(k), src.carrier.dim(k), entries))
+        da = src.a.dim(k)
+        imgs = [
+            concat(on_a.apply(k, amb[:da]), on_b.apply(k, amb[da:]))
+            for amb in src.kernels[k].vectors
+        ]
+        cols = dst.kernels[k].express(imgs, "image does not satisfy the target leg equation")
+        mats.append(QMatrix.from_cols(cols, dst.carrier.dim(k)))
     return DGMorphism(src.carrier, dst.carrier, mats, check=check)
 
 
@@ -555,7 +503,7 @@ def suspension_inclusion(susp: SuspensionModel, fp: FiberProductDGA) -> DGMorphi
     # (i, ia, 1, jb) with jb indexing t^l dt; dt itself is jb = 0
     mats = []
     for k in range(cap + 1):
-        cols = []
+        ambs = []
         for t in range(susp.carrier.dim(k)):
             if k == 0:
                 amb = concat(cyl.unit, fp.b.unit)
@@ -566,13 +514,7 @@ def suspension_inclusion(susp: SuspensionModel, fp: FiberProductDGA) -> DGMorphi
                     if val:
                         amb_a[cyl.tensor_index[k][(k - 1, r, 1, 0)]] = val  # type: ignore[attr-defined]
                 amb = tuple(amb_a) + zero_vector(fp.b.dim(k))
-            sol = solve(fp.inclusions[k], amb)
-            if sol is None:
-                raise InputError("suspension element is not in the fiber product")
-            cols.append(sol)
-        mats.append(
-            QMatrix.from_cols(cols, fp.carrier.dim(k))
-            if cols
-            else QMatrix.zero(fp.carrier.dim(k), 0)
-        )
+            ambs.append(amb)
+        cols = fp.kernels[k].express(ambs, "suspension element is not in the fiber product")
+        mats.append(QMatrix.from_cols(cols, fp.carrier.dim(k)))
     return DGMorphism(susp.carrier, fp.carrier, mats, check="auto", name="suspension inclusion")

@@ -270,15 +270,6 @@ class Element:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def multiply(a: Element, b: Element) -> Element:
-    """Graded-commutative product (function form of ``a * b``)."""
-    return a * b
-
-
-def basis_in_degree(alg: FreeGCA, n: int) -> list[Monomial]:
-    return alg.basis_in_degree(n)
-
-
 def apply_odd_derivation(images: Mapping[str, Element], x: Element) -> Element:
     """Extend ``gen -> images[gen]`` to an odd derivation and apply it to x.
 

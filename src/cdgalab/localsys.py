@@ -26,14 +26,14 @@ from .cdga import (
 from .errors import InputError, PreconditionError
 from .exactlin import (
     ONE,
+    KernelBasis,
     QMatrix,
+    RowSpace,
     Vector,
     ZERO,
     concat,
     kernel_basis,
     rank,
-    solve,
-    solve_many,
     unit_vector,
     zero_vector,
 )
@@ -294,28 +294,18 @@ def is_extendable(e: FiniteLocalSystem, upto: Optional[int] = None):
                 for i, _f in boundary.facets(t)
             },
         )
-        gamma, incl, layout = _sections_basis(sub, upto)
+        kernels, layout = _sections_basis(sub, upto)
         fib = e.fibers[s]
         for k in range(min(upto, fib.cutoff) + 1):
-            cols = []
-            for t in range(fib.dim(k)):
-                x = unit_vector(fib.dim(k), t)
-                amb = []
-                for tau in layout:
-                    amb.append(e.restriction(s, tau).apply(k, x))
-                target = concat(*amb) if amb else ()
-                sol = solve(incl[k], target)
-                if sol is None:
-                    raise InputError("boundary image is not a compatible family")
-                cols.append(sol)
-            m = (
-                QMatrix.from_cols(cols, len(gamma[k]))
-                if cols
-                else QMatrix.zero(len(gamma[k]), 0)
-            )
-            if rank(m) != len(gamma[k]):
+            targets = [
+                concat(*[e.restriction(s, tau).apply(k, unit_vector(fib.dim(k), t)) for tau in layout])
+                for t in range(fib.dim(k))
+            ]
+            cols = kernels[k].express(targets, "boundary image is not a compatible family")
+            r = rank(QMatrix.from_cols(cols, kernels[k].rank))
+            if r != kernels[k].rank:
                 ok = False
-                witnesses.append((s, k, len(gamma[k]), rank(m)))
+                witnesses.append((s, k, kernels[k].rank, r))
     return ok, witnesses
 
 
@@ -324,16 +314,13 @@ def is_extendable(e: FiniteLocalSystem, upto: Optional[int] = None):
 # ---------------------------------------------------------------------------
 
 def _sections_basis(e: FiniteLocalSystem, upto: int):
-    """Kernel bases of the facet-compatibility map, per degree.
+    """Kernels of the facet-compatibility map, per degree.
 
-    Returns (bases, inclusion matrices, simplex layout); the ambient space in
-    degree k is the direct sum of the fibers over all simplices in layout
-    order.
+    Returns (kernels, simplex layout); the ambient space in degree k is the
+    direct sum of the fibers over all simplices in layout order.
     """
     layout = e.base.all_simplices()
-    offsets_per_degree = []
     kernels = []
-    incl = []
     pairs = [(s, i, s[:i] + s[i + 1 :]) for s in layout for i, _t in e.base.facets(s)]
     for k in range(upto + 1):
         offs = {}
@@ -342,7 +329,6 @@ def _sections_basis(e: FiniteLocalSystem, upto: int):
             offs[s] = pos
             pos += e.fibers[s].dim(k)
         ambient_dim = pos
-        offsets_per_degree.append(offs)
         entries = {}
         row = 0
         for s, i, t in pairs:
@@ -356,18 +342,15 @@ def _sections_basis(e: FiniteLocalSystem, upto: int):
                 ) - ONE
             row += tdim
         m = QMatrix(row, ambient_dim, entries)
-        ker = kernel_basis(m)
-        kernels.append(ker)
-        incl.append(QMatrix.from_cols(ker, ambient_dim))
-    return kernels, incl, layout
+        kernels.append(KernelBasis(m, kernel_basis(m)))
+    return kernels, layout
 
 
 def global_sections(e: FiniteLocalSystem, upto: int) -> TruncatedDGA:
     """Compatible families as a DG algebra (the limit over the face poset)."""
     if upto > e.min_cutoff():
         raise InputError("global_sections cutoff exceeds a fiber cutoff")
-    layout = e.base.all_simplices()
-    kernels, incl, _ = _sections_basis(e, upto)
+    kernels, layout = _sections_basis(e, upto)
 
     def dims_at(k):
         return [e.fibers[s].dim(k) for s in layout]
@@ -417,8 +400,7 @@ def global_sections(e: FiniteLocalSystem, upto: int) -> TruncatedDGA:
         f.levels is not None or f._level_fn is not None for f in e.fibers.values()
     )
     unit = concat(*[e.fibers[s].unit for s in layout])
-    carrier, incl_mats = _kernel_carrier(
-        ambient_dims,
+    return _kernel_carrier(
         kernels,
         ambient_d,
         ambient_mult,
@@ -427,10 +409,6 @@ def global_sections(e: FiniteLocalSystem, upto: int) -> TruncatedDGA:
         ambient_level_subspace=ambient_levels if has_levels else None,
         name="global_sections",
     )
-    carrier.section_layout = layout  # type: ignore[attr-defined]
-    carrier.section_inclusions = incl_mats  # type: ignore[attr-defined]
-    carrier.section_system = e  # type: ignore[attr-defined]
-    return carrier
 
 
 # ---------------------------------------------------------------------------
@@ -498,24 +476,16 @@ def fiber_product_system(
             tgt = carriers[t]
             mats = []
             for k in range(upto + 1):
-                imgs = []
-                for col in range(src.carrier.dim(k)):
-                    amb = src.inclusions[k].column(col)
-                    d1 = a1.fibers[s].dim(k)
-                    x1 = amb[:d1]
-                    x2 = amb[d1:]
-                    y1 = a1.facet_restrictions[(s, i)].apply(k, x1)
-                    y2 = a2.facet_restrictions[(s, i)].apply(k, x2)
-                    imgs.append(concat(y1, y2))
-                sols = solve_many(tgt.inclusions[k], imgs)
-                entries = {}
-                for c, sol in enumerate(sols):
-                    if sol is None:
-                        raise InputError("restriction leaves the fiber product")
-                    for r, v in enumerate(sol):
-                        if v:
-                            entries[(r, c)] = v
-                mats.append(QMatrix(tgt.carrier.dim(k), src.carrier.dim(k), entries))
+                d1 = a1.fibers[s].dim(k)
+                imgs = [
+                    concat(
+                        a1.facet_restrictions[(s, i)].apply(k, amb[:d1]),
+                        a2.facet_restrictions[(s, i)].apply(k, amb[d1:]),
+                    )
+                    for amb in src.kernels[k].vectors
+                ]
+                cols = tgt.kernels[k].express(imgs, "restriction leaves the fiber product")
+                mats.append(QMatrix.from_cols(cols, tgt.carrier.dim(k)))
             restr[(s, i)] = DGMorphism(src.carrier, tgt.carrier, mats, check="none")
     return FiniteLocalSystem(base, fibers, restr), carriers
 
@@ -572,11 +542,13 @@ def cohomology_local_system(e: FiniteLocalSystem, upto: int) -> LocalCoefficient
         )
         per_q = {}
         for q in range(upto + 1):
-            inv_cols = solve_many(to_v[q], [unit_vector(to_v[q].rows, r) for r in range(to_v[q].rows)])
-            if any(c is None for c in inv_cols):
+            m = to_v[q]
+            # the inverse writes each unit vector in the basis of m's columns
+            space = RowSpace(m.rows, [m.column(c) for c in range(m.cols)])
+            if not space.rank == m.rows == m.cols:
                 raise PreconditionError(f"transport not invertible on edge {s}")
-            inv = QMatrix.from_cols([c for c in inv_cols if c is not None], to_v[q].cols)
-            per_q[q] = to_u[q].matmul(inv)
+            inv = space.coords_many([unit_vector(m.rows, r) for r in range(m.rows)])
+            per_q[q] = to_u[q].matmul(QMatrix.from_cols(inv, m.cols))  # type: ignore[arg-type]
         edges[(u, v)] = per_q
     return LocalCoefficients(e.base, vertex_dims, edges)
 

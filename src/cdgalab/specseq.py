@@ -25,12 +25,9 @@ from .exactlin import (
     RowSpace,
     Vector,
     column_space_basis,
-    kernel_basis,
+    preimage_basis,
     rank,
-    solve,
-    solve_many,
     unit_vector,
-    vec_is_zero,
 )
 from .localsys import (
     FiniteLocalSystem,
@@ -123,7 +120,8 @@ class PageTower:
     def __init__(self, fc: FilteredComplex):
         self.fc = fc
         self._z_cache: dict[tuple[int, int, int], list[Vector]] = {}
-        self._entry_cache: dict[tuple[int, int, int], tuple] = {}
+        # (r, p, q) -> (entry, space spanned by the denominators, then the reps)
+        self._entry_cache: dict[tuple[int, int, int], tuple[tuple, RowSpace]] = {}
 
     # -- subspaces ------------------------------------------------------
     def z_basis(self, p: int, target_p: int, n: int) -> list[Vector]:
@@ -142,15 +140,7 @@ class PageTower:
             raise InputError("page computation needs degrees below the cutoff")
         fp_m = QMatrix.from_cols(fp, alg.dim(n))
         d_fp = alg.d_matrix(n).matmul(fp_m)
-        tgt = self.fc.subspace(tgt_eff, n + 1)
-        if tgt:
-            tgt_m = QMatrix.from_cols(tgt, alg.dim(n + 1))
-            stacked = d_fp.hstack(tgt_m.scale(-1))
-            alphas = [v[: len(fp)] for v in kernel_basis(stacked)]
-            rs = RowSpace(len(fp))
-            alphas = [a for a in alphas if rs.add(a)]
-        else:
-            alphas = kernel_basis(d_fp)
+        alphas = preimage_basis(d_fp, self.fc.subspace(tgt_eff, n + 1))
         out = [fp_m.matvec(a) for a in alphas]
         self._z_cache[key] = out
         return out
@@ -158,15 +148,17 @@ class PageTower:
     # -- entries -----------------------------------------------------------
     def entry(self, r: int, p: int, q: int):
         """(dims, representatives, denominator basis) of E_r^{p,q}."""
+        return self._entry(r, p, q)[0]
+
+    def _entry(self, r: int, p: int, q: int) -> tuple[tuple, RowSpace]:
         key = (r, p, q)
         if key in self._entry_cache:
             return self._entry_cache[key]
         alg = self.fc.algebra
         n = p + q
         if p < 0 or n < 0:
-            result = (0, [], [])
-            self._entry_cache[key] = result
-            return result
+            self._entry_cache[key] = ((0, [], []), RowSpace(0))
+            return self._entry_cache[key]
         if r == 0:
             z = self.fc.subspace(p, n)
             denom = self.fc.subspace(p + 1, n)
@@ -178,37 +170,29 @@ class PageTower:
                 denom.append(alg.apply_d(n - 1, v))
         rs = RowSpace(alg.dim(n), denom)
         reps = [v for v in z if rs.add(v)]
-        result = (len(reps), reps, denom)
-        self._entry_cache[key] = result
-        return result
+        self._entry_cache[key] = ((len(reps), reps, denom), rs)
+        return self._entry_cache[key]
 
     def class_in_entry(self, r: int, p: int, q: int, v: Vector) -> Vector:
-        dim_e, reps, denom = self.entry(r, p, q)
-        alg = self.fc.algebra
-        cols = list(reps) + list(denom)
-        if not cols:
-            if vec_is_zero(v):
-                return ()
-            raise InputError("vector has no expression in an empty page entry")
-        m = QMatrix.from_cols(cols, alg.dim(p + q))
-        sol = solve(m, v)
-        if sol is None:
-            raise InputError("vector does not lie in the page entry")
-        return tuple(sol[:dim_e])
+        """Coordinates of the class of ``v`` in the representatives of E_r^{p,q}."""
+        (dim_e, _, _), space = self._entry(r, p, q)
+        if not space.rank:
+            if any(v):
+                raise InputError("vector has no expression in an empty page entry")
+            return ()
+        (coords,) = space.express([v], "vector does not lie in the page entry")
+        return coords[space.rank - dim_e :]
 
     def diff(self, r: int, p: int, q: int) -> QMatrix:
         """Matrix of d_r : E_r^{p,q} -> E_r^{p+r, q-r+1}."""
         alg = self.fc.algebra
-        dim_src, reps, _ = self.entry(r, p, q)
+        _, reps, _ = self.entry(r, p, q)
         dim_tgt, _, _ = self.entry(r, p + r, q - r + 1)
-        entries = {}
-        for c, v in enumerate(reps):
-            img = alg.apply_d(p + q, v)
-            cls = self.class_in_entry(r, p + r, q - r + 1, img) if dim_tgt else ()
-            for rr, val in enumerate(cls):
-                if val:
-                    entries[(rr, c)] = val
-        return QMatrix(dim_tgt, dim_src, entries)
+        cols = [
+            self.class_in_entry(r, p + r, q - r + 1, alg.apply_d(p + q, v)) if dim_tgt else ()
+            for v in reps
+        ]
+        return QMatrix.from_cols(cols, dim_tgt)
 
     def page(self, r: int, p_max: int, q_max: int, with_diffs: bool = True) -> Page:
         page = Page(r=r)
@@ -383,15 +367,8 @@ def einfty_vs_target(e: FiniteLocalSystem, upto: int, product_samples: int = 12)
         # modulo coboundaries
         zf = tower.z_basis(pf, fc.p_bound + 1, n) if n < gamma.cutoff else []
         bnd = column_space_basis(gamma.d_matrix(n - 1)) if n >= 1 else []
-        cols = list(zf) + list(bnd)
-        ok = False
-        if cols:
-            sol = solve(QMatrix.from_cols(cols, gamma.dim(n)), prod)
-            ok = sol is not None
-        else:
-            ok = vec_is_zero(prod)
         report.product_checks += 1
-        if not ok:
+        if not RowSpace(gamma.dim(n), list(zf) + bnd).contains(prod):
             report.product_failures.append(((p1, q1), (p2, q2)))
     return report
 
@@ -430,33 +407,22 @@ def triple_morphism_pages(
     if q_max is None:
         q_max = max(0, upto - 1)
     src, dst = src_fc.algebra, dst_fc.algebra
-    src_layout = src.section_layout  # type: ignore[attr-defined]
-    dst_layout = dst.section_layout  # type: ignore[attr-defined]
-    if src_layout != dst_layout:
-        raise InputError("towers live over different bases")
+    # validate() saw one base, so both section layouts are its simplices in order
+    layout = m.source.base.all_simplices()
 
     gamma_mats = []
     for k in range(upto + 1):
         images = []
-        for col in range(src.dim(k)):
-            amb = src.section_inclusions[k].column(col)  # type: ignore[attr-defined]
+        for amb in src.kernels[k].vectors:  # type: ignore[index]
             out_parts = []
             pos = 0
-            for s in src_layout:
+            for s in layout:
                 n_s = m.source.fibers[s].dim(k)
                 out_parts.append(m.maps[s].apply(k, amb[pos : pos + n_s]))
                 pos += n_s
-            flat = tuple(x for part in out_parts for x in part)
-            images.append(flat)
-        sols = solve_many(dst.section_inclusions[k], images)  # type: ignore[attr-defined]
-        entries = {}
-        for c, sol in enumerate(sols):
-            if sol is None:
-                raise InputError("section image is not a compatible family")
-            for r, v in enumerate(sol):
-                if v:
-                    entries[(r, c)] = v
-        gamma_mats.append(QMatrix(dst.dim(k), src.dim(k), entries))
+            images.append(tuple(x for part in out_parts for x in part))
+        cols = dst.kernels[k].express(images, "section image is not a compatible family")  # type: ignore[index]
+        gamma_mats.append(QMatrix.from_cols(cols, dst.dim(k)))
 
     failures = []
     # filtered map check
@@ -476,16 +442,13 @@ def triple_morphism_pages(
             for q in range(q_max + 1):
                 if p + q >= upto:
                     continue
-                dim_s, reps_s, _ = src_tower.entry(r, p, q)
+                _, reps_s, _ = src_tower.entry(r, p, q)
                 dim_t, _, _ = dst_tower.entry(r, p, q)
-                entries = {}
-                for c, v in enumerate(reps_s):
-                    img = gamma_mats[p + q].matvec(v)
-                    cls = dst_tower.class_in_entry(r, p, q, img) if dim_t else ()
-                    for rr, val in enumerate(cls):
-                        if val:
-                            entries[(rr, c)] = val
-                psi[(r, p, q)] = QMatrix(dim_t, dim_s, entries)
+                cols = [
+                    dst_tower.class_in_entry(r, p, q, gamma_mats[p + q].matvec(v)) if dim_t else ()
+                    for v in reps_s
+                ]
+                psi[(r, p, q)] = QMatrix.from_cols(cols, dim_t)
     # d_r commutation
     for (r, p, q), mat in sorted(psi.items()):
         tgt = (r, p + r, q - r + 1)

@@ -66,12 +66,7 @@ def _comparison_matrices(model: FreeCDGA, trunc: TruncatedDGA, target: Truncated
                     vec = target.multiply(deg, vec, gdeg, gvec)
                     deg += gdeg
             cols.append(vec)
-        entries = {}
-        for c, col in enumerate(cols):
-            for r, v in enumerate(col):
-                if v:
-                    entries[(r, c)] = v
-        mats.append(QMatrix(target.dim(k), trunc.dim(k), entries))
+        mats.append(QMatrix.from_cols(cols, target.dim(k)))
     return mats
 
 
@@ -125,18 +120,10 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
                 stage.append((name, n, None, t_rep))
         # kernel of H^{n+1}(phi), computable while n+1 is below the cutoff
         if n + 1 <= target.cutoff - 1:
-            hmat_rows = []
-            for rep in hs.reps[n + 1]:
-                hmat_rows.append(ht.class_of(n + 1, mats[n + 1].matvec(rep)))
-            entries = {}
-            for c, col in enumerate(hmat_rows):
-                for r, v in enumerate(col):
-                    if v:
-                        entries[(r, c)] = v
-            hmat = QMatrix(ht.dims[n + 1], hs.dims[n + 1], entries)
+            hmat_cols = [ht.class_of(n + 1, mats[n + 1].matvec(rep)) for rep in hs.reps[n + 1]]
+            hmat = QMatrix.from_cols(hmat_cols, ht.dims[n + 1])
             for kv in kernel_basis(hmat):
                 # kv combines model classes whose image class vanishes
-                z_vec = trunc.zero(n + 1)
                 z_vec = tuple(
                     sum((c * rep[t] for c, rep in zip(kv, hs.reps[n + 1])), ZERO)
                     for t in range(trunc.dim(n + 1))

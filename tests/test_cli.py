@@ -94,6 +94,84 @@ def test_decimal_literals_rejected(tmp_path, capsys):
     assert "rational" in err
 
 
+def edge_system_problem():
+    return {
+        "version": "1",
+        "task": "gamma",
+        "algebras": {"P": {"type": "point", "cutoff": 3}},
+        "complexes": {"K": {"vertices": [0, 1], "maximal": [[0, 1]]}},
+        "systems": {
+            "E": {
+                "type": "explicit",
+                "base": "K",
+                "fibers": {"0": "P", "1": "P", "0,1": "P"},
+                "restrictions": {
+                    "0,1|0": {"source": "P", "target": "P", "matrices": {"0": [["1"]]}},
+                    "0,1|1": {"source": "P", "target": "P", "matrices": {"0": [["1"]]}},
+                },
+            }
+        },
+        "task_args": {"system": "E", "upto": 2},
+    }
+
+
+def _set(path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return doc
+
+    return mutate
+
+
+RESTRICTION = ("systems", "E", "restrictions", "0,1|0")
+
+
+@pytest.mark.parametrize(
+    "make, mutate",
+    [
+        (edge_system_problem, _set(RESTRICTION + ("source",), "NOPE")),
+        (edge_system_problem, _drop(RESTRICTION + ("target",))),
+        (edge_system_problem, _set(("systems", "E", "base"), "L")),
+        (edge_system_problem, _set(("systems", "E", "fibers", "1"), "NOPE")),
+        (edge_system_problem, _drop(("systems", "E", "fibers"))),
+        (edge_system_problem, _set(("algebras", "P", "cutoff"), "1.5")),
+        (edge_system_problem, _set(("algebras", "P", "cutoff"), 3.0)),
+        (edge_system_problem, _set(("task_args", "upto"), 1.5)),
+        (torus_problem, _set(("algebras", "T", "generators", 1, 1), "1.5")),
+        (torus_problem, _set(("algebras", "T", "generators", 1, 1), 1.5)),
+        (torus_problem, _set(("algebras", "T", "cutoff"), "three")),
+        (torus_problem, _set(("task_args", "upto"), True)),
+    ],
+)
+def test_malformed_references_and_integers_exit_2(tmp_path, capsys, make, mutate):
+    code, out, err = run_cli(capsys, [write(tmp_path, mutate(make())), "--format", "machine"])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+
+
+def test_integral_strings_are_integers(tmp_path, capsys):
+    doc = torus_problem()
+    doc["algebras"]["T"]["generators"][1][1] = "1"
+    code, out, _ = run_cli(capsys, [write(tmp_path, doc), "--format", "machine"])
+    assert code == 0
+    assert json.loads(out)["result"]["dims"] == [1, 2, 1]
+
+
 def test_loop_model_task(tmp_path, capsys):
     doc = {
         "version": "1",

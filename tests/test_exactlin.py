@@ -5,11 +5,13 @@ import pytest
 
 from cdgalab.errors import InputError
 from cdgalab.exactlin import (
+    KernelBasis,
     QMatrix,
     RowSpace,
     column_space_basis,
     complement_basis,
     kernel_basis,
+    preimage_basis,
     rank,
     rref,
     solve,
@@ -18,7 +20,7 @@ from cdgalab.exactlin import (
     vec_is_zero,
 )
 
-from helpers import minor_rank, random_qmatrix
+from helpers import minor_rank, naive_rank, random_qmatrix
 
 
 def test_rref_identity():
@@ -179,3 +181,162 @@ def test_sparse_and_dense_paths_agree():
     kb_small = kernel_basis(small)
     kb_big = kernel_basis(big)
     assert len(kb_big) == len(kb_small) + 60
+
+
+# -- coordinates: the cached fast paths against a fresh solve ---------------------
+
+def _combo(rng, vectors, n):
+    acc = [Fraction(0)] * n
+    for v in vectors:
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        acc = [a + c * x for a, x in zip(acc, v)]
+    return tuple(acc)
+
+
+def _random_vector(rng, n, density=0.5):
+    return tuple(
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else Fraction(0)
+        for _ in range(n)
+    )
+
+
+def _probes(rng, span, n):
+    """Members of span (incl. zero) and arbitrary vectors, most of them outside."""
+    out = [tuple(Fraction(0) for _ in range(n))]
+    out += [_combo(rng, span, n) for _ in range(4)]
+    out += [_random_vector(rng, n) for _ in range(4)]
+    return out
+
+
+def _rowspace_cases(rng):
+    """(dim, added vectors): rank-deficient, zero, empty and sparse-path spaces."""
+    cases = [(0, []), (3, []), (4, [(Fraction(0),) * 4])]
+    for _ in range(25):
+        n = rng.randint(1, 8)
+        base = [_random_vector(rng, n) for _ in range(rng.randint(0, n + 2))]
+        # duplicates and combinations make the added list rank-deficient
+        extra = [_combo(rng, base, n) for _ in range(rng.randint(0, 2))]
+        cases.append((n, base + extra))
+    n = 70  # past the dense-elimination width
+    base = [_random_vector(rng, n, density=0.05) for _ in range(8)]
+    cases.append((n, base + [_combo(rng, base[:3], n)]))
+    return cases
+
+
+def test_rowspace_coords_match_solve_and_oracle():
+    rng = random.Random(2024)
+    for n, added in _rowspace_cases(rng):
+        rs = RowSpace(n, added)
+        assert rs.rank == len(rs.generators) == naive_rank([list(v) for v in added])
+        m = QMatrix.from_cols(rs.generators, n)
+        for x in _probes(rng, added, n):
+            expected = solve(m, x)
+            assert rs.coords(x) == expected
+            member = naive_rank([list(v) for v in rs.generators] + [list(x)]) == rs.rank
+            assert rs.contains(x) == member == (expected is not None)
+        # the cached transform is dropped when the span grows
+        if n:
+            fresh = _random_vector(rng, n)
+            if rs.add(fresh):
+                assert rs.coords(fresh) == solve(QMatrix.from_cols(rs.generators, n), fresh)
+
+
+def test_rowspace_express_raises_with_message():
+    rs = RowSpace(2, [(Fraction(1), Fraction(1))])
+    assert rs.express([(Fraction(2), Fraction(2))], "outside") == [(Fraction(2),)]
+    with pytest.raises(InputError, match="outside"):
+        rs.express([(Fraction(2), Fraction(2)), (Fraction(1), Fraction(0))], "outside")
+
+
+def test_rowspace_coords_of_reps_modulo_dependent_denominators():
+    # the page-entry layout: a dependent spanning set of denominators, then reps
+    rng = random.Random(99)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        denom = [_random_vector(rng, n) for _ in range(rng.randint(0, 3))]
+        denom += [_combo(rng, denom, n) for _ in range(rng.randint(0, 2))]
+        z = [_random_vector(rng, n) for _ in range(rng.randint(0, 4))]
+        rs = RowSpace(n, denom)
+        reps = [v for v in z if rs.add(v)]
+        cols = reps + denom
+        for x in _probes(rng, cols, n):
+            slow = solve(QMatrix.from_cols(cols, n), x)
+            fast = rs.coords(x)
+            assert (fast is None) == (slow is None)
+            if fast is not None:
+                assert fast[rs.rank - len(reps):] == slow[: len(reps)]
+
+
+def _kernel_cases(rng):
+    """Matrices with rank-deficient, zero-column, zero-row and empty kernels."""
+    cases = [QMatrix.zero(3, 0), QMatrix.zero(0, 4), QMatrix.zero(2, 3), QMatrix.identity(4)]
+    for _ in range(25):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 8)
+        m = random_qmatrix(rng, rows, cols, density=rng.choice([0.2, 0.5]))
+        if rows > 1 and rng.random() < 0.5:
+            # repeat a row so the matrix is rank-deficient
+            m = m.vstack(QMatrix(1, cols, {(0, c): v for (r, c), v in m.entries.items() if r == 0}))
+        cases.append(m)
+    cases.append(random_qmatrix(rng, 5, 70, density=0.05))
+    return cases
+
+
+def test_kernel_free_column_coords_match_solve_and_oracle():
+    rng = random.Random(31)
+    for m in _kernel_cases(rng):
+        basis = kernel_basis(m)
+        ker = KernelBasis(m, basis)
+        assert ker.rank == m.cols - rank(m)
+        assert ker.inclusion == QMatrix.from_cols(basis, m.cols)
+        probes = _probes(rng, basis, m.cols)
+        for x in probes:
+            expected = solve(ker.inclusion, x)
+            assert ker.coords(x) == expected
+            member = naive_rank([list(v) for v in basis] + [list(x)]) == len(basis)
+            assert member == (expected is not None)
+        assert ker.coords_many(probes) == [ker.coords(x) for x in probes]
+
+
+def test_kernel_basis_needs_a_private_column_per_vector():
+    m = QMatrix.zero(1, 2)
+    one, two = Fraction(1), Fraction(2)
+    with pytest.raises(InputError):
+        KernelBasis(m, [(one, one), (one, two)])
+
+
+def _old_stacked_preimage(a, sub, drop_repeats):
+    """The two hand-written copies this function replaced."""
+    if not sub:
+        return kernel_basis(a) if not drop_repeats else []
+    stacked = a.hstack(QMatrix.from_cols(sub, a.rows).scale(-1))
+    heads = [v[: a.cols] for v in kernel_basis(stacked)]
+    if drop_repeats:
+        seen, kept = set(), []
+        for h in heads:
+            if not vec_is_zero(h) and h not in seen:
+                seen.add(h)
+                kept.append(h)
+        heads = kept
+    rs = RowSpace(a.cols)
+    return [h for h in heads if rs.add(h)]
+
+
+def test_preimage_basis_matches_the_stacked_kernel_computations():
+    rng = random.Random(8)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(0, 6)
+        a = random_qmatrix(rng, rows, cols, density=rng.choice([0.3, 0.7]))
+        sub = [_random_vector(rng, rows) for _ in range(rng.randint(0, 3))]
+        sub += [_combo(rng, sub, rows) for _ in range(rng.randint(0, 1))]
+        got = preimage_basis(a, sub)
+        assert got == _old_stacked_preimage(a, sub, drop_repeats=False)
+        if sub:
+            assert got == _old_stacked_preimage(a, sub, drop_repeats=True)
+        room = RowSpace(rows, sub)
+        assert all(room.contains(a.matvec(x)) for x in got)
+        assert naive_rank([list(x) for x in got]) == len(got)
+        # dimension: ker a plus the part of im a inside span(sub)
+        inside = naive_rank([list(a.column(c)) for c in range(cols)]) + naive_rank(
+            [list(v) for v in sub]
+        ) - naive_rank([list(a.column(c)) for c in range(cols)] + [list(v) for v in sub])
+        assert len(got) == cols - rank(a) + inside

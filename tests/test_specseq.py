@@ -491,3 +491,32 @@ def test_page_consistency_on_nonzero_d2_tower():
     fc = skeletal_filtration(e, 4)
     pgs = pages(fc, 4, p_max=2, q_max=2)
     assert page_consistency(pgs) == []
+
+
+def test_class_in_entry_matches_a_fresh_solve_on_a_real_tower():
+    # denominators of page entries are dependent spanning sets; only the
+    # coordinates on the representatives are determined, and must agree
+    from cdgalab.exactlin import solve
+
+    F = sphere_even_model(4)
+    e = tensor_system(forms_system(cycle_complex(3), 2, cutoff=5), F, cutoff=5)
+    tower = PageTower(skeletal_filtration(e, 4))
+    alg = tower.fc.algebra
+    rng = random.Random(5)
+    checked = 0
+    for r in range(4):
+        for p in range(2):
+            for q in range(3):
+                dim_e, reps, denom = tower.entry(r, p, q)
+                cols = list(reps) + list(denom)
+                if not cols:
+                    continue
+                m = QMatrix.from_cols(cols, alg.dim(p + q))
+                for _ in range(3):
+                    x = [ZERO] * alg.dim(p + q)
+                    for v in cols:
+                        c = Fraction(rng.randint(-2, 2))
+                        x = [a + c * b for a, b in zip(x, v)]
+                    assert tower.class_in_entry(r, p, q, tuple(x)) == solve(m, tuple(x))[:dim_e]
+                    checked += 1
+    assert checked
