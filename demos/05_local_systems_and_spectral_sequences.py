@@ -44,7 +44,7 @@ fiber0 = et.fibers[(0,)]
 mats = []
 for k in range(fiber0.cutoff + 1):
     entries = {}
-    for t, (i, ia, j, jb) in enumerate(fiber0.tensor_pairs[k]):
+    for t, (i, ia, j, jb) in enumerate(fiber0.bases[k].keys):
         entries[(t, t)] = -1 if j == 2 else 1
     mats.append(QMatrix(fiber0.dim(k), fiber0.dim(k), entries))
 sign = DGMorphism(fiber0, fiber0, mats)

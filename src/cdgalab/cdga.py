@@ -16,13 +16,13 @@ constructor could not represent) is recorded as *dropped*; using it raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import CutoffTooSmallError, InputError
 from .exactlin import (
     ONE,
     KernelBasis,
+    KeyedBasis,
     QMatrix,
     RowSpace,
     Vector,
@@ -35,7 +35,7 @@ from .exactlin import (
     vec_is_zero,
     zero_vector,
 )
-from .graded import Element, FreeGCA, Monomial, apply_odd_derivation
+from .graded import Element, FreeGCA, apply_odd_derivation
 
 
 class FreeCDGA:
@@ -102,10 +102,17 @@ class TruncatedDGA:
     supplied lazily; results are cached.  ``levels`` optionally attaches a
     filtration level to every basis element (used by the spectral sequence
     machinery); ``level_fn(k, p)`` may instead return a basis of the level
-    ``>= p`` subspace in degree ``k``.  An algebra carried by a subspace of
-    an ambient algebra (fiber products, global sections) keeps the per-degree
-    ``kernels`` whose vectors are its basis in ambient coordinates.
+    ``>= p`` subspace in degree ``k``.  ``bases`` optionally names the basis
+    elements of every degree by keys: a monomial, a form term or a tensor
+    factor pair.  An algebra carried by a subspace of an ambient algebra (fiber
+    products, global sections) keeps the per-degree ``kernels`` whose vectors
+    are its basis in ambient coordinates.
     """
+
+    __slots__ = (
+        "cutoff", "dims", "unit", "diff_mats", "_mult_fn", "_mult_cache",
+        "labels", "levels", "_level_fn", "bases", "kernels", "name",
+    )
 
     def __init__(
         self,
@@ -117,7 +124,7 @@ class TruncatedDGA:
         labels: Optional[Sequence[Sequence[str]]] = None,
         levels: Optional[Sequence[Sequence[int]]] = None,
         level_fn: Optional[Callable[[int, int], list[Vector]]] = None,
-        monomials: Optional[Sequence[Sequence[Monomial]]] = None,
+        bases: Optional[Sequence[KeyedBasis]] = None,
         kernels: Optional[Sequence[KernelBasis]] = None,
         check: bool = True,
         name: str = "",
@@ -151,7 +158,7 @@ class TruncatedDGA:
         self.labels = [list(l) for l in labels]
         self.levels = [list(l) for l in levels] if levels is not None else None
         self._level_fn = level_fn
-        self.monomials = [list(m) for m in monomials] if monomials is not None else None
+        self.bases = list(bases) if bases is not None else None
         self.kernels = list(kernels) if kernels is not None else None
         self.name = name
         if check:
@@ -367,64 +374,30 @@ def from_tables(
 # ---------------------------------------------------------------------------
 
 def truncate(f: FreeCDGA, cutoff: int) -> TruncatedDGA:
-    """Faithful truncation of a free CDGA to degrees 0..cutoff."""
+    """Faithful truncation of a free CDGA to degrees 0..cutoff; each basis key is a monomial."""
     if cutoff < 0:
         raise InputError("cutoff must be non-negative")
     gca = f.gca
-    bases = [gca.basis_in_degree(k) for k in range(cutoff + 1)]
-    index = [{m: a for a, m in enumerate(basis)} for basis in bases]
-    dims = [len(b) for b in bases]
-
-    def elt_vector(k: int, x: Element) -> Vector:
-        acc = [ZERO] * dims[k]
-        for m, c in x.terms.items():
-            acc[index[k][m]] += c
-        return tuple(acc)
-
-    diff_mats = []
-    for k in range(cutoff):
-        entries = {}
-        for a, mono in enumerate(bases[k]):
-            dx = f.d(gca.element({mono: ONE}))
-            for m, c in dx.terms.items():
-                entries[(index[k + 1][m], a)] = c
-        diff_mats.append(QMatrix(dims[k + 1], dims[k], entries))
+    bases = [KeyedBasis(gca.basis_in_degree(k)) for k in range(cutoff + 1)]
+    diff_mats = [
+        bases[k + 1].matrix([f.d(gca.element({mono: ONE})).terms for mono in bases[k].keys])
+        for k in range(cutoff)
+    ]
 
     def mult_fn(i, a, j, b):
-        prod = gca.element({bases[i][a]: ONE}) * gca.element({bases[j][b]: ONE})
-        return elt_vector(i + j, prod)
+        prod = gca.element({bases[i].keys[a]: ONE}) * gca.element({bases[j].keys[b]: ONE})
+        return bases[i + j].vector(prod.terms)
 
-    labels = [[gca.mono_str(m) for m in basis] for basis in bases]
     return TruncatedDGA(
         cutoff,
-        dims,
-        unit_vector(dims[0], index[0][gca.unit_monomial()]),
+        [len(b) for b in bases],
+        bases[0].vector({gca.unit_monomial(): ONE}),
         diff_mats,
         mult_fn,
-        labels=labels,
-        monomials=bases,
+        labels=[[gca.mono_str(m) for m in basis.keys] for basis in bases],
+        bases=bases,
         check=False,
     )
-
-
-def free_element(gca: FreeGCA, trunc: TruncatedDGA, k: int, v: Vector) -> Element:
-    if trunc.monomials is None:
-        raise InputError("this truncated algebra does not come from a free algebra")
-    if len(v) != trunc.dim(k):
-        raise InputError("vector length does not match the degree dimension")
-    return gca.element({m: c for m, c in zip(trunc.monomials[k], v) if c != 0})
-
-
-def element_vector(gca: FreeGCA, trunc: TruncatedDGA, x: Element) -> tuple[int, Vector]:
-    deg = x.degree()
-    if deg is None:
-        raise InputError("cannot place the zero element without a degree")
-    basis = trunc.monomials[deg]
-    idx = {m: a for a, m in enumerate(basis)}
-    acc = [ZERO] * trunc.dim(deg)
-    for m, c in x.terms.items():
-        acc[idx[m]] += c
-    return deg, tuple(acc)
 
 
 def point_dga(cutoff: int) -> TruncatedDGA:
@@ -543,28 +516,31 @@ def direct_sum(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = None) -
 
 
 def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = None) -> TruncatedDGA:
-    """Graded tensor product with Koszul signs."""
+    """Graded tensor product with Koszul signs.
+
+    The degree-k basis is keyed by factor pairs ``(i, ia, j, jb)`` with
+    ``i + j = k``: basis element ``ia`` of ``a`` in degree ``i`` tensored with
+    basis element ``jb`` of ``b`` in degree ``j``.  Filtration levels come
+    from the first factor only; callers put the base direction first.
+    """
     if cutoff is None:
         cutoff = a.cutoff + b.cutoff
-    pairs: list[list[tuple[int, int, int, int]]] = []
-    pair_index: list[dict[tuple[int, int, int, int], int]] = []
-    for k in range(cutoff + 1):
-        lst = []
-        for i in range(max(0, k - b.cutoff), min(k, a.cutoff) + 1):
-            j = k - i
-            for ia in range(a.dim(i)):
-                for jb in range(b.dim(j)):
-                    lst.append((i, ia, j, jb))
-        pairs.append(lst)
-        pair_index.append({p: t for t, p in enumerate(lst)})
-    dims = [len(p) for p in pairs]
-    if dims[0] == 0:
+    bases = [
+        KeyedBasis(
+            (i, ia, k - i, jb)
+            for i in range(max(0, k - b.cutoff), min(k, a.cutoff) + 1)
+            for ia in range(a.dim(i))
+            for jb in range(b.dim(k - i))
+        )
+        for k in range(cutoff + 1)
+    ]
+    if not bases[0].keys:
         raise InputError("tensor product lost the unit; lower the cutoff")
 
     diff_mats = []
     for k in range(cutoff):
-        entries: dict[tuple[int, int], Fraction] = {}
-        for col, (i, ia, j, jb) in enumerate(pairs[k]):
+        images = []
+        for i, ia, j, jb in bases[k].keys:
             # d(a (x) b) = da (x) b + (-1)^i a (x) db; both factor
             # differentials must be stored (give factors a spare zero degree)
             if i == a.cutoff or j == b.cutoff:
@@ -572,18 +548,17 @@ def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = Non
                     "tensor factor differential missing at its cutoff; lower the "
                     "tensor cutoff or rebuild the factor with a larger cutoff"
                 )
-            for r, v in enumerate(a.d_matrix(i).column(ia)):
-                if v:
-                    entries[(pair_index[k + 1][(i + 1, r, j, jb)], col)] = v
             sign = -1 if i % 2 else 1
-            for r, v in enumerate(b.d_matrix(j).column(jb)):
-                if v:
-                    entries[(pair_index[k + 1][(i, ia, j + 1, r)], col)] = sign * v
-        diff_mats.append(QMatrix(dims[k + 1], dims[k], entries))
+            image = {(i + 1, r, j, jb): v for r, v in enumerate(a.d_matrix(i).column(ia)) if v}
+            image.update(
+                {(i, ia, j + 1, r): sign * v for r, v in enumerate(b.d_matrix(j).column(jb)) if v}
+            )
+            images.append(image)
+        diff_mats.append(bases[k + 1].matrix(images))
 
     def mult_fn(i, x, j, y):
-        i1, a1, j1, b1 = pairs[i][x]
-        i2, a2, j2, b2 = pairs[j][y]
+        i1, a1, j1, b1 = bases[i].keys[x]
+        i2, a2, j2, b2 = bases[j].keys[y]
         if i1 + i2 > a.cutoff or j1 + j2 > b.cutoff:
             return None
         try:
@@ -592,42 +567,35 @@ def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = Non
         except CutoffTooSmallError:
             return None
         sign = -1 if (j1 * i2) % 2 else 1
-        acc = [ZERO] * dims[i + j]
-        for r, va in enumerate(pa):
-            if not va:
-                continue
-            for s, vb in enumerate(pb):
-                if vb:
-                    acc[pair_index[i + j][(i1 + i2, r, j1 + j2, s)]] += sign * va * vb
-        return tuple(acc)
+        return bases[i + j].vector(
+            {
+                (i1 + i2, r, j1 + j2, s): sign * va * vb
+                for r, va in enumerate(pa)
+                if va
+                for s, vb in enumerate(pb)
+                if vb
+            }
+        )
 
-    unit = [ZERO] * dims[0]
-    for t, (i, ia, j, jb) in enumerate(pairs[0]):
-        unit[t] = a.unit[ia] * b.unit[jb]
-    labels = [
-        [f"{a.labels[i][ia]}(x){b.labels[j][jb]}" for (i, ia, j, jb) in pairs[k]]
-        for k in range(cutoff + 1)
-    ]
-    levels = None
-    if a.levels is not None or b.levels is not None:
-        levels = [
-            [a.basis_level(i, ia) + b.basis_level(j, jb) for (i, ia, j, jb) in pairs[k]]
-            for k in range(cutoff + 1)
-        ]
-    t = TruncatedDGA(
+    return TruncatedDGA(
         cutoff,
-        dims,
-        tuple(unit),
+        [len(basis) for basis in bases],
+        tuple(a.unit[ia] * b.unit[jb] for _, ia, _, jb in bases[0].keys),
         diff_mats,
         mult_fn,
-        labels=labels,
-        levels=levels,
+        labels=[
+            [f"{a.labels[i][ia]}(x){b.labels[j][jb]}" for i, ia, j, jb in basis.keys]
+            for basis in bases
+        ],
+        levels=(
+            [[a.basis_level(i, ia) for i, ia, _, _ in basis.keys] for basis in bases]
+            if a.levels is not None
+            else None
+        ),
+        bases=bases,
         check=False,
         name=f"({a.name})(x)({b.name})" if a.name or b.name else "",
     )
-    t.tensor_pairs = pairs  # type: ignore[attr-defined]
-    t.tensor_index = pair_index  # type: ignore[attr-defined]
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +779,32 @@ class DGMorphism:
                 raise InputError(
                     f"morphism is not multiplicative on basis pair ({i},{a}),({j},{b})"
                 )
+
+
+def tensor_morphism(
+    src: TruncatedDGA,
+    tgt: TruncatedDGA,
+    f: Optional[DGMorphism],
+    g: Optional[DGMorphism],
+) -> DGMorphism:
+    """``f (x) g`` between two tensor products, unchecked.
+
+    ``src`` and ``tgt`` must come from :func:`tensor_product`; ``f`` maps the
+    first factor of ``src`` to that of ``tgt`` and ``g`` the second, and None
+    stands for an identity.  The maps keep degrees, so no Koszul sign enters.
+    """
+
+    def image(h: Optional[DGMorphism], d: int, x: int):
+        return [(x, ONE)] if h is None else [(r, v) for r, v in enumerate(h.mats[d].column(x)) if v]
+
+    mats = []
+    for k in range(min(src.cutoff, tgt.cutoff) + 1):
+        images = [
+            {(i, r, j, s): u * v for r, u in image(f, i, ia) for s, v in image(g, j, jb)}
+            for i, ia, j, jb in src.bases[k].keys
+        ]
+        mats.append(tgt.bases[k].matrix(images))
+    return DGMorphism(src, tgt, mats, check="none")
 
 
 def induced_map(

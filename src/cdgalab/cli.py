@@ -27,7 +27,8 @@ keyed) or ``{"type": "face-restriction", "source": a, "target": b, "face": i}``.
 System specs are ``{"type": "explicit", "base": K, "fibers": {simplex: alg},
 "restrictions": {"simplex|face": morphism-spec-or-name}}`` or
 ``{"type": "forms", "base": K, "total_degree": D, "cutoff": n,
-"tensor_with": alg}``.
+"tensor_with": alg}``; the skeletal filtration of a ``tensor_with`` system
+counts the form degree of the base forms only, never levels of ``alg``.
 
 Rational literals are ``"p/q"`` strings or integers; decimal notation is
 rejected everywhere.  Integer fields (degrees, cutoffs, dimensions, faces,
@@ -96,12 +97,30 @@ def _req(spec, key: str):
     return spec[key]
 
 
+def _obj(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise InputError(f"{what} must be a JSON object, got {x!r}")
+    return x
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise InputError(f"{what} must be a JSON list, got {x!r}")
+    return x
+
+
+def _items(x, n: int, what: str) -> list:
+    if not (isinstance(x, list) and len(x) == n):
+        raise InputError(f"{what} must be a list of {n} items, got {x!r}")
+    return x
+
+
 def _matrix(rows: list, nrows: int, ncols: int) -> QMatrix:
-    if len(rows) != nrows:
+    if len(_list(rows, "matrix")) != nrows:
         raise InputError(f"matrix has {len(rows)} rows, expected {nrows}")
     data = []
     for row in rows:
-        if len(row) != ncols:
+        if len(_list(row, "matrix row")) != ncols:
             raise InputError(f"matrix row has {len(row)} entries, expected {ncols}")
         data.append([_rat(v) for v in row])
     return QMatrix.from_rows(data, ncols) if nrows else QMatrix.zero(0, ncols)
@@ -129,42 +148,45 @@ class Problem:
         self.task = doc.get("task")
         if self.task not in TASKS:
             raise InputError(f"unknown task {self.task!r}; choose one of {', '.join(TASKS)}")
-        self.parameters = dict(doc.get("parameters", {}))
-        self.task_args = dict(doc.get("task_args", {}))
+        self.parameters = dict(_obj(doc.get("parameters", {}), "parameters"))
+        self.task_args = dict(_obj(doc.get("task_args", {}), "task_args"))
         self.free_algebras: dict[str, FreeCDGA] = {}
         self.algebras: dict[str, TruncatedDGA] = {}
-        self._algebra_specs = dict(doc.get("algebras", {}))
+        self._algebra_specs = dict(_obj(doc.get("algebras", {}), "algebras"))
         self.complexes: dict[str, polyforms.SimplicialComplexK] = {}
-        for name, spec in doc.get("complexes", {}).items():
+        for name, spec in _obj(doc.get("complexes", {}), "complexes").items():
             self.complexes[name] = polyforms.SimplicialComplexK.from_maximal(
-                [tuple(s) for s in _req(spec, "maximal")]
+                [
+                    tuple(_int(v, "vertex") for v in _list(s, "simplex"))
+                    for s in _list(_req(spec, "maximal"), "maximal")
+                ]
             )
         for name in self._algebra_specs:
             self._resolve_algebra(name, [])
         self.morphisms: dict[str, DGMorphism] = {}
-        for name, spec in doc.get("morphisms", {}).items():
+        for name, spec in _obj(doc.get("morphisms", {}), "morphisms").items():
             self.morphisms[name] = self._build_morphism(spec)
         self.systems: dict[str, localsys.FiniteLocalSystem] = {}
-        for name, spec in doc.get("systems", {}).items():
+        for name, spec in _obj(doc.get("systems", {}), "systems").items():
             self.systems[name] = self._build_system(spec)
 
     def algebra(self, name) -> TruncatedDGA:
-        if name not in self.algebras:
+        if not isinstance(name, str) or name not in self.algebras:
             raise InputError(f"unknown algebra {name!r}")
         return self.algebras[name]
 
     def complex(self, name) -> polyforms.SimplicialComplexK:
-        if name not in self.complexes:
+        if not isinstance(name, str) or name not in self.complexes:
             raise InputError(f"unknown complex {name!r}")
         return self.complexes[name]
 
     def morphism(self, name) -> DGMorphism:
-        if name not in self.morphisms:
+        if not isinstance(name, str) or name not in self.morphisms:
             raise InputError(f"unknown morphism {name!r}")
         return self.morphisms[name]
 
     def system(self, name) -> "localsys.FiniteLocalSystem":
-        if name not in self.systems:
+        if not isinstance(name, str) or name not in self.systems:
             raise InputError(f"unknown system {name!r}")
         return self.systems[name]
 
@@ -177,13 +199,16 @@ class Problem:
         spec = self._algebra_specs.get(name)
         if spec is None:
             raise InputError(f"unknown algebra {name!r}")
-        kind = spec.get("type")
+        kind = _obj(spec, f"algebra {name!r}").get("type")
         cutoff = spec.get("cutoff", self.default_cutoff)
         if kind == "free":
-            gens = [(g[0], _int(g[1], "generator degree")) for g in spec.get("generators", [])]
+            gens = []
+            for g in _list(spec.get("generators", []), "generators"):
+                gen_name, degree = _items(g, 2, "a generator [name, degree]")
+                gens.append((gen_name, _int(degree, "generator degree")))
             gca = FreeGCA(gens)
             diff = {}
-            for gname, terms in spec.get("differential", {}).items():
+            for gname, terms in _obj(spec.get("differential", {}), "differential").items():
                 diff[gname] = _element(gca, terms)
             free = FreeCDGA(gca, diff)
             self.free_algebras[name] = free
@@ -232,7 +257,7 @@ class Problem:
             if spec not in self.morphisms:
                 raise InputError(f"unknown morphism {spec!r}")
             return self.morphisms[spec]
-        kind = spec.get("type", "matrices")
+        kind = _obj(spec, "morphism").get("type", "matrices")
         src = self.algebra(_req(spec, "source"))
         tgt = self.algebra(_req(spec, "target"))
         if kind == "face-restriction":
@@ -241,7 +266,7 @@ class Problem:
         if kind == "matrices":
             cap = min(src.cutoff, tgt.cutoff)
             mats = []
-            given = spec.get("matrices", {})
+            given = _obj(spec.get("matrices", {}), "matrices")
             for k in range(cap + 1):
                 rows = given.get(str(k))
                 if rows is None:
@@ -253,7 +278,7 @@ class Problem:
 
     # -- systems --------------------------------------------------------------
     def _build_system(self, spec) -> localsys.FiniteLocalSystem:
-        kind = spec.get("type", "explicit")
+        kind = _obj(spec, "system").get("type", "explicit")
         base = self.complex(_req(spec, "base"))
         if kind == "forms":
             sys_ = localsys.forms_system(
@@ -269,10 +294,12 @@ class Problem:
             return sys_
         if kind == "explicit":
             fibers = {}
-            for key, alg_name in _req(spec, "fibers").items():
+            for key, alg_name in _obj(_req(spec, "fibers"), "fibers").items():
                 fibers[_simplex_key(key)] = self.algebra(alg_name)
             restr = {}
-            for key, morph in spec.get("restrictions", {}).items():
+            for key, morph in _obj(spec.get("restrictions", {}), "restrictions").items():
+                if "|" not in key:
+                    raise InputError(f"restriction key {key!r} is not of the form 'simplex|face'")
                 skey, face = key.rsplit("|", 1)
                 restr[(_simplex_key(skey), _int(face, "face"))] = self._build_morphism(morph)
             e = localsys.FiniteLocalSystem(base, fibers, restr)
@@ -285,36 +312,42 @@ class Problem:
 
 def _element(gca: FreeGCA, terms) -> Any:
     out = gca.zero()
-    for coeff, expo in terms:
+    for term in _list(terms, "differential"):
+        coeff, expo = _items(term, 2, "a differential term [coefficient, monomial]")
         mono = [0] * gca.ngens
-        for gname, e in expo.items():
+        for gname, e in _obj(expo, "monomial").items():
+            if gname not in gca.index:
+                raise InputError(f"unknown generator {gname!r} in a differential")
             mono[gca.index[gname]] = _int(e, "exponent")
         out = out + _rat(coeff) * gca.element({tuple(mono): Fraction(1)})
     return out
 
 
 def _parse_truncated(spec) -> TruncatedDGA:
-    dims = [_int(x, "dimension") for x in _req(spec, "dims")]
+    dims = [_int(x, "dimension") for x in _list(_req(spec, "dims"), "dims")]
     cutoff = len(dims) - 1
-    unit = tuple(_rat(x) for x in _req(spec, "unit"))
+    unit = tuple(_rat(x) for x in _list(_req(spec, "unit"), "unit"))
     diff_mats = []
-    dd = spec.get("diff", {})
+    dd = _obj(spec.get("diff", {}), "diff")
     for k in range(cutoff):
         entries = {}
-        for r, c, v in dd.get(str(k), []):
+        for entry in _list(dd.get(str(k), []), "diff"):
+            r, c, v = _items(entry, 3, "a diff entry [row, column, value]")
             entries[(_int(r, "row"), _int(c, "column"))] = _rat(v)
         diff_mats.append(QMatrix(dims[k + 1], dims[k], entries))
     table = {}
-    for i, a, j, b, vec in spec.get("mult", []):
+    for entry in _list(spec.get("mult", []), "mult"):
+        i, a, j, b, vec = _items(entry, 5, "a mult entry [i, a, j, b, vector]")
         key = (_int(i, "degree"), _int(a, "index"), _int(j, "degree"), _int(b, "index"))
-        table[key] = tuple(_rat(x) for x in vec)
+        table[key] = tuple(_rat(x) for x in _list(vec, "product vector"))
+    labels = spec.get("labels")
     return cdga.from_tables(
         cutoff,
         dims,
         unit,
         diff_mats,
         table,
-        labels=spec.get("labels"),
+        labels=[_list(l, "labels") for l in _list(labels, "labels")] if labels is not None else None,
         check=True,
         name=spec.get("name", ""),
     )

@@ -1,11 +1,12 @@
 """Exact rational linear algebra kernel.
 
 Every cohomology, rank and solving operation in the library funnels through
-this module, and it is the only one that writes a vector in a subspace's
-basis (:class:`RowSpace`, :class:`KernelBasis`).  Scalars are :class:`fractions.Fraction` (arbitrary precision,
-always in lowest terms, positive denominator), so results are exact and
-reproducible.  Matrices are stored sparsely; elimination falls back to dense
-rows below 64 columns where sparse bookkeeping would only add overhead.
+this module, and it is the only one that writes a vector in a basis
+(:class:`KeyedBasis`, :class:`RowSpace`, :class:`KernelBasis`).  Scalars are
+:class:`fractions.Fraction` (arbitrary precision, always in lowest terms,
+positive denominator), so results are exact and reproducible.  Matrices are
+stored sparsely; elimination falls back to dense rows below 64 columns where
+sparse bookkeeping would only add overhead.
 
 Determinism rules used throughout:
 
@@ -19,7 +20,7 @@ Determinism rules used throughout:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
 
@@ -618,6 +619,53 @@ class KernelBasis(_Coordinates):
             else:
                 out.append(tuple(x[c] * s for c, s in self._reads))
         return out
+
+
+class KeyedBasis:
+    """A basis whose elements are named by hashable keys, in a fixed order.
+
+    ``keys[t]`` names the t-th basis vector and ``index`` maps each key back
+    to its position.  A combination of basis elements is given as a mapping
+    from keys to coefficients; a key outside the basis raises InputError.
+    """
+
+    __slots__ = ("keys", "index")
+
+    def __init__(self, keys: Iterable[Hashable]):
+        self.keys = tuple(keys)
+        self.index = {key: t for t, key in enumerate(self.keys)}
+        if len(self.index) != len(self.keys):
+            raise InputError("basis keys must be distinct")
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def vector(self, terms: Mapping[Hashable, Fraction]) -> Vector:
+        """Coordinates of the combination ``sum terms[key] * key``."""
+        acc = [ZERO] * len(self.keys)
+        index = self.index
+        try:
+            for key, c in terms.items():
+                acc[index[key]] += c
+        except KeyError as exc:
+            raise _outside(exc) from None
+        return tuple(acc)
+
+    def matrix(self, images: Sequence[Mapping[Hashable, Fraction]]) -> QMatrix:
+        """The matrix whose column j is the vector of ``images[j]``."""
+        entries: dict[tuple[int, int], Fraction] = {}
+        index = self.index
+        try:
+            for col, terms in enumerate(images):
+                for key, c in terms.items():
+                    entries[(index[key], col)] = c
+        except KeyError as exc:
+            raise _outside(exc) from None
+        return QMatrix(len(self.keys), len(images), entries)
+
+
+def _outside(exc: KeyError) -> InputError:
+    return InputError(f"{exc.args[0]!r} is not an element of the basis")
 
 
 def preimage_basis(a: QMatrix, sub: Sequence[Vector]) -> list[Vector]:

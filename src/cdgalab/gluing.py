@@ -44,6 +44,7 @@ from .exactlin import (
     unit_vector,
     zero_vector,
 )
+from .polyforms import forms_dga
 
 
 @dataclass
@@ -80,14 +81,15 @@ def _kernel_carrier(
     ambient_mult,
     ambient_unit: Vector,
     cutoff: int,
-    ambient_level_subspace=None,
+    ambient_level_subspace,
     name: str = "",
 ) -> TruncatedDGA:
     """Shared construction: a sub-DG-algebra presented by kernel bases.
 
     ``ambient_mult(k1, v1, k2, v2)`` multiplies ambient vectors (may raise
-    CutoffTooSmallError), ``ambient_d[k]`` differentiates them.  Returns the
-    TruncatedDGA whose degree-k basis is ``kernels[k].vectors``.
+    CutoffTooSmallError), ``ambient_d[k]`` differentiates them and
+    ``ambient_level_subspace(k, p)`` spans their level ``>= p`` part.  Returns
+    the TruncatedDGA whose degree-k basis is ``kernels[k].vectors``.
     """
     dims = [kernels[k].rank for k in range(cutoff + 1)]
     diff_mats = []
@@ -107,13 +109,11 @@ def _kernel_carrier(
 
     (unit,) = kernels[0].express([ambient_unit], "the unit is not a compatible family")
 
-    level_fn = None
-    if ambient_level_subspace is not None:
-        def level_fn(k, p):
-            # x in carrier coords with incl * x inside span(sub); incl is
-            # injective, so an empty sub has only x = 0
-            sub = ambient_level_subspace(k, p)
-            return preimage_basis(kernels[k].inclusion, sub) if sub else []
+    def level_fn(k, p):
+        # x in carrier coords with incl * x inside span(sub); incl is
+        # injective, so an empty sub has only x = 0
+        sub = ambient_level_subspace(k, p)
+        return preimage_basis(kernels[k].inclusion, sub) if sub else []
 
     return TruncatedDGA(
         cutoff,
@@ -167,19 +167,8 @@ def fiber_product(f: DGMorphism, g: DGMorphism, upto: int) -> FiberProductDGA:
             out.append(zero_vector(a.dim(k)) + tuple(v))
         return out
 
-    has_levels = (
-        a.levels is not None
-        or a._level_fn is not None
-        or b.levels is not None
-        or b._level_fn is not None
-    )
     carrier = _kernel_carrier(
-        kernels,
-        ambient_d,
-        ambient_mult,
-        a.unit + b.unit,
-        cutoff,
-        ambient_level_subspace=ambient_levels if has_levels else None,
+        kernels, ambient_d, ambient_mult, a.unit + b.unit, cutoff, ambient_levels,
         name="fiber_product",
     )
 
@@ -429,39 +418,30 @@ def theta_equivalence_check(
 # suspension triple helpers
 # ---------------------------------------------------------------------------
 
-def interval_forms(total_cutoff: int, cutoff: int = 2) -> TruncatedDGA:
-    """Polynomial forms on the interval, levelled as a fiber direction.
+def interval_forms(total_degree: int, cutoff: int = 2) -> TruncatedDGA:
+    """Polynomial forms on the interval.
 
-    The filtration levels are cleared: when this algebra appears as a tensor
-    factor of a local-system fiber, its dt points along the fiber, not the
-    base, so it must not contribute to the skeletal filtration.
+    As the second factor of a tensor product (a cylinder) its dt points along
+    the fiber; :func:`tensor_product` takes levels from the first factor
+    only, so it adds nothing to the skeletal filtration.
     """
-    from .polyforms import forms_dga
-
-    dga = forms_dga(1, total_cutoff, cutoff=cutoff)
-    dga.levels = None
-    return dga
+    return forms_dga(1, total_degree, cutoff=cutoff)
 
 
 def endpoint_evaluations(cyl: TruncatedDGA, m: TruncatedDGA, mm: TruncatedDGA) -> DGMorphism:
     """Evaluation (t=0, t=1) from m (x) interval-forms onto m x m."""
-    pairs = cyl.tensor_pairs  # type: ignore[attr-defined]
     mats = []
     cap = min(cyl.cutoff, mm.cutoff)
     for k in range(cap + 1):
         entries = {}
-        for col, (i, ia, j, jb) in enumerate(pairs[k]):
+        for col, (i, ia, j, jb) in enumerate(cyl.bases[k].keys):
             if j != 0:
                 continue  # dt-terms vanish at the endpoints
-            # the degree-0 interval basis is 1, t, t^2, ... in that order
-            # value at 0: coefficient of t^0; at 1: sum of coefficients
-            if k != i:
-                continue
-            at0 = ONE if jb == 0 else ZERO
-            at1 = ONE
-            if at0:
-                entries[(ia, col)] = at0
-            entries[(ia + m.dim(k), col)] = entries.get((ia + m.dim(k), col), ZERO) + at1
+            # the degree-0 interval basis is 1, t, t^2, ... in that order, so
+            # t^jb is 1 at t = 1 and [jb = 0] at t = 0
+            if jb == 0:
+                entries[(ia, col)] = ONE
+            entries[(ia + m.dim(k), col)] = ONE
         mats.append(QMatrix(mm.dim(k), cyl.dim(k), entries))
     return DGMorphism(cyl, mm, mats, check="auto", name="endpoint evaluation")
 
@@ -496,8 +476,6 @@ def suspension_triple(m: TruncatedDGA, upto: int, interval_total: int = 2) -> tu
 def suspension_inclusion(susp: SuspensionModel, fp: FiberProductDGA) -> DGMorphism:
     """The map 1 -> (1,1), w*dt -> (w (x) dt, 0) into the fiber product."""
     cyl = fp.a
-    pairs = cyl.tensor_pairs  # type: ignore[attr-defined]
-    m = susp.source
     cap = min(susp.carrier.cutoff, fp.carrier.cutoff)
     # index of dt among the degree-1 interval basis: interval pairs are
     # (i, ia, 1, jb) with jb indexing t^l dt; dt itself is jb = 0
@@ -509,11 +487,8 @@ def suspension_inclusion(susp: SuspensionModel, fp: FiberProductDGA) -> DGMorphi
                 amb = concat(cyl.unit, fp.b.unit)
             else:
                 w = susp.shifted_basis[k][t]
-                amb_a = [ZERO] * cyl.dim(k)
-                for r, val in enumerate(w):
-                    if val:
-                        amb_a[cyl.tensor_index[k][(k - 1, r, 1, 0)]] = val  # type: ignore[attr-defined]
-                amb = tuple(amb_a) + zero_vector(fp.b.dim(k))
+                terms = {(k - 1, r, 1, 0): val for r, val in enumerate(w) if val}
+                amb = cyl.bases[k].vector(terms) + zero_vector(fp.b.dim(k))
             ambs.append(amb)
         cols = fp.kernels[k].express(ambs, "suspension element is not in the fiber product")
         mats.append(QMatrix.from_cols(cols, fp.carrier.dim(k)))

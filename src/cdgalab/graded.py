@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError
-from .exactlin import ONE, ZERO, rat, format_rat
+from .exactlin import ONE, ZERO, KeyedBasis, rat, format_rat
 
 Monomial = tuple[int, ...]
 
@@ -43,7 +43,7 @@ class FreeGCA:
         if len(set(names)) != len(names):
             raise InputError("generator names must be unique")
         self.generators: tuple[GeneratorSpec, ...] = tuple(specs)
-        self.index = {g.name: i for i, g in enumerate(self.generators)}
+        self.index = KeyedBasis(names).index
         self.degrees = tuple(g.degree for g in self.generators)
         self._basis_cache: dict[int, list[Monomial]] = {}
 

@@ -21,6 +21,7 @@ from .cdga import (
     cohomology,
     induced_map,
     is_quasi_iso,
+    tensor_morphism,
     tensor_product,
 )
 from .errors import InputError, PreconditionError
@@ -82,6 +83,11 @@ def validate(e: FiniteLocalSystem) -> list[str]:
     for s in e.base.all_simplices():
         if s not in e.fibers:
             problems.append(f"no fiber assigned to {s}")
+        for i, _facet in e.base.facets(s):
+            if (s, i) not in e.facet_restrictions:
+                problems.append(f"no restriction from {s} to its facet {i}")
+    if problems:
+        return problems
     for (s, i), r in e.facet_restrictions.items():
         if not e.base.contains(s):
             problems.append(f"restriction on unknown simplex {s}")
@@ -93,6 +99,8 @@ def validate(e: FiniteLocalSystem) -> list[str]:
             r._verify("auto")
         except Exception as exc:  # noqa: BLE001
             problems.append(f"restriction at ({s}, {i}) is not a DG morphism: {exc}")
+    if problems:
+        return problems  # functoriality composes restrictions, so needs their ends right
     for s in e.base.all_simplices():
         n = len(s) - 1
         if n < 2:
@@ -153,24 +161,29 @@ def constant_system(base: SimplicialComplexK, fiber: TruncatedDGA) -> FiniteLoca
 
 
 def forms_system(
-    base: SimplicialComplexK, total_cutoff: int, cutoff: Optional[int] = None
+    base: SimplicialComplexK, total_degree: int, cutoff: Optional[int] = None
 ) -> FiniteLocalSystem:
     """Polynomial forms on each simplex with face restrictions.
 
     This is the ambient admissible algebra regarded as a local system; its
-    global sections are the compatible polynomial forms on the complex.
+    global sections are the compatible polynomial forms on the complex.  The
+    restriction to face i of an n-simplex depends only on (n, i), so each is
+    built once and shared.
     """
     dim = base.dim()
     if cutoff is None:
         cutoff = dim + 1
-    per_dim = {n: forms_dga(n, total_cutoff, cutoff=cutoff) for n in range(dim + 1)}
+    per_dim = {n: forms_dga(n, total_degree, cutoff=cutoff) for n in range(dim + 1)}
     fibers = {s: per_dim[len(s) - 1] for s in base.all_simplices()}
+    per_face: dict[tuple[int, int], DGMorphism] = {}
     restr = {}
     for s in base.all_simplices():
         n = len(s) - 1
         for i, _facet in base.facets(s):
-            mats = face_restriction_matrices(per_dim[n], per_dim[n - 1], i)
-            restr[(s, i)] = DGMorphism(per_dim[n], per_dim[n - 1], mats, check="none")
+            if (n, i) not in per_face:
+                mats = face_restriction_matrices(per_dim[n], per_dim[n - 1], i)
+                per_face[(n, i)] = DGMorphism(per_dim[n], per_dim[n - 1], mats, check="none")
+            restr[(s, i)] = per_face[(n, i)]
     return FiniteLocalSystem(base, fibers, restr)
 
 
@@ -185,21 +198,12 @@ def tensor_system(
         if key not in tensored:
             tensored[key] = tensor_product(e.fibers[s], factor, cutoff=cutoff)
         fibers[s] = tensored[key]
+    per_map: dict[int, DGMorphism] = {}
     restr = {}
     for (s, i), r in e.facet_restrictions.items():
-        src = fibers[s]
-        tgt = fibers[s[:i] + s[i + 1 :]]
-        mats = []
-        for k in range(min(src.cutoff, tgt.cutoff) + 1):
-            entries = {}
-            tindex = tgt.tensor_index[k]  # type: ignore[attr-defined]
-            for col, (d1, a1, d2, b1) in enumerate(src.tensor_pairs[k]):  # type: ignore[attr-defined]
-                rcol = r.mats[d1].column(a1)
-                for row, v in enumerate(rcol):
-                    if v:
-                        entries[(tindex[(d1, row, d2, b1)], col)] = v
-            mats.append(QMatrix(tgt.dim(k), src.dim(k), entries))
-        restr[(s, i)] = DGMorphism(src, tgt, mats, check="none")
+        if id(r) not in per_map:
+            per_map[id(r)] = tensor_morphism(fibers[s], fibers[s[:i] + s[i + 1 :]], r, None)
+        restr[(s, i)] = per_map[id(r)]
     return FiniteLocalSystem(e.base, fibers, restr)
 
 
@@ -211,24 +215,10 @@ def tensor_system_morphism(
     ``src`` and ``dst`` must be tensor systems whose simplexwise first factor
     agrees; ``leg`` maps the second factor of src to the second factor of dst.
     """
-    maps = {}
-    for s in src.base.all_simplices():
-        a = src.fibers[s]
-        b = dst.fibers[s]
-        mats = []
-        for k in range(min(a.cutoff, b.cutoff) + 1):
-            entries = {}
-            tindex = b.tensor_index[k]  # type: ignore[attr-defined]
-            for col, (i, ia, j, jb) in enumerate(a.tensor_pairs[k]):  # type: ignore[attr-defined]
-                img = leg.mats[j].column(jb)
-                for r, v in enumerate(img):
-                    if v:
-                        key = (i, ia, j, r)
-                        if key not in tindex:
-                            raise InputError("tensor structures do not match")
-                        entries[(tindex[key], col)] = v
-            mats.append(QMatrix(b.dim(k), a.dim(k), entries))
-        maps[s] = DGMorphism(a, b, mats, check="none")
+    maps = {
+        s: tensor_morphism(src.fibers[s], dst.fibers[s], None, leg)
+        for s in src.base.all_simplices()
+    }
     return SystemMorphism(src, dst, maps)
 
 
@@ -257,9 +247,15 @@ def _fiber_cohomologies(e: FiniteLocalSystem, upto: int) -> dict[int, GradedCoho
     return out
 
 
-def is_locally_constant(e: FiniteLocalSystem, upto: int) -> bool:
-    """Every restriction a quasi-isomorphism in degrees <= upto."""
-    hs = _fiber_cohomologies(e, upto)
+def is_locally_constant(
+    e: FiniteLocalSystem, upto: int, fiber_h: Optional[dict[int, GradedCohomology]] = None
+) -> bool:
+    """Every restriction a quasi-isomorphism in degrees <= upto.
+
+    ``fiber_h`` may pass in the fiber cohomologies, keyed by ``id`` of the
+    fiber, when the caller needs them too.
+    """
+    hs = fiber_h if fiber_h is not None else _fiber_cohomologies(e, upto)
     for (s, i), r in e.facet_restrictions.items():
         ok, _ = is_quasi_iso(r, upto, source_h=hs[id(r.source)], target_h=hs[id(r.target)])
         if not ok:
@@ -396,18 +392,9 @@ def global_sections(e: FiniteLocalSystem, upto: int) -> TruncatedDGA:
             pos += f.dim(k)
         return out
 
-    has_levels = any(
-        f.levels is not None or f._level_fn is not None for f in e.fibers.values()
-    )
     unit = concat(*[e.fibers[s].unit for s in layout])
     return _kernel_carrier(
-        kernels,
-        ambient_d,
-        ambient_mult,
-        unit,
-        upto,
-        ambient_level_subspace=ambient_levels if has_levels else None,
-        name="global_sections",
+        kernels, ambient_d, ambient_mult, unit, upto, ambient_levels, name="global_sections"
     )
 
 
@@ -524,9 +511,9 @@ def cohomology_local_system(e: FiniteLocalSystem, upto: int) -> LocalCoefficient
     Requires a locally constant system; the transport along an edge (u, v) is
     H(restrict to u) composed with the inverse of H(restrict to v).
     """
-    if not is_locally_constant(e, upto):
-        raise PreconditionError("system is not locally constant in the range")
     hs = _fiber_cohomologies(e, upto)
+    if not is_locally_constant(e, upto, hs):
+        raise PreconditionError("system is not locally constant in the range")
     vertex_dims = {}
     for (v,) in e.base.simplices_of_dim(0):
         vertex_dims[v] = {q: hs[id(e.fibers[(v,)])].dims[q] for q in range(upto + 1)}
@@ -625,13 +612,13 @@ def cylinder(e: FiniteLocalSystem, interval_total: int = 2):
             tgt = e.fibers[s]
             mats = []
             for k in range(min(src.cutoff, tgt.cutoff) + 1):
-                entries = {}
-                for col, (d1, a1, d2, b1) in enumerate(src.tensor_pairs[k]):  # type: ignore[attr-defined]
-                    if d2 != 0:
-                        continue
-                    val = ONE if (endpoint == 1 or b1 == 0) else ZERO
-                    if val:
-                        entries[(a1, col)] = val
+                # basis element b1 of the interval is t^b1 in degree 0: it is 1
+                # at t = 1 and [b1 = 0] at t = 0; dt terms vanish at both ends
+                entries = {
+                    (a1, col): ONE
+                    for col, (_, a1, d2, b1) in enumerate(src.bases[k].keys)
+                    if d2 == 0 and (endpoint == 1 or b1 == 0)
+                }
                 mats.append(QMatrix(tgt.dim(k), src.dim(k), entries))
             maps[s] = DGMorphism(src, tgt, mats, check="none")
         evals.append(SystemMorphism(cyl, e, maps))

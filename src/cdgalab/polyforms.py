@@ -25,13 +25,13 @@ from .cdga import TruncatedDGA
 from .errors import CutoffTooSmallError, InputError
 from .exactlin import (
     ONE,
+    KeyedBasis,
     QMatrix,
     Vector,
     ZERO,
     kernel_basis,
     rat,
     solve,
-    unit_vector,
 )
 
 Expo = tuple[int, ...]
@@ -382,21 +382,21 @@ def form_basis(n: int, total_degree: int, k: int) -> list[TermKey]:
     return keys
 
 
-def form_to_vector(omega: PolyForm, basis: Sequence[TermKey]) -> Vector:
-    index = {key: t for t, key in enumerate(basis)}
-    acc = [ZERO] * len(basis)
-    for key, c in omega.terms.items():
-        if key not in index:
-            raise InputError("form does not fit in the requested truncated basis")
-        acc[index[key]] = c
-    return tuple(acc)
-
-
 def vector_to_form(n: int, basis: Sequence[TermKey], v: Vector) -> PolyForm:
     return PolyForm(n, {key: c for key, c in zip(basis, v) if c != 0})
 
 
-def forms_dga(n: int, total_cutoff: int, cutoff: Optional[int] = None) -> TruncatedDGA:
+class FormsDGA(TruncatedDGA):
+    """Polynomial forms on the ``simplex_dim``-simplex; ``bases`` hold term keys."""
+
+    __slots__ = ("simplex_dim",)
+
+    def __init__(self, simplex_dim: int, *args, **kw):
+        super().__init__(*args, **kw)
+        self.simplex_dim = simplex_dim
+
+
+def forms_dga(n: int, total_degree: int, cutoff: Optional[int] = None) -> FormsDGA:
     """Polynomial forms on the n-simplex, truncated by total degree.
 
     Every homogeneous piece kept is complete, so the truncated complex is
@@ -404,67 +404,61 @@ def forms_dga(n: int, total_cutoff: int, cutoff: Optional[int] = None) -> Trunca
     exceed the truncation are dropped and flagged.  The filtration level of a
     basis form is its form degree.
     """
-    if total_cutoff < n:
-        raise InputError("total_cutoff must be at least the simplex dimension")
+    if total_degree < n:
+        raise InputError("the total degree must be at least the simplex dimension")
     if cutoff is None:
         cutoff = n + 1
-    bases = [form_basis(n, total_cutoff, k) if k <= n else [] for k in range(cutoff + 1)]
-    dims = [len(b) for b in bases]
-    index = [{key: t for t, key in enumerate(basis)} for basis in bases]
-
-    diff_mats = []
-    for k in range(cutoff):
-        entries = {}
-        for col, key in enumerate(bases[k]):
-            img = d(PolyForm(n, {key: ONE}))
-            for tkey, c in img.terms.items():
-                entries[(index[k + 1][tkey], col)] = c
-        diff_mats.append(QMatrix(dims[k + 1], dims[k], entries))
+    if cutoff < 0:
+        raise InputError("cutoff must be non-negative")
+    bases = [KeyedBasis(form_basis(n, total_degree, k)) for k in range(cutoff + 1)]
+    diff_mats = [
+        bases[k + 1].matrix([d(PolyForm(n, {key: ONE})).terms for key in bases[k].keys])
+        for k in range(cutoff)
+    ]
 
     def mult_fn(i, a, j, b):
-        (ea, sa), (eb, sb) = bases[i][a], bases[j][b]
-        if sum(ea) + sum(eb) + i + j > total_cutoff:
+        ka, kb = bases[i].keys[a], bases[j].keys[b]
+        if sum(ka[0]) + sum(kb[0]) + i + j > total_degree:
             return None
-        prod = PolyForm(n, {bases[i][a]: ONE}) * PolyForm(n, {bases[j][b]: ONE})
-        return form_to_vector(prod, bases[i + j])
+        return bases[i + j].vector((PolyForm(n, {ka: ONE}) * PolyForm(n, {kb: ONE})).terms)
 
-    def label(key: TermKey) -> str:
-        return repr(PolyForm(n, {key: ONE}))
-
-    levels = [[len(key[1]) for key in basis] for basis in bases]
-    dga = TruncatedDGA(
+    return FormsDGA(
+        n,
         cutoff,
-        dims,
-        unit_vector(dims[0], index[0][((0,) * n, ())]),
+        [len(basis) for basis in bases],
+        bases[0].vector({((0,) * n, ()): ONE}),
         diff_mats,
         mult_fn,
-        labels=[[label(k) for k in basis] for basis in bases],
-        levels=levels,
+        labels=[[repr(PolyForm(n, {key: ONE})) for key in basis.keys] for basis in bases],
+        levels=[[len(key[1]) for key in basis.keys] for basis in bases],
+        bases=bases,
         check=False,
-        name=f"A({n};{total_cutoff})",
+        name=f"A({n};{total_degree})",
     )
-    dga.form_bases = bases  # type: ignore[attr-defined]
-    dga.simplex_dim = n  # type: ignore[attr-defined]
-    dga.total_cutoff = total_cutoff  # type: ignore[attr-defined]
-    return dga
+
+
+def _restrictions(
+    n: int, keys: Sequence[TermKey], target: KeyedBasis, faces: Iterable[int]
+) -> QMatrix:
+    """Restrictions of the forms ``keys`` to each listed facet, stacked by facet."""
+    m = QMatrix.zero(0, len(keys))
+    for i in faces:
+        images = [face_restrict(PolyForm(n, {key: ONE}), i).terms for key in keys]
+        m = m.vstack(target.matrix(images))
+    return m
 
 
 def face_restriction_matrices(src: TruncatedDGA, tgt: TruncatedDGA, i: int) -> list[QMatrix]:
     """Matrices of the i-th face restriction between forms_dga instances."""
-    n = src.simplex_dim  # type: ignore[attr-defined]
-    if tgt.simplex_dim != n - 1:  # type: ignore[attr-defined]
+    if not (isinstance(src, FormsDGA) and isinstance(tgt, FormsDGA)):
+        raise InputError("face restrictions run between simplex forms algebras")
+    n = src.simplex_dim
+    if tgt.simplex_dim != n - 1:
         raise InputError("face restriction must drop the simplex dimension by one")
-    mats = []
-    for k in range(min(src.cutoff, tgt.cutoff) + 1):
-        tbasis = tgt.form_bases[k]  # type: ignore[attr-defined]
-        tindex = {key: t for t, key in enumerate(tbasis)}
-        entries: dict[tuple[int, int], Fraction] = {}
-        for col, key in enumerate(src.form_bases[k]):  # type: ignore[attr-defined]
-            img = face_restrict(PolyForm(n, {key: ONE}), i)
-            for tkey, c in img.terms.items():
-                entries[(tindex[tkey], col)] = c
-        mats.append(QMatrix(len(tbasis), src.dim(k), entries))
-    return mats
+    return [
+        _restrictions(n, src.bases[k].keys, tgt.bases[k], [i])
+        for k in range(min(src.cutoff, tgt.cutoff) + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -651,30 +645,12 @@ def extend_to_simplex(
                             f"incompatible facet family: faces {i} and {j} disagree"
                         )
     base_degree = max(max((w.total_degree() for w in faces.values()), default=0), degree)
-    target_bases = {
-        i: form_basis(n - 1, base_degree + extra_degree_tries, degree) for i in faces
-    }
+    target = KeyedBasis(form_basis(n - 1, base_degree + extra_degree_tries, degree))
+    # one block of restriction equations per constrained facet
+    rhs = tuple(x for i in sorted(faces) for x in target.vector(faces[i].terms))
     for bump in range(extra_degree_tries + 1):
-        total = base_degree + bump
-        basis = form_basis(n, total, degree)
-        # one block of restriction equations per constrained facet
-        restricted = {
-            i: [face_restrict(PolyForm(n, {key: ONE}), i) for key in basis] for i in faces
-        }
-        entries: dict[tuple[int, int], Fraction] = {}
-        rhs_list: list[Fraction] = []
-        row0 = 0
-        for i in sorted(faces):
-            tbasis = target_bases[i]
-            tindex = {key: t for t, key in enumerate(tbasis)}
-            want = form_to_vector(faces[i], tbasis)
-            for col, img in enumerate(restricted[i]):
-                for key, c in img.terms.items():
-                    entries[(row0 + tindex[key], col)] = c
-            rhs_list.extend(want)
-            row0 += len(tbasis)
-        m = QMatrix(row0, len(basis), entries)
-        sol = solve(m, tuple(rhs_list))
+        basis = form_basis(n, base_degree + bump, degree)
+        sol = solve(_restrictions(n, basis, target, sorted(faces)), rhs)
         if sol is not None:
             return vector_to_form(n, basis, sol)
     raise CutoffTooSmallError(
@@ -686,17 +662,8 @@ def extend_to_simplex(
 def extension_kernel(n: int, degree: int, total: int, constrained: Sequence[int]) -> list[PolyForm]:
     """Forms of the given degree vanishing on the constrained facets."""
     basis = form_basis(n, total, degree)
-    tbasis = form_basis(n - 1, total, degree)
-    tindex = {key: t for t, key in enumerate(tbasis)}
-    entries: dict[tuple[int, int], Fraction] = {}
-    row0 = 0
-    for i in sorted(constrained):
-        for col, key in enumerate(basis):
-            img = face_restrict(PolyForm(n, {key: ONE}), i)
-            for tkey, c in img.terms.items():
-                entries[(row0 + tindex[tkey], col)] = c
-        row0 += len(tbasis)
-    m = QMatrix(row0, len(basis), entries)
+    target = KeyedBasis(form_basis(n - 1, total, degree))
+    m = _restrictions(n, basis, target, sorted(constrained))
     return [vector_to_form(n, basis, v) for v in kernel_basis(m)]
 
 
@@ -790,6 +757,8 @@ def check_admissible_axioms(n_max: int, sample_budget: int = 20, seed: int = 0) 
     """
     import random as _random
 
+    if n_max < 1:
+        raise InputError("the admissibility checks need n_max of at least 1")
     rng = _random.Random(seed)
     rep = AdmissibilityReport()
 
@@ -823,15 +792,8 @@ def check_admissible_axioms(n_max: int, sample_budget: int = 20, seed: int = 0) 
                 rep.axiom_acyclicity = False
                 rep.failures.append(f"closed form not exact via contraction, n={n}")
         # H^0: only constants are closed
-        basis0 = form_basis(n, 3, 0)
-        dmat_entries = {}
-        basis1 = form_basis(n, 3, 1)
-        index1 = {key: t for t, key in enumerate(basis1)}
-        for col, key in enumerate(basis0):
-            img = d(PolyForm(n, {key: ONE}))
-            for tkey, c in img.terms.items():
-                dmat_entries[(index1[tkey], col)] = c
-        kb = kernel_basis(QMatrix(len(basis1), len(basis0), dmat_entries))
+        d0 = [d(PolyForm(n, {key: ONE})).terms for key in form_basis(n, 3, 0)]
+        kb = kernel_basis(KeyedBasis(form_basis(n, 3, 1)).matrix(d0))
         if len(kb) != 1:
             rep.axiom_acyclicity = False
             rep.failures.append(f"closed functions beyond constants at n={n}")
@@ -886,16 +848,9 @@ def check_admissible_axioms(n_max: int, sample_budget: int = 20, seed: int = 0) 
             continue
         df = d(f)
         for wtotal in (f.total_degree(), f.total_degree() + 1):
-            basis_w = form_basis(n, wtotal, 1)
-            target = form_basis(n, f.total_degree() + wtotal, 1)
-            tindex = {key: t for t, key in enumerate(target)}
-            entries = {}
-            for col, key in enumerate(basis_w):
-                prod = f * PolyForm(n, {key: ONE})
-                for tkey, c in prod.terms.items():
-                    entries[(tindex[tkey], col)] = c
-            rhs = form_to_vector(df, target)
-            if solve(QMatrix(len(target), len(basis_w), entries), rhs) is not None:
+            target = KeyedBasis(form_basis(n, f.total_degree() + wtotal, 1))
+            products = [(f * PolyForm(n, {key: ONE})).terms for key in form_basis(n, wtotal, 1)]
+            if solve(target.matrix(products), target.vector(df.terms)) is not None:
                 rep.axiom_no_zero_divisor_equation = False
                 rep.failures.append("df = f*w solvable for a nonconstant vanishing f")
         zero_div_checks += 1

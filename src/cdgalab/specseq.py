@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cdga import TruncatedDGA, cohomology
-from .errors import CutoffTooSmallError, InputError
+from .errors import CutoffTooSmallError, InputError, PreconditionError
 from .exactlin import (
     QMatrix,
     RowSpace,
@@ -35,7 +35,6 @@ from .localsys import (
     cohomology_local_system,
     global_sections,
     h_local_coefficients,
-    is_locally_constant,
 )
 
 
@@ -287,11 +286,12 @@ def e2_check(e: FiniteLocalSystem, p_max: int, q_max: int) -> E2Report:
     Both sides are computed independently: the left from the filtration
     tower, the right from vertex cohomologies and edge transports.
     """
-    if not is_locally_constant(e, q_max):
-        raise InputError("e2_check needs a locally constant system")
+    try:
+        lc = cohomology_local_system(e, q_max)
+    except PreconditionError as exc:
+        raise InputError("e2_check needs a locally constant system") from exc
     fc = skeletal_filtration(e, p_max + q_max + 1)
     tower = PageTower(fc)
-    lc = cohomology_local_system(e, q_max)
     h_twisted = h_local_coefficients(e.base, lc, p_max, q_max)
     dims_pages = {}
     mismatches = []

@@ -23,7 +23,6 @@ from .cdga import (
     FreeCDGA,
     TruncatedDGA,
     cohomology,
-    free_element,
     is_quasi_iso,
     truncate,
 )
@@ -56,7 +55,7 @@ def _comparison_matrices(model: FreeCDGA, trunc: TruncatedDGA, target: Truncated
     mats = []
     for k in range(upto + 1):
         cols = []
-        for mono in trunc.monomials[k]:
+        for mono in trunc.bases[k].keys:
             vec = target.unit
             deg = 0
             for i, e in enumerate(mono):
@@ -128,7 +127,8 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
                     sum((c * rep[t] for c, rep in zip(kv, hs.reps[n + 1])), ZERO)
                     for t in range(trunc.dim(n + 1))
                 )
-                z_elt = free_element(model.gca, trunc, n + 1, z_vec)
+                z_terms = {m: c for m, c in zip(trunc.bases[n + 1].keys, z_vec) if c}
+                z_elt = model.gca.element(z_terms)
                 target_img = mats[n + 1].matvec(z_vec)
                 b = solve(target.d_matrix(n), target_img)
                 if b is None:

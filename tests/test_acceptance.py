@@ -22,7 +22,7 @@ from cdgalab.cdga import (
     tensor_product,
     truncate,
 )
-from cdgalab.exactlin import QMatrix, ONE, ZERO, kernel_basis, rank, rref, unit_vector
+from cdgalab.exactlin import ONE, ZERO, kernel_basis, rank, rref, unit_vector
 from cdgalab.gluing import (
     endpoint_evaluations,
     fiber_product,
@@ -302,25 +302,23 @@ def test_criterion_10_naturality_and_detection():
             n = len(s) - 1
             src = src_sys.fibers[s]
             tgt = sys_e0.fibers[s]
-            thin = forms_thin.fibers[s].form_bases
-            thick = forms_thick.fibers[s].form_bases
-            thick_idx = [{key: t for t, key in enumerate(b)} for b in thick]
+            thin = forms_thin.fibers[s].bases
+            thick = forms_thick.fibers[s].bases
             z = PolyForm.dcoordinate(1, 1) if n == 1 else PolyForm.zero(n)
             mats = []
             for k in range(min(src.cutoff, tgt.cutoff) + 1):
-                tindex = tgt.tensor_index[k]
-                entries = {}
-                for col, (i, ia, j, jb) in enumerate(src.tensor_pairs[k]):
-                    key = thin[i][ia]
+                images = []
+                for i, ia, j, jb in src.bases[k].keys:
+                    key = thin[i].keys[ia]
+                    image = {}
                     if j == 0:
-                        pair = (i, thick_idx[i][key], 0, jb)
-                        entries[(tindex[pair], col)] = ONE
+                        image[(i, thick[i].index[key], 0, jb)] = ONE
                     elif j == 3 and with_winding:
                         img = PolyForm(n, {key: ONE}) * z
                         for tkey, v in img.terms.items():
-                            pair = (i + 1, thick_idx[i + 1][tkey], 2, jb)
-                            entries[(tindex[pair], col)] = v
-                mats.append(QMatrix(tgt.dim(k), src.dim(k), entries))
+                            image[(i + 1, thick[i + 1].index[tkey], 2, jb)] = v
+                    images.append(image)
+                mats.append(tgt.bases[k].matrix(images))
             maps[s] = DGMorphism(src, tgt, mats, check="full")
         return SystemMorphism(src_sys, sys_e0, maps)
 
@@ -338,11 +336,7 @@ def test_criterion_10_naturality_and_detection():
         dst_fib = sys_ss.fibers[s]
         mats = []
         for k in range(min(src_fib.cutoff, dst_fib.cutoff) + 1):
-            tindex = dst_fib.tensor_index[k]
-            entries = {}
-            for col, (i, ia, j, jb) in enumerate(src_fib.tensor_pairs[k]):
-                entries[(tindex[(i, ia, j, jb)], col)] = ONE
-            mats.append(QMatrix(dst_fib.dim(k), src_fib.dim(k), entries))
+            mats.append(dst_fib.bases[k].matrix([{key: ONE} for key in src_fib.bases[k].keys]))
         incl_maps[s] = DGMorphism(src_fib, dst_fib, mats, check="none")
     fp_maps = {}
     for s in base.all_simplices():

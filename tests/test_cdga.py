@@ -10,7 +10,6 @@ from cdgalab.cdga import (
     cohomology,
     cohomology_dims,
     direct_sum,
-    element_vector,
     induced_map,
     is_quasi_iso,
     point_dga,
@@ -19,8 +18,9 @@ from cdgalab.cdga import (
     truncate,
 )
 from cdgalab.errors import CutoffTooSmallError, InputError
-from cdgalab.exactlin import QMatrix, rank, unit_vector, vec_is_zero
+from cdgalab.exactlin import QMatrix, rank, vec_is_zero
 from cdgalab.graded import FreeGCA
+from cdgalab.polyforms import FormsDGA, forms_dga
 
 from fixtures import cp_model, sphere_even_model, torus_free, torus_model
 
@@ -234,12 +234,10 @@ def test_tensor_koszul_sign():
     a = torus_model(3)
     b = torus_model(3)
     tp = tensor_product(a, b, cutoff=3)
-    pairs1 = tp.tensor_pairs[1]
-    v_1s = unit_vector(tp.dims[1], pairs1.index((0, 0, 1, 0)))
-    v_t1 = unit_vector(tp.dims[1], pairs1.index((1, 0, 0, 0)))
+    v_1s = tp.bases[1].vector({(0, 0, 1, 0): 1})
+    v_t1 = tp.bases[1].vector({(1, 0, 0, 0): 1})
     prod = tp.multiply(1, v_1s, 1, v_t1)
-    idx = tp.tensor_pairs[2].index((1, 0, 1, 0))
-    assert prod[idx] == Fraction(-1)
+    assert prod == tp.bases[2].vector({(1, 0, 1, 0): -1})
 
 
 def test_tensor_cohomology_kunneth_instance():
@@ -260,8 +258,9 @@ def test_element_vector_roundtrip():
     f = cp_model(1)
     t = truncate(f, 6)
     x = f.gca.gen("x")
-    deg, vec = element_vector(f.gca, t, x * x)
-    assert deg == 4 and not vec_is_zero(vec)
+    vec = t.bases[4].vector((x * x).terms)
+    assert not vec_is_zero(vec)
+    assert f.gca.element(zip(t.bases[4].keys, vec)) == x * x
 
 
 def test_induced_map_composition_functorial():
@@ -285,3 +284,15 @@ def test_induced_map_composition_functorial():
     hg = induced_map(g, 2)
     for k in range(3):
         assert lhs[k] == hg[k].matmul(hf[k])
+
+
+def test_truncated_algebras_take_no_patched_attributes():
+    t = torus_model(3)
+    with pytest.raises(AttributeError):
+        t.tensor_pairs = []
+    forms = forms_dga(2, 3)
+    with pytest.raises(AttributeError):
+        forms.form_bases = []
+    assert isinstance(forms, FormsDGA) and forms.simplex_dim == 2
+    assert forms.bases[1].keys == tuple(sorted(forms.bases[1].keys))
+    assert [len(b) for b in forms.bases] == forms.dims

@@ -140,6 +140,29 @@ def _drop(path):
 RESTRICTION = ("systems", "E", "restrictions", "0,1|0")
 
 
+def admissible_problem():
+    return {"version": "1", "task": "check-admissible", "task_args": {"n_max": 1, "samples": 2}}
+
+
+def truncated_problem():
+    """An exterior algebra on x in degree 1, given as explicit tables."""
+    return {
+        "version": "1",
+        "task": "cohomology",
+        "algebras": {
+            "A": {
+                "type": "truncated",
+                "dims": [1, 1, 0],
+                "unit": ["1"],
+                "diff": {},
+                "mult": [[0, 0, 0, 0, ["1"]], [0, 0, 1, 0, ["1"]], [1, 0, 1, 0, []]],
+                "labels": [["1"], ["x"], []],
+            }
+        },
+        "task_args": {"algebra": "A", "upto": 1},
+    }
+
+
 @pytest.mark.parametrize(
     "make, mutate",
     [
@@ -155,6 +178,20 @@ RESTRICTION = ("systems", "E", "restrictions", "0,1|0")
         (torus_problem, _set(("algebras", "T", "generators", 1, 1), 1.5)),
         (torus_problem, _set(("algebras", "T", "cutoff"), "three")),
         (torus_problem, _set(("task_args", "upto"), True)),
+        (edge_system_problem, _set(("algebras", "P"), 3)),
+        (torus_problem, _set(("algebras", "T", "generators", 1), 5)),
+        (torus_problem, _set(("algebras", "T", "differential"), {"t2": [["1", {"zz": 1}]]})),
+        (torus_problem, _set(("task_args",), ["algebra", "T"])),
+        (edge_system_problem, _set(("complexes", "K", "maximal"), [[0, "a"]])),
+        (admissible_problem, _set(("task_args", "n_max"), 0)),
+        (
+            edge_system_problem,
+            _set(RESTRICTION, {"type": "face-restriction", "source": "P", "target": "P", "face": 0}),
+        ),
+        (truncated_problem, _set(("algebras", "A", "dims"), 3)),
+        (truncated_problem, _set(("algebras", "A", "diff"), {"0": [[0, 0]]})),
+        (truncated_problem, _set(("algebras", "A", "mult", 0), [0, 0, 0])),
+        (truncated_problem, _set(("algebras", "A", "labels"), 5)),
     ],
 )
 def test_malformed_references_and_integers_exit_2(tmp_path, capsys, make, mutate):
@@ -380,3 +417,25 @@ def test_ss_verify_mismatch_exits_1(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["verify"]["e2_matches_local_coefficients"] is False
+
+
+def test_ss_verify_on_a_system_that_is_not_locally_constant_exits_2(tmp_path, capsys):
+    doc = edge_system_problem()
+    doc["task"] = "ss"
+    doc["algebras"]["Z"] = {"type": "free", "generators": [["z", 1]], "cutoff": 3}
+    doc["systems"]["E"]["fibers"] = {"0": "Z", "1": "Z", "0,1": "Z"}
+    identity = {"source": "Z", "target": "Z", "matrices": {"0": [["1"]], "1": [["1"]]}}
+    killing = {"source": "Z", "target": "Z", "matrices": {"0": [["1"]], "1": [["0"]]}}
+    doc["systems"]["E"]["restrictions"] = {"0,1|0": killing, "0,1|1": identity}
+    doc["task_args"] = {"system": "E", "p_max": 1, "q_max": 1}
+    code, out, _ = run_cli(capsys, [write(tmp_path, doc), "--format", "machine"])
+    assert code == 0
+    code, out, err = run_cli(capsys, [write(tmp_path, doc), "--format", "machine", "--verify"])
+    assert code == 2 and out == ""
+    assert "locally constant" in err
+
+
+def test_truncated_problem_fixture_is_well_formed(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, [write(tmp_path, truncated_problem()), "--format", "machine"])
+    assert code == 0
+    assert json.loads(out)["result"]["dims"] == [1, 1]

@@ -6,6 +6,7 @@ import pytest
 from cdgalab.errors import InputError
 from cdgalab.exactlin import (
     KernelBasis,
+    KeyedBasis,
     QMatrix,
     RowSpace,
     column_space_basis,
@@ -340,3 +341,27 @@ def test_preimage_basis_matches_the_stacked_kernel_computations():
             [list(v) for v in sub]
         ) - naive_rank([list(a.column(c)) for c in range(cols)] + [list(v) for v in sub])
         assert len(got) == cols - rank(a) + inside
+
+
+# -- keyed bases -------------------------------------------------------------
+
+def test_keyed_basis_positions_vectors_and_matrices():
+    basis = KeyedBasis(["x", ("y", 1), 7])
+    assert basis.keys == ("x", ("y", 1), 7)
+    assert basis.index == {"x": 0, ("y", 1): 1, 7: 2}
+    assert len(basis) == 3
+    assert basis.vector({7: Fraction(2), "x": Fraction(-1, 3)}) == (Fraction(-1, 3), 0, 2)
+    assert basis.vector({}) == (0, 0, 0)
+    m = basis.matrix([{("y", 1): 5}, {}, {"x": 1, 7: -1}])
+    assert (m.rows, m.cols) == (3, 3)
+    assert m == QMatrix.from_cols([(0, 5, 0), (0, 0, 0), (1, 0, -1)], 3)
+
+
+def test_keyed_basis_rejects_keys_outside_the_basis():
+    basis = KeyedBasis(["a", "b"])
+    with pytest.raises(InputError, match="'c' is not an element of the basis"):
+        basis.vector({"a": 1, "c": 2})
+    with pytest.raises(InputError, match="'c' is not an element of the basis"):
+        basis.matrix([{"a": 1}, {"c": 1}])
+    with pytest.raises(InputError, match="distinct"):
+        KeyedBasis(["a", "b", "a"])

@@ -9,10 +9,12 @@ from cdgalab.cdga import (
     cohomology_dims,
     direct_sum,
     point_dga,
+    tensor_product,
     truncate,
 )
 from cdgalab.errors import InputError, PreconditionError
 from cdgalab.exactlin import QMatrix, rank, unit_vector
+from cdgalab.polyforms import forms_dga
 from cdgalab.gluing import (
     endpoint_evaluations,
     fiber_product,
@@ -253,3 +255,14 @@ def test_fiber_product_invariant_under_quasi_iso_leg_replacement():
     h2 = cohomology_dims(fiber_product(f2, g2, 5).carrier, 4)
     h4 = cohomology_dims(fiber_product(f4, g4, 5).carrier, 4)
     assert h2 == h4 == [1, 1, 0, 0, 0]
+
+
+def test_tensor_levels_come_from_the_first_factor():
+    forms = forms_dga(1, 2, cutoff=3)
+    s2 = sphere_even_model(3)
+    assert s2.levels is None
+    assert tensor_product(s2, forms, cutoff=3).levels is None
+    tp = tensor_product(forms, forms, cutoff=3)
+    assert tp.levels == [[len(forms.bases[i].keys[ia][1]) for i, ia, _, _ in b.keys] for b in tp.bases]
+    # the interval keeps its form-degree levels; as a second factor they drop out
+    assert interval_forms(1, cutoff=2).levels == forms_dga(1, 1, cutoff=2).levels

@@ -34,7 +34,13 @@ from cdgalab.localsys import (
     twist_restriction,
     validate,
 )
-from cdgalab.polyforms import SimplicialComplexK, cycle_complex, standard_complex, boundary_complex
+from cdgalab.polyforms import (
+    SimplicialComplexK,
+    boundary_complex,
+    cycle_complex,
+    forms_dga,
+    standard_complex,
+)
 
 from fixtures import sphere_even_model, torus_model
 
@@ -419,3 +425,34 @@ def test_cohomology_local_system_suspension_edges_identity():
     for per_q in c.edges.values():
         for q, mat in per_q.items():
             assert mat == QMatrix.identity(mat.rows)
+
+
+def test_validate_reports_a_facet_without_restriction():
+    e = constant_system(standard_complex(1), sphere_even_model(3))
+    restr = dict(e.facet_restrictions)
+    del restr[((0, 1), 0)]
+    problems = validate(FiniteLocalSystem(e.base, dict(e.fibers), restr))
+    assert problems == ["no restriction from (0, 1) to its facet 0"]
+
+
+def test_forms_system_builds_one_restriction_per_dimension_and_face():
+    e = forms_system(boundary_complex(3), 3, cutoff=4)
+    assert len(e.facet_restrictions) == 24
+    assert len({id(r) for r in e.facet_restrictions.values()}) == 5
+    assert validate(e) == []
+
+
+def test_forms_with_a_negative_cutoff_are_rejected():
+    with pytest.raises(InputError, match="non-negative"):
+        forms_dga(1, 2, cutoff=-1)
+    with pytest.raises(InputError, match="non-negative"):
+        forms_system(cycle_complex(3), 2, cutoff=-1)
+
+
+def test_validate_reports_wrong_restriction_ends_on_a_triangle():
+    fiber = sphere_even_model(3)
+    e = constant_system(standard_complex(2), fiber)
+    restr = dict(e.facet_restrictions)
+    restr[((0, 1, 2), 0)] = DGMorphism.identity(sphere_even_model(3))
+    problems = validate(FiniteLocalSystem(e.base, dict(e.fibers), restr))
+    assert problems == ["restriction endpoints wrong at ((0, 1, 2), 0)"]

@@ -337,19 +337,12 @@ def test_admissible_axioms_small():
 
 def test_zero_divisor_instance_t1():
     # df = f*w with f = t1 on the interval has no polynomial solution w
-    from cdgalab.exactlin import QMatrix, solve
-    from cdgalab.polyforms import form_basis, form_to_vector
+    from cdgalab.exactlin import KeyedBasis, solve
+    from cdgalab.polyforms import form_basis
 
     f = PolyForm.coordinate(1, 1)
     df = d(f)
     for wtotal in (2, 3, 4):
-        basis_w = form_basis(1, wtotal, 1)
-        target = form_basis(1, 1 + wtotal, 1)
-        tindex = {key: t for t, key in enumerate(target)}
-        entries = {}
-        for col, key in enumerate(basis_w):
-            prod = f * PolyForm(1, {key: ONE})
-            for tkey, c in prod.terms.items():
-                entries[(tindex[tkey], col)] = c
-        rhs = form_to_vector(df, target)
-        assert solve(QMatrix(len(target), len(basis_w), entries), rhs) is None
+        target = KeyedBasis(form_basis(1, 1 + wtotal, 1))
+        products = [(f * PolyForm(1, {key: ONE})).terms for key in form_basis(1, wtotal, 1)]
+        assert solve(target.matrix(products), target.vector(df.terms)) is None

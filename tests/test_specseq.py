@@ -12,7 +12,7 @@ from cdgalab.cdga import (
 )
 from cdgalab.cdga import FreeCDGA
 from cdgalab.errors import InputError
-from cdgalab.exactlin import ONE, QMatrix, ZERO, rank, unit_vector
+from cdgalab.exactlin import ONE, KeyedBasis, QMatrix, ZERO, rank, unit_vector
 from cdgalab.gluing import fiber_product, mayer_vietoris
 from cdgalab.graded import FreeGCA
 from cdgalab.localsys import (
@@ -30,7 +30,6 @@ from cdgalab.polyforms import (
     cycle_complex,
     forms_dga,
     form_basis,
-    form_to_vector,
     standard_complex,
 )
 from cdgalab.specseq import (
@@ -57,7 +56,7 @@ def tensor_sign_twist(fiber: TruncatedDGA, z_degree: int) -> DGMorphism:
     mats = []
     for k in range(fiber.cutoff + 1):
         entries = {}
-        for t, (i, ia, j, jb) in enumerate(fiber.tensor_pairs[k]):
+        for t, (i, ia, j, jb) in enumerate(fiber.bases[k].keys):
             entries[(t, t)] = Fraction(-1) if j == z_degree else ONE
         mats.append(QMatrix(fiber.dim(k), fiber.dim(k), entries))
     return DGMorphism(fiber, fiber, mats)
@@ -231,81 +230,63 @@ def line_bundle_system(base, D: int, cutoff: int, euler: dict) -> FiniteLocalSys
     """
     from cdgalab.polyforms import d as pf_d, face_restrict
 
-    def bases_for(n):
-        ones = [form_basis(n, D, k) for k in range(cutoff + 1)]
-        ts = [[]] + [form_basis(n, D - 2, k - 1) for k in range(1, cutoff + 1)]
-        return ones, ts
-
     def keyform(n, key):
         return PolyForm(n, {key: ONE})
 
+    def terms(one_part: PolyForm, t_part: PolyForm) -> dict:
+        """Keys (0, key) for key (x) 1 and (1, key) for key (x) t."""
+        out = {(0, key): c for key, c in one_part.terms.items()}
+        out.update({(1, key): c for key, c in t_part.terms.items()})
+        return out
+
     fibers = {}
-    fiber_bases = {}
     for s in base.all_simplices():
         n = len(s) - 1
         w = euler.get(s, PolyForm.zero(n))
-        ones, ts = bases_for(n)
-        fiber_bases[s] = (ones, ts)
-        dims = [len(ones[k]) + len(ts[k]) for k in range(cutoff + 1)]
-        index_ones = [{key: t for t, key in enumerate(b)} for b in ones]
-        index_ts = [{key: t for t, key in enumerate(b)} for b in ts]
-
-        def vec_of(k, one_part: PolyForm, t_part: PolyForm, _io=index_ones, _it=index_ts, _d=dims, _o=ones):
-            out = [ZERO] * _d[k]
-            for key, c in one_part.terms.items():
-                out[_io[k][key]] = c
-            off = len(_o[k])
-            for key, c in t_part.terms.items():
-                out[off + _it[k][key]] = c
-            return tuple(out)
+        zero = PolyForm.zero(n)
+        bases = [
+            KeyedBasis(
+                [(0, key) for key in form_basis(n, D, k)]
+                + [(1, key) for key in (form_basis(n, D - 2, k - 1) if k else [])]
+            )
+            for k in range(cutoff + 1)
+        ]
 
         diff_mats = []
         for k in range(cutoff):
-            cols = []
-            for key in ones[k]:
-                cols.append(vec_of(k + 1, pf_d(keyform(n, key)), PolyForm.zero(n)))
-            for key in ts[k]:
+            images = []
+            for part, key in bases[k].keys:
                 a_form = keyform(n, key)
-                sign = -1 if (k - 1) % 2 else 1
-                cols.append(vec_of(k + 1, sign * (a_form * w), pf_d(a_form)))
-            entries = {}
-            for c, col in enumerate(cols):
-                for r, v in enumerate(col):
-                    if v:
-                        entries[(r, c)] = v
-            diff_mats.append(QMatrix(dims[k + 1], dims[k], entries))
+                if part == 0:
+                    images.append(terms(pf_d(a_form), zero))
+                else:
+                    sign = -1 if (k - 1) % 2 else 1
+                    images.append(terms(sign * (a_form * w), pf_d(a_form)))
+            diff_mats.append(bases[k + 1].matrix(images))
 
-        def mult_fn(i, x, j, y, n=n, ones=ones, ts=ts, dims=dims, vec_of=vec_of):
-            x_t = x >= len(ones[i])
-            y_t = y >= len(ones[j])
+        def mult_fn(i, x, j, y, n=n, bases=bases, zero=zero):
+            (x_t, x_key), (y_t, y_key) = bases[i].keys[x], bases[j].keys[y]
             if x_t and y_t:
-                return tuple([ZERO] * dims[i + j])
+                return (ZERO,) * len(bases[i + j])
+            prod = keyform(n, x_key) * keyform(n, y_key)
             if not x_t and not y_t:
-                prod = keyform(n, ones[i][x]) * keyform(n, ones[j][y])
                 if prod.total_degree() > D:
                     return None
-                return vec_of(i + j, prod, PolyForm.zero(n))
-            if x_t:
-                prod = keyform(n, ts[i][x - len(ones[i])]) * keyform(n, ones[j][y])
-                if j % 2:
-                    prod = -1 * prod
-            else:
-                prod = keyform(n, ones[i][x]) * keyform(n, ts[j][y - len(ones[j])])
+                return bases[i + j].vector(terms(prod, zero))
+            if x_t and j % 2:
+                prod = -1 * prod
             if prod.total_degree() > D - 2:
                 return None
-            return vec_of(i + j, PolyForm.zero(n), prod)
+            return bases[i + j].vector(terms(zero, prod))
 
-        levels = [
-            [len(key[1]) for key in ones[k]] + [len(key[1]) for key in ts[k]]
-            for k in range(cutoff + 1)
-        ]
         fibers[s] = TruncatedDGA(
             cutoff,
-            dims,
-            unit_vector(dims[0], 0),
+            [len(basis) for basis in bases],
+            unit_vector(len(bases[0]), 0),
             diff_mats,
             mult_fn,
-            levels=levels,
+            levels=[[len(key[1]) for _, key in basis.keys] for basis in bases],
+            bases=bases,
             check=True,
             name=f"line({s})",
         )
@@ -313,26 +294,15 @@ def line_bundle_system(base, D: int, cutoff: int, euler: dict) -> FiniteLocalSys
     restr = {}
     for s in base.all_simplices():
         n = len(s) - 1
-        ones_s, ts_s = fiber_bases[s]
         for i, face in base.facets(s):
-            tgt_ones, tgt_ts = fiber_bases[face]
             src, tgt = fibers[s], fibers[face]
-            t_index_ones = [{key: t for t, key in enumerate(b)} for b in tgt_ones]
-            t_index_ts = [{key: t for t, key in enumerate(b)} for b in tgt_ts]
             mats = []
             for k in range(cutoff + 1):
-                entries = {}
-                for c, key in enumerate(ones_s[k]):
-                    img = face_restrict(keyform(n, key), i)
-                    for tkey, v in img.terms.items():
-                        entries[(t_index_ones[k][tkey], c)] = v
-                off_src = len(ones_s[k])
-                off_tgt = len(tgt_ones[k])
-                for c, key in enumerate(ts_s[k]):
-                    img = face_restrict(keyform(n, key), i)
-                    for tkey, v in img.terms.items():
-                        entries[(off_tgt + t_index_ts[k][tkey], off_src + c)] = v
-                mats.append(QMatrix(tgt.dim(k), src.dim(k), entries))
+                images = [
+                    {(part, tkey): v for tkey, v in face_restrict(keyform(n, key), i).terms.items()}
+                    for part, key in src.bases[k].keys
+                ]
+                mats.append(tgt.bases[k].matrix(images))
             restr[(s, i)] = DGMorphism(src, tgt, mats, check="none")
     return FiniteLocalSystem(base, fibers, restr)
 
@@ -387,7 +357,7 @@ def test_triple_morphism_projection_surjective_on_pages():
         mats = []
         for k in range(min(src.cutoff, tgt.cutoff) + 1):
             entries = {}
-            for col, (i, ia, j, jb) in enumerate(src.tensor_pairs[k]):
+            for col, (i, ia, j, jb) in enumerate(src.bases[k].keys):
                 if j == 0 and jb == 0:
                     entries[(ia, col)] = ONE
             mats.append(QMatrix(tgt.dim(k), src.dim(k), entries))
@@ -425,7 +395,7 @@ def test_psi_next_is_induced_from_psi_previous_projection():
         mats = []
         for k in range(min(src.cutoff, tgt.cutoff) + 1):
             entries = {}
-            for col, (i, ia, j, jb) in enumerate(src.tensor_pairs[k]):
+            for col, (i, ia, j, jb) in enumerate(src.bases[k].keys):
                 if j == 0 and jb == 0:
                     entries[(ia, col)] = ONE
             mats.append(QMatrix(tgt.dim(k), src.dim(k), entries))
@@ -520,3 +490,37 @@ def test_class_in_entry_matches_a_fresh_solve_on_a_real_tower():
                     assert tower.class_in_entry(r, p, q, tuple(x)) == solve(m, tuple(x))[:dim_e]
                     checked += 1
     assert checked
+
+
+def test_e2_check_tests_local_constancy_and_fiber_cohomology_once(monkeypatch):
+    from cdgalab import localsys
+
+    calls = {"locally_constant": 0, "fiber_cohomologies": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        localsys, "is_locally_constant", counting("locally_constant", localsys.is_locally_constant)
+    )
+    monkeypatch.setattr(
+        localsys,
+        "_fiber_cohomologies",
+        counting("fiber_cohomologies", localsys._fiber_cohomologies),
+    )
+    assert e2_check(forms_system(cycle_complex(3), 2, cutoff=4), 1, 1).ok()
+    assert calls == {"locally_constant": 1, "fiber_cohomologies": 1}
+
+
+def test_e2_check_rejects_a_system_that_is_not_locally_constant():
+    fiber = truncate(FreeCDGA(FreeGCA([("z", 1)]), {}), 4)
+    e = constant_system(cycle_complex(3), fiber)
+    mats = [QMatrix.identity(1)] + [QMatrix.zero(fiber.dim(k), fiber.dim(k)) for k in range(1, 5)]
+    restr = dict(e.facet_restrictions)
+    restr[((0, 1), 0)] = DGMorphism(fiber, fiber, mats, check="none")
+    with pytest.raises(InputError, match="locally constant"):
+        e2_check(FiniteLocalSystem(e.base, dict(e.fibers), restr), 1, 1)
