@@ -16,6 +16,7 @@ constructor could not represent) is recorded as *dropped*; using it raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import CutoffTooSmallError, InputError
@@ -35,7 +36,7 @@ from .exactlin import (
     vec_is_zero,
     zero_vector,
 )
-from .graded import Element, FreeGCA, apply_odd_derivation
+from .graded import Element, FreeGCA, GeneratorSpec, Monomial, apply_odd_derivation
 
 
 class FreeCDGA:
@@ -59,6 +60,7 @@ class FreeCDGA:
             if name not in gca.index:
                 raise InputError(f"differential given for unknown generator {name!r}")
         self.diff = images
+        self._mono_d: dict[Monomial, dict[Monomial, Fraction]] = {}
         if check:
             ok, offender = check_d_squared(self)
             if not ok:
@@ -69,6 +71,34 @@ class FreeCDGA:
         if x.algebra is not self.gca:
             raise InputError("element of a different algebra")
         return apply_odd_derivation(self.diff, x)
+
+    def _d_monomial(self, mono: Monomial) -> dict[Monomial, Fraction]:
+        """Terms of d(mono), computed once per monomial."""
+        terms = self._mono_d.get(mono)
+        if terms is None:
+            terms = self._mono_d[mono] = self.d(Element(self.gca, {mono: ONE})).terms
+        return terms
+
+    def _extend(self, gens: Sequence[tuple[str, int]], diff: Mapping[str, Element]) -> "FreeCDGA":
+        """This algebra with ``gens`` appended, unchecked.
+
+        ``diff`` gives differentials of the new generators as elements of this
+        algebra; a new generator missing from it is closed.
+
+        Appending generators changes no differential of an existing monomial,
+        so the monomial differentials computed so far carry over, padded with
+        zero exponents like every other element.
+        """
+        gca = FreeGCA(self.gca.generators + tuple(GeneratorSpec(n, d) for n, d in gens))
+        pad = (0,) * len(gens)
+
+        def lift(terms):
+            return {m + pad: c for m, c in terms.items()}
+
+        images = {n: Element(gca, lift(img.terms)) for n, img in {**self.diff, **diff}.items()}
+        out = FreeCDGA(gca, images, check=False)
+        out._mono_d = {m + pad: lift(terms) for m, terms in self._mono_d.items()}
+        return out
 
     def d_gen(self, name: str) -> Element:
         return self.diff[name]
@@ -380,7 +410,7 @@ def truncate(f: FreeCDGA, cutoff: int) -> TruncatedDGA:
     gca = f.gca
     bases = [KeyedBasis(gca.basis_in_degree(k)) for k in range(cutoff + 1)]
     diff_mats = [
-        bases[k + 1].matrix([f.d(gca.element({mono: ONE})).terms for mono in bases[k].keys])
+        bases[k + 1].matrix([f._d_monomial(mono) for mono in bases[k].keys])
         for k in range(cutoff)
     ]
 

@@ -32,8 +32,10 @@ counts the form degree of the base forms only, never levels of ``alg``.
 
 Rational literals are ``"p/q"`` strings or integers; decimal notation is
 rejected everywhere.  Integer fields (degrees, cutoffs, dimensions, faces,
-exponents, indices) are JSON integers or integral strings such as ``"3"``.
-Exit codes: 0 success, 1 mathematical check failure, 2 input error.  The
+exponents, indices) are JSON integers or integral strings such as ``"3"``;
+the degree bounds ``upto``, ``p_max`` and ``q_max`` must be non-negative.
+Exit codes: 0 success, 1 mathematical check failure (or a failed internal
+invariant, reported with an ``internal error:`` prefix), 2 input error.  The
 machine-readable report section is canonical JSON and is byte-identical
 across runs on the same input; timing goes to stderr.
 """
@@ -49,7 +51,7 @@ from typing import Any, Optional
 
 from . import cdga, gluing, localsys, polyforms, specseq, sullivan
 from .cdga import DGMorphism, FreeCDGA, TruncatedDGA
-from .errors import CdgaError, CutoffTooSmallError, InputError, PreconditionError
+from .errors import CdgaError, CutoffTooSmallError, InputError, InternalError, PreconditionError
 from .exactlin import QMatrix, format_rat
 from .graded import FreeGCA
 
@@ -88,6 +90,14 @@ def _int(x, what: str) -> int:
         except ValueError:
             pass
     raise InputError(f"{what} must be an integer, got {x!r}")
+
+
+def _bound(x, what: str) -> int:
+    """A degree bound: a non-negative integer."""
+    n = _int(x, what)
+    if n < 0:
+        raise InputError(f"{what} must be non-negative, got {n}")
+    return n
 
 
 def _req(spec, key: str):
@@ -422,7 +432,7 @@ def _need(problem: Problem, key: str, flags) -> Any:
 
 def task_cohomology(problem: Problem, flags) -> tuple[int, dict]:
     alg = problem.algebra(_need(problem, "algebra", flags))
-    upto = _int(_need(problem, "upto", flags), "upto")
+    upto = _bound(_need(problem, "upto", flags), "upto")
     h = cdga.cohomology(alg, upto)
     products = []
     for p in range(upto + 1):
@@ -449,7 +459,7 @@ def task_cohomology(problem: Problem, flags) -> tuple[int, dict]:
 
 def task_minimal_model(problem: Problem, flags) -> tuple[int, dict]:
     target = problem.algebra(_need(problem, "target", flags))
-    upto = _int(_need(problem, "upto", flags), "upto")
+    upto = _bound(_need(problem, "upto", flags), "upto")
     res = sullivan.minimal_model(target, upto)
     gens = [[g.name, g.degree] for g in res.model.gca.generators]
     diffs = {g.name: _poly_str(res.model, g.name) for g in res.model.gca.generators}
@@ -470,7 +480,7 @@ def task_loop_model(problem: Problem, flags) -> tuple[int, dict]:
     lm = sullivan.loop_model(base)
     upto = problem.task_args.get("upto", problem.parameters.get("upto"))
     if upto is not None:
-        upto = _int(upto, "upto")
+        upto = _bound(upto, "upto")
     result = {
         "generators": [[g.name, g.degree] for g in lm.gca.generators],
         "differentials": {g.name: repr(lm.diff[g.name]) for g in lm.gca.generators},
@@ -484,7 +494,7 @@ def task_loop_model(problem: Problem, flags) -> tuple[int, dict]:
 
 def task_suspend(problem: Problem, flags) -> tuple[int, dict]:
     m = problem.algebra(_need(problem, "model", flags))
-    upto = _int(_need(problem, "upto", flags), "upto")
+    upto = _bound(_need(problem, "upto", flags), "upto")
     s = gluing.suspension_model(m, upto)
     h = cdga.cohomology(s.carrier, upto - 1)
     vanishing = True
@@ -506,7 +516,7 @@ def task_suspend(problem: Problem, flags) -> tuple[int, dict]:
 def task_glue(problem: Problem, flags) -> tuple[int, dict]:
     f = problem.morphism(_need(problem, "f", flags))
     g = problem.morphism(_need(problem, "g", flags))
-    upto = _int(_need(problem, "upto", flags), "upto")
+    upto = _bound(_need(problem, "upto", flags), "upto")
     fp = gluing.fiber_product(f, g, upto)
     h = cdga.cohomology_dims(fp.carrier, upto - 1)
     result = {"carrier_dims": list(fp.carrier.dims), "cohomology_dims": h}
@@ -526,7 +536,7 @@ def task_glue(problem: Problem, flags) -> tuple[int, dict]:
 
 def task_gamma(problem: Problem, flags) -> tuple[int, dict]:
     e = problem.system(_need(problem, "system", flags))
-    upto = _int(_need(problem, "upto", flags), "upto")
+    upto = _bound(_need(problem, "upto", flags), "upto")
     g = localsys.global_sections(e, upto)
     result = {
         "dims": list(g.dims),
@@ -537,8 +547,8 @@ def task_gamma(problem: Problem, flags) -> tuple[int, dict]:
 
 def task_ss(problem: Problem, flags) -> tuple[int, dict]:
     e = problem.system(_need(problem, "system", flags))
-    p_max = _int(_need(problem, "p_max", flags), "p_max")
-    q_max = _int(_need(problem, "q_max", flags), "q_max")
+    p_max = _bound(_need(problem, "p_max", flags), "p_max")
+    q_max = _bound(_need(problem, "q_max", flags), "q_max")
     fc = specseq.skeletal_filtration(e, p_max + q_max + 1)
     tower = specseq.PageTower(fc)
     e2 = {}
@@ -677,6 +687,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputError, PreconditionError, CutoffTooSmallError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     except CdgaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,3 +19,7 @@ class CutoffTooSmallError(CdgaError):
     Raised instead of silently returning a wrong answer whenever a dropped
     product or differential would affect the result.
     """
+
+
+class InternalError(CdgaError):
+    """The library's own invariant failed: a fault in the program, not the input."""

@@ -321,6 +321,8 @@ def suspension_model(m: TruncatedDGA, upto: int) -> SuspensionModel:
     The degree-1 piece of m is replaced by a chosen complement of im d^0, so
     the shifted complex computes the reduced cohomology of m one degree up.
     """
+    if upto < 1:
+        raise InputError(f"suspension_model needs upto >= 1, got {upto}")
     if upto > m.cutoff + 1:
         raise InputError("suspension cutoff exceeds what the source stores")
     h0 = cohomology(m, 0)

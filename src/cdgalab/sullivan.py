@@ -17,6 +17,7 @@ classical published form of the loop model of complex projective spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cdga import (
     DGMorphism,
@@ -26,7 +27,7 @@ from .cdga import (
     is_quasi_iso,
     truncate,
 )
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .exactlin import QMatrix, RowSpace, ZERO, kernel_basis, solve, vec_is_zero
 from .graded import Element, FreeGCA, apply_odd_derivation
 
@@ -76,7 +77,14 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
     ``v{degree}_{index}``.  Raises PreconditionError otherwise and
     CutoffTooSmallError via the underlying algebra when the cutoff is too
     small for the requested range.
+
+    Stage n reads only H^n and H^{n+1} of the model, which depend on its
+    differentials out of degrees n - 1 to n + 1, so it truncates the model
+    through n + 2.  Generators are only appended, so each monomial's
+    differential is computed once and carried to every later stage.
     """
+    if upto < 0:
+        raise InputError(f"minimal_model needs a non-negative upto, got {upto}")
     if upto >= target.cutoff:
         raise InputError("minimal_model needs upto below the target cutoff")
     ht = cohomology(target, min(upto + 1, target.cutoff - 1))
@@ -88,78 +96,58 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
     if vec_is_zero(unit_class):
         raise PreconditionError("the unit is a coboundary in the target")
 
-    gens: list[tuple[str, int]] = []
-    diff: dict[str, Element] = {}
+    model = FreeCDGA(FreeGCA([]), {}, check=False)
     phi: dict[str, tuple[int, tuple]] = {}
-
-    def build(cut: int):
-        gca = FreeGCA(gens)
-        rebuilt = {}
-        for name, img in diff.items():
-            rebuilt[name] = gca.element(dict(img.terms)) if img is not None else gca.zero()
-        model = FreeCDGA(gca, rebuilt, check=False)
-        trunc = truncate(model, cut)
-        return model, trunc
-
-    top = upto
-    for n in range(2, top + 1):
-        model, trunc = build(target.cutoff)
-        hs = cohomology(trunc, min(upto + 1, target.cutoff - 1))
-        mats = _comparison_matrices(model, trunc, target, phi, min(upto + 1, target.cutoff - 1))
+    for n in range(2, upto + 1):
+        top = min(n + 1, target.cutoff - 1)
+        trunc = truncate(model, top + 1)
+        hs = cohomology(trunc, top)
+        mats = _comparison_matrices(model, trunc, target, phi, top)
         # cokernel of H^n(phi)
         image = RowSpace(ht.dims[n])
         for rep in hs.reps[n]:
             image.add(ht.class_of(n, mats[n].matvec(rep)))
-        new_index = 0
-        stage: list[tuple[str, int, Element | None, tuple]] = []
+        gens: list[tuple[str, int]] = []
+        diff: dict[str, Element] = {}
         for t_rep in ht.reps[n]:
             if image.add(ht.class_of(n, t_rep)):
-                name = f"v{n}_{new_index}"
-                new_index += 1
-                stage.append((name, n, None, t_rep))
+                name = f"v{n}_{len(gens)}"
+                gens.append((name, n))
+                phi[name] = (n, tuple(t_rep))
         # kernel of H^{n+1}(phi), computable while n+1 is below the cutoff
         if n + 1 <= target.cutoff - 1:
-            hmat_cols = [ht.class_of(n + 1, mats[n + 1].matvec(rep)) for rep in hs.reps[n + 1]]
+            reps = hs.reps[n + 1]
+            hmat_cols = [ht.class_of(n + 1, mats[n + 1].matvec(rep)) for rep in reps]
             hmat = QMatrix.from_cols(hmat_cols, ht.dims[n + 1])
+            keys = trunc.bases[n + 1].keys
             for kv in kernel_basis(hmat):
                 # kv combines model classes whose image class vanishes
-                z_vec = tuple(
-                    sum((c * rep[t] for c, rep in zip(kv, hs.reps[n + 1])), ZERO)
-                    for t in range(trunc.dim(n + 1))
-                )
-                z_terms = {m: c for m, c in zip(trunc.bases[n + 1].keys, z_vec) if c}
-                z_elt = model.gca.element(z_terms)
-                target_img = mats[n + 1].matvec(z_vec)
-                b = solve(target.d_matrix(n), target_img)
+                z: dict[int, Fraction] = {}
+                for c, rep in zip(kv, reps):
+                    if c:
+                        for t, r in enumerate(rep):
+                            if r:
+                                z[t] = z.get(t, ZERO) + c * r
+                z_vec = tuple(z.get(t, ZERO) for t in range(len(keys)))
+                b = solve(target.d_matrix(n), mats[n + 1].matvec(z_vec))
                 if b is None:
-                    raise InputError("internal error: vanishing class has no primitive")
-                name = f"v{n}_{new_index}"
-                new_index += 1
-                stage.append((name, n, z_elt, b))
-        for name, degree, dv, img in stage:
-            gens.append((name, degree))
-            diff[name] = dv
-            phi[name] = (degree, tuple(img))
-        if stage:
-            # re-express stored differentials in the enlarged algebra
-            gca = FreeGCA(gens)
-            for name in list(diff):
-                img = diff[name]
-                if img is not None and img.algebra is not gca:
-                    diff[name] = gca.element(
-                        {m + (0,) * (gca.ngens - len(m)): c for m, c in img.terms.items()}
-                    )
+                    raise InternalError("vanishing class has no primitive")
+                name = f"v{n}_{len(gens)}"
+                gens.append((name, n))
+                diff[name] = model.gca.element({keys[t]: c for t, c in enumerate(z_vec) if c})
+                phi[name] = (n, tuple(b))
+        if gens:
+            model = model._extend(gens, diff)
 
-    model, trunc = build(target.cutoff)
+    trunc = truncate(model, target.cutoff)
     mats = _comparison_matrices(model, trunc, target, phi, target.cutoff)
     comparison = DGMorphism(trunc, target, mats, check="auto")
     ok, offender = minimality_check(model)
     if not ok:
-        raise InputError(f"internal error: constructed model is not minimal at {offender}")
-    quasi_upto = max(0, upto - 1)
-    ok, fail = is_quasi_iso(comparison, quasi_upto)
+        raise InternalError(f"constructed model is not minimal at {offender}")
+    ok, fail = is_quasi_iso(comparison, max(0, upto - 1), target_h=ht)
     if not ok:
-        raise InputError(f"internal error: comparison fails to be a quasi-iso at {fail}")
+        raise InternalError(f"comparison fails to be a quasi-iso at {fail}")
     return MinimalModelResult(model=model, comparison=comparison, built_upto=upto, target=target)
 
 
@@ -204,5 +192,5 @@ def loop_model(base) -> FreeCDGA:
             out.diff, s_images[g.name]
         )
         if not lhs.is_zero():
-            raise InputError(f"internal error: sd + ds nonzero on {g.name}")
+            raise InternalError(f"sd + ds nonzero on {g.name}")
     return out

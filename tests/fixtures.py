@@ -1,6 +1,9 @@
 """Model builders shared by the test suite and the acceptance criteria."""
 
-from cdgalab.cdga import FreeCDGA, TruncatedDGA, point_dga, power_quotient_dga, truncate
+from fractions import Fraction
+
+from cdgalab.cdga import FreeCDGA, TruncatedDGA, from_tables, point_dga, power_quotient_dga, truncate
+from cdgalab.exactlin import QMatrix
 from cdgalab.graded import FreeGCA
 
 
@@ -42,3 +45,21 @@ def sphere_odd_free(n: int) -> FreeCDGA:
 
 def rational_point(cutoff: int = 7) -> TruncatedDGA:
     return point_dga(cutoff)
+
+
+def wedge_of_2_spheres(spheres: int, cutoff: int) -> TruncatedDGA:
+    """Cohomology of a wedge of 2-spheres: one class per sphere, all products zero."""
+    dims = [1] + [0] * cutoff
+    dims[2] = spheres
+    zero, one = Fraction(0), Fraction(1)
+    table = {}
+    for i in range(cutoff + 1):
+        for j in range(i, cutoff + 1 - i):
+            for a in range(dims[i]):
+                for b in range(dims[j]):
+                    table[(i, a, j, b)] = tuple(
+                        one if i == 0 and t == b else zero for t in range(dims[i + j])
+                    )
+    return from_tables(
+        cutoff, dims, (one,), [QMatrix.zero(dims[k + 1], dims[k]) for k in range(cutoff)], table
+    )

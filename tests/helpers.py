@@ -7,6 +7,7 @@ polynomial arithmetic for generating functions).
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 import random
 
 from cdgalab.exactlin import QMatrix
@@ -95,3 +96,28 @@ def poly_series_coefficient(degrees_even, degrees_odd, n: int) -> int:
             new[i] += series[i - d]
         series = new
     return series[n]
+
+
+def wedge_generator_counts(spheres: int, top: int) -> dict[int, int]:
+    """Minimal-model generators in each degree 2..top of a wedge of 2-spheres.
+
+    The homotopy Lie algebra L has the tensor algebra on ``spheres`` classes
+    of degree 1 as enveloping algebra, with Poincare series 1/(1 - spheres*t).
+    By Poincare-Birkhoff-Witt that series is
+    prod_{n odd} (1 + t^n)^{l_n} * prod_{n even} (1 - t^n)^{-l_n}, and l_n, the
+    number of generators in degree n + 1, is solved for degree by degree.
+    Each factor is expanded as a binomial series.
+    """
+    m = top - 1
+    fixed = [1] + [0] * m  # product of the factors of degree below n
+    counts = {}
+    for n in range(1, m + 1):
+        l_n = spheres**n - fixed[n]
+        counts[n + 1] = l_n
+        if l_n == 0:
+            continue
+        factor = [0] * (m + 1)
+        for j in range(m // n + 1):
+            factor[j * n] = comb(l_n, j) if n % 2 else comb(l_n + j - 1, j)
+        fixed = [sum(fixed[i] * factor[k - i] for i in range(k + 1)) for k in range(m + 1)]
+    return counts

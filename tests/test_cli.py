@@ -163,6 +163,34 @@ def truncated_problem():
     }
 
 
+def minimal_model_problem():
+    return {
+        "version": "1",
+        "task": "minimal-model",
+        "algebras": {"A": {"type": "power-quotient", "degree": 2, "power": 3, "cutoff": 7}},
+        "task_args": {"target": "A", "upto": 6},
+    }
+
+
+def suspend_problem():
+    return {
+        "version": "1",
+        "task": "suspend",
+        "algebras": {"S2": {"type": "power-quotient", "degree": 2, "power": 2, "cutoff": 6}},
+        "task_args": {"model": "S2", "upto": 5},
+    }
+
+
+def ss_problem():
+    return {
+        "version": "1",
+        "task": "ss",
+        "complexes": {"K": {"vertices": [0, 1, 2], "maximal": [[0, 1], [1, 2], [0, 2]]}},
+        "systems": {"E": {"type": "forms", "base": "K", "total_degree": 2, "cutoff": 4}},
+        "task_args": {"system": "E", "p_max": 1, "q_max": 1},
+    }
+
+
 @pytest.mark.parametrize(
     "make, mutate",
     [
@@ -192,6 +220,10 @@ def truncated_problem():
         (truncated_problem, _set(("algebras", "A", "diff"), {"0": [[0, 0]]})),
         (truncated_problem, _set(("algebras", "A", "mult", 0), [0, 0, 0])),
         (truncated_problem, _set(("algebras", "A", "labels"), 5)),
+        (torus_problem, _set(("task_args", "upto"), -1)),
+        (minimal_model_problem, _set(("task_args", "upto"), -1)),
+        (ss_problem, _set(("task_args", "p_max"), -1)),
+        (ss_problem, _set(("task_args", "q_max"), -1)),
     ],
 )
 def test_malformed_references_and_integers_exit_2(tmp_path, capsys, make, mutate):
@@ -199,6 +231,34 @@ def test_malformed_references_and_integers_exit_2(tmp_path, capsys, make, mutate
     assert code == 2
     assert out == ""
     assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "make, mutate, flags, bound",
+    [
+        (torus_problem, lambda doc: doc, ["--upto", "-3"], "upto"),
+        (ss_problem, _set(("task_args", "p_max"), -1), ["--verify"], "p_max"),
+        (suspend_problem, _set(("task_args", "upto"), 0), [], "upto"),
+        (suspend_problem, _set(("task_args", "upto"), -2), [], "upto"),
+    ],
+)
+def test_degree_bounds_below_range_exit_2_naming_the_bound(
+    tmp_path, capsys, make, mutate, flags, bound
+):
+    doc = write(tmp_path, mutate(make()))
+    code, out, err = run_cli(capsys, [doc, "--format", "machine", *flags])
+    assert code == 2 and out == ""
+    assert "input error" in err and bound in err
+
+
+def test_internal_error_exits_1_with_its_own_prefix(tmp_path, capsys, monkeypatch):
+    from cdgalab import sullivan
+
+    monkeypatch.setattr(sullivan, "is_quasi_iso", lambda *args, **kwargs: (False, 2))
+    path = write(tmp_path, minimal_model_problem())
+    code, out, err = run_cli(capsys, [path, "--format", "machine"])
+    assert code == 1 and out == ""
+    assert err.startswith("internal error:")
 
 
 def test_integral_strings_are_integers(tmp_path, capsys):

@@ -3,14 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from cdgalab.cdga import FreeCDGA, cohomology_dims, truncate
-from cdgalab.errors import PreconditionError
+from cdgalab import sullivan
+from cdgalab.cdga import FreeCDGA, cohomology_dims, tensor_product, truncate
+from cdgalab.errors import InputError, InternalError, PreconditionError
 from cdgalab.exactlin import QMatrix
 from cdgalab.graded import FreeGCA
 from cdgalab.sullivan import loop_model, minimal_model, minimality_check
 
-from fixtures import cp_model, power_quotient_dga, sphere_odd_free
-from helpers import naive_rank
+from fixtures import (
+    cp2_formal,
+    cp_model,
+    power_quotient_dga,
+    sphere_even_model,
+    sphere_odd_free,
+    wedge_of_2_spheres,
+)
+from helpers import naive_rank, wedge_generator_counts
 
 
 # -- minimality check ------------------------------------------------------
@@ -87,6 +95,45 @@ def test_minimal_model_output_is_minimal_and_quasi_iso():
     # the comparison was verified inside; spot-check H dims agree
     t = truncate(res.model, 9)
     assert cohomology_dims(t, 7) == cohomology_dims(target, 7)
+
+
+def test_minimal_model_rejects_a_negative_upto():
+    with pytest.raises(InputError, match="upto"):
+        minimal_model(cp2_formal(7), -1)
+
+
+def test_failed_final_check_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(sullivan, "is_quasi_iso", lambda *args, **kwargs: (False, 3))
+    with pytest.raises(InternalError, match="quasi-iso at 3"):
+        minimal_model(cp2_formal(7), 6)
+
+
+STAGED_TARGETS = {
+    "cp2": (lambda: cp2_formal(9), None),
+    "wedge2": (lambda: wedge_of_2_spheres(2, 9), 2),
+    "wedge3": (lambda: wedge_of_2_spheres(3, 7), 3),
+    "s3xs2": (
+        lambda: tensor_product(truncate(sphere_odd_free(3), 8), sphere_even_model(8), cutoff=8),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGED_TARGETS))
+def test_staged_build_matches_a_fresh_truncation(name):
+    make, spheres = STAGED_TARGETS[name]
+    target = make()
+    res = minimal_model(target, target.cutoff - 1)
+    # a new FreeCDGA computes every monomial differential afresh
+    fresh = truncate(FreeCDGA(res.model.gca, res.model.diff), target.cutoff)
+    source = res.comparison.source
+    assert [b.keys for b in source.bases] == [b.keys for b in fresh.bases]
+    assert source.diff_mats == fresh.diff_mats
+    if spheres is not None:
+        top = target.cutoff - 2  # the last stage adds no generators that kill classes
+        degrees = [g.degree for g in res.model.gca.generators]
+        expected = wedge_generator_counts(spheres, top)
+        assert {n: degrees.count(n) for n in range(2, top + 1)} == expected
 
 
 # -- loop models ---------------------------------------------------------------
