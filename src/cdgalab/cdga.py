@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import CutoffTooSmallError, InputError
@@ -29,6 +30,7 @@ from .exactlin import (
     Vector,
     ZERO,
     column_space_basis,
+    concat,
     kernel_basis,
     rank,
     rat,
@@ -99,9 +101,6 @@ class FreeCDGA:
         out = FreeCDGA(gca, images, check=False)
         out._mono_d = {m + pad: lift(terms) for m, terms in self._mono_d.items()}
         return out
-
-    def d_gen(self, name: str) -> Element:
-        return self.diff[name]
 
     def __repr__(self):
         return f"FreeCDGA({self.gca!r})"
@@ -415,8 +414,11 @@ def truncate(f: FreeCDGA, cutoff: int) -> TruncatedDGA:
     ]
 
     def mult_fn(i, a, j, b):
-        prod = gca.element({bases[i].keys[a]: ONE}) * gca.element({bases[j].keys[b]: ONE})
-        return bases[i + j].vector(prod.terms)
+        prod = gca.mono_mul(bases[i].keys[a], bases[j].keys[b])
+        if prod is None:
+            return bases[i + j].vector({})
+        sign, mono = prod
+        return bases[i + j].vector({mono: ONE if sign > 0 else -ONE})
 
     return TruncatedDGA(
         cutoff,
@@ -486,21 +488,84 @@ def power_quotient_dga(degree: int, power: int, cutoff: int) -> TruncatedDGA:
     )
 
 
+class BlockSum:
+    """Vectors of A_0 (+) ... (+) A_m up to ``cutoff``, written block after block.
+
+    The operations are blockwise: each part differentiates and multiplies
+    only its own block.  This is not a :class:`TruncatedDGA` over the whole
+    sum, whose ``multiply`` would look up a product for every pair of entries,
+    blocks apart or not.  Fiber products and global sections are carried by
+    kernels inside such a sum.
+    """
+
+    __slots__ = ("parts", "cutoff", "unit", "_starts")
+
+    def __init__(self, parts: Sequence[TruncatedDGA], cutoff: int):
+        self.parts = tuple(parts)
+        self.cutoff = cutoff
+        self.unit = concat(*(part.unit for part in self.parts))
+        self._starts = [
+            list(accumulate((part.dim(k) for part in self.parts), initial=0))
+            for k in range(cutoff + 1)
+        ]
+
+    def dim(self, k: int) -> int:
+        return self._starts[k][-1] if 0 <= k <= self.cutoff else 0
+
+    def offsets(self, k: int) -> list[int]:
+        """Where each block starts in degree k, followed by the total dimension."""
+        return self._starts[k]
+
+    def split(self, k: int, v: Vector) -> list[Vector]:
+        """The blocks of a degree-k vector."""
+        starts = self._starts[k]
+        if len(v) != starts[-1]:
+            raise InputError(f"vector of length {len(v)} in a sum of dimension {starts[-1]}")
+        return [v[lo:hi] for lo, hi in zip(starts, starts[1:])]
+
+    def inject(self, t: int, k: int, v: Vector) -> Vector:
+        """The degree-k vector that is ``v`` in block t and zero elsewhere."""
+        starts = self._starts[k]
+        return zero_vector(starts[t]) + tuple(v) + zero_vector(starts[-1] - starts[t + 1])
+
+    def projection(self, t: int, k: int) -> QMatrix:
+        """The matrix that reads block t off a degree-k vector."""
+        lo, n = self._starts[k][t], self.parts[t].dim(k)
+        return QMatrix(n, self.dim(k), {(r, lo + r): ONE for r in range(n)})
+
+    def d_matrix(self, k: int) -> QMatrix:
+        """The block-diagonal differential out of degree k."""
+        if not 0 <= k < self.cutoff:
+            raise CutoffTooSmallError(f"no differential out of degree {k} (cutoff {self.cutoff})")
+        entries = {}
+        for part, r0, c0 in zip(self.parts, self._starts[k + 1], self._starts[k]):
+            for (r, c), x in part.d_matrix(k).entries.items():
+                entries[(r0 + r, c0 + c)] = x
+        return QMatrix(self.dim(k + 1), self.dim(k), entries)
+
+    def multiply(self, i: int, va: Vector, j: int, vb: Vector) -> Vector:
+        """Blockwise product of a degree-i vector and a degree-j vector."""
+        pairs = zip(self.parts, self.split(i, va), self.split(j, vb))
+        return concat(*(part.multiply(i, x, j, y) for part, x, y in pairs))
+
+    def level_subspace(self, k: int, p: int) -> list[Vector]:
+        """The level ``>= p`` subspaces of the parts, block after block."""
+        return [
+            self.inject(t, k, v)
+            for t, part in enumerate(self.parts)
+            for v in part.level_subspace(k, p)
+        ]
+
+
 def direct_sum(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = None) -> TruncatedDGA:
     """Product DG algebra A x B (componentwise operations, unit (1,1))."""
     if cutoff is None:
         cutoff = min(a.cutoff, b.cutoff)
     if cutoff > min(a.cutoff, b.cutoff):
         raise InputError("cutoff exceeds a summand cutoff")
-    dims = [a.dim(k) + b.dim(k) for k in range(cutoff + 1)]
-    diff_mats = []
-    for k in range(cutoff):
-        entries = {}
-        for (r, c), v in a.d_matrix(k).entries.items():
-            entries[(r, c)] = v
-        for (r, c), v in b.d_matrix(k).entries.items():
-            entries[(r + a.dim(k + 1), c + a.dim(k))] = v
-        diff_mats.append(QMatrix(dims[k + 1], dims[k], entries))
+    blocks = BlockSum((a, b), cutoff)
+    dims = [blocks.dim(k) for k in range(cutoff + 1)]
+    diff_mats = [blocks.d_matrix(k) for k in range(cutoff)]
 
     def mult_fn(i, ia, j, jb):
         k = i + j
@@ -535,7 +600,7 @@ def direct_sum(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = None) -
     return TruncatedDGA(
         cutoff,
         dims,
-        a.unit + b.unit,
+        blocks.unit,
         diff_mats,
         mult_fn,
         labels=labels,
@@ -671,15 +736,6 @@ class GradedCohomology:
             prod = self.algebra.multiply(p, self.reps[p][i], q, self.reps[q][j])
             self._tables[key] = self.class_of(p + q, prod)
         return self._tables[key]
-
-    def product_table(self) -> dict:
-        out = {}
-        for p in range(self.upto + 1):
-            for q in range(p, self.upto + 1 - p):
-                for i in range(self.dims[p]):
-                    for j in range(self.dims[q]):
-                        out[(p, i, q, j)] = self.cup(p, i, q, j)
-        return out
 
 
 def cohomology(a: TruncatedDGA, upto: int) -> GradedCohomology:

@@ -16,9 +16,10 @@ product zero; its cohomology is the reduced cohomology of m shifted up once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .cdga import (
+    BlockSum,
     DGMorphism,
     TruncatedDGA,
     cohomology,
@@ -42,7 +43,6 @@ from .exactlin import (
     rank,
     solve_many,
     unit_vector,
-    zero_vector,
 )
 from .polyforms import forms_dga
 
@@ -74,27 +74,24 @@ class FiberProductDGA:
     def b(self) -> TruncatedDGA:
         return self.g.source
 
+    @property
+    def ambient(self) -> BlockSum:
+        """The sum A (+) B that the kernels live in."""
+        return BlockSum((self.a, self.b), self.carrier.cutoff)
 
-def _kernel_carrier(
-    kernels: list[KernelBasis],
-    ambient_d: list[QMatrix],
-    ambient_mult,
-    ambient_unit: Vector,
-    cutoff: int,
-    ambient_level_subspace,
-    name: str = "",
-) -> TruncatedDGA:
-    """Shared construction: a sub-DG-algebra presented by kernel bases.
 
-    ``ambient_mult(k1, v1, k2, v2)`` multiplies ambient vectors (may raise
-    CutoffTooSmallError), ``ambient_d[k]`` differentiates them and
-    ``ambient_level_subspace(k, p)`` spans their level ``>= p`` part.  Returns
-    the TruncatedDGA whose degree-k basis is ``kernels[k].vectors``.
+def _kernel_carrier(kernels: list[KernelBasis], ambient: BlockSum, name: str) -> TruncatedDGA:
+    """Shared construction: a sub-DG-algebra of ``ambient`` presented by kernel bases.
+
+    Returns the TruncatedDGA whose degree-k basis is ``kernels[k].vectors``,
+    with the differential, product, unit and levels of the ambient sum.
     """
+    cutoff = ambient.cutoff
     dims = [kernels[k].rank for k in range(cutoff + 1)]
     diff_mats = []
     for k in range(cutoff):
-        images = [ambient_d[k].matvec(v) for v in kernels[k].vectors]
+        d = ambient.d_matrix(k)
+        images = [d.matvec(v) for v in kernels[k].vectors]
         cols = kernels[k + 1].express(
             images, "differential does not preserve the kernel subspace"
         )
@@ -102,17 +99,17 @@ def _kernel_carrier(
 
     def mult_fn(i, a, j, b):
         try:
-            prod = ambient_mult(i, kernels[i].vectors[a], j, kernels[j].vectors[b])
+            prod = ambient.multiply(i, kernels[i].vectors[a], j, kernels[j].vectors[b])
         except CutoffTooSmallError:
             return None
         return kernels[i + j].express([prod], "product does not preserve the kernel subspace")[0]
 
-    (unit,) = kernels[0].express([ambient_unit], "the unit is not a compatible family")
+    (unit,) = kernels[0].express([ambient.unit], "the unit is not a compatible family")
 
     def level_fn(k, p):
         # x in carrier coords with incl * x inside span(sub); incl is
         # injective, so an empty sub has only x = 0
-        sub = ambient_level_subspace(k, p)
+        sub = ambient.level_subspace(k, p)
         return preimage_basis(kernels[k].inclusion, sub) if sub else []
 
     return TruncatedDGA(
@@ -139,72 +136,20 @@ def fiber_product(f: DGMorphism, g: DGMorphism, upto: int) -> FiberProductDGA:
             f"fiber_product up to degree {upto} needs leg cutoffs at least {upto}"
         )
 
-    ambient_dims = [a.dim(k) + b.dim(k) for k in range(cutoff + 1)]
     kernels = []
     for k in range(cutoff + 1):
         m = f.mats[k].hstack(g.mats[k].scale(-1))
         kernels.append(KernelBasis(m, kernel_basis(m)))
-
-    ambient_d = []
-    for k in range(cutoff):
-        entries = {}
-        for (r, cc), v in a.d_matrix(k).entries.items():
-            entries[(r, cc)] = v
-        for (r, cc), v in b.d_matrix(k).entries.items():
-            entries[(r + a.dim(k + 1), cc + a.dim(k))] = v
-        ambient_d.append(QMatrix(ambient_dims[k + 1], ambient_dims[k], entries))
-
-    def ambient_mult(i, va, j, vb):
-        pa = a.multiply(i, va[: a.dim(i)], j, vb[: a.dim(j)])
-        pb = b.multiply(i, va[a.dim(i) :], j, vb[a.dim(j) :])
-        return pa + pb
-
-    def ambient_levels(k, p):
-        out = []
-        for v in a.level_subspace(k, p):
-            out.append(tuple(v) + zero_vector(b.dim(k)))
-        for v in b.level_subspace(k, p):
-            out.append(zero_vector(a.dim(k)) + tuple(v))
-        return out
-
-    carrier = _kernel_carrier(
-        kernels, ambient_d, ambient_mult, a.unit + b.unit, cutoff, ambient_levels,
-        name="fiber_product",
-    )
-
-    proj_a = DGMorphism(
-        carrier,
-        a,
-        [
-            QMatrix(
-                a.dim(k),
-                carrier.dim(k),
-                {
-                    (r, cc): v
-                    for (r, cc), v in kernels[k].inclusion.entries.items()
-                    if r < a.dim(k)
-                },
-            )
-            for k in range(cutoff + 1)
-        ],
-        check="none",
-    )
-    proj_b = DGMorphism(
-        carrier,
-        b,
-        [
-            QMatrix(
-                b.dim(k),
-                carrier.dim(k),
-                {
-                    (r - a.dim(k), cc): v
-                    for (r, cc), v in kernels[k].inclusion.entries.items()
-                    if r >= a.dim(k)
-                },
-            )
-            for k in range(cutoff + 1)
-        ],
-        check="none",
+    ambient = BlockSum((a, b), cutoff)
+    carrier = _kernel_carrier(kernels, ambient, name="fiber_product")
+    proj_a, proj_b = (
+        DGMorphism(
+            carrier,
+            part,
+            [ambient.projection(t, k).matmul(kernels[k].inclusion) for k in range(cutoff + 1)],
+            check="none",
+        )
+        for t, part in enumerate((a, b))
     )
     return FiberProductDGA(f, g, carrier, proj_a, proj_b)
 
@@ -247,15 +192,14 @@ def mayer_vietoris(fp: FiberProductDGA, upto: int) -> MayerVietorisReport:
     h_b = cohomology(b, upto)
     h_c = cohomology(c, upto)
 
+    ambient = fp.ambient
     rep = MayerVietorisReport(upto=upto)
     # restriction: class of (x_a, x_b) components
     for k in range(upto + 1):
         cols = []
         for v in h_fp.reps[k]:
-            amb = fp.kernels[k].inclusion.matvec(v)
-            ca = h_a.class_of(k, amb[: a.dim(k)])
-            cb = h_b.class_of(k, amb[a.dim(k) :])
-            cols.append(tuple(ca) + tuple(cb))
+            xa, xb = ambient.split(k, fp.kernels[k].inclusion.matvec(v))
+            cols.append(tuple(h_a.class_of(k, xa)) + tuple(h_b.class_of(k, xb)))
         rep.restriction.append(QMatrix.from_cols(cols, h_a.dims[k] + h_b.dims[k]))
         # difference map f* - g*
         cols = []
@@ -269,10 +213,8 @@ def mayer_vietoris(fp: FiberProductDGA, upto: int) -> MayerVietorisReport:
         pres = solve_many(fp.kernels[k].matrix, h_c.reps[k])
         if any(pre is None for pre in pres):
             raise PreconditionError(f"no preimage for a class in degree {k}")
-        images = [
-            concat(a.apply_d(k, pre[: a.dim(k)]), b.apply_d(k, pre[a.dim(k) :]))
-            for pre in pres
-        ]
+        d = ambient.d_matrix(k)
+        images = [d.matvec(pre) for pre in pres]
         sols = fp.kernels[k + 1].express(images, "connecting image is not in the fiber product")
         cols = [h_fp.class_of(k + 1, sol) for sol in sols]
         rep.connecting.append(QMatrix.from_cols(cols, h_fp.dims[k + 1]))
@@ -394,17 +336,32 @@ def induced_fp_map(
     ``on_a`` and ``on_b`` must commute with the legs; the image of a kernel
     vector is re-expressed in the target kernel basis.
     """
-    cap = min(src.carrier.cutoff, dst.carrier.cutoff)
-    mats = []
-    for k in range(cap + 1):
-        da = src.a.dim(k)
-        imgs = [
-            concat(on_a.apply(k, amb[:da]), on_b.apply(k, amb[da:]))
-            for amb in src.kernels[k].vectors
-        ]
-        cols = dst.kernels[k].express(imgs, "image does not satisfy the target leg equation")
-        mats.append(QMatrix.from_cols(cols, dst.carrier.dim(k)))
+    mats = _push(
+        (on_a, on_b), src.carrier, dst.carrier, "image does not satisfy the target leg equation"
+    )
     return DGMorphism(src.carrier, dst.carrier, mats, check=check)
+
+
+def _push(
+    maps: Sequence[DGMorphism], src: TruncatedDGA, dst: TruncatedDGA, message: str
+) -> list[QMatrix]:
+    """Matrices of the map of kernel carriers that ``maps`` induce blockwise.
+
+    ``src`` and ``dst`` are carried by kernels in sums whose blocks are the
+    sources and the targets of ``maps``.  Each kernel vector of ``src`` goes
+    through the maps block by block and is written in the kernels of ``dst``;
+    an image outside them raises InputError(message).
+    """
+    blocks = BlockSum([h.source for h in maps], min(src.cutoff, dst.cutoff))
+    mats = []
+    for k in range(blocks.cutoff + 1):
+        images = [
+            concat(*(h.apply(k, x) for h, x in zip(maps, blocks.split(k, v))))
+            for v in src.kernels[k].vectors  # type: ignore[index]
+        ]
+        cols = dst.kernels[k].express(images, message)  # type: ignore[index]
+        mats.append(QMatrix.from_cols(cols, dst.dim(k)))
+    return mats
 
 
 def theta_equivalence_check(
@@ -434,8 +391,10 @@ def endpoint_evaluations(cyl: TruncatedDGA, m: TruncatedDGA, mm: TruncatedDGA) -
     """Evaluation (t=0, t=1) from m (x) interval-forms onto m x m."""
     mats = []
     cap = min(cyl.cutoff, mm.cutoff)
+    blocks = BlockSum((m, m), cap)
     for k in range(cap + 1):
         entries = {}
+        second = blocks.offsets(k)[1]
         for col, (i, ia, j, jb) in enumerate(cyl.bases[k].keys):
             if j != 0:
                 continue  # dt-terms vanish at the endpoints
@@ -443,7 +402,7 @@ def endpoint_evaluations(cyl: TruncatedDGA, m: TruncatedDGA, mm: TruncatedDGA) -
             # t^jb is 1 at t = 1 and [jb = 0] at t = 0
             if jb == 0:
                 entries[(ia, col)] = ONE
-            entries[(ia + m.dim(k), col)] = ONE
+            entries[(ia + second, col)] = ONE
         mats.append(QMatrix(mm.dim(k), cyl.dim(k), entries))
     return DGMorphism(cyl, mm, mats, check="auto", name="endpoint evaluation")
 
@@ -452,12 +411,8 @@ def two_point_unit_leg(mm: TruncatedDGA, m: TruncatedDGA, cutoff: int) -> tuple[
     """The algebra Q x Q with its unit-pair inclusion into m x m."""
     qq = direct_sum(point_dga(cutoff), point_dga(cutoff))
     mats = [QMatrix.zero(mm.dim(k), qq.dim(k)) for k in range(min(qq.cutoff, mm.cutoff) + 1)]
-    entries = {}
-    for r, v in enumerate(m.unit):
-        if v:
-            entries[(r, 0)] = v
-            entries[(r + m.dim(0), 1)] = v
-    mats[0] = QMatrix(mm.dim(0), 2, entries)
+    blocks = BlockSum((m, m), 0)
+    mats[0] = QMatrix.from_cols([blocks.inject(t, 0, m.unit) for t in (0, 1)], mm.dim(0))
     return qq, DGMorphism(qq, mm, mats, check="auto", name="unit pair")
 
 
@@ -481,16 +436,17 @@ def suspension_inclusion(susp: SuspensionModel, fp: FiberProductDGA) -> DGMorphi
     cap = min(susp.carrier.cutoff, fp.carrier.cutoff)
     # index of dt among the degree-1 interval basis: interval pairs are
     # (i, ia, 1, jb) with jb indexing t^l dt; dt itself is jb = 0
+    ambient = fp.ambient
     mats = []
     for k in range(cap + 1):
         ambs = []
         for t in range(susp.carrier.dim(k)):
             if k == 0:
-                amb = concat(cyl.unit, fp.b.unit)
+                amb = ambient.unit
             else:
                 w = susp.shifted_basis[k][t]
                 terms = {(k - 1, r, 1, 0): val for r, val in enumerate(w) if val}
-                amb = cyl.bases[k].vector(terms) + zero_vector(fp.b.dim(k))
+                amb = ambient.inject(0, k, cyl.bases[k].vector(terms))
             ambs.append(amb)
         cols = fp.kernels[k].express(ambs, "suspension element is not in the fiber product")
         mats.append(QMatrix.from_cols(cols, fp.carrier.dim(k)))

@@ -118,9 +118,10 @@ class FreeGCA:
         expo = [0] * self.ngens
 
         def rec(i: int, remaining: int):
+            if remaining == 0:
+                out.append(tuple(expo))
+                return
             if i == self.ngens:
-                if remaining == 0:
-                    out.append(tuple(expo))
                 return
             d = self.degrees[i]
             max_e = remaining // d

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .cdga import (
+    BlockSum,
     DGMorphism,
     GradedCohomology,
     TruncatedDGA,
@@ -24,21 +25,19 @@ from .cdga import (
     tensor_morphism,
     tensor_product,
 )
-from .errors import InputError, PreconditionError
+from .errors import CdgaError, InputError, PreconditionError
 from .exactlin import (
     ONE,
     KernelBasis,
     QMatrix,
     RowSpace,
-    Vector,
     ZERO,
     concat,
     kernel_basis,
     rank,
     unit_vector,
-    zero_vector,
 )
-from .gluing import FiberProductDGA, _kernel_carrier, fiber_product, interval_forms
+from .gluing import FiberProductDGA, _kernel_carrier, _push, fiber_product, interval_forms
 from .polyforms import (
     SimplicialComplexK,
     Simplex,
@@ -74,6 +73,8 @@ class FiniteLocalSystem:
         return self.restriction(facet, t).compose(first)
 
     def min_cutoff(self) -> int:
+        if not self.fibers:
+            raise InputError("the base complex has no simplices")
         return min(f.cutoff for f in self.fibers.values())
 
 
@@ -97,7 +98,7 @@ def validate(e: FiniteLocalSystem) -> list[str]:
             problems.append(f"restriction endpoints wrong at ({s}, {i})")
         try:
             r._verify("auto")
-        except Exception as exc:  # noqa: BLE001
+        except CdgaError as exc:
             problems.append(f"restriction at ({s}, {i}) is not a DG morphism: {exc}")
     if problems:
         return problems  # functoriality composes restrictions, so needs their ends right
@@ -290,8 +291,9 @@ def is_extendable(e: FiniteLocalSystem, upto: Optional[int] = None):
                 for i, _f in boundary.facets(t)
             },
         )
-        kernels, layout = _sections_basis(sub, upto)
+        kernels, _ = _sections_basis(sub, upto)
         fib = e.fibers[s]
+        layout = boundary.all_simplices()
         for k in range(min(upto, fib.cutoff) + 1):
             targets = [
                 concat(*[e.restriction(s, tau).apply(k, unit_vector(fib.dim(k), t)) for tau in layout])
@@ -309,93 +311,39 @@ def is_extendable(e: FiniteLocalSystem, upto: Optional[int] = None):
 # global sections
 # ---------------------------------------------------------------------------
 
-def _sections_basis(e: FiniteLocalSystem, upto: int):
+def _sections_basis(e: FiniteLocalSystem, upto: int) -> tuple[list[KernelBasis], BlockSum]:
     """Kernels of the facet-compatibility map, per degree.
 
-    Returns (kernels, simplex layout); the ambient space in degree k is the
-    direct sum of the fibers over all simplices in layout order.
+    Returns (kernels, ambient); the ambient sum has the fibers over all
+    simplices as blocks, in simplex order.  The map sends a family to the
+    differences ``r(x_s) - x_t`` over all facets t of all simplices s, one
+    block of rows each.
     """
     layout = e.base.all_simplices()
-    kernels = []
     pairs = [(s, i, s[:i] + s[i + 1 :]) for s in layout for i, _t in e.base.facets(s)]
+    ambient = BlockSum([e.fibers[s] for s in layout], upto)
+    differences = BlockSum([e.fibers[t] for _, _, t in pairs], upto)
+    kernels = []
     for k in range(upto + 1):
-        offs = {}
-        pos = 0
-        for s in layout:
-            offs[s] = pos
-            pos += e.fibers[s].dim(k)
-        ambient_dim = pos
+        col = dict(zip(layout, ambient.offsets(k)))
         entries = {}
-        row = 0
-        for s, i, t in pairs:
-            r = e.facet_restrictions[(s, i)]
-            for (rr, cc), v in r.mats[k].entries.items():
-                entries[(row + rr, offs[s] + cc)] = v
-            tdim = e.fibers[t].dim(k)
-            for rr in range(tdim):
-                entries[(row + rr, offs[t] + rr)] = entries.get(
-                    (row + rr, offs[t] + rr), ZERO
-                ) - ONE
-            row += tdim
-        m = QMatrix(row, ambient_dim, entries)
+        for (s, i, t), row in zip(pairs, differences.offsets(k)):
+            for (rr, cc), v in e.facet_restrictions[(s, i)].mats[k].entries.items():
+                entries[(row + rr, col[s] + cc)] = v
+            for rr in range(e.fibers[t].dim(k)):
+                key = (row + rr, col[t] + rr)
+                entries[key] = entries.get(key, ZERO) - ONE
+        m = QMatrix(differences.dim(k), ambient.dim(k), entries)
         kernels.append(KernelBasis(m, kernel_basis(m)))
-    return kernels, layout
+    return kernels, ambient
 
 
 def global_sections(e: FiniteLocalSystem, upto: int) -> TruncatedDGA:
     """Compatible families as a DG algebra (the limit over the face poset)."""
     if upto > e.min_cutoff():
         raise InputError("global_sections cutoff exceeds a fiber cutoff")
-    kernels, layout = _sections_basis(e, upto)
-
-    def dims_at(k):
-        return [e.fibers[s].dim(k) for s in layout]
-
-    ambient_dims = [sum(dims_at(k)) for k in range(upto + 1)]
-    ambient_d = []
-    for k in range(upto):
-        entries = {}
-        row_off = 0
-        col_off = 0
-        for s in layout:
-            f = e.fibers[s]
-            for (rr, cc), v in f.d_matrix(k).entries.items():
-                entries[(row_off + rr, col_off + cc)] = v
-            row_off += f.dim(k + 1)
-            col_off += f.dim(k)
-        ambient_d.append(QMatrix(ambient_dims[k + 1], ambient_dims[k], entries))
-
-    def split(k: int, v: Vector):
-        out = {}
-        pos = 0
-        for s in layout:
-            n = e.fibers[s].dim(k)
-            out[s] = v[pos : pos + n]
-            pos += n
-        return out
-
-    def ambient_mult(i, va, j, vb):
-        xs = split(i, va)
-        ys = split(j, vb)
-        parts = [e.fibers[s].multiply(i, xs[s], j, ys[s]) for s in layout]
-        return concat(*parts)
-
-    def ambient_levels(k, p):
-        out = []
-        pos = 0
-        for s in layout:
-            f = e.fibers[s]
-            for v in f.level_subspace(k, p):
-                out.append(
-                    zero_vector(pos) + tuple(v) + zero_vector(ambient_dims[k] - pos - f.dim(k))
-                )
-            pos += f.dim(k)
-        return out
-
-    unit = concat(*[e.fibers[s].unit for s in layout])
-    return _kernel_carrier(
-        kernels, ambient_d, ambient_mult, unit, upto, ambient_levels, name="global_sections"
-    )
+    kernels, ambient = _sections_basis(e, upto)
+    return _kernel_carrier(kernels, ambient, name="global_sections")
 
 
 # ---------------------------------------------------------------------------
@@ -456,24 +404,10 @@ def fiber_product_system(
     fibers = {s: carriers[s].carrier for s in base.all_simplices()}
     restr = {}
     for s in base.all_simplices():
-        a1 = f.source
-        a2 = g.source
         for i, t in base.facets(s):
-            src = carriers[s]
-            tgt = carriers[t]
-            mats = []
-            for k in range(upto + 1):
-                d1 = a1.fibers[s].dim(k)
-                imgs = [
-                    concat(
-                        a1.facet_restrictions[(s, i)].apply(k, amb[:d1]),
-                        a2.facet_restrictions[(s, i)].apply(k, amb[d1:]),
-                    )
-                    for amb in src.kernels[k].vectors
-                ]
-                cols = tgt.kernels[k].express(imgs, "restriction leaves the fiber product")
-                mats.append(QMatrix.from_cols(cols, tgt.carrier.dim(k)))
-            restr[(s, i)] = DGMorphism(src.carrier, tgt.carrier, mats, check="none")
+            legs = (f.source.facet_restrictions[(s, i)], g.source.facet_restrictions[(s, i)])
+            mats = _push(legs, fibers[s], fibers[t], "restriction leaves the fiber product")
+            restr[(s, i)] = DGMorphism(fibers[s], fibers[t], mats, check="none")
     return FiniteLocalSystem(base, fibers, restr), carriers
 
 

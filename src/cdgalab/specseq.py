@@ -29,6 +29,7 @@ from .exactlin import (
     rank,
     unit_vector,
 )
+from .gluing import _push
 from .localsys import (
     FiniteLocalSystem,
     SystemMorphism,
@@ -408,21 +409,8 @@ def triple_morphism_pages(
         q_max = max(0, upto - 1)
     src, dst = src_fc.algebra, dst_fc.algebra
     # validate() saw one base, so both section layouts are its simplices in order
-    layout = m.source.base.all_simplices()
-
-    gamma_mats = []
-    for k in range(upto + 1):
-        images = []
-        for amb in src.kernels[k].vectors:  # type: ignore[index]
-            out_parts = []
-            pos = 0
-            for s in layout:
-                n_s = m.source.fibers[s].dim(k)
-                out_parts.append(m.maps[s].apply(k, amb[pos : pos + n_s]))
-                pos += n_s
-            images.append(tuple(x for part in out_parts for x in part))
-        cols = dst.kernels[k].express(images, "section image is not a compatible family")  # type: ignore[index]
-        gamma_mats.append(QMatrix.from_cols(cols, dst.dim(k)))
+    maps = [m.maps[s] for s in m.source.base.all_simplices()]
+    gamma_mats = _push(maps, src, dst, "section image is not a compatible family")
 
     failures = []
     # filtered map check

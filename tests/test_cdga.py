@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cdgalab.cdga import (
+    BlockSum,
     DGMorphism,
     FreeCDGA,
     check_d_squared,
@@ -143,6 +144,26 @@ def test_direct_sum_cohomology_is_product():
         hb = cohomology_dims(b, 5)
         hs = cohomology_dims(s, 5)
         assert hs == [x + y for x, y in zip(ha, hb)]
+
+
+def test_block_sum_agrees_with_the_direct_sum_tables():
+    # BlockSum multiplies block by block; direct_sum looks every basis pair
+    # up in its own product table, so the two are computed independently
+    rng = random.Random(7)
+    a, b = truncate(cp_model(1), 6), torus_model(6)
+    blocks, s = BlockSum((a, b), 6), direct_sum(a, b)
+    assert blocks.unit == s.unit
+    for k in range(6):
+        assert blocks.d_matrix(k) == s.d_matrix(k)
+    for i in range(4):
+        for j in range(6 - i + 1):
+            x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(s.dim(i)))
+            y = tuple(Fraction(rng.randint(-2, 2)) for _ in range(s.dim(j)))
+            assert blocks.multiply(i, x, j, y) == s.multiply(i, x, j, y)
+            xa, xb = blocks.split(i, x)
+            assert [blocks.projection(t, i).matvec(x) for t in (0, 1)] == [xa, xb]
+            joined = zip(blocks.inject(0, i, xa), blocks.inject(1, i, xb))
+            assert tuple(u + v for u, v in joined) == x
 
 
 # -- morphisms -----------------------------------------------------------

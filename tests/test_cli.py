@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -224,6 +225,7 @@ def ss_problem():
         (minimal_model_problem, _set(("task_args", "upto"), -1)),
         (ss_problem, _set(("task_args", "p_max"), -1)),
         (ss_problem, _set(("task_args", "q_max"), -1)),
+        (ss_problem, _set(("complexes", "K", "maximal"), [])),
     ],
 )
 def test_malformed_references_and_integers_exit_2(tmp_path, capsys, make, mutate):
@@ -269,8 +271,8 @@ def test_integral_strings_are_integers(tmp_path, capsys):
     assert json.loads(out)["result"]["dims"] == [1, 2, 1]
 
 
-def test_loop_model_task(tmp_path, capsys):
-    doc = {
+def loop_model_problem():
+    return {
         "version": "1",
         "task": "loop-model",
         "algebras": {
@@ -283,7 +285,10 @@ def test_loop_model_task(tmp_path, capsys):
         },
         "task_args": {"model": "CP1", "upto": 4},
     }
-    code, out, _ = run_cli(capsys, [write(tmp_path, doc), "--format", "machine"])
+
+
+def test_loop_model_task(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, [write(tmp_path, loop_model_problem()), "--format", "machine"])
     assert code == 0
     report = json.loads(out)
     assert report["result"]["cohomology_dims"] == [1, 1, 1, 1, 1]
@@ -291,8 +296,9 @@ def test_loop_model_task(tmp_path, capsys):
     assert degs == [1, 2, 2, 3]
 
 
-def test_glue_task_circle_with_verify(tmp_path, capsys):
-    doc = {
+def glue_problem():
+    """The interval glued to itself at its endpoints: a circle."""
+    return {
         "version": "1",
         "task": "glue",
         "algebras": {
@@ -310,7 +316,11 @@ def test_glue_task_circle_with_verify(tmp_path, capsys):
         },
         "task_args": {"f": "ev", "g": "diag", "upto": 4},
     }
-    code, out, _ = run_cli(capsys, [write(tmp_path, doc), "--format", "machine", "--verify"])
+
+
+def test_glue_task_circle_with_verify(tmp_path, capsys):
+    path = write(tmp_path, glue_problem())
+    code, out, _ = run_cli(capsys, [path, "--format", "machine", "--verify"])
     assert code == 0
     report = json.loads(out)
     assert report["result"]["cohomology_dims"] == [1, 1, 0, 0]
@@ -499,3 +509,27 @@ def test_truncated_problem_fixture_is_well_formed(tmp_path, capsys):
     code, out, _ = run_cli(capsys, [write(tmp_path, truncated_problem()), "--format", "machine"])
     assert code == 0
     assert json.loads(out)["result"]["dims"] == [1, 1]
+
+
+# sha256 of the --format machine stdout of each fixture; a refactor that is
+# meant to keep every report byte-identical must keep these
+REPORT_DIGESTS = [
+    (torus_problem, [], "9e863dff78df8a9690d7cc19531efe391174fd9e3c27ca90b9ee1153f4668fe2"),
+    (truncated_problem, [], "91c0c998731c32e86a845bfbccd3fdc8fd3af6b54e4fab61fe6619d9dc738549"),
+    (minimal_model_problem, [], "ecd974477e101dd91804725e78b8727d39ff50640d9e0885499af939b10a9777"),
+    (loop_model_problem, [], "535c6176ab7ad35f50900cc5452f09b5942b446a55a611f6a8ca31e0baf00a80"),
+    (glue_problem, ["--verify"], "b83ca130d4b412529429efddb1346623fbbc4efe4ed19ef8df0f34a32002c640"),
+    (suspend_problem, [], "20e5a15f831e2002dab804e88247cf1bb5659996d33d824e0a4d8bc89a5e7a2d"),
+    (edge_system_problem, [], "6a509920383b14003f0ab8d9710ce09e66dfe405372a4ae5e8e080c46d40f82e"),
+    (ss_problem, ["--verify"], "4b5ef8412cb47155499010a0de18ee7d81bff4f3b18c4e354ced58b03ad3e38c"),
+    (admissible_problem, [], "ac0fca6187442ebb130598a9614920e2e981e743dc1762b7851c06e77b9e74f7"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, flags, digest", REPORT_DIGESTS, ids=[make.__name__ for make, _, _ in REPORT_DIGESTS]
+)
+def test_machine_reports_are_byte_identical(tmp_path, capsys, make, flags, digest):
+    code, out, _ = run_cli(capsys, [write(tmp_path, make()), "--format", "machine", *flags])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

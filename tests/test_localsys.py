@@ -102,6 +102,18 @@ def test_non_multiplicative_restriction_detected():
     assert any("not a DG morphism" in p for p in problems)
 
 
+def test_validate_lets_a_program_fault_through(monkeypatch):
+    # only library errors describe a bad restriction; anything else is a bug
+    # in the program and must not be reported as "not a DG morphism"
+    def broken(self, mode):
+        raise RuntimeError("broken check")
+
+    e = constant_system(cycle_complex(3), sphere_even_model(5))
+    monkeypatch.setattr(DGMorphism, "_verify", broken)
+    with pytest.raises(RuntimeError, match="broken check"):
+        validate(e)
+
+
 # -- predicates ------------------------------------------------------------------
 
 def test_constant_system_locally_constant():
