@@ -130,17 +130,17 @@ class TruncatedDGA:
     for ``i <= j``, or None when the product was dropped.  Tables may be
     supplied lazily; results are cached.  ``levels`` optionally attaches a
     filtration level to every basis element (used by the spectral sequence
-    machinery); ``level_fn(k, p)`` may instead return a basis of the level
-    ``>= p`` subspace in degree ``k``.  ``bases`` optionally names the basis
-    elements of every degree by keys: a monomial, a form term or a tensor
-    factor pair.  An algebra carried by a subspace of an ambient algebra (fiber
-    products, global sections) keeps the per-degree ``kernels`` whose vectors
-    are its basis in ambient coordinates.
+    machinery).  ``bases`` optionally names the basis elements of every
+    degree by keys: a monomial, a form term or a tensor factor pair.  An
+    algebra carried by a subspace of an ambient sum (fiber products, global
+    sections) keeps that :class:`BlockSum` as ``ambient`` and the per-degree
+    ``kernels`` whose vectors are its basis in ambient coordinates; its
+    levels are those of the ambient sum.
     """
 
     __slots__ = (
         "cutoff", "dims", "unit", "diff_mats", "_mult_fn", "_mult_cache",
-        "labels", "levels", "_level_fn", "bases", "kernels", "name",
+        "labels", "levels", "bases", "ambient", "kernels", "name",
     )
 
     def __init__(
@@ -152,8 +152,8 @@ class TruncatedDGA:
         mult_fn: MultFn,
         labels: Optional[Sequence[Sequence[str]]] = None,
         levels: Optional[Sequence[Sequence[int]]] = None,
-        level_fn: Optional[Callable[[int, int], list[Vector]]] = None,
         bases: Optional[Sequence[KeyedBasis]] = None,
+        ambient: Optional[BlockSum] = None,
         kernels: Optional[Sequence[KernelBasis]] = None,
         check: bool = True,
         name: str = "",
@@ -186,8 +186,8 @@ class TruncatedDGA:
             labels = [[f"e{k}_{a}" for a in range(dims[k])] for k in range(cutoff + 1)]
         self.labels = [list(l) for l in labels]
         self.levels = [list(l) for l in levels] if levels is not None else None
-        self._level_fn = level_fn
         self.bases = list(bases) if bases is not None else None
+        self.ambient = ambient
         self.kernels = list(kernels) if kernels is not None else None
         self.name = name
         if check:
@@ -275,19 +275,21 @@ class TruncatedDGA:
         return self.multiply(0, self.unit, k, v)
 
     # -- filtration levels -------------------------------------------------
+    def level_rows(self, k: int, p: int) -> QMatrix:
+        """Rows whose kernel is the subspace of degree-k elements of level >= p.
+
+        They select the coordinates of level below p; without ``levels`` every
+        basis element has level 0.  A kernel carrier reads the rows of its
+        ambient sum through its inclusion.
+        """
+        if self.ambient is not None:
+            return self.ambient.level_rows(k, p).matmul(self.kernels[k].inclusion)
+        below = [a for a in range(self.dim(k)) if self.basis_level(k, a) < p]
+        return QMatrix(len(below), self.dim(k), {(r, a): ONE for r, a in enumerate(below)})
+
     def level_subspace(self, k: int, p: int) -> list[Vector]:
         """Basis of the subspace of degree-k elements of level >= p."""
-        if p <= 0:
-            return [unit_vector(self.dim(k), a) for a in range(self.dim(k))]
-        if self._level_fn is not None:
-            return self._level_fn(k, p)
-        if self.levels is not None:
-            return [
-                unit_vector(self.dim(k), a)
-                for a, lv in enumerate(self.levels[k])
-                if lv >= p
-            ]
-        return []
+        return kernel_basis(self.level_rows(k, p))
 
     def basis_level(self, k: int, a: int) -> int:
         return self.levels[k][a] if self.levels is not None else 0
@@ -537,24 +539,28 @@ class BlockSum:
         """The block-diagonal differential out of degree k."""
         if not 0 <= k < self.cutoff:
             raise CutoffTooSmallError(f"no differential out of degree {k} (cutoff {self.cutoff})")
-        entries = {}
-        for part, r0, c0 in zip(self.parts, self._starts[k + 1], self._starts[k]):
-            for (r, c), x in part.d_matrix(k).entries.items():
-                entries[(r0 + r, c0 + c)] = x
-        return QMatrix(self.dim(k + 1), self.dim(k), entries)
+        return _block_diagonal([part.d_matrix(k) for part in self.parts])
 
     def multiply(self, i: int, va: Vector, j: int, vb: Vector) -> Vector:
         """Blockwise product of a degree-i vector and a degree-j vector."""
         pairs = zip(self.parts, self.split(i, va), self.split(j, vb))
         return concat(*(part.multiply(i, x, j, y) for part, x, y in pairs))
 
-    def level_subspace(self, k: int, p: int) -> list[Vector]:
-        """The level ``>= p`` subspaces of the parts, block after block."""
-        return [
-            self.inject(t, k, v)
-            for t, part in enumerate(self.parts)
-            for v in part.level_subspace(k, p)
-        ]
+    def level_rows(self, k: int, p: int) -> QMatrix:
+        """The block-diagonal matrix of the parts' level rows in degree k."""
+        return _block_diagonal([part.level_rows(k, p) for part in self.parts])
+
+
+def _block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
+    """The matrix with ``blocks`` down its diagonal, in order."""
+    entries = {}
+    r0 = c0 = 0
+    for block in blocks:
+        for (r, c), x in block.entries.items():
+            entries[(r0 + r, c0 + c)] = x
+        r0 += block.rows
+        c0 += block.cols
+    return QMatrix(r0, c0, entries)
 
 
 def direct_sum(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = None) -> TruncatedDGA:

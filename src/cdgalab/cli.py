@@ -201,7 +201,9 @@ class Problem:
         return self.systems[name]
 
     # -- algebras --------------------------------------------------------
-    def _resolve_algebra(self, name: str, stack: list) -> TruncatedDGA:
+    def _resolve_algebra(self, name, stack: list) -> TruncatedDGA:
+        if not isinstance(name, str):
+            raise InputError(f"algebra names must be strings, got {name!r}")
         if name in self.algebras:
             return self.algebras[name]
         if name in stack:
@@ -233,20 +235,11 @@ class Problem:
             )
         elif kind == "point":
             alg = cdga.point_dga(_int(cutoff, "cutoff"))
-        elif kind == "product":
-            parts = [self._resolve_algebra(n, stack + [name]) for n in _req(spec, "factors")]
-            if len(parts) != 2:
-                raise InputError("product takes exactly two factors")
-            alg = cdga.direct_sum(
-                parts[0], parts[1], cutoff=_int(cutoff, "cutoff") if cutoff else None
-            )
-        elif kind == "tensor":
-            parts = [self._resolve_algebra(n, stack + [name]) for n in _req(spec, "factors")]
-            if len(parts) != 2:
-                raise InputError("tensor takes exactly two factors")
-            alg = cdga.tensor_product(
-                parts[0], parts[1], cutoff=_int(cutoff, "cutoff") if cutoff else None
-            )
+        elif kind in ("product", "tensor"):
+            factors = _items(_req(spec, "factors"), 2, f"the factors of {kind} {name!r}")
+            a, b = (self._resolve_algebra(n, stack + [name]) for n in factors)
+            build = cdga.direct_sum if kind == "product" else cdga.tensor_product
+            alg = build(a, b, cutoff=_int(cutoff, "cutoff") if cutoff else None)
         elif kind == "simplex-forms":
             alg = polyforms.forms_dga(
                 _int(_req(spec, "dim"), "dim"),
@@ -536,7 +529,7 @@ def task_glue(problem: Problem, flags) -> tuple[int, dict]:
 
 def task_gamma(problem: Problem, flags) -> tuple[int, dict]:
     e = problem.system(_need(problem, "system", flags))
-    upto = _bound(_need(problem, "upto", flags), "upto")
+    upto = _within_fibers(e, _bound(_need(problem, "upto", flags), "upto"), "upto")
     g = localsys.global_sections(e, upto)
     result = {
         "dims": list(g.dims),
@@ -545,12 +538,20 @@ def task_gamma(problem: Problem, flags) -> tuple[int, dict]:
     return 0, result
 
 
+def _within_fibers(e: localsys.FiniteLocalSystem, n: int, what: str) -> int:
+    """``n``, once the global sections of ``e`` can be built up to degree n."""
+    cap = e.min_cutoff()
+    if n > cap:
+        raise InputError(f"{what} = {n} exceeds the smallest fiber cutoff {cap}")
+    return n
+
+
 def task_ss(problem: Problem, flags) -> tuple[int, dict]:
     e = problem.system(_need(problem, "system", flags))
     p_max = _bound(_need(problem, "p_max", flags), "p_max")
     q_max = _bound(_need(problem, "q_max", flags), "q_max")
-    fc = specseq.skeletal_filtration(e, p_max + q_max + 1)
-    tower = specseq.PageTower(fc)
+    ss = specseq.SpectralSequence(e, _within_fibers(e, p_max + q_max + 1, "p_max + q_max + 1"))
+    tower = ss.tower
     e2 = {}
     for p in range(p_max + 1):
         for q in range(q_max + 1):
@@ -560,12 +561,12 @@ def task_ss(problem: Problem, flags) -> tuple[int, dict]:
     for p in range(p_max + 1):
         for q in range(q_max + 1):
             einf[f"{p},{q}"] = tower.entry(r_inf, p, q)[0]
-    result = {"E2": e2, "Einfty": einf, "p_bound": fc.p_bound}
+    result = {"E2": e2, "Einfty": einf, "p_bound": ss.filtered.p_bound}
     verify = None
     code = 0
     if flags.verify:
-        rep = specseq.e2_check(e, p_max, q_max)
-        totals = specseq.einfty_vs_target(e, min(p_max + q_max, fc.algebra.cutoff - 1))
+        rep = ss.e2_check(p_max, q_max)
+        totals = ss.einfty_vs_target(p_max + q_max)
         verify = {
             "e2_matches_local_coefficients": rep.ok(),
             "e2_mismatches": [[list(k), a, b] for (k, a, b) in rep.mismatches],

@@ -666,16 +666,3 @@ class KeyedBasis:
 
 def _outside(exc: KeyError) -> InputError:
     return InputError(f"{exc.args[0]!r} is not an element of the basis")
-
-
-def preimage_basis(a: QMatrix, sub: Sequence[Vector]) -> list[Vector]:
-    """Basis of ``{x : a x in span(sub)}``.
-
-    The heads of the canonical kernel of ``[a | -sub]`` span it; each head
-    independent of the earlier ones is kept, in kernel order.
-    """
-    if not sub:
-        return kernel_basis(a)
-    stacked = a.hstack(QMatrix.from_cols(sub, a.rows).scale(-1))
-    space = RowSpace(a.cols)
-    return [h for h in (v[: a.cols] for v in kernel_basis(stacked)) if space.add(h)]

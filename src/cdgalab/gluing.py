@@ -39,7 +39,6 @@ from .exactlin import (
     complement_basis,
     concat,
     kernel_basis,
-    preimage_basis,
     rank,
     solve_many,
     unit_vector,
@@ -77,7 +76,7 @@ class FiberProductDGA:
     @property
     def ambient(self) -> BlockSum:
         """The sum A (+) B that the kernels live in."""
-        return BlockSum((self.a, self.b), self.carrier.cutoff)
+        return self.carrier.ambient  # type: ignore[return-value]
 
 
 def _kernel_carrier(kernels: list[KernelBasis], ambient: BlockSum, name: str) -> TruncatedDGA:
@@ -105,20 +104,13 @@ def _kernel_carrier(kernels: list[KernelBasis], ambient: BlockSum, name: str) ->
         return kernels[i + j].express([prod], "product does not preserve the kernel subspace")[0]
 
     (unit,) = kernels[0].express([ambient.unit], "the unit is not a compatible family")
-
-    def level_fn(k, p):
-        # x in carrier coords with incl * x inside span(sub); incl is
-        # injective, so an empty sub has only x = 0
-        sub = ambient.level_subspace(k, p)
-        return preimage_basis(kernels[k].inclusion, sub) if sub else []
-
     return TruncatedDGA(
         cutoff,
         dims,
         unit,
         diff_mats,
         mult_fn,
-        level_fn=level_fn,
+        ambient=ambient,
         kernels=kernels,
         check=False,
         name=name,
@@ -352,9 +344,9 @@ def _push(
     through the maps block by block and is written in the kernels of ``dst``;
     an image outside them raises InputError(message).
     """
-    blocks = BlockSum([h.source for h in maps], min(src.cutoff, dst.cutoff))
+    blocks: BlockSum = src.ambient  # type: ignore[assignment]
     mats = []
-    for k in range(blocks.cutoff + 1):
+    for k in range(min(src.cutoff, dst.cutoff) + 1):
         images = [
             concat(*(h.apply(k, x) for h, x in zip(maps, blocks.split(k, v))))
             for v in src.kernels[k].vectors  # type: ignore[index]

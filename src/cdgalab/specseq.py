@@ -15,20 +15,13 @@ the fiberwise cohomology coefficients.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .cdga import TruncatedDGA, cohomology
 from .errors import CutoffTooSmallError, InputError, PreconditionError
-from .exactlin import (
-    QMatrix,
-    RowSpace,
-    Vector,
-    column_space_basis,
-    preimage_basis,
-    rank,
-    unit_vector,
-)
+from .exactlin import QMatrix, RowSpace, Vector, column_space_basis, kernel_basis, rank
 from .gluing import _push
 from .localsys import (
     FiniteLocalSystem,
@@ -43,39 +36,49 @@ from .localsys import (
 class FilteredComplex:
     """A truncated DG algebra with a decreasing multiplicative filtration.
 
-    ``filtration[p][k]`` is a basis of F^p in degree k for 1 <= p <= p_bound;
-    F^0 is the whole complex and F^p = 0 beyond p_bound.
+    F^p in degree k is the kernel of ``algebra.level_rows(k, p)`` for
+    p <= p_bound, so F^0 is the whole complex, and F^p = 0 beyond p_bound.
+    Each level is computed once, when first read.
     """
 
     algebra: TruncatedDGA
-    filtration: list[list[list[Vector]]]
     p_bound: int
+    _rows: dict = field(default_factory=dict, init=False, repr=False)
+    _spaces: dict = field(default_factory=dict, init=False, repr=False)
+
+    def level_rows(self, p: int, k: int) -> QMatrix:
+        """Rows whose kernel is F^p in degree k."""
+        key = (p, k)
+        if key not in self._rows:
+            if p > self.p_bound:
+                self._rows[key] = QMatrix.identity(self.algebra.dim(k))
+            else:
+                self._rows[key] = self.algebra.level_rows(k, p)
+        return self._rows[key]
 
     def subspace(self, p: int, k: int) -> list[Vector]:
+        """Basis of F^p in degree k."""
         if k < 0 or k > self.algebra.cutoff:
             return []
-        if p <= 0:
-            return [unit_vector(self.algebra.dim(k), t) for t in range(self.algebra.dim(k))]
-        if p > self.p_bound:
-            return []
-        return self.filtration[p][k]
+        key = (p, k)
+        if key not in self._spaces:
+            self._spaces[key] = kernel_basis(self.level_rows(p, k))
+        return self._spaces[key]
+
+    def contains(self, p: int, k: int, v: Vector) -> bool:
+        """Whether the degree-k vector ``v`` lies in F^p."""
+        return not any(self.level_rows(p, k).matvec(v))
 
     def validate(self, rng=None, product_samples: int = 60) -> list[str]:
         problems = []
         alg = self.algebra
         for p in range(1, self.p_bound + 1):
             for k in range(alg.cutoff + 1):
-                inside = RowSpace(alg.dim(k), self.subspace(p - 1, k))
-                for v in self.subspace(p, k):
-                    if not inside.contains(v):
-                        problems.append(f"F^{p} not inside F^{p - 1} at degree {k}")
-                        break
+                if not all(self.contains(p - 1, k, v) for v in self.subspace(p, k)):
+                    problems.append(f"F^{p} not inside F^{p - 1} at degree {k}")
             for k in range(alg.cutoff):
-                target = RowSpace(alg.dim(k + 1), self.subspace(p, k + 1))
-                for v in self.subspace(p, k):
-                    if not target.contains(alg.apply_d(k, v)):
-                        problems.append(f"d leaves F^{p} at degree {k}")
-                        break
+                if not all(self.contains(p, k + 1, alg.apply_d(k, v)) for v in self.subspace(p, k)):
+                    problems.append(f"d leaves F^{p} at degree {k}")
         if rng is not None:
             for _ in range(product_samples):
                 p = rng.randint(0, self.p_bound)
@@ -92,8 +95,7 @@ class FilteredComplex:
                     prod = self.algebra.multiply(i, x, j, y)
                 except CutoffTooSmallError:
                     continue
-                room = RowSpace(self.algebra.dim(i + j), self.subspace(p + q, i + j))
-                if not room.contains(prod):
+                if not self.contains(p + q, i + j, prod):
                     problems.append(
                         f"product of F^{p} and F^{q} leaves F^{p + q} at degrees ({i},{j})"
                     )
@@ -139,9 +141,8 @@ class PageTower:
             # no differential out of the top stored degree
             raise InputError("page computation needs degrees below the cutoff")
         fp_m = QMatrix.from_cols(fp, alg.dim(n))
-        d_fp = alg.d_matrix(n).matmul(fp_m)
-        alphas = preimage_basis(d_fp, self.fc.subspace(tgt_eff, n + 1))
-        out = [fp_m.matvec(a) for a in alphas]
+        rows = self.fc.level_rows(tgt_eff, n + 1).matmul(alg.d_matrix(n).matmul(fp_m))
+        out = [fp_m.matvec(a) for a in kernel_basis(rows)]
         self._z_cache[key] = out
         return out
 
@@ -244,7 +245,7 @@ def page_consistency(tower_pages: list[Page]) -> list[str]:
             im = rank(m_in) if m_in is not None and m_in.rows == cur.entries[(p, q)] else 0
             if dim_next != ker - im:
                 problems.append(
-                    f"E_{r + 1}^{p},{q}] = {dim_next} but H(E_{r}) gives {ker - im}"
+                    f"E_{r + 1}^({p},{q}) = {dim_next} but H(E_{r}) gives {ker - im}"
                 )
     return problems
 
@@ -260,15 +261,7 @@ def skeletal_filtration(e: FiniteLocalSystem, upto: int) -> FilteredComplex:
     dimension below p; the filtration is multiplicative because base levels
     add under products.
     """
-    gamma = global_sections(e, upto)
-    p_bound = e.base.dim()
-    filtration: list[list[list[Vector]]] = [[]]
-    for p in range(1, p_bound + 1):
-        per_degree = []
-        for k in range(upto + 1):
-            per_degree.append(gamma.level_subspace(k, p))
-        filtration.append(per_degree)
-    return FilteredComplex(algebra=gamma, filtration=filtration, p_bound=p_bound)
+    return FilteredComplex(algebra=global_sections(e, upto), p_bound=e.base.dim())
 
 
 @dataclass
@@ -279,30 +272,6 @@ class E2Report:
 
     def ok(self) -> bool:
         return not self.mismatches
-
-
-def e2_check(e: FiniteLocalSystem, p_max: int, q_max: int) -> E2Report:
-    """Second page against twisted simplicial cohomology of the base.
-
-    Both sides are computed independently: the left from the filtration
-    tower, the right from vertex cohomologies and edge transports.
-    """
-    try:
-        lc = cohomology_local_system(e, q_max)
-    except PreconditionError as exc:
-        raise InputError("e2_check needs a locally constant system") from exc
-    fc = skeletal_filtration(e, p_max + q_max + 1)
-    tower = PageTower(fc)
-    h_twisted = h_local_coefficients(e.base, lc, p_max, q_max)
-    dims_pages = {}
-    mismatches = []
-    for p in range(p_max + 1):
-        for q in range(q_max + 1):
-            dim_e, _, _ = tower.entry(2, p, q)
-            dims_pages[(p, q)] = dim_e
-            if dim_e != h_twisted[(p, q)]:
-                mismatches.append(((p, q), dim_e, h_twisted[(p, q)]))
-    return E2Report(dims_pages, h_twisted, mismatches)
 
 
 @dataclass
@@ -317,61 +286,103 @@ class EInftyReport:
         return not self.mismatches and not self.product_failures
 
 
-def einfty_vs_target(e: FiniteLocalSystem, upto: int, product_samples: int = 12) -> EInftyReport:
-    """Totals of the limit page against the cohomology of global sections.
+class SpectralSequence:
+    """The skeletal spectral sequence of a local system, built once.
 
-    Also verifies that chosen permanent cycles multiply compatibly with the
-    filtration: the product of classes of filtration p and p' is a class of
-    filtration at least p + p'.
+    The global sections up to degree ``upto``, their skeletal filtration and
+    the page tower are built here; every page, entry and report of the
+    system is read from them.
     """
-    fc = skeletal_filtration(e, upto + 1)
-    tower = PageTower(fc)
-    r_inf = tower.infinity_page_index()
-    gamma = fc.algebra
-    h = cohomology(gamma, upto)
-    totals_pages = {}
-    totals_target = {}
-    mismatches = []
-    entries = {}
-    for k in range(upto + 1):
-        total = 0
-        for p in range(0, min(k, fc.p_bound) + 1):
-            dim_e, reps, _ = tower.entry(r_inf, p, k - p)
-            entries[(p, k - p)] = reps
-            total += dim_e
-        totals_pages[k] = total
-        totals_target[k] = h.dims[k]
-        if total != h.dims[k]:
-            mismatches.append((k, total, h.dims[k]))
-    report = EInftyReport(totals_pages, totals_target, mismatches)
-    # product filtration compatibility on permanent-cycle representatives
-    import random as _random
 
-    rng = _random.Random(0)
-    keys = [kq for kq, reps in entries.items() if reps]
-    for _ in range(product_samples):
-        if not keys:
-            break
-        (p1, q1) = keys[rng.randrange(len(keys))]
-        (p2, q2) = keys[rng.randrange(len(keys))]
-        if p1 + q1 + p2 + q2 > upto:
-            continue
-        x = entries[(p1, q1)][rng.randrange(len(entries[(p1, q1)]))]
-        y = entries[(p2, q2)][rng.randrange(len(entries[(p2, q2)]))]
+    def __init__(self, e: FiniteLocalSystem, upto: int):
+        self.system = e
+        self.filtered = skeletal_filtration(e, upto)
+        self.tower = PageTower(self.filtered)
+
+    def e2_check(self, p_max: int, q_max: int) -> E2Report:
+        """Second page against twisted simplicial cohomology of the base.
+
+        Both sides are computed independently: the left from the filtration
+        tower, the right from vertex cohomologies and edge transports.
+        """
+        e = self.system
         try:
-            prod = gamma.multiply(p1 + q1, x, p2 + q2, y)
-        except CutoffTooSmallError:
-            continue
-        n = p1 + q1 + p2 + q2
-        pf = p1 + p2
-        # class of the product must be representable by an F^{p1+p2} cocycle
-        # modulo coboundaries
-        zf = tower.z_basis(pf, fc.p_bound + 1, n) if n < gamma.cutoff else []
-        bnd = column_space_basis(gamma.d_matrix(n - 1)) if n >= 1 else []
-        report.product_checks += 1
-        if not RowSpace(gamma.dim(n), list(zf) + bnd).contains(prod):
-            report.product_failures.append(((p1, q1), (p2, q2)))
-    return report
+            lc = cohomology_local_system(e, q_max)
+        except PreconditionError as exc:
+            raise InputError("e2_check needs a locally constant system") from exc
+        h_twisted = h_local_coefficients(e.base, lc, p_max, q_max)
+        dims_pages = {}
+        mismatches = []
+        for p in range(p_max + 1):
+            for q in range(q_max + 1):
+                dim_e, _, _ = self.tower.entry(2, p, q)
+                dims_pages[(p, q)] = dim_e
+                if dim_e != h_twisted[(p, q)]:
+                    mismatches.append(((p, q), dim_e, h_twisted[(p, q)]))
+        return E2Report(dims_pages, h_twisted, mismatches)
+
+    def einfty_vs_target(self, upto: int, product_samples: int = 12) -> EInftyReport:
+        """Totals of the limit page against the cohomology of global sections.
+
+        Also verifies that chosen permanent cycles multiply compatibly with
+        the filtration: the product of classes of filtration p and p' is a
+        class of filtration at least p + p'.
+        """
+        fc, tower = self.filtered, self.tower
+        r_inf = tower.infinity_page_index()
+        gamma = fc.algebra
+        h = cohomology(gamma, upto)
+        totals_pages = {}
+        totals_target = {}
+        mismatches = []
+        entries = {}
+        for k in range(upto + 1):
+            total = 0
+            for p in range(0, min(k, fc.p_bound) + 1):
+                dim_e, reps, _ = tower.entry(r_inf, p, k - p)
+                entries[(p, k - p)] = reps
+                total += dim_e
+            totals_pages[k] = total
+            totals_target[k] = h.dims[k]
+            if total != h.dims[k]:
+                mismatches.append((k, total, h.dims[k]))
+        report = EInftyReport(totals_pages, totals_target, mismatches)
+        # product filtration compatibility on permanent-cycle representatives
+        rng = random.Random(0)
+        keys = [kq for kq, reps in entries.items() if reps]
+        for _ in range(product_samples):
+            if not keys:
+                break
+            (p1, q1) = keys[rng.randrange(len(keys))]
+            (p2, q2) = keys[rng.randrange(len(keys))]
+            if p1 + q1 + p2 + q2 > upto:
+                continue
+            x = entries[(p1, q1)][rng.randrange(len(entries[(p1, q1)]))]
+            y = entries[(p2, q2)][rng.randrange(len(entries[(p2, q2)]))]
+            try:
+                prod = gamma.multiply(p1 + q1, x, p2 + q2, y)
+            except CutoffTooSmallError:
+                continue
+            n = p1 + q1 + p2 + q2
+            pf = p1 + p2
+            # class of the product must be representable by an F^{p1+p2}
+            # cocycle modulo coboundaries
+            zf = tower.z_basis(pf, fc.p_bound + 1, n) if n < gamma.cutoff else []
+            bnd = column_space_basis(gamma.d_matrix(n - 1)) if n >= 1 else []
+            report.product_checks += 1
+            if not RowSpace(gamma.dim(n), list(zf) + bnd).contains(prod):
+                report.product_failures.append(((p1, q1), (p2, q2)))
+        return report
+
+
+def e2_check(e: FiniteLocalSystem, p_max: int, q_max: int) -> E2Report:
+    """:meth:`SpectralSequence.e2_check` on a sequence built for these bounds."""
+    return SpectralSequence(e, p_max + q_max + 1).e2_check(p_max, q_max)
+
+
+def einfty_vs_target(e: FiniteLocalSystem, upto: int, product_samples: int = 12) -> EInftyReport:
+    """:meth:`SpectralSequence.einfty_vs_target` on a sequence built for ``upto``."""
+    return SpectralSequence(e, upto + 1).einfty_vs_target(upto, product_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +412,10 @@ def triple_morphism_pages(
     problems = m.validate()
     if problems:
         raise InputError("invalid system morphism: " + problems[0])
-    src_fc = skeletal_filtration(m.source, upto)
-    dst_fc = skeletal_filtration(m.target, upto)
+    src_ss = SpectralSequence(m.source, upto)
+    dst_ss = SpectralSequence(m.target, upto)
+    src_fc, dst_fc = src_ss.filtered, dst_ss.filtered
+    src_tower, dst_tower = src_ss.tower, dst_ss.tower
     if p_max is None:
         p_max = max(src_fc.p_bound, dst_fc.p_bound)
     if q_max is None:
@@ -416,14 +429,9 @@ def triple_morphism_pages(
     # filtered map check
     for p in range(1, src_fc.p_bound + 1):
         for k in range(upto + 1):
-            room = RowSpace(dst.dim(k), dst_fc.subspace(p, k))
-            for v in src_fc.subspace(p, k):
-                if not room.contains(gamma_mats[k].matvec(v)):
-                    failures.append(f"map does not preserve F^{p} at degree {k}")
-                    break
+            if not all(dst_fc.contains(p, k, gamma_mats[k].matvec(v)) for v in src_fc.subspace(p, k)):
+                failures.append(f"map does not preserve F^{p} at degree {k}")
 
-    src_tower = PageTower(src_fc)
-    dst_tower = PageTower(dst_fc)
     psi = {}
     for r in range(r_max + 1):
         for p in range(p_max + 1):

@@ -10,7 +10,7 @@ from itertools import combinations
 from math import comb
 import random
 
-from cdgalab.exactlin import QMatrix
+from cdgalab.exactlin import QMatrix, RowSpace, kernel_basis, unit_vector
 
 
 def minor_rank(m: QMatrix) -> int:
@@ -65,6 +65,49 @@ def naive_rank(rows) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def same_span(u, v) -> bool:
+    """Whether two lists of independent vectors span the same space."""
+    rows = [list(x) for x in u]
+    return len(u) == len(v) == naive_rank(rows) == naive_rank(rows + [list(x) for x in v])
+
+
+def stacked_preimage(a: QMatrix, sub) -> list:
+    """Basis of ``{x : a x in span(sub)}`` through the kernel of ``[a | -sub]``.
+
+    The heads of the stacked kernel vectors span it; each head independent
+    of the heads kept before it is kept.
+    """
+    if not sub:
+        return kernel_basis(a)
+    stacked = a.hstack(QMatrix.from_cols(sub, a.rows).scale(-1))
+    kept = RowSpace(a.cols)
+    return [h for h in (v[: a.cols] for v in kernel_basis(stacked)) if kept.add(h)]
+
+
+def stacked_level_subspace(alg, k: int, p: int) -> list:
+    """Level ``>= p`` subspace of ``alg`` in degree k, by stacked preimages.
+
+    An algebra without an ambient sum reads its ``levels``; a kernel carrier
+    pulls the level subspaces of its ambient parts back through its inclusion.
+    """
+    if alg.ambient is None:
+        return [unit_vector(alg.dim(k), a) for a in range(alg.dim(k)) if alg.basis_level(k, a) >= p]
+    sub = [
+        alg.ambient.inject(t, k, v)
+        for t, part in enumerate(alg.ambient.parts)
+        for v in stacked_level_subspace(part, k, p)
+    ]
+    return stacked_preimage(alg.kernels[k].inclusion, sub)
+
+
+def stacked_z_basis(alg, fp, ft, n: int) -> list:
+    """``{x in span(fp) : dx in span(ft)}`` for degree-n ``fp`` and degree-(n+1) ``ft``."""
+    if not fp:
+        return []
+    fp_m = QMatrix.from_cols(fp, alg.dim(n))
+    return [fp_m.matvec(x) for x in stacked_preimage(alg.d_matrix(n).matmul(fp_m), ft)]
 
 
 def random_qmatrix(rng: random.Random, rows: int, cols: int, density=0.6, span=6) -> QMatrix:

@@ -226,6 +226,9 @@ def ss_problem():
         (ss_problem, _set(("task_args", "p_max"), -1)),
         (ss_problem, _set(("task_args", "q_max"), -1)),
         (ss_problem, _set(("complexes", "K", "maximal"), [])),
+        (edge_system_problem, _set(("algebras", "PP"), {"type": "product", "factors": ["P", []]})),
+        (edge_system_problem, _set(("algebras", "PP"), {"type": "tensor", "factors": 5})),
+        (edge_system_problem, _set(("algebras", "PP"), {"type": "product", "factors": "PP"})),
     ],
 )
 def test_malformed_references_and_integers_exit_2(tmp_path, capsys, make, mutate):
@@ -242,6 +245,13 @@ def test_malformed_references_and_integers_exit_2(tmp_path, capsys, make, mutate
         (ss_problem, _set(("task_args", "p_max"), -1), ["--verify"], "p_max"),
         (suspend_problem, _set(("task_args", "upto"), 0), [], "upto"),
         (suspend_problem, _set(("task_args", "upto"), -2), [], "upto"),
+        (
+            ss_problem,
+            _set(("task_args", "q_max"), 3),
+            ["--verify"],
+            "p_max + q_max + 1 = 5 exceeds the smallest fiber cutoff 4",
+        ),
+        (edge_system_problem, lambda doc: doc, ["--upto", "4"], "upto = 4 exceeds the smallest fiber cutoff 3"),
     ],
 )
 def test_degree_bounds_below_range_exit_2_naming_the_bound(
@@ -251,6 +261,22 @@ def test_degree_bounds_below_range_exit_2_naming_the_bound(
     code, out, err = run_cli(capsys, [doc, "--format", "machine", *flags])
     assert code == 2 and out == ""
     assert "input error" in err and bound in err
+
+
+def test_ss_verify_builds_the_global_sections_once(tmp_path, capsys, monkeypatch):
+    from cdgalab import localsys
+
+    builds = []
+    sections_basis = localsys._sections_basis
+
+    def counting(e, upto):
+        builds.append(upto)
+        return sections_basis(e, upto)
+
+    monkeypatch.setattr(localsys, "_sections_basis", counting)
+    code, _, _ = run_cli(capsys, [write(tmp_path, ss_problem()), "--format", "machine", "--verify"])
+    assert code == 0
+    assert builds == [3]
 
 
 def test_internal_error_exits_1_with_its_own_prefix(tmp_path, capsys, monkeypatch):

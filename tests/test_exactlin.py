@@ -12,7 +12,6 @@ from cdgalab.exactlin import (
     column_space_basis,
     complement_basis,
     kernel_basis,
-    preimage_basis,
     rank,
     rref,
     solve,
@@ -303,44 +302,6 @@ def test_kernel_basis_needs_a_private_column_per_vector():
     one, two = Fraction(1), Fraction(2)
     with pytest.raises(InputError):
         KernelBasis(m, [(one, one), (one, two)])
-
-
-def _old_stacked_preimage(a, sub, drop_repeats):
-    """The two hand-written copies this function replaced."""
-    if not sub:
-        return kernel_basis(a) if not drop_repeats else []
-    stacked = a.hstack(QMatrix.from_cols(sub, a.rows).scale(-1))
-    heads = [v[: a.cols] for v in kernel_basis(stacked)]
-    if drop_repeats:
-        seen, kept = set(), []
-        for h in heads:
-            if not vec_is_zero(h) and h not in seen:
-                seen.add(h)
-                kept.append(h)
-        heads = kept
-    rs = RowSpace(a.cols)
-    return [h for h in heads if rs.add(h)]
-
-
-def test_preimage_basis_matches_the_stacked_kernel_computations():
-    rng = random.Random(8)
-    for _ in range(40):
-        rows, cols = rng.randint(1, 6), rng.randint(0, 6)
-        a = random_qmatrix(rng, rows, cols, density=rng.choice([0.3, 0.7]))
-        sub = [_random_vector(rng, rows) for _ in range(rng.randint(0, 3))]
-        sub += [_combo(rng, sub, rows) for _ in range(rng.randint(0, 1))]
-        got = preimage_basis(a, sub)
-        assert got == _old_stacked_preimage(a, sub, drop_repeats=False)
-        if sub:
-            assert got == _old_stacked_preimage(a, sub, drop_repeats=True)
-        room = RowSpace(rows, sub)
-        assert all(room.contains(a.matvec(x)) for x in got)
-        assert naive_rank([list(x) for x in got]) == len(got)
-        # dimension: ker a plus the part of im a inside span(sub)
-        inside = naive_rank([list(a.column(c)) for c in range(cols)]) + naive_rank(
-            [list(v) for v in sub]
-        ) - naive_rank([list(a.column(c)) for c in range(cols)] + [list(v) for v in sub])
-        assert len(got) == cols - rank(a) + inside
 
 
 # -- keyed bases -------------------------------------------------------------

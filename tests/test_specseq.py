@@ -34,6 +34,7 @@ from cdgalab.polyforms import (
 )
 from cdgalab.specseq import (
     FilteredComplex,
+    Page,
     PageTower,
     e2_check,
     einfty_vs_target,
@@ -44,11 +45,12 @@ from cdgalab.specseq import (
 )
 
 from fixtures import sphere_even_model
+from helpers import same_span, stacked_level_subspace, stacked_z_basis
 from test_localsys import odd_generator_fiber, sign_automorphism
 
 
 def one_step_filtered(alg: TruncatedDGA) -> FilteredComplex:
-    return FilteredComplex(algebra=alg, filtration=[[]], p_bound=0)
+    return FilteredComplex(algebra=alg, p_bound=0)
 
 
 def tensor_sign_twist(fiber: TruncatedDGA, z_degree: int) -> DGMorphism:
@@ -77,6 +79,8 @@ def test_trivial_filtration_collapses_to_cohomology():
 
 def mapping_cone_filtered(f, g, upto: int) -> FilteredComplex:
     """Cone of (f - g): A (+) B -> C with the two-step filtration F^1 = C-part.
+
+    The C-part has level 1 and the A (+) B part level 0.
 
     The cone is only a cochain complex; a placeholder unit and empty product
     keep the container happy, and no page computation touches products.
@@ -110,16 +114,14 @@ def mapping_cone_filtered(f, g, upto: int) -> FilteredComplex:
         unit_vector(dims[0], 0),
         diff_mats,
         lambda i, x, j, y: None,
+        levels=[
+            [0] * (a.dim(n) + b.dim(n)) + [1] * (dims[n] - a.dim(n) - b.dim(n))
+            for n in range(upto + 1)
+        ],
         check=True,
         name="cone",
     )
-    filtration = [[]]
-    level1 = []
-    for n in range(upto + 1):
-        ab_n = a.dim(n) + b.dim(n)
-        level1.append([unit_vector(dims[n], ab_n + t) for t in range(dims[n] - ab_n)])
-    filtration.append(level1)
-    return FilteredComplex(algebra=cone, filtration=filtration, p_bound=1)
+    return FilteredComplex(algebra=cone, p_bound=1)
 
 
 def test_two_step_cone_filtration_encodes_les_of_circle():
@@ -139,6 +141,44 @@ def test_two_step_cone_filtration_encodes_les_of_circle():
     # the E_2 column p = 1 is the image of the connecting map
     mv = mayer_vietoris(fp, 3)
     assert pgs[2].dim(1, 0) == mv.connecting_rank(0) == 1
+
+
+def test_page_consistency_names_the_entry_that_disagrees():
+    cur = Page(r=0, entries={(0, 0): 2}, diffs={(0, 0): QMatrix.zero(0, 2)})
+    nxt = Page(r=1, entries={(0, 0): 1})
+    assert page_consistency([cur, nxt]) == ["E_1^(0,0) = 1 but H(E_0) gives 2"]
+
+
+def _circle_tensor_system():
+    return tensor_system(forms_system(cycle_complex(3), 2, cutoff=5), sphere_even_model(4), cutoff=5)
+
+
+def _small_suspension_system():
+    from test_acceptance import _suspension_fp_system
+
+    e, _ = _suspension_fp_system(
+        boundary_complex(3), sphere_even_model(6), upto=4, forms_total=2, forms_cutoff=3, sys_cutoff=4
+    )
+    return e
+
+
+@pytest.mark.parametrize("make, upto", [(_circle_tensor_system, 4), (_small_suspension_system, 3)])
+def test_levels_and_cycles_span_the_stacked_preimages(make, upto):
+    fc = skeletal_filtration(make(), upto)
+    alg, p_bound = fc.algebra, fc.p_bound
+    oracle = {(p, k): [] for p in range(p_bound + 2) for k in range(upto + 1)}
+    for p in range(p_bound + 1):
+        for k in range(upto + 1):
+            oracle[(p, k)] = stacked_level_subspace(alg, k, p)
+            assert same_span(alg.level_subspace(k, p), oracle[(p, k)])
+            assert same_span(fc.subspace(p, k), oracle[(p, k)])
+    assert any(oracle[(p_bound, k)] for k in range(upto + 1))
+    tower = PageTower(fc)
+    for p in range(p_bound + 1):
+        for t in range(p + 1, p_bound + 2):
+            for n in range(upto):
+                z = stacked_z_basis(alg, oracle[(p, n)], oracle[(t, n + 1)], n)
+                assert same_span(tower.z_basis(p, t, n), z)
 
 
 def test_first_quadrant_support_and_collapse_bound():
