@@ -563,12 +563,32 @@ def _block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
     return QMatrix(r0, c0, entries)
 
 
+def _require_basis_levels(alg: TruncatedDGA, cutoff: int) -> None:
+    """Refuse a kernel carrier whose filtration per-basis levels cannot hold.
+
+    A carrier's levels live in its ambient sum; they are trivial when no
+    degree has a nonzero subspace of level >= 1.
+    """
+    if alg.ambient is not None and any(
+        alg.level_subspace(k, 1) for k in range(min(cutoff, alg.cutoff) + 1)
+    ):
+        raise InputError(
+            f"{alg.name or 'a kernel carrier'} has a filtration in its ambient sum, "
+            "which per-basis levels cannot express"
+        )
+
+
 def direct_sum(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = None) -> TruncatedDGA:
-    """Product DG algebra A x B (componentwise operations, unit (1,1))."""
+    """Product DG algebra A x B (componentwise operations, unit (1,1)).
+
+    A summand carried in an ambient sum must have a trivial filtration.
+    """
     if cutoff is None:
         cutoff = min(a.cutoff, b.cutoff)
     if cutoff > min(a.cutoff, b.cutoff):
         raise InputError("cutoff exceeds a summand cutoff")
+    _require_basis_levels(a, cutoff)
+    _require_basis_levels(b, cutoff)
     blocks = BlockSum((a, b), cutoff)
     dims = [blocks.dim(k) for k in range(cutoff + 1)]
     diff_mats = [blocks.d_matrix(k) for k in range(cutoff)]
@@ -622,10 +642,12 @@ def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = Non
     The degree-k basis is keyed by factor pairs ``(i, ia, j, jb)`` with
     ``i + j = k``: basis element ``ia`` of ``a`` in degree ``i`` tensored with
     basis element ``jb`` of ``b`` in degree ``j``.  Filtration levels come
-    from the first factor only; callers put the base direction first.
+    from the first factor only; callers put the base direction first.  A
+    first factor carried in an ambient sum must have a trivial filtration.
     """
     if cutoff is None:
         cutoff = a.cutoff + b.cutoff
+    _require_basis_levels(a, cutoff)
     bases = [
         KeyedBasis(
             (i, ia, k - i, jb)

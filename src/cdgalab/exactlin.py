@@ -5,14 +5,13 @@ this module, and it is the only one that writes a vector in a basis
 (:class:`KeyedBasis`, :class:`RowSpace`, :class:`KernelBasis`).  Scalars are
 :class:`fractions.Fraction` (arbitrary precision, always in lowest terms,
 positive denominator), so results are exact and reproducible.  Matrices are
-stored sparsely; elimination falls back to dense rows below 64 columns where
-sparse bookkeeping would only add overhead.
+stored sparsely.  Elimination clears each row to integers, reduces over the
+integers and builds Fractions only for the result.
 
 Determinism rules used throughout:
 
-* pivot selection: smallest column index first, then the candidate entry with
-  the smallest ``numerator * denominator`` bit length, ties broken by row
-  order;
+* the reduced row echelon form is unique, so the pivot rule (smallest column
+  first, then the smallest entry, then the shortest row) affects speed only;
 * every returned basis is normalised (leading coefficient 1) and sorted by
   the index of its first nonzero coordinate, then lexicographically.
 """
@@ -20,6 +19,7 @@ Determinism rules used throughout:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
@@ -28,8 +28,6 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-DENSE_COLUMN_LIMIT = 64
 
 Vector = tuple[Fraction, ...]
 
@@ -69,11 +67,11 @@ def unit_vector(n: int, i: int) -> Vector:
 
 
 def vec_scale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
+    return tuple(c * x if x else x for x in a)
 
 
 def vec_is_zero(a: Vector) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def concat(*vs: Vector) -> Vector:
@@ -107,7 +105,7 @@ class QMatrix:
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise InputError(f"entry index ({r},{c}) outside {rows}x{cols}")
                 fv = rat(v)
-                if fv != 0:
+                if fv:
                     clean[(r, c)] = fv
         self.entries = clean
 
@@ -123,7 +121,7 @@ class QMatrix:
                 raise InputError("ragged rows in matrix literal")
             for j, v in enumerate(row):
                 fv = rat(v)
-                if fv != 0:
+                if fv:
                     entries[(i, j)] = fv
         return cls(nrows, cols, entries)
 
@@ -134,7 +132,7 @@ class QMatrix:
             if len(col) != rows:
                 raise InputError("column length mismatch")
             for i, v in enumerate(col):
-                if v != 0:
+                if v:
                     entries[(i, j)] = rat(v)
         return cls(rows, len(cols_data), entries)
 
@@ -203,7 +201,7 @@ class QMatrix:
                 for c, b in other_rows.get(k, ()):  # noqa: B905
                     acc[c] = acc.get(c, ZERO) + a * b
             for c, v in acc.items():
-                if v != 0:
+                if v:
                     entries[(r, c)] = v
         return QMatrix(self.rows, other.cols, entries)
 
@@ -243,108 +241,88 @@ class QMatrix:
 # elimination engine
 # ---------------------------------------------------------------------------
 
-def _pivot_weight(x: Fraction) -> int:
-    return (abs(x.numerator) * x.denominator).bit_length()
+def _int_row(row: Mapping[int, Fraction]) -> dict[int, int]:
+    """``row`` times the lcm of its denominators, divided by its content."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return _primitive({c: v.numerator * (den // v.denominator) for c, v in row.items()})
 
 
-def _echelon_sparse(rows: list[dict[int, Fraction]], ncols: int, pivot_cols: int):
-    """In-place reduced row echelon form on dict rows.
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide an integer row in place by the gcd of its entries."""
+    content = gcd(*row.values())
+    if content > 1:
+        for c in row:
+            row[c] //= content
+    return row
 
-    Pivots are only chosen among the first ``pivot_cols`` columns; trailing
-    columns ride along (used for augmented solves).  Returns the ordered list
-    of pivot column indices.
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> None:
+    """Clear ``row`` at ``col`` with ``prow`` in place, over the integers.
+
+    ``row`` becomes ``(a/g) row - (f/g) prow`` for ``a = prow[col]``,
+    ``f = row[col]`` and ``g = gcd(a, f)``, divided by its content.  Keeping
+    every row primitive bounds its entries by minors of the input, as in
+    fraction-free (Bareiss) elimination.
     """
-    pivots: list[int] = []
-    top = 0
-    nrows = len(rows)
-    for col in range(pivot_cols):
-        best = -1
-        best_w = None
-        for i in range(top, nrows):
-            v = rows[i].get(col)
-            if v:
-                w = _pivot_weight(v)
-                if best_w is None or w < best_w:
-                    best, best_w = i, w
-        if best < 0:
-            continue
-        rows[top], rows[best] = rows[best], rows[top]
-        prow = rows[top]
-        inv = ONE / prow[col]
-        if inv != 1:
-            for c in list(prow):
-                prow[c] *= inv
-        for i in range(nrows):
-            if i == top:
-                continue
-            f = rows[i].get(col)
-            if f:
-                ri = rows[i]
-                for c, v in prow.items():
-                    nv = ri.get(c, ZERO) - f * v
-                    if nv:
-                        ri[c] = nv
-                    elif c in ri:
-                        del ri[c]
-        pivots.append(col)
-        top += 1
-        if top == nrows:
-            break
-    return pivots
-
-
-def _echelon_dense(rows: list[list[Fraction]], ncols: int, pivot_cols: int):
-    pivots: list[int] = []
-    top = 0
-    nrows = len(rows)
-    for col in range(pivot_cols):
-        best = -1
-        best_w = None
-        for i in range(top, nrows):
-            v = rows[i][col]
-            if v:
-                w = _pivot_weight(v)
-                if best_w is None or w < best_w:
-                    best, best_w = i, w
-        if best < 0:
-            continue
-        rows[top], rows[best] = rows[best], rows[top]
-        prow = rows[top]
-        inv = ONE / prow[col]
-        if inv != 1:
-            for c in range(ncols):
-                if prow[c]:
-                    prow[c] *= inv
-        for i in range(nrows):
-            if i == top:
-                continue
-            f = rows[i][col]
-            if f:
-                ri = rows[i]
-                for c in range(col, ncols):
-                    if prow[c]:
-                        ri[c] -= f * prow[c]
-        pivots.append(col)
-        top += 1
-        if top == nrows:
-            break
-    return pivots
+    a = prow[col]
+    f = row[col]
+    g = gcd(a, f)
+    a //= g
+    f //= g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in prow.items():
+        nv = row.get(c, 0) - f * v
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+    _primitive(row)
 
 
 def _echelon(m: QMatrix, pivot_cols: Optional[int] = None):
-    """Return (rows-as-dicts, pivots) for the RREF of ``m``."""
+    """Return (rows-as-dicts, pivots) for the RREF of ``m``.
+
+    The rows are cleared to integers and reduced by :func:`_eliminate`;
+    each pivot row is divided by its pivot only at the end.  Pivots are
+    only chosen among the first ``pivot_cols`` columns and trailing columns
+    ride along (augmented solves): a row past the pivot rows is a nonzero
+    multiple of a residual, nonzero exactly where the trailing columns are
+    inconsistent.
+    """
     if pivot_cols is None:
         pivot_cols = m.cols
-    if m.cols < DENSE_COLUMN_LIMIT:
-        dense = m.to_rows()
-        pivots = _echelon_dense(dense, m.cols, pivot_cols)
-        rows = [{c: v for c, v in enumerate(row) if v != 0} for row in dense]
-    else:
-        rows = [dict() for _ in range(m.rows)]
-        for (r, c), v in m.entries.items():
-            rows[r][c] = v
-        pivots = _echelon_sparse(rows, m.cols, pivot_cols)
-    return rows, pivots
+    frows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        frows[r][c] = v
+    rows = [_int_row(row) for row in frows]
+    nrows = len(rows)
+    pivots: list[int] = []
+    top = 0
+    for col in range(pivot_cols):
+        if top == nrows:
+            break
+        best = -1
+        best_a = best_len = 0
+        for i in range(top, nrows):
+            v = abs(rows[i].get(col, 0))
+            if v:
+                n = len(rows[i])
+                if best < 0 or v < best_a or (v == best_a and n < best_len):
+                    best, best_a, best_len = i, v, n
+        if best < 0:
+            continue
+        rows[top], rows[best] = rows[best], rows[top]
+        prow = rows[top]
+        for i in range(nrows):
+            if i != top and col in rows[i]:
+                _eliminate(rows[i], prow, col)
+        pivots.append(col)
+        top += 1
+    out = [{c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(rows, pivots)]
+    out += [{c: Fraction(v) for c, v in row.items()} for row in rows[top:]]
+    return out, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +345,12 @@ def rank(m: QMatrix) -> int:
 
 def _canonical_sort(vectors: list[Vector]) -> list[Vector]:
     def key(v: Vector):
-        first = next((i for i, x in enumerate(v) if x != 0), len(v))
+        first = next((i for i, x in enumerate(v) if x), len(v))
         return (first, v)
 
     out = []
     for v in vectors:
-        lead = next((x for x in v if x != 0), None)
+        lead = next((x for x in v if x), None)
         out.append(vec_scale(ONE / lead, v) if lead is not None and lead != 1 else v)
     return sorted(out, key=key)
 
@@ -414,7 +392,7 @@ def solve_many(m: QMatrix, rhs: Sequence[Vector]) -> list[Optional[Vector]]:
             (r, m.cols + j): v
             for j, b in enumerate(rhs)
             for r, v in enumerate(b)
-            if v != 0
+            if v
         },
     )
     for b in rhs:
@@ -490,7 +468,8 @@ class RowSpace(_Coordinates):
 
     def __init__(self, dim: int, vectors: Iterable[Vector] = ()):  # noqa: D401
         self.dim = dim
-        self._rows: dict[int, dict[int, Fraction]] = {}
+        # reduced echelon rows keyed by pivot column, as primitive integer rows
+        self._rows: dict[int, dict[int, int]] = {}
         self.generators: list[Vector] = []
         self._transform: Optional[dict[int, dict[int, Fraction]]] = None
         for v in vectors:
@@ -500,20 +479,14 @@ class RowSpace(_Coordinates):
     def rank(self) -> int:
         return len(self._rows)
 
-    def reduce(self, v: Sequence[Fraction]) -> dict[int, Fraction]:
+    def reduce(self, v: Sequence[Fraction]) -> dict[int, int]:
+        """A nonzero integer multiple of the residual of ``v``; empty in the span."""
         if len(v) != self.dim:
             raise InputError("RowSpace: vector of wrong length")
-        work = {i: rat(x) for i, x in enumerate(v) if x != 0}
-        for p in sorted(self._rows):
-            f = work.get(p)
-            if f:
-                row = self._rows[p]
-                for c, rv in row.items():
-                    nv = work.get(c, ZERO) - f * rv
-                    if nv:
-                        work[c] = nv
-                    elif c in work:
-                        del work[c]
+        work = _int_row({i: rat(x) for i, x in enumerate(v) if x})
+        for p, row in self._rows.items():
+            if p in work:
+                _eliminate(work, row, p)
         return work
 
     def contains(self, v: Sequence[Fraction]) -> bool:
@@ -521,21 +494,13 @@ class RowSpace(_Coordinates):
 
     def add(self, v: Sequence[Fraction]) -> bool:
         """Insert ``v``; True if it enlarged the span."""
-        res = self.reduce(v)
-        if not res:
+        new_row = self.reduce(v)
+        if not new_row:
             return False
-        p = min(res)
-        inv = ONE / res[p]
-        new_row = {c: inv * x for c, x in res.items()}
-        for q, row in self._rows.items():
-            f = row.get(p)
-            if f:
-                for c, rv in new_row.items():
-                    nv = row.get(c, ZERO) - f * rv
-                    if nv:
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
+        p = min(new_row)
+        for row in self._rows.values():
+            if p in row:
+                _eliminate(row, new_row, p)
         self._rows[p] = new_row
         self.generators.append(tuple(v))
         self._transform = None

@@ -67,6 +67,54 @@ def naive_rank(rows) -> int:
     return rank
 
 
+def fraction_echelon(m: QMatrix, pivot_cols=None):
+    """Reduced row echelon form by plain ``Fraction`` Gauss-Jordan elimination.
+
+    The slow exact reference for ``exactlin._echelon``: same arguments and
+    return value ``(rows as {column: value} dicts, pivot columns)``.  Each
+    pivot is the candidate entry of smallest ``numerator * denominator`` bit
+    length, and every pivot row is scaled to 1 before it clears its column.
+    """
+    if pivot_cols is None:
+        pivot_cols = m.cols
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    pivots = []
+    top = 0
+    nrows = len(rows)
+    for col in range(pivot_cols):
+        if top == nrows:
+            break
+        best, best_w = -1, None
+        for i in range(top, nrows):
+            v = rows[i].get(col)
+            if v:
+                w = (abs(v.numerator) * v.denominator).bit_length()
+                if best_w is None or w < best_w:
+                    best, best_w = i, w
+        if best < 0:
+            continue
+        rows[top], rows[best] = rows[best], rows[top]
+        prow = rows[top]
+        inv = 1 / prow[col]
+        for c in prow:
+            prow[c] *= inv
+        for i in range(nrows):
+            f = rows[i].get(col)
+            if i != top and f:
+                ri = rows[i]
+                for c, v in prow.items():
+                    nv = ri.get(c, Fraction(0)) - f * v
+                    if nv:
+                        ri[c] = nv
+                    else:
+                        del ri[c]
+        pivots.append(col)
+        top += 1
+    return rows, pivots
+
+
 def same_span(u, v) -> bool:
     """Whether two lists of independent vectors span the same space."""
     rows = [list(x) for x in u]

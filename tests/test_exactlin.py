@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cdgalab import exactlin
 from cdgalab.errors import InputError
 from cdgalab.exactlin import (
     KernelBasis,
@@ -20,7 +21,8 @@ from cdgalab.exactlin import (
     vec_is_zero,
 )
 
-from helpers import minor_rank, naive_rank, random_qmatrix
+from fixtures import wedge_of_2_spheres
+from helpers import fraction_echelon, minor_rank, naive_rank, random_qmatrix
 
 
 def test_rref_identity():
@@ -172,7 +174,7 @@ def test_rowspace_membership_and_growth():
 
 
 def test_sparse_and_dense_paths_agree():
-    # 70 columns forces the sparse path; embed a small dense-path matrix
+    # a small dense matrix embedded in 70 columns, 60 of them zero
     rng = random.Random(17)
     small = random_qmatrix(rng, 6, 10)
     big_entries = dict(small.entries)
@@ -200,6 +202,10 @@ def _random_vector(rng, n, density=0.5):
     )
 
 
+def _big(rng, bits=70):
+    return Fraction(rng.getrandbits(bits) - (1 << (bits - 1)), rng.getrandbits(bits) + 1)
+
+
 def _probes(rng, span, n):
     """Members of span (incl. zero) and arbitrary vectors, most of them outside."""
     out = [tuple(Fraction(0) for _ in range(n))]
@@ -217,9 +223,12 @@ def _rowspace_cases(rng):
         # duplicates and combinations make the added list rank-deficient
         extra = [_combo(rng, base, n) for _ in range(rng.randint(0, 2))]
         cases.append((n, base + extra))
-    n = 70  # past the dense-elimination width
+    n = 70  # wide and sparse
     base = [_random_vector(rng, n, density=0.05) for _ in range(8)]
     cases.append((n, base + [_combo(rng, base[:3], n)]))
+    for n, count in [(5, 3), (6, 8)]:  # 70-bit numerators and denominators
+        base = [tuple(_big(rng) if rng.random() < 0.6 else Fraction(0) for _ in range(n)) for _ in range(count)]
+        cases.append((n, base + [_combo(rng, base[:2], n)]))
     return cases
 
 
@@ -231,6 +240,7 @@ def test_rowspace_coords_match_solve_and_oracle():
         m = QMatrix.from_cols(rs.generators, n)
         for x in _probes(rng, added, n):
             expected = solve(m, x)
+            assert expected == _fraction_solve(m, x)
             assert rs.coords(x) == expected
             member = naive_rank([list(v) for v in rs.generators] + [list(x)]) == rs.rank
             assert rs.contains(x) == member == (expected is not None)
@@ -326,3 +336,149 @@ def test_keyed_basis_rejects_keys_outside_the_basis():
         basis.matrix([{"a": 1}, {"c": 1}])
     with pytest.raises(InputError, match="distinct"):
         KeyedBasis(["a", "b", "a"])
+
+
+# -- the integer elimination engine against the Fraction reference -----------
+
+def _dense(rows, ncols):
+    return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+
+
+def _assert_same_echelon(m, pivot_cols, got):
+    """``got`` from ``_echelon(m, pivot_cols)`` agrees with the Fraction reference.
+
+    Past the pivot rows each engine leaves some spanning set of the
+    residuals: they must have the same support (the inconsistent trailing
+    columns) and the same span.  The pivots are those of the unique reduced
+    echelon form of the first ``pivot_cols`` columns, and the pivot rows are
+    unique up to residuals, so they must agree outside the residual support.
+    """
+    rows, pivots = got
+    ref_rows, ref_pivots = fraction_echelon(m, pivot_cols)
+    r = len(ref_pivots)
+    assert len(rows) == m.rows
+    assert pivots == ref_pivots
+    support = set().union(*rows[r:])
+    assert support == set().union(*ref_rows[r:])
+    for row, ref in zip(rows[:r], ref_rows[:r]):
+        assert {c: v for c, v in row.items() if c not in support} == {
+            c: v for c, v in ref.items() if c not in support
+        }
+    res, ref_res = _dense(rows[r:], m.cols), _dense(ref_rows[r:], m.cols)
+    assert naive_rank(res) == naive_rank(ref_res) == naive_rank(res + ref_res)
+
+
+def _hilbert(n):
+    return QMatrix.from_rows([[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)])
+
+
+def _engine_cases(rng):
+    """Tall, wide, zero-row, zero-column, rank-deficient and 70-bit matrices."""
+    cases = [QMatrix.zero(0, 4), QMatrix.zero(3, 0), QMatrix.zero(0, 0), QMatrix.zero(4, 5), _hilbert(8)]
+    for rows, cols in [(12, 5), (5, 12), (9, 9), (1, 7), (7, 1), (6, 80)]:
+        for density in (0.15, 0.6):
+            m = random_qmatrix(rng, rows, cols, density=density)
+            cases.append(m)
+            # a row that is a combination of two others makes it rank-deficient
+            if rows > 2:
+                extra = [a - 3 * b for a, b in zip(*m.to_rows()[:2])]
+                cases.append(m.vstack(QMatrix.from_rows([extra], cols)))
+    for rows, cols in [(6, 4), (4, 6), (5, 5)]:
+        cases.append(
+            QMatrix(rows, cols, {(i, j): _big(rng) for i in range(rows) for j in range(cols) if rng.random() < 0.7})
+        )
+    return cases
+
+
+def _lead_index(v):
+    return next((i for i, x in enumerate(v) if x), len(v)), v
+
+
+def test_engine_matches_fraction_reference():
+    rng = random.Random(4242)
+    for m in _engine_cases(rng):
+        for pivot_cols in sorted({m.cols, m.cols // 2, 0}):
+            _assert_same_echelon(m, pivot_cols, exactlin._echelon(m, pivot_cols))
+        ref_rows, ref_pivots = fraction_echelon(m)
+        r, pivots, red = rref(m)
+        assert (r, pivots) == (len(ref_pivots), tuple(ref_pivots))
+        assert red == QMatrix(m.rows, m.cols, {(i, c): v for i, row in enumerate(ref_rows) for c, v in row.items()})
+        # kernel and column space, rebuilt from the reference echelon forms
+        kernel = []
+        for f in (c for c in range(m.cols) if c not in ref_pivots):
+            v = [Fraction(0)] * m.cols
+            v[f] = Fraction(1)
+            for i, p in enumerate(ref_pivots):
+                v[p] = -ref_rows[i].get(f, Fraction(0))
+            lead = next(x for x in v if x)
+            kernel.append(tuple(x / lead for x in v))
+        assert kernel_basis(m) == sorted(kernel, key=_lead_index)
+        t_rows, t_pivots = fraction_echelon(m.transpose())
+        columns = [tuple(row.get(c, Fraction(0)) for c in range(m.rows)) for row in t_rows[: len(t_pivots)]]
+        assert column_space_basis(m) == sorted(columns, key=_lead_index)
+
+
+def _fraction_solve(m, b):
+    """Solution of ``m x = b`` with free variables zero, from the Fraction reference, or None."""
+    rows, pivots = fraction_echelon(m.hstack(QMatrix.from_cols([b], m.rows)), m.cols)
+    if any(row.get(m.cols) for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * m.cols
+    for row, p in zip(rows, pivots):
+        x[p] = row.get(m.cols, Fraction(0))
+    return tuple(x)
+
+
+def _check_solutions(m, rhs):
+    """``solve_many`` against the Fraction reference and exact substitution."""
+    solutions = solve_many(m, rhs)
+    assert solutions == [_fraction_solve(m, b) for b in rhs]
+    for b, x in zip(rhs, solutions):
+        if x is not None:
+            assert m.matvec(x) == tuple(b)
+    aug = m.hstack(QMatrix.from_cols(rhs, m.rows))
+    _assert_same_echelon(aug, m.cols, exactlin._echelon(aug, m.cols))
+
+
+def test_solve_many_matches_substitution_and_reference():
+    rng = random.Random(77)
+    for m in _engine_cases(rng):
+        consistent = [m.matvec(tuple(_big(rng, 8) for _ in range(m.cols))) for _ in range(2)]
+        arbitrary = [tuple(_big(rng, 8) if rng.random() < 0.5 else Fraction(0) for _ in range(m.rows))]
+        _check_solutions(m, consistent + arbitrary)
+
+
+def test_hilbert_augmented_solve():
+    h = _hilbert(8)
+    x = tuple(Fraction((-1) ** i * (i + 1)) for i in range(8))
+    b = h.matvec(x)
+    assert solve_many(h, [b, h.column(3)]) == [x, unit_vector(8, 3)]
+    # a ninth row, the sum of the first two, makes right-hand sides inconsistent
+    h9 = h.vstack(QMatrix.from_rows([[a + c for a, c in zip(h.to_rows()[0], h.to_rows()[1])]]))
+    good = h9.matvec(x)
+    bad = good[:8] + (good[8] + 1,)
+    assert solve_many(h9, [good, bad]) == [x, None]
+    _check_solutions(h9, [good, bad])
+
+
+def test_engine_matches_fraction_reference_on_recorded_traffic(monkeypatch):
+    """Every elimination of a small spectral sequence and a minimal model, replayed."""
+    from cdgalab.specseq import einfty_vs_target
+    from cdgalab.sullivan import minimal_model
+    from test_specseq import _small_suspension_system
+
+    engine = exactlin._echelon
+    calls = []
+
+    def recording(m, pivot_cols=None):
+        out = engine(m, pivot_cols)
+        calls.append((m, pivot_cols, out))
+        return out
+
+    monkeypatch.setattr(exactlin, "_echelon", recording)
+    assert einfty_vs_target(_small_suspension_system(), 3).ok()
+    spectral = len(calls)
+    minimal_model(wedge_of_2_spheres(2, 7), 6)
+    assert 0 < spectral < len(calls)
+    for m, pivot_cols, out in calls:
+        _assert_same_echelon(m, pivot_cols, out)

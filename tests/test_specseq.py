@@ -8,12 +8,15 @@ from cdgalab.cdga import (
     TruncatedDGA,
     cohomology,
     cohomology_dims,
+    direct_sum,
+    point_dga,
+    tensor_product,
     truncate,
 )
 from cdgalab.cdga import FreeCDGA
 from cdgalab.errors import InputError
 from cdgalab.exactlin import ONE, KeyedBasis, QMatrix, ZERO, rank, unit_vector
-from cdgalab.gluing import fiber_product, mayer_vietoris
+from cdgalab.gluing import fiber_product, mayer_vietoris, suspension_triple
 from cdgalab.graded import FreeGCA
 from cdgalab.localsys import (
     FiniteLocalSystem,
@@ -160,6 +163,29 @@ def _small_suspension_system():
         boundary_complex(3), sphere_even_model(6), upto=4, forms_total=2, forms_cutoff=3, sys_cutoff=4
     )
     return e
+
+
+def test_sum_and_tensor_refuse_a_carrier_filtration_levels_cannot_hold():
+    e = _small_suspension_system()
+    top = e.fibers[max(e.base.all_simplices(), key=len)]
+    assert top.ambient is not None
+    assert [len(top.level_subspace(k, 1)) for k in range(4)] == [0, 12, 8, 1]
+    point = point_dga(3)
+    for build in (
+        lambda: direct_sum(top, top),
+        lambda: direct_sum(point, top),
+        lambda: tensor_product(top, point, cutoff=3),
+    ):
+        with pytest.raises(InputError, match="per-basis levels"):
+            build()
+    # levels come from the first tensor factor only
+    assert tensor_product(point, top, cutoff=3).dims == top.dims[:4]
+    # a carrier with a trivial filtration keeps working
+    plain = fiber_product(*suspension_triple(sphere_even_model(5), 3), 3).carrier
+    assert plain.ambient is not None
+    assert not any(plain.level_subspace(k, 1) for k in range(plain.cutoff + 1))
+    assert direct_sum(plain, plain).dims == [2 * d for d in plain.dims]
+    assert tensor_product(plain, point, cutoff=3).dims == plain.dims[:4]
 
 
 @pytest.mark.parametrize("make, upto", [(_circle_tensor_system, 4), (_small_suspension_system, 3)])
