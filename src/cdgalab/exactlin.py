@@ -577,12 +577,24 @@ class KernelBasis(_Coordinates):
         return len(self.vectors)
 
     def coords_many(self, vectors: Sequence[Sequence[Fraction]]) -> list[Optional[Vector]]:
+        m = self.matrix
+        by_col: list[list[tuple[int, Fraction]]] = [[] for _ in range(m.cols)]
+        for (r, c), a in m.entries.items():
+            by_col[c].append((r, a))
         out: list[Optional[Vector]] = []
         for x in vectors:
-            if any(self.matrix.matvec(x)):
+            if len(x) != m.cols:
+                raise InputError(f"kernel basis: vector of length {len(x)} against {m.cols} columns")
+            # m x over the nonzero coordinates of x only
+            acc: dict[int, Fraction] = {}
+            for c, xc in enumerate(x):
+                if xc:
+                    for r, a in by_col[c]:
+                        acc[r] = acc.get(r, ZERO) + a * xc
+            if any(acc.values()):
                 out.append(None)
             else:
-                out.append(tuple(x[c] * s for c, s in self._reads))
+                out.append(tuple(x[c] * s if x[c] else ZERO for c, s in self._reads))
         return out
 
 

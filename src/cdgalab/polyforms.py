@@ -8,6 +8,10 @@ truncation parameter used when a finite basis is required: the exterior
 derivative, the cone contraction and face restrictions all preserve or lower
 it, so truncated models keep their cohomology honest.
 
+Face restrictions and products act on term keys by closed-form rules: facet 0
+expands (1 - sum u_k)^a by multinomial coefficients, other facets relabel, and
+a product adds exponents and signs the shuffle of its dt indices.
+
 The module also provides finite ordered simplicial complexes, compatible
 families of forms over them, exact simplex integration, the contraction
 witnessing acyclicity, extension of compatible boundary data and the
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from itertools import combinations
+from math import comb, factorial, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cdga import TruncatedDGA
@@ -51,8 +56,9 @@ class PolyForm:
         data: dict[TermKey, Fraction] = {}
         if terms:
             for (expo, dts), c in terms.items():
-                expo = tuple(int(e) for e in expo)
-                dts = tuple(int(s) for s in dts)
+                expo, dts = tuple(expo), tuple(dts)
+                if any(isinstance(x, bool) or not isinstance(x, int) for x in expo + dts):
+                    raise InputError(f"term key {(expo, dts)} must hold integers")
                 if len(expo) != n or any(e < 0 for e in expo):
                     raise InputError(f"bad exponent vector {expo} on a {n}-simplex")
                 if list(dts) != sorted(set(dts)) or any(not 1 <= s <= n for s in dts):
@@ -64,6 +70,14 @@ class PolyForm:
         self.terms = {k: v for k, v in data.items() if v != 0}
 
     # -- constructors ------------------------------------------------------
+    @classmethod
+    def _of(cls, n: int, data: dict[TermKey, Fraction]) -> "PolyForm":
+        """A form on coefficients known to be nonzero and on valid keys, unchecked."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = data
+        return out
+
     @classmethod
     def zero(cls, n: int) -> "PolyForm":
         return cls(n, {})
@@ -123,24 +137,17 @@ class PolyForm:
                 data[k] = v
             elif k in data:
                 del data[k]
-        out = PolyForm(self.n)
-        out.terms = data
-        return out
+        return PolyForm._of(self.n, data)
 
     def __neg__(self) -> "PolyForm":
-        out = PolyForm(self.n)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return PolyForm._of(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         return self + (-other)
 
     def scale(self, c) -> "PolyForm":
         c = rat(c)
-        out = PolyForm(self.n)
-        if c != 0:
-            out.terms = {k: c * v for k, v in self.terms.items()}
-        return out
+        return PolyForm._of(self.n, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -153,22 +160,18 @@ class PolyForm:
         if self.n != other.n:
             raise InputError("forms on different simplices")
         data: dict[TermKey, Fraction] = {}
-        for (ea, sa), ca in self.terms.items():
-            for (eb, sb), cb in other.terms.items():
-                if set(sa) & set(sb):
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                pair = _key_product(ka, kb)
+                if pair is None:
                     continue
-                # sign of sorting the concatenation sa + sb ascending
-                inversions = sum(1 for x in sa for y in sb if x > y)
-                sign = -1 if inversions % 2 else 1
-                key = (tuple(x + y for x, y in zip(ea, eb)), tuple(sorted(sa + sb)))
+                key, sign = pair
                 v = data.get(key, ZERO) + sign * ca * cb
                 if v:
                     data[key] = v
                 elif key in data:
                     del data[key]
-        out = PolyForm(self.n)
-        out.terms = data
-        return out
+        return PolyForm._of(self.n, data)
 
     def __repr__(self):
         if not self.terms:
@@ -186,6 +189,17 @@ class PolyForm:
             body = "*".join(bits) if bits else "1"
             parts.append(f"({c})*{body}" if c != 1 or not bits else body)
         return " + ".join(parts)
+
+
+def _key_product(ka: TermKey, kb: TermKey) -> Optional[tuple[TermKey, int]]:
+    """The product of two unit terms as ``(key, sign)``; None when the dt sets meet."""
+    (ea, sa), (eb, sb) = ka, kb
+    if not set(sa).isdisjoint(sb):
+        return None
+    # sign of sorting the concatenation sa + sb ascending
+    inversions = sum(1 for x in sa for y in sb if x > y)
+    key = (tuple(x + y for x, y in zip(ea, eb)), tuple(sorted(sa + sb)))
+    return key, -1 if inversions % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -211,38 +225,38 @@ def d(omega: PolyForm) -> PolyForm:
                 data[key] = v
             elif key in data:
                 del data[key]
-    out = PolyForm(n)
-    out.terms = data
-    return out
+    return PolyForm._of(n, data)
 
 
-def _pullback(omega: PolyForm, images: Sequence[PolyForm], m: int) -> PolyForm:
-    """Substitute coordinate i -> images[i-1] (0-forms on an m-simplex)."""
-    out = PolyForm.zero(m)
-    dimages = [d(img) for img in images]
-    power_cache: dict[tuple[int, int], PolyForm] = {}
+def _restrict_key(n: int, key: TermKey, i: int) -> dict[TermKey, int]:
+    """Integer coefficients, by key, of the unit term ``key`` restricted to facet i.
 
-    def power(i: int, e: int) -> PolyForm:
-        key = (i, e)
-        if key not in power_cache:
-            acc = PolyForm.constant(m, 1)
-            for _ in range(e):
-                acc = acc * images[i]
-            power_cache[key] = acc
-        return power_cache[key]
-
-    for (expo, dts), c in omega.terms.items():
-        acc = PolyForm.constant(m, c)
-        for i, e in enumerate(expo):
-            if e:
-                acc = acc * power(i, e)
-            if acc.is_zero():
-                break
-        for s in dts:
-            acc = acc * dimages[s - 1]
-            if acc.is_zero():
-                break
-        out = out + acc
+    Facet i >= 1 sets t_i = 0 and relabels; facet 0 sets t_1 = 1 - sum u_k,
+    expanded by multinomial coefficients, and dt_1 = -sum du_k, each du_k
+    carrying the sign of its shuffle into the shifted dt indices.
+    """
+    expo, dts = key
+    if i:
+        if expo[i - 1] or i in dts:
+            return {}
+        return {(expo[: i - 1] + expo[i:], tuple(s - 1 if s > i else s for s in dts)): 1}
+    m = n - 1
+    if dts and dts[0] == 1:
+        rest = tuple(s - 1 for s in dts[1:])
+        wedges = [
+            (tuple(sorted(rest + (k,))), 1 if sum(s < k for s in rest) % 2 else -1)
+            for k in range(1, m + 1)
+            if k not in rest
+        ]
+    else:
+        wedges = [(tuple(s - 1 for s in dts), 1)]
+    a, tail = expo[0], expo[1:]
+    out: dict[TermKey, int] = {}
+    for b in _exponents_upto(m, a):
+        c = (-1) ** sum(b) * factorial(a) // (factorial(a - sum(b)) * prod(map(factorial, b)))
+        new_expo = tuple(x + y for x, y in zip(b, tail))
+        for new_dts, sign in wedges:
+            out[(new_expo, new_dts)] = sign * c
     return out
 
 
@@ -253,25 +267,15 @@ def face_restrict(omega: PolyForm, i: int) -> PolyForm:
         raise InputError(f"face index {i} out of range 0..{n}")
     if n == 0:
         raise InputError("a point has no facets")
-    m = n - 1
-    images: list[PolyForm] = []
-    if i == 0:
-        # barycentric insertion at slot 0: t_1 becomes u_0 = 1 - sum u_k
-        first = PolyForm.constant(m, 1)
-        for k in range(1, m + 1):
-            first = first - PolyForm.coordinate(m, k)
-        images.append(first)
-        for j in range(2, n + 1):
-            images.append(PolyForm.coordinate(m, j - 1))
-    else:
-        for j in range(1, n + 1):
-            if j < i:
-                images.append(PolyForm.coordinate(m, j))
-            elif j == i:
-                images.append(PolyForm.zero(m))
-            else:
-                images.append(PolyForm.coordinate(m, j - 1))
-    return _pullback(omega, images, m)
+    data: dict[TermKey, Fraction] = {}
+    for key, c in omega.terms.items():
+        for k, r in _restrict_key(n, key, i).items():
+            v = data.get(k, ZERO) + r * c
+            if v:
+                data[k] = v
+            elif k in data:
+                del data[k]
+    return PolyForm._of(n - 1, data)
 
 
 def evaluate_at_vertex(omega: PolyForm, v: int) -> Fraction:
@@ -337,9 +341,7 @@ def contraction(omega: PolyForm) -> PolyForm:
                 data[key] = v
             elif key in data:
                 del data[key]
-    out = PolyForm(n)
-    out.terms = data
-    return out
+    return PolyForm._of(n, data)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +367,6 @@ def _exponents_upto(n: int, bound: int) -> list[Expo]:
 
 
 def _subsets(n: int, k: int) -> list[Dts]:
-    from itertools import combinations
-
     return [tuple(c) for c in combinations(range(1, n + 1), k)]
 
 
@@ -412,7 +412,7 @@ def forms_dga(n: int, total_degree: int, cutoff: Optional[int] = None) -> FormsD
         raise InputError("cutoff must be non-negative")
     bases = [KeyedBasis(form_basis(n, total_degree, k)) for k in range(cutoff + 1)]
     diff_mats = [
-        bases[k + 1].matrix([d(PolyForm(n, {key: ONE})).terms for key in bases[k].keys])
+        bases[k + 1].matrix([d(PolyForm._of(n, {key: ONE})).terms for key in bases[k].keys])
         for k in range(cutoff)
     ]
 
@@ -420,7 +420,8 @@ def forms_dga(n: int, total_degree: int, cutoff: Optional[int] = None) -> FormsD
         ka, kb = bases[i].keys[a], bases[j].keys[b]
         if sum(ka[0]) + sum(kb[0]) + i + j > total_degree:
             return None
-        return bases[i + j].vector((PolyForm(n, {ka: ONE}) * PolyForm(n, {kb: ONE})).terms)
+        pair = _key_product(ka, kb)
+        return bases[i + j].vector(dict([pair]) if pair else {})
 
     return FormsDGA(
         n,
@@ -429,7 +430,7 @@ def forms_dga(n: int, total_degree: int, cutoff: Optional[int] = None) -> FormsD
         bases[0].vector({((0,) * n, ()): ONE}),
         diff_mats,
         mult_fn,
-        labels=[[repr(PolyForm(n, {key: ONE})) for key in basis.keys] for basis in bases],
+        labels=[[repr(PolyForm._of(n, {key: ONE})) for key in basis.keys] for basis in bases],
         levels=[[len(key[1]) for key in basis.keys] for basis in bases],
         bases=bases,
         check=False,
@@ -443,8 +444,7 @@ def _restrictions(
     """Restrictions of the forms ``keys`` to each listed facet, stacked by facet."""
     m = QMatrix.zero(0, len(keys))
     for i in faces:
-        images = [face_restrict(PolyForm(n, {key: ONE}), i).terms for key in keys]
-        m = m.vstack(target.matrix(images))
+        m = m.vstack(target.matrix([_restrict_key(n, key, i) for key in keys]))
     return m
 
 
@@ -484,8 +484,6 @@ class SimplicialComplexK:
             if not s:
                 raise InputError("empty simplex")
             verts.update(s)
-            from itertools import combinations
-
             for k in range(1, len(s) + 1):
                 for face in combinations(s, k):
                     simplices.add(tuple(face))
@@ -499,8 +497,6 @@ class SimplicialComplexK:
                 if v not in self.vertices:
                     raise InputError(f"simplex {s} uses unknown vertex {v}")
             if len(s) > 1:
-                from itertools import combinations
-
                 for face in combinations(s, len(s) - 1):
                     if tuple(face) not in self.simplices:
                         raise InputError(f"face {face} of {s} is missing")
@@ -792,7 +788,7 @@ def check_admissible_axioms(n_max: int, sample_budget: int = 20, seed: int = 0) 
                 rep.axiom_acyclicity = False
                 rep.failures.append(f"closed form not exact via contraction, n={n}")
         # H^0: only constants are closed
-        d0 = [d(PolyForm(n, {key: ONE})).terms for key in form_basis(n, 3, 0)]
+        d0 = [d(PolyForm._of(n, {key: ONE})).terms for key in form_basis(n, 3, 0)]
         kb = kernel_basis(KeyedBasis(form_basis(n, 3, 1)).matrix(d0))
         if len(kb) != 1:
             rep.axiom_acyclicity = False
@@ -849,7 +845,7 @@ def check_admissible_axioms(n_max: int, sample_budget: int = 20, seed: int = 0) 
         df = d(f)
         for wtotal in (f.total_degree(), f.total_degree() + 1):
             target = KeyedBasis(form_basis(n, f.total_degree() + wtotal, 1))
-            products = [(f * PolyForm(n, {key: ONE})).terms for key in form_basis(n, wtotal, 1)]
+            products = [(f * PolyForm._of(n, {key: ONE})).terms for key in form_basis(n, wtotal, 1)]
             if solve(target.matrix(products), target.vector(df.terms)) is not None:
                 rep.axiom_no_zero_divisor_equation = False
                 rep.failures.append("df = f*w solvable for a nonconstant vanishing f")

@@ -11,6 +11,7 @@ from math import comb
 import random
 
 from cdgalab.exactlin import QMatrix, RowSpace, kernel_basis, unit_vector
+from cdgalab.polyforms import PolyForm, d
 
 
 def minor_rank(m: QMatrix) -> int:
@@ -156,6 +157,79 @@ def stacked_z_basis(alg, fp, ft, n: int) -> list:
         return []
     fp_m = QMatrix.from_cols(fp, alg.dim(n))
     return [fp_m.matvec(x) for x in stacked_preimage(alg.d_matrix(n).matmul(fp_m), ft)]
+
+
+def pairwise_product(a: PolyForm, b: PolyForm) -> dict:
+    """Terms of ``a * b`` by a pairwise loop over the terms of both forms.
+
+    The reference for the closed-form key product behind ``PolyForm.__mul__``.
+    """
+    data = {}
+    for (ea, sa), ca in a.terms.items():
+        for (eb, sb), cb in b.terms.items():
+            if set(sa) & set(sb):
+                continue
+            # sign of sorting the concatenation sa + sb ascending
+            inversions = sum(1 for x in sa for y in sb if x > y)
+            sign = -1 if inversions % 2 else 1
+            key = (tuple(x + y for x, y in zip(ea, eb)), tuple(sorted(sa + sb)))
+            data[key] = data.get(key, Fraction(0)) + sign * ca * cb
+    return {k: v for k, v in data.items() if v}
+
+
+def symbolic_pullback(omega: PolyForm, images, m: int) -> PolyForm:
+    """Substitute coordinate i -> images[i-1] (0-forms on an m-simplex).
+
+    Every power and product is a validated ``PolyForm`` built by
+    :func:`pairwise_product`, and dt_i goes to d(images[i-1]).
+    """
+    out = PolyForm.zero(m)
+    dimages = [d(img) for img in images]
+    power_cache = {}
+
+    def times(a, b):
+        return PolyForm(m, pairwise_product(a, b))
+
+    def power(i, e):
+        if (i, e) not in power_cache:
+            acc = PolyForm.constant(m, 1)
+            for _ in range(e):
+                acc = times(acc, images[i])
+            power_cache[(i, e)] = acc
+        return power_cache[(i, e)]
+
+    for (expo, dts), c in omega.terms.items():
+        acc = PolyForm.constant(m, c)
+        for i, e in enumerate(expo):
+            if e:
+                acc = times(acc, power(i, e))
+        for s in dts:
+            acc = times(acc, dimages[s - 1])
+        out = out + acc
+    return out
+
+
+def symbolic_face_restrict(omega: PolyForm, i: int) -> PolyForm:
+    """Restriction to facet i by substituting the facet's coordinate images.
+
+    Facet 0 sends t_1 to 1 - sum u_k and t_j to u_{j-1}; facet i >= 1 sends
+    t_i to 0 and the other coordinates to their relabelled images.
+    """
+    n = omega.n
+    m = n - 1
+    if i == 0:
+        first = PolyForm.constant(m, 1)
+        for k in range(1, m + 1):
+            first = first - PolyForm.coordinate(m, k)
+        images = [first] + [PolyForm.coordinate(m, j - 1) for j in range(2, n + 1)]
+    else:
+        images = [
+            PolyForm.coordinate(m, j) if j < i
+            else PolyForm.zero(m) if j == i
+            else PolyForm.coordinate(m, j - 1)
+            for j in range(1, n + 1)
+        ]
+    return symbolic_pullback(omega, images, m)
 
 
 def random_qmatrix(rng: random.Random, rows: int, cols: int, density=0.6, span=6) -> QMatrix:

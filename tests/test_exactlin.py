@@ -307,6 +307,32 @@ def test_kernel_free_column_coords_match_solve_and_oracle():
         assert ker.coords_many(probes) == [ker.coords(x) for x in probes]
 
 
+def test_kernel_membership_matches_dense_matvec():
+    rng = random.Random(73)
+    cases = _kernel_cases(rng)  # zero matrices and an empty kernel among them
+    for rows, cols in [(3, 7), (4, 4), (6, 3)]:  # 70-bit entries
+        cases.append(
+            QMatrix(rows, cols, {(i, j): _big(rng) for i in range(rows) for j in range(cols) if rng.random() < 0.6})
+        )
+    seen = set()
+    for m in cases:
+        ker = KernelBasis(m, kernel_basis(m))
+        probes = _probes(rng, ker.vectors, m.cols)
+        # members moved by one coordinate, which leaves the kernel unless that column is zero
+        cols = rng.sample(range(m.cols), min(m.cols, 4))
+        probes += [x[:c] + (x[c] + 1,) + x[c + 1 :] for x in probes[:3] for c in cols]
+        for x, got in zip(probes, ker.coords_many(probes)):
+            member = not any(m.matvec(x))
+            assert (got is not None) == member
+            seen.add(member)
+            if member:
+                assert ker.inclusion.matvec(got) == x
+        with pytest.raises(InputError, match="kernel basis") as info:
+            ker.coords_many([(Fraction(0),) * (m.cols + 1)])
+        assert "matvec" not in str(info.value)
+    assert seen == {True, False}
+
+
 def test_kernel_basis_needs_a_private_column_per_vector():
     m = QMatrix.zero(1, 2)
     one, two = Fraction(1), Fraction(2)

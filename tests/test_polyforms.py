@@ -18,6 +18,7 @@ from cdgalab.polyforms import (
     extend,
     extend_to_simplex,
     face_restrict,
+    face_restriction_matrices,
     form_basis,
     forms_dga,
     integrate,
@@ -28,6 +29,8 @@ from cdgalab.polyforms import (
     standard_complex,
 )
 from cdgalab.cdga import cohomology_dims
+
+from helpers import pairwise_product, symbolic_face_restrict
 
 
 # -- independent integration oracle ---------------------------------------
@@ -78,6 +81,36 @@ def oracle_integral(expo, n):
     return p.get((), Fraction(0))
 
 
+# -- construction and products ---------------------------------------------
+
+def test_non_integer_exponents_and_dt_indices_are_rejected():
+    with pytest.raises(InputError, match="integers"):
+        PolyForm(1, {((1.5,), ()): 1})
+    with pytest.raises(InputError, match="integers"):
+        PolyForm(1, {((1.0,), ()): 1})
+    with pytest.raises(InputError, match="integers"):
+        PolyForm(2, {((1, 0), (True,)): 1})
+    with pytest.raises(InputError, match="integers"):
+        PolyForm(2, {((True, 0), ()): 1})
+
+
+def _random_mixed_form(rng, n, total):
+    """A seeded form with terms of several form degrees."""
+    w = PolyForm.zero(n)
+    for k in range(n + 1):
+        if rng.random() < 0.7:
+            w = w + random_polyform(rng, n, k, total)
+    return w
+
+
+def test_product_matches_pairwise_loop():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(0, 3)
+        a, b = _random_mixed_form(rng, n, 3), _random_mixed_form(rng, n, 3)
+        assert (a * b).terms == pairwise_product(a, b)
+
+
 # -- d ----------------------------------------------------------------------
 
 def test_d_of_coordinate():
@@ -121,6 +154,25 @@ def test_restrict_t1_to_vertices():
     # facet 0 of the interval is the vertex 1 (t1 = 1)
     assert face_restrict(t1, 0) == PolyForm.constant(0, 1)
     assert face_restrict(t1, 1) == PolyForm.constant(0, 0)
+
+
+def test_face_restrict_matches_symbolic_pullback_on_every_basis_key():
+    cases = 0
+    for n in range(1, 5):
+        for k in range(n + 1):
+            for key in form_basis(n, 6, k):
+                unit = PolyForm(n, {key: ONE})
+                for i in range(n + 1):
+                    assert face_restrict(unit, i) == symbolic_face_restrict(unit, i), (key, i)
+                    cases += 1
+    assert cases == 8234
+    # sums of terms, where restrictions can cancel
+    rng = random.Random(8)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        w = _random_mixed_form(rng, n, 4)
+        for i in range(n + 1):
+            assert face_restrict(w, i) == symbolic_face_restrict(w, i)
 
 
 def test_simplicial_identities_randomized():
@@ -321,6 +373,34 @@ def test_forms_dga_levels_are_form_degrees():
     a = forms_dga(1, 2)
     assert set(a.levels[0]) == {0}
     assert set(a.levels[1]) == {1}
+
+
+def test_forms_dga_tables_match_symbolic_construction():
+    for n in range(4):
+        for t in range(n, n + 3):
+            alg = forms_dga(n, t)
+            for i in range(alg.cutoff + 1):
+                keys = alg.bases[i].keys
+                units = [PolyForm(n, {key: ONE}) for key in keys]
+                assert alg.labels[i] == [repr(u) for u in units]
+                if i < alg.cutoff:
+                    images = [d(u).terms for u in units]
+                    assert alg.d_matrix(i) == alg.bases[i + 1].matrix(images)
+                for j in range(alg.cutoff + 1 - i):
+                    for a, ua in enumerate(units):
+                        for b, kb in enumerate(alg.bases[j].keys):
+                            ub = PolyForm(n, {kb: ONE})
+                            expected = None
+                            if ua.total_degree() + ub.total_degree() <= t:
+                                expected = alg.bases[i + j].vector(pairwise_product(ua, ub))
+                            assert alg._mult_fn(i, a, j, b) == expected
+            if n:
+                face = forms_dga(n - 1, t)
+                for f in range(n + 1):
+                    for k, m in enumerate(face_restriction_matrices(alg, face, f)):
+                        images = [symbolic_face_restrict(PolyForm(n, {key: ONE}), f).terms
+                                  for key in alg.bases[k].keys]
+                        assert m == face.bases[k].matrix(images)
 
 
 def test_forms_dga_leibniz():
