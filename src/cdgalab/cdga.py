@@ -38,7 +38,7 @@ from .exactlin import (
     vec_is_zero,
     zero_vector,
 )
-from .graded import Element, FreeGCA, GeneratorSpec, Monomial, apply_odd_derivation
+from .graded import Element, FreeGCA, GeneratorSpec, Monomial, apply_odd_derivation, derive_monomial
 
 
 class FreeCDGA:
@@ -78,7 +78,7 @@ class FreeCDGA:
         """Terms of d(mono), computed once per monomial."""
         terms = self._mono_d.get(mono)
         if terms is None:
-            terms = self._mono_d[mono] = self.d(Element(self.gca, {mono: ONE})).terms
+            terms = self._mono_d[mono] = derive_monomial(self.diff, self.gca, mono)
         return terms
 
     def _extend(self, gens: Sequence[tuple[str, int]], diff: Mapping[str, Element]) -> "FreeCDGA":
@@ -780,14 +780,23 @@ def cohomology(a: TruncatedDGA, upto: int) -> GradedCohomology:
     reps: list[list[Vector]] = []
     spaces: list[RowSpace] = []
     for k in range(upto + 1):
-        cocycles = kernel_basis(a.d_matrix(k))
-        boundary = column_space_basis(a.d_matrix(k - 1)) if k >= 1 else []
-        rs = RowSpace(a.dim(k), boundary)
-        chosen = [v for v in cocycles if rs.add(v)]
+        chosen, rs = _cohomology_degree(a, k)
         dims.append(len(chosen))
         reps.append(chosen)
         spaces.append(rs)
     return GradedCohomology(a, upto, dims, reps, spaces)
+
+
+def _cohomology_degree(a: TruncatedDGA, k: int) -> tuple[list[Vector], RowSpace]:
+    """Representatives of H^k and the cocycle space they complete.
+
+    The space is spanned by a boundary basis first and then by the
+    representatives, the cocycles of the kernel basis that leave it larger.
+    """
+    cocycles = kernel_basis(a.d_matrix(k))
+    boundary = column_space_basis(a.d_matrix(k - 1)) if k >= 1 else []
+    rs = RowSpace(a.dim(k), boundary)
+    return [v for v in cocycles if rs.add(v)], rs
 
 
 def cohomology_dims(a: TruncatedDGA, upto: int) -> list[int]:
@@ -804,7 +813,9 @@ class DGMorphism:
     Checked at construction: unit to unit, commutation with differentials,
     multiplicativity on basis pairs within the common cutoff (full check for
     small algebras, deterministic sampling for large ones, skipping dropped
-    products).
+    products).  ``check_mode`` records how deep that check went ("full",
+    "sampled" or "none") and ``pairs_checked`` how many basis pairs had both
+    sides compared.
     """
 
     def __init__(
@@ -827,8 +838,10 @@ class DGMorphism:
                 raise InputError(f"morphism matrix at degree {k} has the wrong shape")
         self.mats = list(mats)
         self.name = name
+        self.check_mode = "none"
+        self.pairs_checked = 0
         if check != "none":
-            self._verify(check)
+            self.check_mode, self.pairs_checked = self._verify(check)
 
     @classmethod
     def identity(cls, a: TruncatedDGA) -> "DGMorphism":
@@ -851,7 +864,8 @@ class DGMorphism:
             check="none",
         )
 
-    def _verify(self, mode: str):
+    def _verify(self, mode: str) -> tuple[str, int]:
+        """Run the checks; return the check mode and the pairs compared."""
         src, tgt = self.source, self.target
         if self.mats[0].matvec(src.unit) != tgt.unit:
             raise InputError("morphism does not send the unit to the unit")
@@ -869,11 +883,13 @@ class DGMorphism:
         ]
         if mode == "auto":
             mode = "full" if len(pairs) <= 4000 else "sample"
-        if mode == "sample" and len(pairs) > 400:
+        sampled = mode == "sample" and len(pairs) > 400
+        if sampled:
             import random
 
             rng = random.Random(0)
             pairs = [pairs[rng.randrange(len(pairs))] for _ in range(400)]
+        checked = 0
         for i, a, j, b in pairs:
             try:
                 pv = src.product_basis(i, a, j, b)
@@ -881,18 +897,15 @@ class DGMorphism:
                 continue
             lhs = self.apply(i + j, pv)
             try:
-                rhs = tgt.multiply(
-                    i,
-                    self.apply(i, unit_vector(src.dim(i), a)),
-                    j,
-                    self.apply(j, unit_vector(src.dim(j), b)),
-                )
+                rhs = tgt.multiply(i, self.mats[i].column(a), j, self.mats[j].column(b))
             except CutoffTooSmallError:
                 continue
             if lhs != rhs:
                 raise InputError(
                     f"morphism is not multiplicative on basis pair ({i},{a}),({j},{b})"
                 )
+            checked += 1
+        return ("sampled" if sampled else "full"), checked
 
 
 def tensor_morphism(

@@ -52,7 +52,7 @@ from typing import Any, Optional
 from . import cdga, gluing, localsys, polyforms, specseq, sullivan
 from .cdga import DGMorphism, FreeCDGA, TruncatedDGA
 from .errors import CdgaError, CutoffTooSmallError, InputError, InternalError, PreconditionError
-from .exactlin import QMatrix, format_rat
+from .exactlin import QMatrix, format_rat, rat
 from .graded import FreeGCA
 
 TASKS = (
@@ -67,19 +67,6 @@ TASKS = (
 )
 
 SCHEMA_VERSION = "1"
-
-
-def _rat(x) -> Fraction:
-    if isinstance(x, bool) or isinstance(x, float):
-        raise InputError(f"rational literals must be integers or 'p/q' strings, got {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational literal {x!r}: {exc}") from exc
-    raise InputError(f"bad rational literal {x!r}")
 
 
 def _int(x, what: str) -> int:
@@ -132,7 +119,7 @@ def _matrix(rows: list, nrows: int, ncols: int) -> QMatrix:
     for row in rows:
         if len(_list(row, "matrix row")) != ncols:
             raise InputError(f"matrix row has {len(row)} entries, expected {ncols}")
-        data.append([_rat(v) for v in row])
+        data.append([rat(v) for v in row])
     return QMatrix.from_rows(data, ncols) if nrows else QMatrix.zero(0, ncols)
 
 
@@ -322,27 +309,27 @@ def _element(gca: FreeGCA, terms) -> Any:
             if gname not in gca.index:
                 raise InputError(f"unknown generator {gname!r} in a differential")
             mono[gca.index[gname]] = _int(e, "exponent")
-        out = out + _rat(coeff) * gca.element({tuple(mono): Fraction(1)})
+        out = out + rat(coeff) * gca.element({tuple(mono): Fraction(1)})
     return out
 
 
 def _parse_truncated(spec) -> TruncatedDGA:
     dims = [_int(x, "dimension") for x in _list(_req(spec, "dims"), "dims")]
     cutoff = len(dims) - 1
-    unit = tuple(_rat(x) for x in _list(_req(spec, "unit"), "unit"))
+    unit = tuple(rat(x) for x in _list(_req(spec, "unit"), "unit"))
     diff_mats = []
     dd = _obj(spec.get("diff", {}), "diff")
     for k in range(cutoff):
         entries = {}
         for entry in _list(dd.get(str(k), []), "diff"):
             r, c, v = _items(entry, 3, "a diff entry [row, column, value]")
-            entries[(_int(r, "row"), _int(c, "column"))] = _rat(v)
+            entries[(_int(r, "row"), _int(c, "column"))] = rat(v)
         diff_mats.append(QMatrix(dims[k + 1], dims[k], entries))
     table = {}
     for entry in _list(spec.get("mult", []), "mult"):
         i, a, j, b, vec = _items(entry, 5, "a mult entry [i, a, j, b, vector]")
         key = (_int(i, "degree"), _int(a, "index"), _int(j, "degree"), _int(b, "index"))
-        table[key] = tuple(_rat(x) for x in _list(vec, "product vector"))
+        table[key] = tuple(rat(x) for x in _list(vec, "product vector"))
     labels = spec.get("labels")
     return cdga.from_tables(
         cutoff,

@@ -18,6 +18,7 @@ Determinism rules used throughout:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
@@ -32,15 +33,26 @@ ONE = Fraction(1)
 Vector = tuple[Fraction, ...]
 
 
+_RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat(x) -> Fraction:
-    """Coerce ints, strings like ``"2/3"`` and Fractions to Fraction."""
+    """Coerce a Fraction, an int or a ``"p"`` / ``"p/q"`` string to Fraction.
+
+    Bools, floats, decimal or exponent strings and a zero denominator raise
+    :class:`InputError`.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise InputError(f"cannot interpret {x!r} as a rational number")
+        m = _RATIONAL_LITERAL.fullmatch(x)
+        if m is not None:
+            den = int(m[2]) if m[2] is not None else 1
+            if den:
+                return Fraction(int(m[1]), den)
+    raise InputError(f"cannot interpret {x!r} as a rational number: write an integer or 'p/q'")
 
 
 def format_rat(x: Fraction) -> str:

@@ -4,12 +4,18 @@ Monomials are exponent tuples aligned with the declared generator order;
 odd-degree generators square to zero, and reordering products into that
 canonical order accumulates the Koszul sign.  Because every generator has
 positive degree, each graded piece is finite dimensional.
+
+Odd derivations act on monomial keys: the i-th generator of a monomial
+contributes e_i (-1)^{|prefix|} left D(g_i) right, and both products are
+``mono_mul`` calls on exponent tuples, so no element is built per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError
@@ -45,6 +51,9 @@ class FreeGCA:
         self.generators: tuple[GeneratorSpec, ...] = tuple(specs)
         self.index = KeyedBasis(names).index
         self.degrees = tuple(g.degree for g in self.generators)
+        self.odd_positions: tuple[int, ...] = tuple(
+            i for i, d in enumerate(self.degrees) if d % 2
+        )
         self._basis_cache: dict[int, list[Monomial]] = {}
 
     @property
@@ -75,23 +84,21 @@ class FreeGCA:
         )
 
     def mono_mul(self, a: Monomial, b: Monomial) -> Optional[tuple[int, Monomial]]:
-        """Product of monomials: ``(koszul_sign, monomial)`` or None for zero."""
+        """Product of monomials: ``(koszul_sign, monomial)`` or None for zero.
+
+        Only odd generators move a sign: each odd generator of a passes the
+        odd generators of b that sit at earlier positions.
+        """
         sign = 0
-        # moving each odd generator of b leftwards past the odd generators of
-        # a that sit at a later position costs one transposition each
-        odd_a_after = 0
-        for j in range(self.ngens - 1, -1, -1):
-            if self.degrees[j] % 2 == 1:
+        odd_b_before = 0
+        for j in self.odd_positions:
+            if a[j]:
                 if b[j]:
-                    sign += odd_a_after * b[j]
-                if a[j]:
-                    odd_a_after += a[j]
-            # even generators commute freely
-        prod = tuple(x + y for x, y in zip(a, b))
-        for e, d in zip(prod, self.degrees):
-            if d % 2 == 1 and e > 1:
-                return None
-        return (-1) ** sign, prod
+                    return None
+                sign += odd_b_before
+            elif b[j]:
+                odd_b_before += 1
+        return (-1 if sign & 1 else 1), tuple(map(add, a, b))
 
     def mono_str(self, m: Monomial) -> str:
         parts = []
@@ -116,12 +123,14 @@ class FreeGCA:
             return cached
         out: list[Monomial] = []
         expo = [0] * self.ngens
+        # least degree among the generators from position i on
+        least = list(accumulate(reversed(self.degrees), min))[::-1] + [n + 1]
 
         def rec(i: int, remaining: int):
             if remaining == 0:
                 out.append(tuple(expo))
                 return
-            if i == self.ngens:
+            if remaining < least[i]:
                 return
             d = self.degrees[i]
             max_e = remaining // d
@@ -274,30 +283,57 @@ class Element:
 def apply_odd_derivation(images: Mapping[str, Element], x: Element) -> Element:
     """Extend ``gen -> images[gen]`` to an odd derivation and apply it to x.
 
-    The sign rule is D(a b) = D(a) b + (-1)^{|a|} a D(b); on a monomial the
-    term for the i-th generator picks up (-1)^{degree of the prefix}.  The
-    images must live in the same algebra as ``x``.
+    The sign rule is D(a b) = D(a) b + (-1)^{|a|} a D(b); each monomial of x
+    is differentiated by :func:`derive_monomial`.  The images must live in
+    the same algebra as ``x``.
     """
     alg = x.algebra
-    out = alg.zero()
+    data: dict[Monomial, Fraction] = {}
     for mono, coeff in x.terms.items():
-        for i, e in enumerate(mono):
-            if e == 0:
+        for m, c in derive_monomial(images, alg, mono).items():
+            v = data.get(m, ZERO) + coeff * c
+            if v:
+                data[m] = v
+            else:
+                data.pop(m, None)
+    return Element(alg, data)
+
+
+def derive_monomial(images: Mapping[str, Element], alg: FreeGCA, mono: Monomial) -> dict[Monomial, Fraction]:
+    """Terms of D(mono) for the odd derivation D with ``gen -> images[gen]``.
+
+    The i-th generator contributes e_i (-1)^{|prefix|} left D(g_i) right,
+    where left is the prefix with g_i^{e_i - 1} appended (that leftover power
+    is even unless e_i = 1, so parking it costs no sign) and right is the
+    rest of the monomial; both products are taken on exponent keys.
+    """
+    out: dict[Monomial, Fraction] = {}
+    zeros = (0,) * len(mono)
+    prefix_deg = 0
+    for i, e in enumerate(mono):
+        if not e:
+            continue
+        gname = alg.generators[i].name
+        img = images.get(gname)
+        if img is None:
+            raise InputError(f"no derivation image for generator {gname!r}")
+        if img.algebra is not alg:
+            raise InputError("derivation images must live in the algebra of x")
+        scale = -e if prefix_deg % 2 else e
+        left = mono[:i] + (e - 1,) + zeros[i + 1 :]
+        right = zeros[: i + 1] + mono[i + 1 :]
+        for m, c in img.terms.items():
+            lm = alg.mono_mul(left, m)
+            if lm is None:
                 continue
-            gname = alg.generators[i].name
-            img = images.get(gname)
-            if img is None:
-                raise InputError(f"no derivation image for generator {gname!r}")
-            if img.algebra is not alg:
-                raise InputError("derivation images must live in the algebra of x")
-            prefix_deg = sum(mono[j] * alg.degrees[j] for j in range(i))
-            sign = -1 if prefix_deg % 2 else 1
-            # g_i^{e} contributes e * g_i^{e-1} D(g_i); the leftover power is
-            # even unless e == 1, so parking it in the prefix costs no sign
-            left = alg.element(
-                {tuple(mono[j] if j < i else (e - 1 if j == i else 0) for j in range(len(mono))): ONE}
-            )
-            right = alg.element({tuple(0 if j <= i else mono[j] for j in range(len(mono))): ONE})
-            term = (sign * e) * (left * img * right)
-            out = out + coeff * term
+            rm = alg.mono_mul(lm[1], right)
+            if rm is None:
+                continue
+            key = rm[1]
+            v = out.get(key, ZERO) + scale * lm[0] * rm[0] * c
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+        prefix_deg += e * alg.degrees[i]
     return out

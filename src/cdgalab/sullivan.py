@@ -23,13 +23,14 @@ from .cdga import (
     DGMorphism,
     FreeCDGA,
     TruncatedDGA,
+    _cohomology_degree,
     cohomology,
     is_quasi_iso,
     truncate,
 )
 from .errors import InputError, InternalError, PreconditionError
 from .exactlin import QMatrix, RowSpace, ZERO, kernel_basis, solve, vec_is_zero
-from .graded import Element, FreeGCA, apply_odd_derivation
+from .graded import Element, FreeGCA, Monomial, apply_odd_derivation
 
 
 @dataclass
@@ -50,24 +51,30 @@ def minimality_check(f: FreeCDGA):
     return True, None
 
 
-def _comparison_matrices(model: FreeCDGA, trunc: TruncatedDGA, target: TruncatedDGA, phi: dict[str, tuple[int, tuple]], upto: int) -> list[QMatrix]:
-    """Matrices of the generator assignment phi on the monomial bases."""
+def _comparison_matrices(model: FreeCDGA, trunc: TruncatedDGA, target: TruncatedDGA, phi: dict[str, tuple[int, tuple]], degrees: range) -> dict[int, QMatrix]:
+    """Matrices of the generator assignment phi on the monomial bases of ``degrees``.
+
+    phi(m) is the left fold of target products over the generators of m in
+    order, so phi(m) = phi(m') phi(g) for the last generator g of m and m'
+    the monomial with one factor of g fewer; each phi(m') is computed once.
+    """
     gca = model.gca
-    mats = []
-    for k in range(upto + 1):
-        cols = []
-        for mono in trunc.bases[k].keys:
-            vec = target.unit
-            deg = 0
-            for i, e in enumerate(mono):
-                name = gca.generators[i].name
-                gdeg, gvec = phi[name]
-                for _ in range(e):
-                    vec = target.multiply(deg, vec, gdeg, gvec)
-                    deg += gdeg
-            cols.append(vec)
-        mats.append(QMatrix.from_cols(cols, target.dim(k)))
-    return mats
+    images = [phi[g.name] for g in gca.generators]
+    memo = {gca.unit_monomial(): target.unit}
+
+    def image(mono: Monomial, k: int) -> tuple:
+        vec = memo.get(mono)
+        if vec is None:
+            last = max(i for i, e in enumerate(mono) if e)
+            gdeg, gvec = images[last]
+            rest = mono[:last] + (mono[last] - 1,) + mono[last + 1 :]
+            vec = memo[mono] = target.multiply(k - gdeg, image(rest, k - gdeg), gdeg, gvec)
+        return vec
+
+    return {
+        k: QMatrix.from_cols([image(mono, k) for mono in trunc.bases[k].keys], target.dim(k))
+        for k in degrees
+    }
 
 
 def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
@@ -80,7 +87,8 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
 
     Stage n reads only H^n and H^{n+1} of the model, which depend on its
     differentials out of degrees n - 1 to n + 1, so it truncates the model
-    through n + 2.  Generators are only appended, so each monomial's
+    through n + 2 and computes H and the comparison matrices only in degrees
+    n and n + 1.  Generators are only appended, so each monomial's
     differential is computed once and carried to every later stage.
     """
     if upto < 0:
@@ -101,11 +109,12 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
     for n in range(2, upto + 1):
         top = min(n + 1, target.cutoff - 1)
         trunc = truncate(model, top + 1)
-        hs = cohomology(trunc, top)
-        mats = _comparison_matrices(model, trunc, target, phi, top)
+        degrees = range(n, top + 1)
+        hs_reps = {k: _cohomology_degree(trunc, k)[0] for k in degrees}
+        mats = _comparison_matrices(model, trunc, target, phi, degrees)
         # cokernel of H^n(phi)
         image = RowSpace(ht.dims[n])
-        for rep in hs.reps[n]:
+        for rep in hs_reps[n]:
             image.add(ht.class_of(n, mats[n].matvec(rep)))
         gens: list[tuple[str, int]] = []
         diff: dict[str, Element] = {}
@@ -116,7 +125,7 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
                 phi[name] = (n, tuple(t_rep))
         # kernel of H^{n+1}(phi), computable while n+1 is below the cutoff
         if n + 1 <= target.cutoff - 1:
-            reps = hs.reps[n + 1]
+            reps = hs_reps[n + 1]
             hmat_cols = [ht.class_of(n + 1, mats[n + 1].matvec(rep)) for rep in reps]
             hmat = QMatrix.from_cols(hmat_cols, ht.dims[n + 1])
             keys = trunc.bases[n + 1].keys
@@ -140,8 +149,8 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
             model = model._extend(gens, diff)
 
     trunc = truncate(model, target.cutoff)
-    mats = _comparison_matrices(model, trunc, target, phi, target.cutoff)
-    comparison = DGMorphism(trunc, target, mats, check="auto")
+    mats = _comparison_matrices(model, trunc, target, phi, range(target.cutoff + 1))
+    comparison = DGMorphism(trunc, target, list(mats.values()), check="auto")
     ok, offender = minimality_check(model)
     if not ok:
         raise InternalError(f"constructed model is not minimal at {offender}")

@@ -10,7 +10,8 @@ from itertools import combinations
 from math import comb
 import random
 
-from cdgalab.exactlin import QMatrix, RowSpace, kernel_basis, unit_vector
+from cdgalab.errors import InputError
+from cdgalab.exactlin import ONE, QMatrix, RowSpace, kernel_basis, unit_vector
 from cdgalab.polyforms import PolyForm, d
 
 
@@ -286,3 +287,52 @@ def wedge_generator_counts(spheres: int, top: int) -> dict[int, int]:
             factor[j * n] = comb(l_n, j) if n % 2 else comb(l_n + j - 1, j)
         fixed = [sum(fixed[i] * factor[k - i] for i in range(k + 1)) for k in range(m + 1)]
     return counts
+
+
+def loop_mono_mul(alg, a, b):
+    """Product of two monomials of ``alg`` by a loop over every generator.
+
+    The reference for ``FreeGCA.mono_mul``: each odd generator of b moves
+    left past the odd generators of a at later positions, and the product is
+    zero when an odd exponent of the sum exceeds one.
+    """
+    sign = 0
+    odd_a_after = 0
+    for j in range(alg.ngens - 1, -1, -1):
+        if alg.degrees[j] % 2 == 1:
+            sign += odd_a_after * b[j]
+            odd_a_after += a[j]
+    prod = tuple(x + y for x, y in zip(a, b))
+    if any(d % 2 == 1 and e > 1 for e, d in zip(prod, alg.degrees)):
+        return None
+    return (-1) ** sign, prod
+
+
+def symbolic_odd_derivation(images, x):
+    """Odd derivation ``gen -> images[gen]`` applied to x through ``Element`` products.
+
+    The reference for ``graded.derive_monomial``: the i-th generator of each
+    monomial contributes (-1)^{|prefix|} e_i left * D(g_i) * right, every
+    factor a validated element and every product a full ``Element.__mul__``.
+    """
+    alg = x.algebra
+    out = alg.zero()
+    for mono, coeff in x.terms.items():
+        for i, e in enumerate(mono):
+            if e == 0:
+                continue
+            gname = alg.generators[i].name
+            img = images.get(gname)
+            if img is None:
+                raise InputError(f"no derivation image for generator {gname!r}")
+            if img.algebra is not alg:
+                raise InputError("derivation images must live in the algebra of x")
+            prefix_deg = sum(mono[j] * alg.degrees[j] for j in range(i))
+            sign = -1 if prefix_deg % 2 else 1
+            left = alg.element(
+                {tuple(mono[j] if j < i else (e - 1 if j == i else 0) for j in range(len(mono))): ONE}
+            )
+            right = alg.element({tuple(0 if j <= i else mono[j] for j in range(len(mono))): ONE})
+            term = (sign * e) * (left * img * right)
+            out = out + coeff * term
+    return out

@@ -95,6 +95,17 @@ def test_decimal_literals_rejected(tmp_path, capsys):
     assert "rational" in err
 
 
+@pytest.mark.parametrize("coeff", ["1.5", "1e3", True, "1/0"])
+def test_non_rational_coefficients_rejected(tmp_path, capsys, coeff):
+    doc = torus_problem()
+    doc["algebras"]["T"]["generators"] = [["x", 2], ["y", 3]]
+    doc["algebras"]["T"]["differential"] = {"y": [[coeff, {"x": 2}]]}
+    code, out, err = run_cli(capsys, [write(tmp_path, doc)])
+    assert code == 2
+    assert out == ""
+    assert "rational" in err
+
+
 def edge_system_problem():
     return {
         "version": "1",

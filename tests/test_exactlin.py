@@ -25,6 +25,43 @@ from fixtures import wedge_of_2_spheres
 from helpers import fraction_echelon, minor_rank, naive_rank, random_qmatrix
 
 
+# -- rational literals ------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "literal, value",
+    [
+        (Fraction(3, 4), Fraction(3, 4)),
+        (7, Fraction(7)),
+        (-2, Fraction(-2)),
+        ("5", Fraction(5)),
+        ("-3/6", Fraction(-1, 2)),
+        ("+4/2", Fraction(2)),
+        ("0/9", Fraction(0)),
+    ],
+)
+def test_rat_accepts_integers_and_fraction_strings(literal, value):
+    assert exactlin.rat(literal) == value
+    assert type(exactlin.rat(literal)) is Fraction
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [True, False, 1.5, 2.0, "1.5", "1e3", "1/0", "-0/0", "1/-2", " 1/2", "1_000", "", "/2", "p/q", None, [1]],
+)
+def test_rat_rejects_everything_else(literal):
+    with pytest.raises(InputError, match="rational"):
+        exactlin.rat(literal)
+
+
+def test_bool_coefficients_rejected_by_constructors():
+    from cdgalab.polyforms import PolyForm
+
+    with pytest.raises(InputError, match="rational"):
+        PolyForm(1, {((1,), ()): True})
+    with pytest.raises(InputError, match="rational"):
+        QMatrix(1, 1, {(0, 0): True})
+
+
 def test_rref_identity():
     m = QMatrix.identity(2)
     r, pivots, red = rref(m)

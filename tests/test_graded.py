@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from cdgalab.errors import InputError
-from cdgalab.graded import FreeGCA, apply_odd_derivation
+from cdgalab.graded import FreeGCA, apply_odd_derivation, derive_monomial
 
-from helpers import poly_series_coefficient
+from helpers import loop_mono_mul, poly_series_coefficient, symbolic_odd_derivation
 
 
 def exterior_two():
@@ -127,3 +128,79 @@ def test_odd_derivation_rule():
     assert apply_odd_derivation(images, x * x) == 2 * (x * xbar)
     # s(y x) = ybar x - y ... y has odd degree so the x-term gets a minus
     assert apply_odd_derivation(images, y * x) == ybar * x - y * xbar
+
+
+# -- key-level arithmetic against the loop and symbolic references ------------
+
+MIXED_ORDERS = [(3, 2, 1, 4, 3), (1, 1, 2, 3), (4, 2, 2, 5, 1), (2, 3)]
+
+
+def mixed_algebra(degrees):
+    return FreeGCA([(f"g{i}", d) for i, d in enumerate(degrees)])
+
+
+def brute_force_basis(alg, n):
+    ranges = [range(2) if d % 2 else range(n // d + 1) for d in alg.degrees]
+    found = [m for m in product(*ranges) if alg.mono_degree(m) == n]
+    return sorted(found, reverse=True)
+
+
+@pytest.mark.parametrize("degrees", MIXED_ORDERS)
+def test_basis_matches_brute_force(degrees):
+    alg = mixed_algebra(degrees)
+    for n in range(0, 13):
+        assert alg.basis_in_degree(n) == brute_force_basis(alg, n)
+
+
+@pytest.mark.parametrize("degrees", MIXED_ORDERS)
+def test_mono_mul_matches_loop(degrees):
+    alg = mixed_algebra(degrees)
+    monos = [m for n in range(0, 9) for m in alg.basis_in_degree(n)]
+    for a in monos:
+        for b in monos:
+            assert alg.mono_mul(a, b) == loop_mono_mul(alg, a, b)
+
+
+def random_images(rng, alg, shift):
+    """Random homogeneous images of degree |g| + shift for every generator."""
+    return {
+        g.name: random_homogeneous(rng, alg, g.degree + shift) if g.degree + shift >= 0 else alg.zero()
+        for g in alg.generators
+    }
+
+
+@pytest.mark.parametrize("degrees", MIXED_ORDERS)
+@pytest.mark.parametrize("shift", [1, -1])
+def test_derivation_matches_symbolic_oracle(degrees, shift):
+    rng = random.Random(sum(degrees) * 10 + shift)
+    alg = mixed_algebra(degrees)
+    for _ in range(40):
+        images = random_images(rng, alg, shift)
+        x = random_element(rng, alg, max_degree=9, nterms=4)
+        assert apply_odd_derivation(images, x) == symbolic_odd_derivation(images, x)
+
+
+def test_loop_space_derivation_matches_symbolic_oracle():
+    # s(v) = +-vbar and s(vbar) = 0, the degree -1 derivation of loop_model
+    alg = FreeGCA([("x", 2), ("y", 3), ("z", 4), ("x_bar", 1), ("y_bar", 2), ("z_bar", 3)])
+    images = {}
+    for name in ("x", "y", "z"):
+        sign = 1 if alg.degrees[alg.index[name]] % 2 == 0 else -1
+        images[name] = sign * alg.gen(name + "_bar")
+        images[name + "_bar"] = alg.zero()
+    rng = random.Random(41)
+    for _ in range(60):
+        x = random_element(rng, alg, max_degree=10, nterms=5)
+        assert apply_odd_derivation(images, x) == symbolic_odd_derivation(images, x)
+
+
+def test_derive_monomial_checks_images():
+    alg = cp_like()
+    other = cp_like()
+    mono = alg.generator_monomial("y")
+    with pytest.raises(InputError, match="no derivation image"):
+        derive_monomial({"x": alg.zero()}, alg, mono)
+    with pytest.raises(InputError, match="algebra of x"):
+        derive_monomial({"x": alg.zero(), "y": other.gen("x")}, alg, mono)
+    # a generator absent from the monomial needs no image
+    assert derive_monomial({"y": alg.gen("x") * alg.gen("x")}, alg, mono) == {(2, 0): 1}

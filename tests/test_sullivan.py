@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -213,3 +215,55 @@ def test_minimal_model_product_of_spheres():
     for c in cubes:
         for mono in c.terms:
             assert sum(mono) == 2
+
+
+# -- pinned models and the depth of the comparison check ----------------------
+
+# sha256 of the S^2 v S^2 model at cutoff 9 and the S^2 v S^2 v S^2 model at
+# cutoff 6, recorded before the minimal-model code moved to monomial keys
+PINNED_WEDGE_MODELS = "e35530382fd6cca2374a89f99beec308e91c43be1958da14ed8c6d905762e352"
+
+
+def model_payload(res):
+    gens = res.model.gca.generators
+    return {
+        "generators": [[g.name, g.degree] for g in gens],
+        "differentials": [repr(res.model.diff[g.name]) for g in gens],
+        "comparison": [
+            sorted([r, c, str(v)] for (r, c), v in m.entries.items()) for m in res.comparison.mats
+        ],
+        "labels": res.comparison.source.labels,
+    }
+
+
+def test_wedge_models_are_pinned():
+    payload = [
+        model_payload(minimal_model(wedge_of_2_spheres(spheres, cutoff), cutoff - 1))
+        for spheres, cutoff in ((2, 9), (3, 6))
+    ]
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_WEDGE_MODELS
+
+
+def test_small_comparison_is_checked_in_full():
+    res = minimal_model(cp2_formal(7), 6)
+    src, cap = res.comparison.source, res.comparison.cap
+    pairs = sum(
+        src.dim(i) * src.dim(j) for i in range(cap + 1) for j in range(i, cap + 1 - i)
+    )
+    assert res.comparison.check_mode == "full"
+    assert res.comparison.pairs_checked == pairs > 0
+
+
+def test_large_comparison_is_sampled():
+    # 4,354 basis pairs at cutoff 12 (2,091 at cutoff 11, still checked in full)
+    res = minimal_model(wedge_of_2_spheres(2, 12), 11)
+    assert res.comparison.check_mode == "sampled"
+    assert 0 < res.comparison.pairs_checked <= 400
+
+
+def test_unchecked_morphism_records_no_pairs():
+    from cdgalab.cdga import DGMorphism
+
+    ident = DGMorphism.identity(cp2_formal(5))
+    assert (ident.check_mode, ident.pairs_checked) == ("none", 0)
