@@ -29,7 +29,6 @@ from .exactlin import (
     RowSpace,
     Vector,
     ZERO,
-    column_space_basis,
     concat,
     kernel_basis,
     rank,
@@ -285,7 +284,7 @@ class TruncatedDGA:
         if self.ambient is not None:
             return self.ambient.level_rows(k, p).matmul(self.kernels[k].inclusion)
         below = [a for a in range(self.dim(k)) if self.basis_level(k, a) < p]
-        return QMatrix(len(below), self.dim(k), {(r, a): ONE for r, a in enumerate(below)})
+        return QMatrix._of(len(below), self.dim(k), {(r, a): ONE for r, a in enumerate(below)})
 
     def level_subspace(self, k: int, p: int) -> list[Vector]:
         """Basis of the subspace of degree-k elements of level >= p."""
@@ -560,7 +559,7 @@ def _block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
             entries[(r0 + r, c0 + c)] = x
         r0 += block.rows
         c0 += block.cols
-    return QMatrix(r0, c0, entries)
+    return QMatrix._of(r0, c0, entries)
 
 
 def _require_basis_levels(alg: TruncatedDGA, cutoff: int) -> None:
@@ -729,8 +728,8 @@ def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = Non
 class GradedCohomology:
     """Chosen cocycle representatives and class arithmetic up to a degree.
 
-    ``spaces[k]`` spans the cocycles of degree k, generated by a boundary
-    basis first and then by ``reps[k]``.
+    ``spaces[k]`` spans the cocycles of degree k, generated by boundaries
+    first and then by ``reps[k]``.
     """
 
     algebra: TruncatedDGA
@@ -790,13 +789,16 @@ def cohomology(a: TruncatedDGA, upto: int) -> GradedCohomology:
 def _cohomology_degree(a: TruncatedDGA, k: int) -> tuple[list[Vector], RowSpace]:
     """Representatives of H^k and the cocycle space they complete.
 
-    The space is spanned by a boundary basis first and then by the
+    The space is spanned by the boundaries first and then by the
     representatives, the cocycles of the kernel basis that leave it larger.
     """
-    cocycles = kernel_basis(a.d_matrix(k))
-    boundary = column_space_basis(a.d_matrix(k - 1)) if k >= 1 else []
-    rs = RowSpace(a.dim(k), boundary)
-    return [v for v in cocycles if rs.add(v)], rs
+    rs = _boundaries(a, k)
+    return [v for v in kernel_basis(a.d_matrix(k)) if rs.add(v)], rs
+
+
+def _boundaries(a: TruncatedDGA, k: int) -> RowSpace:
+    """The image of d_{k-1} in degree k, spanned by the columns of its matrix."""
+    return RowSpace.of_columns(a.d_matrix(k - 1)) if k >= 1 else RowSpace(a.dim(k))
 
 
 def cohomology_dims(a: TruncatedDGA, upto: int) -> list[int]:

@@ -226,7 +226,7 @@ class Problem:
             factors = _items(_req(spec, "factors"), 2, f"the factors of {kind} {name!r}")
             a, b = (self._resolve_algebra(n, stack + [name]) for n in factors)
             build = cdga.direct_sum if kind == "product" else cdga.tensor_product
-            alg = build(a, b, cutoff=_int(cutoff, "cutoff") if cutoff else None)
+            alg = build(a, b, cutoff=_int(cutoff, "cutoff") if cutoff is not None else None)
         elif kind == "simplex-forms":
             alg = polyforms.forms_dga(
                 _int(_req(spec, "dim"), "dim"),
@@ -401,8 +401,6 @@ def _poly_str(f: FreeCDGA, name: str) -> str:
 def _need(problem: Problem, key: str, flags) -> Any:
     if key == "upto" and flags.upto is not None:
         return flags.upto
-    if key == "cutoff" and flags.cutoff is not None:
-        return flags.cutoff
     if key in problem.task_args:
         return problem.task_args[key]
     if key in problem.parameters:
@@ -459,6 +457,7 @@ def task_loop_model(problem: Problem, flags) -> tuple[int, dict]:
     base = problem.free_algebras[name]
     lm = sullivan.loop_model(base)
     upto = problem.task_args.get("upto", problem.parameters.get("upto"))
+    upto = flags.upto if flags.upto is not None else upto  # optional, with _need's precedence
     if upto is not None:
         upto = _bound(upto, "upto")
     result = {

@@ -123,6 +123,13 @@ class QMatrix:
 
     # -- construction -------------------------------------------------
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> "QMatrix":
+        """A matrix on nonzero Fractions at in-range indices, unchecked."""
+        out = cls.__new__(cls)
+        out.rows, out.cols, out.entries = rows, cols, entries
+        return out
+
+    @classmethod
     def from_rows(cls, data: Sequence[Sequence], cols: Optional[int] = None) -> "QMatrix":
         nrows = len(data)
         if cols is None:
@@ -146,7 +153,7 @@ class QMatrix:
             for i, v in enumerate(col):
                 if v:
                     entries[(i, j)] = rat(v)
-        return cls(rows, len(cols_data), entries)
+        return cls._of(rows, len(cols_data), entries)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -215,7 +222,7 @@ class QMatrix:
             for c, v in acc.items():
                 if v:
                     entries[(r, c)] = v
-        return QMatrix(self.rows, other.cols, entries)
+        return QMatrix._of(self.rows, other.cols, entries)
 
     def add(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -223,14 +230,11 @@ class QMatrix:
         entries = dict(self.entries)
         for k, v in other.entries.items():
             entries[k] = entries.get(k, ZERO) + v
-        return QMatrix(self.rows, self.cols, entries)
+        return QMatrix._of(self.rows, self.cols, {k: v for k, v in entries.items() if v})
 
     def scale(self, c) -> "QMatrix":
         c = rat(c)
-        return QMatrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
+        return QMatrix._of(self.rows, self.cols, {k: c * v for k, v in self.entries.items()} if c else {})
 
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows:
@@ -238,7 +242,7 @@ class QMatrix:
         entries = dict(self.entries)
         for (r, c), v in other.entries.items():
             entries[(r, c + self.cols)] = v
-        return QMatrix(self.rows, self.cols + other.cols, entries)
+        return QMatrix._of(self.rows, self.cols + other.cols, entries)
 
     def vstack(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.cols:
@@ -246,7 +250,7 @@ class QMatrix:
         entries = dict(self.entries)
         for (r, c), v in other.entries.items():
             entries[(r + self.rows, c)] = v
-        return QMatrix(self.rows + other.rows, self.cols, entries)
+        return QMatrix._of(self.rows + other.rows, self.cols, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +352,7 @@ def rref(m: QMatrix) -> tuple[int, tuple[int, ...], QMatrix]:
     for r, row in enumerate(rows):
         for c, v in row.items():
             entries[(r, c)] = v
-    return len(pivots), tuple(pivots), QMatrix(m.rows, m.cols, entries)
+    return len(pivots), tuple(pivots), QMatrix._of(m.rows, m.cols, entries)
 
 
 def rank(m: QMatrix) -> int:
@@ -432,27 +436,6 @@ def solve_many(m: QMatrix, rhs: Sequence[Vector]) -> list[Optional[Vector]]:
     return out
 
 
-def column_space_basis(m: QMatrix) -> list[Vector]:
-    """Canonical basis of the column space (RREF rows of the transpose)."""
-    rows, pivots = _echelon(m.transpose())
-    basis = []
-    for r in range(len(pivots)):
-        basis.append(tuple(rows[r].get(c, ZERO) for c in range(m.rows)))
-    return _canonical_sort(basis)
-
-
-def complement_basis(sub: Sequence[Vector], ambient_dim: int) -> list[Vector]:
-    """Standard basis vectors completing ``span(sub)`` to the ambient space."""
-    for v in sub:
-        if len(v) != ambient_dim:
-            raise InputError("complement_basis: vector outside ambient space")
-    if not sub:
-        return [unit_vector(ambient_dim, i) for i in range(ambient_dim)]
-    _, pivots, _ = rref(QMatrix.from_rows(list(sub), ambient_dim))
-    pivot_set = set(pivots)
-    return [unit_vector(ambient_dim, j) for j in range(ambient_dim) if j not in pivot_set]
-
-
 class _Coordinates:
     """Writing vectors in a basis; subclasses provide ``coords_many``."""
 
@@ -487,9 +470,22 @@ class RowSpace(_Coordinates):
         for v in vectors:
             self.add(v)
 
+    @classmethod
+    def of_columns(cls, m: QMatrix) -> "RowSpace":
+        """The span of the columns of ``m``, generated by those that enlarge it."""
+        cols = [[ZERO] * m.rows for _ in range(m.cols)]
+        for (r, c), x in m.entries.items():
+            cols[c][r] = x
+        return cls(m.rows, map(tuple, cols))
+
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot columns of the reduced row echelon form of the span, ascending."""
+        return tuple(sorted(self._rows))
 
     def reduce(self, v: Sequence[Fraction]) -> dict[int, int]:
         """A nonzero integer multiple of the residual of ``v``; empty in the span."""
@@ -641,7 +637,7 @@ class KeyedBasis:
         return tuple(acc)
 
     def matrix(self, images: Sequence[Mapping[Hashable, Fraction]]) -> QMatrix:
-        """The matrix whose column j is the vector of ``images[j]``."""
+        """The matrix whose column j is the vector of ``images[j]`` (nonzero Fractions, unchecked)."""
         entries: dict[tuple[int, int], Fraction] = {}
         index = self.index
         try:
@@ -650,7 +646,7 @@ class KeyedBasis:
                     entries[(index[key], col)] = c
         except KeyError as exc:
             raise _outside(exc) from None
-        return QMatrix(len(self.keys), len(images), entries)
+        return QMatrix._of(len(self.keys), len(images), entries)
 
 
 def _outside(exc: KeyError) -> InputError:

@@ -33,10 +33,9 @@ from .exactlin import (
     ONE,
     KernelBasis,
     QMatrix,
+    RowSpace,
     Vector,
     ZERO,
-    column_space_basis,
-    complement_basis,
     concat,
     kernel_basis,
     rank,
@@ -245,7 +244,7 @@ def mayer_vietoris(fp: FiberProductDGA, upto: int) -> MayerVietorisReport:
 class SuspensionModel:
     carrier: TruncatedDGA
     source: TruncatedDGA
-    complement_choice: list[Vector]  # basis of the degree-1 complement of im d^0
+    complement_choice: list[Vector]  # unit vectors off the pivot columns of im d^0 (degree 1)
     shifted_basis: list[list[Vector]]  # per carrier degree >= 2: vectors in source coords
 
 
@@ -263,8 +262,8 @@ def suspension_model(m: TruncatedDGA, upto: int) -> SuspensionModel:
     if h0.dims[0] != 1:
         raise PreconditionError("suspension_model needs a connected source algebra")
 
-    image_d0 = column_space_basis(m.d_matrix(0))
-    comp = complement_basis(image_d0, m.dim(1))
+    pivots = set(RowSpace.of_columns(m.d_matrix(0)).pivots)
+    comp = [unit_vector(m.dim(1), j) for j in range(m.dim(1)) if j not in pivots]
     shifted: list[list[Vector]] = [[], []]  # degrees 0 and 1 of the carrier
     for k in range(2, upto + 1):
         if k - 1 == 1:

@@ -468,7 +468,7 @@ def cohomology_local_system(e: FiniteLocalSystem, upto: int) -> LocalCoefficient
         for q in range(upto + 1):
             m = to_v[q]
             # the inverse writes each unit vector in the basis of m's columns
-            space = RowSpace(m.rows, [m.column(c) for c in range(m.cols)])
+            space = RowSpace.of_columns(m)
             if not space.rank == m.rows == m.cols:
                 raise PreconditionError(f"transport not invertible on edge {s}")
             inv = space.coords_many([unit_vector(m.rows, r) for r in range(m.rows)])

@@ -228,8 +228,8 @@ def d(omega: PolyForm) -> PolyForm:
     return PolyForm._of(n, data)
 
 
-def _restrict_key(n: int, key: TermKey, i: int) -> dict[TermKey, int]:
-    """Integer coefficients, by key, of the unit term ``key`` restricted to facet i.
+def _restrict_key(n: int, key: TermKey, i: int) -> dict[TermKey, Fraction]:
+    """Integral coefficients, by key, of the unit term ``key`` restricted to facet i.
 
     Facet i >= 1 sets t_i = 0 and relabels; facet 0 sets t_1 = 1 - sum u_k,
     expanded by multinomial coefficients, and dt_1 = -sum du_k, each du_k
@@ -239,7 +239,7 @@ def _restrict_key(n: int, key: TermKey, i: int) -> dict[TermKey, int]:
     if i:
         if expo[i - 1] or i in dts:
             return {}
-        return {(expo[: i - 1] + expo[i:], tuple(s - 1 if s > i else s for s in dts)): 1}
+        return {(expo[: i - 1] + expo[i:], tuple(s - 1 if s > i else s for s in dts)): ONE}
     m = n - 1
     if dts and dts[0] == 1:
         rest = tuple(s - 1 for s in dts[1:])
@@ -251,12 +251,12 @@ def _restrict_key(n: int, key: TermKey, i: int) -> dict[TermKey, int]:
     else:
         wedges = [(tuple(s - 1 for s in dts), 1)]
     a, tail = expo[0], expo[1:]
-    out: dict[TermKey, int] = {}
+    out: dict[TermKey, Fraction] = {}
     for b in _exponents_upto(m, a):
         c = (-1) ** sum(b) * factorial(a) // (factorial(a - sum(b)) * prod(map(factorial, b)))
         new_expo = tuple(x + y for x, y in zip(b, tail))
         for new_dts, sign in wedges:
-            out[(new_expo, new_dts)] = sign * c
+            out[(new_expo, new_dts)] = Fraction(sign * c)
     return out
 
 
@@ -439,13 +439,15 @@ def forms_dga(n: int, total_degree: int, cutoff: Optional[int] = None) -> FormsD
 
 
 def _restrictions(
-    n: int, keys: Sequence[TermKey], target: KeyedBasis, faces: Iterable[int]
+    n: int, keys: Sequence[TermKey], target: KeyedBasis, faces: Sequence[int]
 ) -> QMatrix:
     """Restrictions of the forms ``keys`` to each listed facet, stacked by facet."""
-    m = QMatrix.zero(0, len(keys))
-    for i in faces:
-        m = m.vstack(target.matrix([_restrict_key(n, key, i) for key in keys]))
-    return m
+    rows = len(target)
+    entries: dict[tuple[int, int], Fraction] = {}
+    for f, i in enumerate(faces):
+        block = target.matrix([_restrict_key(n, key, i) for key in keys])
+        entries.update(((f * rows + r, c), x) for (r, c), x in block.entries.items())
+    return QMatrix._of(len(faces) * rows, len(keys), entries)
 
 
 def face_restriction_matrices(src: TruncatedDGA, tgt: TruncatedDGA, i: int) -> list[QMatrix]:

@@ -19,9 +19,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cdga import TruncatedDGA, cohomology
+from .cdga import TruncatedDGA, _boundaries, cohomology
 from .errors import CutoffTooSmallError, InputError, PreconditionError
-from .exactlin import QMatrix, RowSpace, Vector, column_space_basis, kernel_basis, rank
+from .exactlin import QMatrix, RowSpace, Vector, kernel_basis, rank
 from .gluing import _push
 from .localsys import (
     FiniteLocalSystem,
@@ -367,10 +367,11 @@ class SpectralSequence:
             pf = p1 + p2
             # class of the product must be representable by an F^{p1+p2}
             # cocycle modulo coboundaries
-            zf = tower.z_basis(pf, fc.p_bound + 1, n) if n < gamma.cutoff else []
-            bnd = column_space_basis(gamma.d_matrix(n - 1)) if n >= 1 else []
+            space = _boundaries(gamma, n)
+            for z in tower.z_basis(pf, fc.p_bound + 1, n) if n < gamma.cutoff else []:
+                space.add(z)
             report.product_checks += 1
-            if not RowSpace(gamma.dim(n), list(zf) + bnd).contains(prod):
+            if not space.contains(prod):
                 report.product_failures.append(((p1, q1), (p2, q2)))
         return report
 

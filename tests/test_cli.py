@@ -333,6 +333,47 @@ def test_loop_model_task(tmp_path, capsys):
     assert degs == [1, 2, 2, 3]
 
 
+def test_loop_model_upto_flag(tmp_path, capsys):
+    doc = loop_model_problem()
+    del doc["task_args"]["upto"]
+    path = write(tmp_path, doc)
+    code, out, _ = run_cli(capsys, [path, "--format", "machine"])
+    assert code == 0
+    assert "cohomology_dims" not in json.loads(out)["result"]
+    code, out, _ = run_cli(capsys, [path, "--format", "machine", "--upto", "4"])
+    assert code == 0
+    assert json.loads(out)["result"]["cohomology_dims"] == [1, 1, 1, 1, 1]
+    # the flag overrides the task argument, as for the other tasks
+    path = write(tmp_path, loop_model_problem())
+    code, out, _ = run_cli(capsys, [path, "--format", "machine", "--upto", "2"])
+    assert json.loads(out)["result"]["cohomology_dims"] == [1, 1, 1]
+
+
+def product_problem(kind, cutoff):
+    """Cohomology up to degree 0 of a product or tensor of two points."""
+    doc = torus_problem(upto=0)
+    doc["algebras"] = {
+        "P": {"type": "point", "cutoff": 3},
+        "S": {"type": kind, "factors": ["P", "P"]},
+    }
+    if cutoff is not None:
+        doc["algebras"]["S"]["cutoff"] = cutoff
+    doc["task_args"]["algebra"] = "S"
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["product", "tensor"])
+def test_zero_cutoff_of_product_and_tensor_is_honoured(tmp_path, capsys, kind):
+    code, out, _ = run_cli(capsys, [write(tmp_path, product_problem(kind, None)), "--format", "machine"])
+    assert code == 0
+    assert json.loads(out)["result"]["dims"] == [2 if kind == "product" else 1]
+    # cohomology up to degree 0 needs a cutoff above 0, whichever way 0 is given
+    for cutoff, flags in ((0, []), ("0", []), (None, ["--cutoff", "0"])):
+        code, _, err = run_cli(capsys, [write(tmp_path, product_problem(kind, cutoff))] + flags)
+        assert code == 2, (cutoff, flags)
+        assert "cutoff > 0" in err
+
+
 def glue_problem():
     """The interval glued to itself at its endpoints: a circle."""
     return {

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -10,8 +12,6 @@ from cdgalab.exactlin import (
     KeyedBasis,
     QMatrix,
     RowSpace,
-    column_space_basis,
-    complement_basis,
     kernel_basis,
     rank,
     rref,
@@ -159,46 +159,6 @@ def test_solve_many_mixed():
 def test_solve_dimension_mismatch():
     with pytest.raises(InputError):
         solve(QMatrix.identity(2), (Fraction(1),))
-
-
-def test_complement_full_basis_is_empty():
-    sub = [unit_vector(3, i) for i in range(3)]
-    assert complement_basis(sub, 3) == []
-
-
-def test_complement_of_nothing_is_everything():
-    assert len(complement_basis([], 2)) == 2
-
-
-def test_complement_makes_full_rank():
-    sub = [(Fraction(1), Fraction(1), Fraction(0))]
-    comp = complement_basis(sub, 3)
-    assert len(comp) == 2
-    m = QMatrix.from_rows([list(v) for v in sub + comp])
-    assert rank(m) == 3
-
-
-def test_complement_randomized_full_rank():
-    rng = random.Random(13)
-    for _ in range(20):
-        dim = rng.randint(1, 7)
-        k = rng.randint(0, dim)
-        sub = [
-            tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim)) for _ in range(k)
-        ]
-        m = QMatrix.from_rows([list(v) for v in sub], dim) if sub else QMatrix.zero(0, dim)
-        r = rank(m) if sub else 0
-        comp = complement_basis(sub, dim)
-        assert len(comp) == dim - r
-        full = QMatrix.from_rows([list(v) for v in sub + comp], dim)
-        assert rank(full) == dim
-
-
-def test_column_space_basis():
-    m = QMatrix.from_rows([[1, 2], [2, 4], [0, 0]])
-    basis = column_space_basis(m)
-    assert len(basis) == 1
-    assert basis[0] == (Fraction(1), Fraction(2), Fraction(0))
 
 
 def test_rowspace_membership_and_growth():
@@ -466,7 +426,7 @@ def test_engine_matches_fraction_reference():
         r, pivots, red = rref(m)
         assert (r, pivots) == (len(ref_pivots), tuple(ref_pivots))
         assert red == QMatrix(m.rows, m.cols, {(i, c): v for i, row in enumerate(ref_rows) for c, v in row.items()})
-        # kernel and column space, rebuilt from the reference echelon forms
+        # the kernel, rebuilt from the reference echelon form
         kernel = []
         for f in (c for c in range(m.cols) if c not in ref_pivots):
             v = [Fraction(0)] * m.cols
@@ -476,9 +436,19 @@ def test_engine_matches_fraction_reference():
             lead = next(x for x in v if x)
             kernel.append(tuple(x / lead for x in v))
         assert kernel_basis(m) == sorted(kernel, key=_lead_index)
-        t_rows, t_pivots = fraction_echelon(m.transpose())
-        columns = [tuple(row.get(c, Fraction(0)) for c in range(m.rows)) for row in t_rows[: len(t_pivots)]]
-        assert column_space_basis(m) == sorted(columns, key=_lead_index)
+
+
+def test_column_space_matches_fraction_reference():
+    rng = random.Random(4242)
+    for m in _engine_cases(rng):
+        t_rows, t_pivots = fraction_echelon(QMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()}))
+        space = RowSpace.of_columns(m)
+        assert space.pivots == tuple(t_pivots)
+        assert space.rank == len(t_pivots)
+        for row in t_rows[: len(t_pivots)]:
+            assert space.contains(tuple(row.get(c, Fraction(0)) for c in range(m.rows)))
+        columns = [m.column(c) for c in range(m.cols)]
+        assert all(g in columns for g in space.generators)
 
 
 def _fraction_solve(m, b):
@@ -522,6 +492,48 @@ def test_hilbert_augmented_solve():
     bad = good[:8] + (good[8] + 1,)
     assert solve_many(h9, [good, bad]) == [x, None]
     _check_solutions(h9, [good, bad])
+
+
+# sha256 of the cohomology representatives, cup table (every product in it is
+# dropped at these cutoffs) and class coordinates of every kernel-basis cocycle
+# of the global sections of a suspension system over the boundary of the
+# 3-simplex, and of the complement chosen by the suspension of the forms on the
+# 2-simplex; recorded before column spaces moved to RowSpace
+PINNED_SPAN_CHOICES = "f501e5de11c487b721f7786a1d9adfd4e407aa5e0586f02260724b4302bab06e"
+
+
+def test_cohomology_and_complement_choices_are_pinned():
+    from cdgalab.cdga import cohomology
+    from cdgalab.errors import CutoffTooSmallError
+    from cdgalab.gluing import suspension_model
+    from cdgalab.localsys import global_sections
+    from cdgalab.polyforms import forms_dga
+    from test_specseq import _small_suspension_system
+
+    def strs(v):
+        return [str(x) for x in v]
+
+    def cup_or_dropped(h, p, i, q, j):
+        try:
+            return strs(h.cup(p, i, q, j))
+        except CutoffTooSmallError:
+            return "dropped"
+
+    g = global_sections(_small_suspension_system(), 4)
+    h = cohomology(g, 3)
+    comp = suspension_model(forms_dga(2, 3), 3).complement_choice
+    assert (len(comp), len(comp[0])) == (3, 12)
+    payload = {
+        "reps": [[strs(v) for v in h.reps[k]] for k in range(4)],
+        "cups": [
+            [p, i, q, j, cup_or_dropped(h, p, i, q, j)]
+            for p in range(4) for q in range(4 - p) for i in range(h.dims[p]) for j in range(h.dims[q])
+        ],
+        "classes": [[strs(h.class_of(k, z)) for z in kernel_basis(g.d_matrix(k))] for k in range(4)],
+        "complement": [strs(v) for v in comp],
+    }
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_SPAN_CHOICES
 
 
 def test_engine_matches_fraction_reference_on_recorded_traffic(monkeypatch):
