@@ -138,7 +138,7 @@ class TruncatedDGA:
     """
 
     __slots__ = (
-        "cutoff", "dims", "unit", "diff_mats", "_mult_fn", "_mult_cache",
+        "cutoff", "dims", "unit", "diff_mats", "_mult_fn", "_mult_cache", "_terms_cache",
         "labels", "levels", "bases", "ambient", "kernels", "name",
     )
 
@@ -181,6 +181,7 @@ class TruncatedDGA:
         self.diff_mats: list[QMatrix] = mats  # type: ignore[assignment]
         self._mult_fn = mult_fn
         self._mult_cache: dict[tuple[int, int, int, int], Optional[Vector]] = {}
+        self._terms_cache: dict[tuple[int, int, int, int], list[tuple[int, Fraction]]] = {}
         if labels is None:
             labels = [[f"e{k}_{a}" for a in range(dims[k])] for k in range(cutoff + 1)]
         self.labels = [list(l) for l in labels]
@@ -263,11 +264,13 @@ class TruncatedDGA:
             for b, cb in enumerate(vb):
                 if not cb:
                     continue
-                pv = self.product_basis(i, a, j, b)
+                terms = self._terms_cache.get((i, a, j, b))
+                if terms is None:
+                    pv = self.product_basis(i, a, j, b)
+                    terms = self._terms_cache[(i, a, j, b)] = [(t, x) for t, x in enumerate(pv) if x]
                 c = ca * cb
-                for t, x in enumerate(pv):
-                    if x:
-                        acc[t] += c * x
+                for t, x in terms:
+                    acc[t] += c * x
         return tuple(acc)
 
     def one_times(self, k: int, v: Vector) -> Vector:

@@ -6,12 +6,15 @@ this module, and it is the only one that writes a vector in a basis
 :class:`fractions.Fraction` (arbitrary precision, always in lowest terms,
 positive denominator), so results are exact and reproducible.  Matrices are
 stored sparsely.  Elimination clears each row to integers, reduces over the
-integers and builds Fractions only for the result.
+integers through a column -> rows index and builds Fractions only for the
+result.  ``matvec`` and ``matmul`` accumulate integers over a common
+denominator; ``matvec`` walks a column index kept on the immutable matrix.
 
 Determinism rules used throughout:
 
 * the reduced row echelon form is unique, so the pivot rule (smallest column
-  first, then the smallest entry, then the shortest row) affects speed only;
+  first, then the smallest entry, then the shortest row, then the first row)
+  affects speed only;
 * every returned basis is normalised (leading coefficient 1) and sorted by
   the index of its first nonzero coordinate, then lexicographically.
 """
@@ -19,6 +22,7 @@ Determinism rules used throughout:
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
@@ -104,13 +108,14 @@ class QMatrix:
     stored.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_by_col")
 
     def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
         if rows < 0 or cols < 0:
             raise InputError("matrix dimensions must be non-negative")
         self.rows = rows
         self.cols = cols
+        self._by_col: Optional[tuple[int, dict[int, list[tuple[int, int]]]]] = None
         clean: dict[tuple[int, int], Fraction] = {}
         if entries:
             for (r, c), v in entries.items():
@@ -126,7 +131,7 @@ class QMatrix:
     def _of(cls, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> "QMatrix":
         """A matrix on nonzero Fractions at in-range indices, unchecked."""
         out = cls.__new__(cls)
-        out.rows, out.cols, out.entries = rows, cols, entries
+        out.rows, out.cols, out.entries, out._by_col = rows, cols, entries, None
         return out
 
     @classmethod
@@ -194,34 +199,65 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}, {len(self.entries)} nz)"
 
     # -- arithmetic ---------------------------------------------------
+    def _int_columns(self, keep: bool = False) -> tuple[int, dict[int, list[tuple[int, int]]]]:
+        """``(den, columns)``: the nonempty columns as ``(row, integer)`` lists, times ``den``,
+        the lcm of all denominators.  ``keep`` caches them; the matrix is immutable.
+        """
+        if self._by_col is not None:
+            return self._by_col
+        ratios = [(rc, a.as_integer_ratio()) for rc, a in self.entries.items()]
+        den = lcm(*(d for _, (_, d) in ratios))
+        by_col: dict[int, list[tuple[int, int]]] = {}
+        for (r, c), (n, d) in ratios:
+            by_col.setdefault(c, []).append((r, n * (den // d)))
+        if keep:
+            self._by_col = (den, by_col)
+        return den, by_col
+
+    def _int_matvec(self, v: Sequence[Fraction]) -> tuple[list[int], int]:
+        """``(acc, den)`` with ``m v = acc / den``, reading ``v`` only at the nonempty columns."""
+        mden, by_col = self._by_col or self._int_columns(keep=True)
+        acc = [0] * self.rows
+        vden = 1
+        for c, terms in by_col.items():
+            x = v[c]
+            # testing identity with ZERO first skips most Fraction.__bool__ calls on dense vectors
+            if x is not ZERO and x:
+                n, d = x.as_integer_ratio()
+                if vden % d:
+                    scale = d // gcd(vden, d)
+                    acc, vden = [a * scale for a in acc], vden * scale
+                n *= vden // d
+                for r, a in terms:
+                    acc[r] += a * n
+        return acc, mden * vden
+
     def matvec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise InputError(f"matvec: vector of length {len(v)} against {self.cols} columns")
-        acc = [ZERO] * self.rows
-        for (r, c), a in self.entries.items():
-            x = v[c]
-            if x:
-                acc[r] += a * x
-        return tuple(acc)
+        if not self.entries:
+            return (ZERO,) * self.rows
+        acc, den = self._int_matvec(v)
+        return tuple(Fraction(a, den) if a else ZERO for a in acc)
 
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise InputError("matmul: inner dimensions differ")
-        by_row: dict[int, dict[int, Fraction]] = {}
-        for (r, k), a in self.entries.items():
-            by_row.setdefault(r, {})[k] = a
-        other_rows: dict[int, list[tuple[int, Fraction]]] = {}
-        for (k, c), b in other.entries.items():
-            other_rows.setdefault(k, []).append((c, b))
+        if not (self.entries and other.entries):
+            return QMatrix._of(self.rows, other.cols, {})
+        # a one-off product keeps no index alive
+        aden, a_cols = self._int_columns()
+        bden, b_cols = other._int_columns()
+        den = aden * bden
         entries: dict[tuple[int, int], Fraction] = {}
-        for r, terms in by_row.items():
-            acc: dict[int, Fraction] = {}
-            for k, a in terms.items():
-                for c, b in other_rows.get(k, ()):  # noqa: B905
-                    acc[c] = acc.get(c, ZERO) + a * b
-            for c, v in acc.items():
+        for c, terms in b_cols.items():
+            acc: dict[int, int] = {}
+            for k, b in terms:
+                for r, a in a_cols.get(k, ()):
+                    acc[r] = acc.get(r, 0) + a * b
+            for r, v in acc.items():
                 if v:
-                    entries[(r, c)] = v
+                    entries[(r, c)] = Fraction(v, den)
         return QMatrix._of(self.rows, other.cols, entries)
 
     def add(self, other: "QMatrix") -> "QMatrix":
@@ -313,31 +349,38 @@ def _echelon(m: QMatrix, pivot_cols: Optional[int] = None):
     for (r, c), v in m.entries.items():
         frows[r][c] = v
     rows = [_int_row(row) for row in frows]
-    nrows = len(rows)
+    # column -> a superset of the rows nonzero there, read for the pivot
+    # candidates and the rows to clear: a cleared row is added at the pivot
+    # row's columns, and skipped where it cancelled when read
+    holders: defaultdict[int, set[int]] = defaultdict(set)
+    for r, c in m.entries:
+        holders[c].add(r)
+    free = set(range(len(rows)))  # rows not chosen as pivot rows yet
+    order: list[int] = []
     pivots: list[int] = []
-    top = 0
     for col in range(pivot_cols):
-        if top == nrows:
+        if not free:
             break
-        best = -1
-        best_a = best_len = 0
-        for i in range(top, nrows):
-            v = abs(rows[i].get(col, 0))
-            if v:
-                n = len(rows[i])
-                if best < 0 or v < best_a or (v == best_a and n < best_len):
-                    best, best_a, best_len = i, v, n
+        held = [i for i in holders.get(col, ()) if col in rows[i]]
+        best, best_key = -1, None
+        for i in held:
+            if i in free:
+                key = (abs(rows[i][col]), len(rows[i]), i)
+                if best < 0 or key < best_key:
+                    best, best_key = i, key
         if best < 0:
             continue
-        rows[top], rows[best] = rows[best], rows[top]
-        prow = rows[top]
-        for i in range(nrows):
-            if i != top and col in rows[i]:
+        prow = rows[best]
+        for i in held:
+            if i != best:
                 _eliminate(rows[i], prow, col)
+                for c in prow:
+                    holders[c].add(i)
+        free.discard(best)
+        order.append(best)
         pivots.append(col)
-        top += 1
-    out = [{c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(rows, pivots)]
-    out += [{c: Fraction(v) for c, v in row.items()} for row in rows[top:]]
+    out = [{c: Fraction(v, rows[i][p]) for c, v in rows[i].items()} for i, p in zip(order, pivots)]
+    out += [{c: Fraction(v) for c, v in rows[i].items()} for i in sorted(free)]
     return out, pivots
 
 
@@ -356,36 +399,30 @@ def rref(m: QMatrix) -> tuple[int, tuple[int, ...], QMatrix]:
 
 
 def rank(m: QMatrix) -> int:
-    return rref(m)[0]
-
-
-def _canonical_sort(vectors: list[Vector]) -> list[Vector]:
-    def key(v: Vector):
-        first = next((i for i, x in enumerate(v) if x), len(v))
-        return (first, v)
-
-    out = []
-    for v in vectors:
-        lead = next((x for x in v if x), None)
-        out.append(vec_scale(ONE / lead, v) if lead is not None and lead != 1 else v)
-    return sorted(out, key=key)
+    return len(_echelon(m)[1])
 
 
 def kernel_basis(m: QMatrix) -> list[Vector]:
-    """Canonical basis of the right kernel ``{v : m v = 0}``."""
-    _, pivots, red = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    """Canonical basis of the right kernel ``{v : m v = 0}``.
+
+    The vector of free column f is 1 at f and minus the pivot rows' entries
+    at f elsewhere; its first nonzero is at the first pivot row that holds f.
+    """
+    rows, pivots = _echelon(m)
+    at: dict[int, list[tuple[int, Fraction]]] = {f: [] for f in set(range(m.cols)).difference(pivots)}
+    for row, p in zip(rows, pivots):
+        for c, x in row.items():
+            if c != p:
+                at[c].append((p, x))
     basis = []
-    for f in free:
+    for f, terms in at.items():
+        lead, s = (terms[0][0], -ONE / terms[0][1]) if terms else (f, ONE)
         v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            coeff = red.entry(r, f)
-            if coeff:
-                v[p] = -coeff
-        basis.append(tuple(v))
-    return _canonical_sort(basis)
+        v[f] = s
+        for p, x in terms:
+            v[p] = -x * s
+        basis.append((lead, tuple(v)))
+    return [v for _, v in sorted(basis)]
 
 
 def solve(m: QMatrix, b: Sequence[Fraction]) -> Optional[Vector]:
@@ -586,20 +623,11 @@ class KernelBasis(_Coordinates):
 
     def coords_many(self, vectors: Sequence[Sequence[Fraction]]) -> list[Optional[Vector]]:
         m = self.matrix
-        by_col: list[list[tuple[int, Fraction]]] = [[] for _ in range(m.cols)]
-        for (r, c), a in m.entries.items():
-            by_col[c].append((r, a))
         out: list[Optional[Vector]] = []
         for x in vectors:
             if len(x) != m.cols:
                 raise InputError(f"kernel basis: vector of length {len(x)} against {m.cols} columns")
-            # m x over the nonzero coordinates of x only
-            acc: dict[int, Fraction] = {}
-            for c, xc in enumerate(x):
-                if xc:
-                    for r, a in by_col[c]:
-                        acc[r] = acc.get(r, ZERO) + a * xc
-            if any(acc.values()):
+            if any(m._int_matvec(x)[0]):
                 out.append(None)
             else:
                 out.append(tuple(x[c] * s if x[c] else ZERO for c, s in self._reads))

@@ -28,7 +28,7 @@ from .cdga import (
     point_dga,
     tensor_product,
 )
-from .errors import CutoffTooSmallError, InputError, PreconditionError
+from .errors import CutoffTooSmallError, InputError, InternalError, PreconditionError
 from .exactlin import (
     ONE,
     KernelBasis,
@@ -90,11 +90,13 @@ def _kernel_carrier(kernels: list[KernelBasis], ambient: BlockSum, name: str) ->
     for k in range(cutoff):
         d = ambient.d_matrix(k)
         images = [d.matvec(v) for v in kernels[k].vectors]
-        cols = kernels[k + 1].express(
-            images, "differential does not preserve the kernel subspace"
-        )
+        cols = kernels[k + 1].coords_many(images)
+        if None in cols:
+            raise InternalError("differential does not preserve the kernel subspace")
         diff_mats.append(QMatrix.from_cols(cols, dims[k + 1]))
 
+    # a leg's products may only have been sampled, so one outside the kernel
+    # can come from the input; its unit and d were checked in full
     def mult_fn(i, a, j, b):
         try:
             prod = ambient.multiply(i, kernels[i].vectors[a], j, kernels[j].vectors[b])
@@ -102,7 +104,9 @@ def _kernel_carrier(kernels: list[KernelBasis], ambient: BlockSum, name: str) ->
             return None
         return kernels[i + j].express([prod], "product does not preserve the kernel subspace")[0]
 
-    (unit,) = kernels[0].express([ambient.unit], "the unit is not a compatible family")
+    (unit,) = kernels[0].coords_many([ambient.unit])
+    if unit is None:
+        raise InternalError("the unit is not a compatible family")
     return TruncatedDGA(
         cutoff,
         dims,
@@ -334,14 +338,15 @@ def induced_fp_map(
 
 
 def _push(
-    maps: Sequence[DGMorphism], src: TruncatedDGA, dst: TruncatedDGA, message: str
+    maps: Sequence[DGMorphism], src: TruncatedDGA, dst: TruncatedDGA, message: str, error=InputError
 ) -> list[QMatrix]:
     """Matrices of the map of kernel carriers that ``maps`` induce blockwise.
 
     ``src`` and ``dst`` are carried by kernels in sums whose blocks are the
     sources and the targets of ``maps``.  Each kernel vector of ``src`` goes
     through the maps block by block and is written in the kernels of ``dst``;
-    an image outside them raises InputError(message).
+    an image outside them raises ``error(message)``: InternalError where the
+    caller has already checked that the maps commute with the legs.
     """
     blocks: BlockSum = src.ambient  # type: ignore[assignment]
     mats = []
@@ -350,7 +355,9 @@ def _push(
             concat(*(h.apply(k, x) for h, x in zip(maps, blocks.split(k, v))))
             for v in src.kernels[k].vectors  # type: ignore[index]
         ]
-        cols = dst.kernels[k].express(images, message)  # type: ignore[index]
+        cols = dst.kernels[k].coords_many(images)  # type: ignore[index]
+        if None in cols:
+            raise error(message)
         mats.append(QMatrix.from_cols(cols, dst.dim(k)))
     return mats
 

@@ -25,7 +25,7 @@ from .cdga import (
     tensor_morphism,
     tensor_product,
 )
-from .errors import CdgaError, InputError, PreconditionError
+from .errors import CdgaError, InputError, InternalError, PreconditionError
 from .exactlin import (
     ONE,
     KernelBasis,
@@ -299,7 +299,9 @@ def is_extendable(e: FiniteLocalSystem, upto: Optional[int] = None):
                 concat(*[e.restriction(s, tau).apply(k, unit_vector(fib.dim(k), t)) for tau in layout])
                 for t in range(fib.dim(k))
             ]
-            cols = kernels[k].express(targets, "boundary image is not a compatible family")
+            cols = kernels[k].coords_many(targets)
+            if None in cols:
+                raise InternalError("boundary image is not a compatible family")
             r = rank(QMatrix.from_cols(cols, kernels[k].rank))
             if r != kernels[k].rank:
                 ok = False

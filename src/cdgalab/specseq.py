@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cdga import TruncatedDGA, _boundaries, cohomology
-from .errors import CutoffTooSmallError, InputError, PreconditionError
+from .errors import CutoffTooSmallError, InputError, InternalError, PreconditionError
 from .exactlin import QMatrix, RowSpace, Vector, kernel_basis, rank
 from .gluing import _push
 from .localsys import (
@@ -424,7 +424,7 @@ def triple_morphism_pages(
     src, dst = src_fc.algebra, dst_fc.algebra
     # validate() saw one base, so both section layouts are its simplices in order
     maps = [m.maps[s] for s in m.source.base.all_simplices()]
-    gamma_mats = _push(maps, src, dst, "section image is not a compatible family")
+    gamma_mats = _push(maps, src, dst, "section image is not a compatible family", InternalError)
 
     failures = []
     # filtered map check

@@ -11,7 +11,7 @@ from math import comb
 import random
 
 from cdgalab.errors import InputError
-from cdgalab.exactlin import ONE, QMatrix, RowSpace, kernel_basis, unit_vector
+from cdgalab.exactlin import ONE, ZERO, QMatrix, RowSpace, kernel_basis, rref, unit_vector
 from cdgalab.polyforms import PolyForm, d
 
 
@@ -115,6 +115,67 @@ def fraction_echelon(m: QMatrix, pivot_cols=None):
         pivots.append(col)
         top += 1
     return rows, pivots
+
+
+def fraction_matvec(m: QMatrix, v) -> tuple:
+    """``m v`` by a walk over every entry of ``m``, in ``Fraction`` arithmetic."""
+    acc = [ZERO] * m.rows
+    for (r, c), a in m.entries.items():
+        x = v[c]
+        if x:
+            acc[r] += a * x
+    return tuple(acc)
+
+
+def fraction_matmul(a: QMatrix, b: QMatrix) -> QMatrix:
+    """``a b`` row by row, in ``Fraction`` arithmetic."""
+    by_row = {}
+    for (r, k), x in a.entries.items():
+        by_row.setdefault(r, {})[k] = x
+    b_rows = {}
+    for (k, c), y in b.entries.items():
+        b_rows.setdefault(k, []).append((c, y))
+    entries = {}
+    for r, terms in by_row.items():
+        acc = {}
+        for k, x in terms.items():
+            for c, y in b_rows.get(k, ()):
+                acc[c] = acc.get(c, ZERO) + x * y
+        entries.update({(r, c): v for c, v in acc.items() if v})
+    return QMatrix(a.rows, b.cols, entries)
+
+
+def dense_kernel_basis(m: QMatrix) -> list:
+    """The canonical kernel basis read entry by entry off the ``rref`` matrix.
+
+    Each free column gives 1 there and minus the reduced rows' entries at it
+    on the pivots; every vector is scaled to lead with 1, then all are sorted
+    by the index of their first nonzero coordinate and lexicographically.
+    """
+    _, pivots, red = rref(m)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            coeff = red.entry(r, f)
+            if coeff:
+                v[p] = -coeff
+        lead = next(x for x in v if x)
+        basis.append(tuple(x / lead if x else x for x in v))
+    return sorted(basis, key=lambda v: (next(i for i, x in enumerate(v) if x), v))
+
+
+def dense_multiply(alg, i: int, va, j: int, vb) -> tuple:
+    """``alg.multiply`` by a scan of every entry of each dense basis product."""
+    acc = [ZERO] * alg.dim(i + j)
+    for a, ca in enumerate(va):
+        for b, cb in enumerate(vb):
+            if ca and cb:
+                for t, x in enumerate(alg.product_basis(i, a, j, b)):
+                    if x:
+                        acc[t] += ca * cb * x
+    return tuple(acc)
 
 
 def same_span(u, v) -> bool:

@@ -23,7 +23,8 @@ from cdgalab.exactlin import QMatrix, rank, vec_is_zero
 from cdgalab.graded import FreeGCA
 from cdgalab.polyforms import FormsDGA, forms_dga
 
-from fixtures import cp_model, sphere_even_model, torus_free, torus_model
+from fixtures import cp2_formal, cp_model, sphere_even_model, torus_free, torus_model, wedge_of_2_spheres
+from helpers import dense_multiply
 
 
 # -- free CDGAs and d^2 --------------------------------------------------
@@ -317,3 +318,39 @@ def test_truncated_algebras_take_no_patched_attributes():
     assert isinstance(forms, FormsDGA) and forms.simplex_dim == 2
     assert forms.bases[1].keys == tuple(sorted(forms.bases[1].keys))
     assert [len(b) for b in forms.bases] == forms.dims
+
+
+def _product_or_dropped(multiply, alg, i, va, j, vb):
+    try:
+        return multiply(alg, i, va, j, vb)
+    except CutoffTooSmallError:
+        return "dropped"
+
+
+def test_multiply_matches_the_dense_product_loop():
+    from cdgalab.gluing import fiber_product
+    from cdgalab.localsys import global_sections
+    from cdgalab.sullivan import minimal_model
+    from test_gluing import circle_legs
+    from test_specseq import _small_suspension_system
+
+    rng = random.Random(11)
+    wedge = truncate(minimal_model(wedge_of_2_spheres(2, 7), 6).model, 6)
+    circle = fiber_product(*circle_legs(), 5).carrier
+    sections = global_sections(_small_suspension_system(), 4)
+    assert circle.kernels is not None and sections.kernels is not None
+    seen = set()
+    for alg in (cp2_formal(7), wedge, circle, sections):
+        for i in range(alg.cutoff + 1):
+            for j in range(alg.cutoff + 1 - i):
+                for _ in range(3):
+                    va, vb = (
+                        tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) * (rng.random() < 0.6) for _ in range(alg.dim(k)))
+                        for k in (i, j)
+                    )
+                    # twice: the second call reads the cached products
+                    for _ in range(2):
+                        got = _product_or_dropped(type(alg).multiply, alg, i, va, j, vb)
+                        assert got == _product_or_dropped(dense_multiply, alg, i, va, j, vb)
+                        seen.add("dropped" if got == "dropped" else any(got))
+    assert seen == {True, False, "dropped"}

@@ -406,6 +406,23 @@ def test_glue_task_circle_with_verify(tmp_path, capsys):
     assert report["verify"]["connecting_ranks"][0] == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([], "differential does not preserve the kernel subspace"),
+        (["--upto", "0"], "the unit is not a compatible family"),
+    ],
+)
+def test_broken_kernel_invariants_exit_as_internal_errors(tmp_path, capsys, monkeypatch, flags, message):
+    from cdgalab.exactlin import KernelBasis
+
+    # no vector lies in any kernel: the carrier's first check fails
+    monkeypatch.setattr(KernelBasis, "coords_many", lambda self, vectors: [None] * len(vectors))
+    code, out, err = run_cli(capsys, [write(tmp_path, glue_problem()), "--format", "machine"] + flags)
+    assert (code, out) == (1, "")
+    assert err == f"internal error: {message}\n"
+
+
 def test_suspend_task_and_roundtrip(tmp_path, capsys):
     doc = {
         "version": "1",

@@ -22,7 +22,15 @@ from cdgalab.exactlin import (
 )
 
 from fixtures import wedge_of_2_spheres
-from helpers import fraction_echelon, minor_rank, naive_rank, random_qmatrix
+from helpers import (
+    dense_kernel_basis,
+    fraction_echelon,
+    fraction_matmul,
+    fraction_matvec,
+    minor_rank,
+    naive_rank,
+    random_qmatrix,
+)
 
 
 # -- rational literals ------------------------------------------------------
@@ -557,3 +565,90 @@ def test_engine_matches_fraction_reference_on_recorded_traffic(monkeypatch):
     assert 0 < spectral < len(calls)
     for m, pivot_cols, out in calls:
         _assert_same_echelon(m, pivot_cols, out)
+
+
+# -- integer matvec, matmul and kernels against the Fraction loops -----------
+
+def _mixed(rng, rows, cols, density=0.5):
+    """70-bit numerators over mixed denominators."""
+    return QMatrix(
+        rows,
+        cols,
+        {(i, j): _big(rng) / rng.choice([1, 1, 2, 3, 10**20 + 7]) for i in range(rows) for j in range(cols) if rng.random() < density},
+    )
+
+
+def _assert_same_products(m, vectors, others):
+    for v in vectors:
+        got = m.matvec(v)
+        assert got == fraction_matvec(m, v)
+        assert all(type(x) is Fraction for x in got)
+    for b in others:
+        got = m.matmul(b)
+        assert got == fraction_matmul(m, b)
+        assert all(type(x) is Fraction for x in got.entries.values())
+
+
+def test_plumbing_and_kernels_match_fraction_loops():
+    rng = random.Random(2718)
+    cases = _engine_cases(rng) + [_mixed(rng, r, c) for r, c in [(5, 7), (8, 3), (1, 9), (6, 6)]]
+    cases += [QMatrix.zero(0, 5), QMatrix.zero(5, 0), QMatrix.identity(3).scale(Fraction(2, 3))]
+    for m in cases:
+        assert kernel_basis(m) == dense_kernel_basis(m)
+        assert rank(m) == rref(m)[0]
+        vectors = [
+            (Fraction(0),) * m.cols,
+            tuple(_big(rng) / rng.randint(1, 9) if rng.random() < 0.5 else Fraction(0) for _ in range(m.cols)),
+            tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.cols)),
+        ]
+        others = [
+            _mixed(rng, m.cols, rng.randint(0, 4)),
+            QMatrix.identity(m.cols),
+            QMatrix.zero(m.cols, 2),
+            random_qmatrix(rng, m.cols, 3, density=0.3),
+        ]
+        _assert_same_products(m, vectors, others)
+        # a second pass reads the cached column index
+        _assert_same_products(m, vectors, others)
+
+
+def test_plumbing_and_kernels_match_fraction_loops_on_recorded_traffic(monkeypatch):
+    """Every matvec, matmul, kernel membership test and full elimination of a
+    small spectral sequence and a minimal model, replayed against the loops."""
+    from cdgalab.specseq import einfty_vs_target
+    from cdgalab.sullivan import minimal_model
+    from test_specseq import _small_suspension_system
+
+    calls = {"matvec": [], "matmul": [], "coords": [], "kernel": []}
+    engine, matvec, matmul, coords = exactlin._echelon, QMatrix.matvec, QMatrix.matmul, KernelBasis.coords_many
+
+    def recording(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name].append((args, out))
+            return out
+
+        return wrapper
+
+    def full_elimination(m, pivot_cols=None):
+        if pivot_cols is None:
+            calls["kernel"].append(m)
+        return engine(m, pivot_cols)
+
+    monkeypatch.setattr(exactlin, "_echelon", full_elimination)
+    monkeypatch.setattr(QMatrix, "matvec", recording("matvec", matvec))
+    monkeypatch.setattr(QMatrix, "matmul", recording("matmul", matmul))
+    monkeypatch.setattr(KernelBasis, "coords_many", recording("coords", coords))
+    assert einfty_vs_target(_small_suspension_system(), 3).ok()
+    minimal_model(wedge_of_2_spheres(2, 7), 6)
+    monkeypatch.undo()
+    assert all(calls.values())
+    for (m, v), out in calls["matvec"]:
+        assert out == fraction_matvec(m, v)
+    for (a, b), out in calls["matmul"]:
+        assert out == fraction_matmul(a, b)
+    for (ker, vectors), out in calls["coords"]:
+        for x, got in zip(vectors, out):
+            assert (got is not None) == (not any(fraction_matvec(ker.matrix, x)))
+    for m in calls["kernel"]:
+        assert kernel_basis(m) == dense_kernel_basis(m)

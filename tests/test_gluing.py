@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cdgalab.cdga import (
+    BlockSum,
     DGMorphism,
     cohomology,
     cohomology_dims,
@@ -12,12 +13,14 @@ from cdgalab.cdga import (
     tensor_product,
     truncate,
 )
-from cdgalab.errors import InputError, PreconditionError
-from cdgalab.exactlin import QMatrix, rank, unit_vector
+from cdgalab.errors import InputError, InternalError, PreconditionError
+from cdgalab.exactlin import KernelBasis, QMatrix, kernel_basis, rank, unit_vector
 from cdgalab.polyforms import forms_dga
 from cdgalab.gluing import (
+    _kernel_carrier,
     endpoint_evaluations,
     fiber_product,
+    induced_fp_map,
     interval_forms,
     mayer_vietoris,
     suspension_inclusion,
@@ -266,3 +269,44 @@ def test_tensor_levels_come_from_the_first_factor():
     assert tp.levels == [[len(forms.bases[i].keys[ia][1]) for i, ia, _, _ in b.keys] for b in tp.bases]
     # the interval keeps its form-degree levels; as a second factor they drop out
     assert interval_forms(1, cutoff=2).levels == forms_dga(1, 1, cutoff=2).levels
+
+
+# -- broken invariants against bad input --------------------------------------
+
+def _kernel(m):
+    return KernelBasis(m, kernel_basis(m))
+
+
+def test_kernel_carrier_reports_a_differential_leaving_the_kernel_as_internal():
+    a = interval_forms(2, cutoff=1)  # d t = dt leaves the zero subspace of degree 1
+    kernels = [_kernel(QMatrix.zero(0, a.dim(0))), _kernel(QMatrix.identity(a.dim(1)))]
+    with pytest.raises(InternalError, match="differential does not preserve the kernel subspace"):
+        _kernel_carrier(kernels, BlockSum([a], 1), name="broken")
+
+
+def test_kernel_carrier_reports_a_unit_outside_the_kernel_as_internal():
+    a = interval_forms(2, cutoff=0)
+    with pytest.raises(InternalError, match="the unit is not a compatible family"):
+        _kernel_carrier([_kernel(QMatrix.identity(a.dim(0)))], BlockSum([a], 0), name="broken")
+
+
+def test_non_multiplicative_leg_is_an_input_error():
+    # unchecked, as a sampled check may pass it: t goes to 0 but t^2 to (0, 1),
+    # so t lies in the fiber product and t * t does not
+    a = interval_forms(2, cutoff=2)
+    qq = direct_sum(point_dga(2), point_dga(2))
+    f_mats = [QMatrix.from_rows([[1, 0, 0], [1, 0, 1]])] + [QMatrix.zero(0, a.dim(k)) for k in (1, 2)]
+    f = DGMorphism(a, qq, f_mats, check="none")
+    g = DGMorphism(point_dga(2), qq, [QMatrix.from_rows([[1], [1]]), QMatrix.zero(0, 0), QMatrix.zero(0, 0)])
+    fp = fiber_product(f, g, 2)
+    t = fp.carrier.kernels[0].coords(unit_vector(4, 1))
+    with pytest.raises(InputError, match="product does not preserve the kernel subspace"):
+        fp.carrier.multiply(0, t, 0, t)
+
+
+def test_induced_map_of_maps_off_the_legs_is_an_input_error():
+    f, g = circle_legs()
+    fp = fiber_product(f, g, 3)
+    twice = DGMorphism(f.source, f.source, [QMatrix.identity(f.source.dim(k)).scale(2) for k in range(8)], check="none")
+    with pytest.raises(InputError, match="image does not satisfy the target leg equation"):
+        induced_fp_map(fp, fp, twice, DGMorphism.identity(g.source))

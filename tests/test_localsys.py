@@ -11,8 +11,8 @@ from cdgalab.cdga import (
     tensor_product,
     truncate,
 )
-from cdgalab.errors import InputError, PreconditionError
-from cdgalab.exactlin import QMatrix
+from cdgalab.errors import InputError, InternalError, PreconditionError
+from cdgalab.exactlin import KernelBasis, QMatrix
 from cdgalab.graded import FreeGCA
 from cdgalab.cdga import FreeCDGA
 from cdgalab.gluing import fiber_product, suspension_triple, interval_forms
@@ -164,6 +164,14 @@ def test_rigid_system_not_extendable():
     assert witnesses
     (s, k, needed, got) = witnesses[0]
     assert s == (0, 1) and needed > got
+
+
+def test_boundary_image_outside_the_sections_is_internal(monkeypatch):
+    # the restrictions of a system compose, so a failure here is the program's
+    e = forms_system(standard_complex(1), 2)
+    monkeypatch.setattr(KernelBasis, "coords_many", lambda self, vectors: [None] * len(vectors))
+    with pytest.raises(InternalError, match="boundary image is not a compatible family"):
+        is_extendable(e, 2)
 
 
 def test_forms_system_extendable():

@@ -14,7 +14,7 @@ from cdgalab.cdga import (
     truncate,
 )
 from cdgalab.cdga import FreeCDGA
-from cdgalab.errors import InputError
+from cdgalab.errors import InputError, InternalError
 from cdgalab.exactlin import ONE, KeyedBasis, QMatrix, ZERO, rank, unit_vector
 from cdgalab.gluing import fiber_product, mayer_vietoris, suspension_triple
 from cdgalab.graded import FreeGCA
@@ -408,6 +408,20 @@ def test_triple_morphism_identity():
     assert pm.ok(), pm.failures
     for (r, p, q), mat in pm.psi.items():
         assert mat == QMatrix.identity(mat.rows)
+
+
+def test_section_image_outside_the_target_sections_is_internal(monkeypatch):
+    # validate() passes a morphism that doubles one vertex fiber only; the
+    # image of the unit section is then not a compatible family
+    e = forms_system(cycle_complex(3), 2, cutoff=4)
+    maps = {s: DGMorphism.identity(e.fibers[s]) for s in e.base.all_simplices()}
+    v = e.base.all_simplices()[0]
+    maps[v] = DGMorphism(e.fibers[v], e.fibers[v], [m.scale(2) for m in maps[v].mats], check="none")
+    morph = SystemMorphism(e, e, maps)
+    assert morph.validate()
+    monkeypatch.setattr(SystemMorphism, "validate", lambda self: [])
+    with pytest.raises(InternalError, match="section image is not a compatible family"):
+        triple_morphism_pages(morph, 3, 2)
 
 
 def test_triple_morphism_projection_surjective_on_pages():
