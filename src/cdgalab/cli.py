@@ -452,7 +452,7 @@ def task_minimal_model(problem: Problem, flags) -> tuple[int, dict]:
 
 def task_loop_model(problem: Problem, flags) -> tuple[int, dict]:
     name = _need(problem, "model", flags)
-    if name not in problem.free_algebras:
+    if not isinstance(name, str) or name not in problem.free_algebras:
         raise InputError("loop-model needs a free algebra input")
     base = problem.free_algebras[name]
     lm = sullivan.loop_model(base)

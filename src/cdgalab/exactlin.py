@@ -7,8 +7,10 @@ this module, and it is the only one that writes a vector in a basis
 positive denominator), so results are exact and reproducible.  Matrices are
 stored sparsely.  Elimination clears each row to integers, reduces over the
 integers through a column -> rows index and builds Fractions only for the
-result.  ``matvec`` and ``matmul`` accumulate integers over a common
-denominator; ``matvec`` walks a column index kept on the immutable matrix.
+result; kernels are sparse columns read off the integer echelon rows, held by
+:class:`KernelBasis` and densified by :func:`kernel_basis`.  ``matvec`` and ``matmul``
+accumulate integers over a common denominator; ``matvec`` walks a column index
+kept on the immutable matrix.
 
 Determinism rules used throughout:
 
@@ -181,6 +183,13 @@ class QMatrix:
             out[r][c] = v
         return out
 
+    def to_cols(self) -> list[Vector]:
+        """The columns as dense vectors."""
+        out = [[ZERO] * self.rows for _ in range(self.cols)]
+        for (r, c), v in self.entries.items():
+            out[c][r] = v
+        return list(map(tuple, out))
+
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -334,15 +343,19 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> None:
 
 
 def _echelon(m: QMatrix, pivot_cols: Optional[int] = None):
-    """Return (rows-as-dicts, pivots) for the RREF of ``m``.
+    """Return (rows-as-dicts, pivots) for the RREF of ``m``: :func:`_int_echelon` over the rationals."""
+    prows, pivots, rest = _int_echelon(m, pivot_cols)
+    out = [{c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(prows, pivots)]
+    return out + [{c: Fraction(v) for c, v in row.items()} for row in rest], pivots
 
-    The rows are cleared to integers and reduced by :func:`_eliminate`;
-    each pivot row is divided by its pivot only at the end.  Pivots are
-    only chosen among the first ``pivot_cols`` columns and trailing columns
-    ride along (augmented solves): a row past the pivot rows is a nonzero
-    multiple of a residual, nonzero exactly where the trailing columns are
-    inconsistent.
-    """
+
+def _int_echelon(m: QMatrix, pivot_cols: Optional[int] = None):
+    """Return (pivot rows, pivots, other rows) of the RREF of ``m``, each row times an integer.
+
+    Rows are cleared to integers and reduced by :func:`_eliminate`, so a pivot row is its
+    reduced row times its entry at the pivot.  Pivots are chosen among the first ``pivot_cols``
+    columns only; trailing columns ride along (augmented solves), and a row past the pivots is
+    a nonzero multiple of a residual, nonzero exactly where those columns are inconsistent."""
     if pivot_cols is None:
         pivot_cols = m.cols
     frows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
@@ -379,9 +392,7 @@ def _echelon(m: QMatrix, pivot_cols: Optional[int] = None):
         free.discard(best)
         order.append(best)
         pivots.append(col)
-    out = [{c: Fraction(v, rows[i][p]) for c, v in rows[i].items()} for i, p in zip(order, pivots)]
-    out += [{c: Fraction(v) for c, v in rows[i].items()} for i in sorted(free)]
-    return out, pivots
+    return [rows[i] for i in order], pivots, [rows[i] for i in sorted(free)]
 
 
 # ---------------------------------------------------------------------------
@@ -399,30 +410,45 @@ def rref(m: QMatrix) -> tuple[int, tuple[int, ...], QMatrix]:
 
 
 def rank(m: QMatrix) -> int:
-    return len(_echelon(m)[1])
+    return len(_int_echelon(m)[1])
+
+
+def _kernel_columns(m: QMatrix) -> list[tuple[int, Fraction, dict[int, Fraction]]]:
+    """The canonical kernel basis of ``m`` as (free column f, 1 / the entry at f, sparse vector):
+    1 at f and minus the pivot rows' entries at f elsewhere, scaled to lead with 1, sorted by
+    the index of the first nonzero coordinate, then as dense tuples."""
+    rows, pivots, _ = _int_echelon(m)
+    at: dict[int, list[tuple[int, int, int]]] = {f: [] for f in set(range(m.cols)).difference(pivots)}
+    for row, p in zip(rows, pivots):
+        for c, v in row.items():
+            if c != p:
+                at[c].append((p, v, row[p]))
+    # vectors by their first nonzero, at the first pivot row holding f; a reduced
+    # row holds x = v / a, and the vector is x / x0 at the pivots and -1 / x0 at f
+    by_lead: dict[int, list[tuple[int, Fraction, dict[int, Fraction]]]] = {}
+    for f, terms in at.items():
+        lead, v0, a0 = terms[0] if terms else (f, -1, 1)
+        col = {p: Fraction(v * a0, a * v0) for p, v, a in terms}
+        col[f] = Fraction(-a0, v0)
+        by_lead.setdefault(lead, []).append((f, Fraction(-v0, a0), col))
+    columns = []
+    for lead in sorted(by_lead):
+        ties = by_lead[lead]
+        if len(ties) > 1:
+            ties.sort(key=lambda t: _dense_order(t[2]))
+        columns += ties
+    return columns
 
 
 def kernel_basis(m: QMatrix) -> list[Vector]:
-    """Canonical basis of the right kernel ``{v : m v = 0}``.
-
-    The vector of free column f is 1 at f and minus the pivot rows' entries
-    at f elsewhere; its first nonzero is at the first pivot row that holds f.
-    """
-    rows, pivots = _echelon(m)
-    at: dict[int, list[tuple[int, Fraction]]] = {f: [] for f in set(range(m.cols)).difference(pivots)}
-    for row, p in zip(rows, pivots):
-        for c, x in row.items():
-            if c != p:
-                at[c].append((p, x))
-    basis = []
-    for f, terms in at.items():
-        lead, s = (terms[0][0], -ONE / terms[0][1]) if terms else (f, ONE)
+    """Canonical basis of the right kernel ``{v : m v = 0}``: :attr:`KernelBasis.vectors`."""
+    out = []
+    for _, _, col in _kernel_columns(m):
         v = [ZERO] * m.cols
-        v[f] = s
-        for p, x in terms:
-            v[p] = -x * s
-        basis.append((lead, tuple(v)))
-    return [v for _, v in sorted(basis)]
+        for r, x in col.items():
+            v[r] = x
+        out.append(tuple(v))
+    return out
 
 
 def solve(m: QMatrix, b: Sequence[Fraction]) -> Optional[Vector]:
@@ -510,10 +536,7 @@ class RowSpace(_Coordinates):
     @classmethod
     def of_columns(cls, m: QMatrix) -> "RowSpace":
         """The span of the columns of ``m``, generated by those that enlarge it."""
-        cols = [[ZERO] * m.rows for _ in range(m.cols)]
-        for (r, c), x in m.entries.items():
-            cols[c][r] = x
-        return cls(m.rows, map(tuple, cols))
+        return cls(m.rows, m.to_cols())
 
     @property
     def rank(self) -> int:
@@ -595,31 +618,30 @@ class RowSpace(_Coordinates):
 
 
 class KernelBasis(_Coordinates):
-    """A basis of ``ker m`` whose coordinates are read off, never solved for.
-
-    Every vector must be the only one that is nonzero at some column, as each
-    vector of :func:`kernel_basis` is at its free column.  ``m x = 0``
-    certifies that ``x`` lies in the span; its coordinate on a vector is then
-    ``x`` at that column over the vector's own entry there.
+    """The canonical basis of ``ker m`` (:func:`_kernel_columns`), held as the sparse columns
+    of ``inclusion``.  Each vector alone is nonzero at its free column, so once ``m x = 0``
+    certifies that ``x`` lies in the span its coordinates are read off there, never solved for.
     """
 
-    def __init__(self, m: QMatrix, vectors: Sequence[Vector]):
+    def __init__(self, m: QMatrix):
         self.matrix = m
-        self.vectors = list(vectors)
-        self.inclusion = QMatrix.from_cols(self.vectors, m.cols)
-        counts = [0] * m.cols
-        for r, _c in self.inclusion.entries:
-            counts[r] += 1
-        self._reads: list[tuple[int, Fraction]] = []
-        for v in self.vectors:
-            col = next((c for c, x in enumerate(v) if x and counts[c] == 1), None)
-            if col is None:
-                raise InputError("kernel vector has no column where the others vanish")
-            self._reads.append((col, ONE / v[col]))
+        columns = _kernel_columns(m)
+        entries = {(r, j): x for j, (_, _, col) in enumerate(columns) for r, x in col.items()}
+        self.inclusion = QMatrix._of(m.cols, len(columns), entries)
+        # free column -> (its basis vector, 1 / the vector's entry there), in basis order
+        self._reads = {f: (j, inv) for j, (f, inv, _) in enumerate(columns)}
+        self._vectors: Optional[list[Vector]] = None
 
     @property
     def rank(self) -> int:
-        return len(self.vectors)
+        return self.inclusion.cols
+
+    @property
+    def vectors(self) -> list[Vector]:
+        """The basis as dense vectors, built on first read."""
+        if self._vectors is None:
+            self._vectors = self.inclusion.to_cols()
+        return self._vectors
 
     def coords_many(self, vectors: Sequence[Sequence[Fraction]]) -> list[Optional[Vector]]:
         m = self.matrix
@@ -630,8 +652,22 @@ class KernelBasis(_Coordinates):
             if any(m._int_matvec(x)[0]):
                 out.append(None)
             else:
-                out.append(tuple(x[c] * s if x[c] else ZERO for c, s in self._reads))
+                out.append(tuple(x[c] * s if x[c] else ZERO for c, (_, s) in self._reads.items()))
         return out
+
+    def coords_matrix(self, images: QMatrix) -> Optional[QMatrix]:
+        """The columns of ``images`` in kernel coordinates, or None when one lies outside."""
+        if not self.matrix.matmul(images).is_zero():
+            return None
+        reads = self._reads
+        entries = {(reads[r][0], c): x * reads[r][1] for (r, c), x in images.entries.items() if r in reads}
+        return QMatrix._of(self.rank, images.cols, entries)
+
+
+def _dense_order(col: Mapping[int, Fraction]) -> tuple:
+    """A key ordering sparse vectors as their dense tuples.  Entry (i, x) is (0, i, x) below zero,
+    (2, -i, x) above, and (1,) ends the key: at a first difference, the smaller coordinate wins."""
+    return tuple((0, i, x) if x.numerator < 0 else (2, -i, x) for i, x in sorted(col.items())) + ((1,),)
 
 
 class KeyedBasis:

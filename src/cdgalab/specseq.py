@@ -21,7 +21,7 @@ from typing import Optional
 
 from .cdga import TruncatedDGA, _boundaries, cohomology
 from .errors import CutoffTooSmallError, InputError, InternalError, PreconditionError
-from .exactlin import QMatrix, RowSpace, Vector, kernel_basis, rank
+from .exactlin import KernelBasis, QMatrix, RowSpace, Vector, rank
 from .gluing import _push
 from .localsys import (
     FiniteLocalSystem,
@@ -38,7 +38,7 @@ class FilteredComplex:
 
     F^p in degree k is the kernel of ``algebra.level_rows(k, p)`` for
     p <= p_bound, so F^0 is the whole complex, and F^p = 0 beyond p_bound.
-    Each level is computed once, when first read.
+    Each level is computed once, when first read, as a :class:`KernelBasis`.
     """
 
     algebra: TruncatedDGA
@@ -56,14 +56,17 @@ class FilteredComplex:
                 self._rows[key] = self.algebra.level_rows(k, p)
         return self._rows[key]
 
+    def level(self, p: int, k: int) -> KernelBasis:
+        """F^p in degree k, for a degree k of the algebra."""
+        if (p, k) not in self._spaces:
+            self._spaces[(p, k)] = KernelBasis(self.level_rows(p, k))
+        return self._spaces[(p, k)]
+
     def subspace(self, p: int, k: int) -> list[Vector]:
         """Basis of F^p in degree k."""
         if k < 0 or k > self.algebra.cutoff:
             return []
-        key = (p, k)
-        if key not in self._spaces:
-            self._spaces[key] = kernel_basis(self.level_rows(p, k))
-        return self._spaces[key]
+        return self.level(p, k).vectors
 
     def contains(self, p: int, k: int, v: Vector) -> bool:
         """Whether the degree-k vector ``v`` lies in F^p."""
@@ -133,16 +136,15 @@ class PageTower:
         if key in self._z_cache:
             return self._z_cache[key]
         p_eff, tgt_eff, _ = key
-        fp = self.fc.subspace(p_eff, n)
-        if not fp:
+        if not 0 <= n <= alg.cutoff or not self.fc.level(p_eff, n).rank:
             self._z_cache[key] = []
             return []
         if n >= alg.cutoff:
             # no differential out of the top stored degree
             raise InputError("page computation needs degrees below the cutoff")
-        fp_m = QMatrix.from_cols(fp, alg.dim(n))
+        fp_m = self.fc.level(p_eff, n).inclusion
         rows = self.fc.level_rows(tgt_eff, n + 1).matmul(alg.d_matrix(n).matmul(fp_m))
-        out = [fp_m.matvec(a) for a in kernel_basis(rows)]
+        out = fp_m.matmul(KernelBasis(rows).inclusion).to_cols()
         self._z_cache[key] = out
         return out
 
@@ -281,6 +283,7 @@ class EInftyReport:
     mismatches: list
     product_checks: int = 0
     product_failures: list = field(default_factory=list)
+    products_skipped: int = 0  # sampled pairs whose product the cutoff dropped
 
     def ok(self) -> bool:
         return not self.mismatches and not self.product_failures
@@ -362,6 +365,7 @@ class SpectralSequence:
             try:
                 prod = gamma.multiply(p1 + q1, x, p2 + q2, y)
             except CutoffTooSmallError:
+                report.products_skipped += 1
                 continue
             n = p1 + q1 + p2 + q2
             pf = p1 + p2

@@ -11,7 +11,7 @@ from math import comb
 import random
 
 from cdgalab.errors import InputError
-from cdgalab.exactlin import ONE, ZERO, QMatrix, RowSpace, kernel_basis, rref, unit_vector
+from cdgalab.exactlin import ONE, ZERO, QMatrix, RowSpace, concat, kernel_basis, rref, unit_vector
 from cdgalab.polyforms import PolyForm, d
 
 
@@ -164,6 +164,91 @@ def dense_kernel_basis(m: QMatrix) -> list:
         lead = next(x for x in v if x)
         basis.append(tuple(x / lead if x else x for x in v))
     return sorted(basis, key=lambda v: (next(i for i, x in enumerate(v) if x), v))
+
+
+class DenseKernelBasis:
+    """A kernel basis built from its dense vectors, the slow reference for ``KernelBasis``.
+
+    The inclusion is assembled column by column, and each vector's coordinate
+    is read at the first column where it alone of the vectors is nonzero,
+    found by a search over every entry.
+    """
+
+    def __init__(self, m: QMatrix, vectors):
+        self.matrix = m
+        self.vectors = list(vectors)
+        self.inclusion = QMatrix.from_cols(self.vectors, m.cols)
+        counts = [0] * m.cols
+        for v in self.vectors:
+            for c, x in enumerate(v):
+                if x:
+                    counts[c] += 1
+        self.reads = []
+        for v in self.vectors:
+            col = next((c for c, x in enumerate(v) if x and counts[c] == 1), None)
+            if col is None:
+                raise InputError("kernel vector has no column where the others vanish")
+            self.reads.append((col, ONE / v[col]))
+
+    def coords_many(self, vectors) -> list:
+        out = []
+        for x in vectors:
+            if any(fraction_matvec(self.matrix, x)):
+                out.append(None)
+            else:
+                out.append(tuple(x[c] * s for c, s in self.reads))
+        return out
+
+
+def dense_kernel(m: QMatrix) -> DenseKernelBasis:
+    return DenseKernelBasis(m, dense_kernel_basis(m))
+
+
+def _dense_columns(kernel: DenseKernelBasis, images) -> QMatrix:
+    cols = kernel.coords_many(images)
+    if None in cols:
+        raise InputError("an image lies outside the kernel")
+    return QMatrix.from_cols(cols, len(kernel.vectors))
+
+
+def dense_carrier_differentials(carrier) -> list:
+    """A kernel carrier's differentials, one kernel vector through ``d`` at a time.
+
+    The kernels are rebuilt densely from the carrier's defining matrices.
+    """
+    kernels = [dense_kernel(ker.matrix) for ker in carrier.kernels]
+    return [
+        _dense_columns(kernels[k + 1], [carrier.ambient.d_matrix(k).matvec(v) for v in kernels[k].vectors])
+        for k in range(carrier.cutoff)
+    ]
+
+
+def dense_push(maps, src, dst) -> list:
+    """The matrices of the map of kernel carriers that ``maps`` induce blockwise,
+    each kernel vector of ``src`` split into blocks and mapped block by block."""
+    mats = []
+    for k in range(min(src.cutoff, dst.cutoff) + 1):
+        images = [
+            concat(*(h.apply(k, x) for h, x in zip(maps, src.ambient.split(k, v))))
+            for v in dense_kernel_basis(src.kernels[k].matrix)
+        ]
+        mats.append(_dense_columns(dense_kernel(dst.kernels[k].matrix), images))
+    return mats
+
+
+def per_simplex_fiber_product_system(f, g, upto: int):
+    """``(fiber products, restriction matrices)`` of ``fiber_product_system``,
+    one fiber product per simplex and one dense push per facet."""
+    from cdgalab.gluing import fiber_product
+
+    base = f.source.base
+    carriers = {s: fiber_product(f.maps[s], g.maps[s], upto) for s in base.all_simplices()}
+    restr = {}
+    for s in base.all_simplices():
+        for i, t in base.facets(s):
+            legs = (f.source.facet_restrictions[(s, i)], g.source.facet_restrictions[(s, i)])
+            restr[(s, i)] = dense_push(legs, carriers[s].carrier, carriers[t].carrier)
+    return carriers, restr
 
 
 def dense_multiply(alg, i: int, va, j: int, vb) -> tuple:

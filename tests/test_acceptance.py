@@ -210,6 +210,11 @@ def test_criterion_08_gamma_forms_isomorphism():
 
 def _suspension_fp_system(base, m, upto, forms_total, forms_cutoff, sys_cutoff):
     """Thickened suspension triple over a base complex, objectwise glued."""
+    return fiber_product_system(*_suspension_legs(base, m, forms_total, forms_cutoff, sys_cutoff), upto)
+
+
+def _suspension_legs(base, m, forms_total, forms_cutoff, sys_cutoff):
+    """The system morphisms (evaluation, unit pair) that the suspension system glues."""
     i_forms = interval_forms(1, cutoff=2)
     cyl = tensor_product(m, i_forms, cutoff=m.cutoff - 2)
     mm = direct_sum(m, m, cutoff=m.cutoff - 2)
@@ -219,9 +224,7 @@ def _suspension_fp_system(base, m, upto, forms_total, forms_cutoff, sys_cutoff):
     sys_e1 = tensor_system(forms, cyl, cutoff=sys_cutoff)
     sys_e0 = tensor_system(forms, mm, cutoff=sys_cutoff)
     sys_qq = tensor_system(forms, qq, cutoff=sys_cutoff)
-    f_sys = tensor_system_morphism(sys_e1, sys_e0, f_leg)
-    g_sys = tensor_system_morphism(sys_qq, sys_e0, g_leg)
-    return fiber_product_system(f_sys, g_sys, upto)
+    return tensor_system_morphism(sys_e1, sys_e0, f_leg), tensor_system_morphism(sys_qq, sys_e0, g_leg)
 
 
 def test_criterion_09_e2_theorem():
@@ -238,6 +241,7 @@ def test_criterion_09_e2_theorem():
     assert rep_a.dims_pages == expected_a
     tot_a = einfty_vs_target(e_a, 4)
     assert tot_a.ok(), (tot_a.mismatches, tot_a.product_failures)
+    assert (tot_a.product_checks, tot_a.products_skipped) == (4, 0)
 
     # (b) sign-twisted odd class over the circle: twisted rows vanish
     from test_localsys import odd_generator_fiber
@@ -254,6 +258,7 @@ def test_criterion_09_e2_theorem():
         assert rep_b.dims_pages[(p, 3)] == 0
     tot_b = einfty_vs_target(e_b, 4)
     assert tot_b.ok(), (tot_b.mismatches, tot_b.product_failures)
+    assert tot_b.products_skipped == 0
 
     # (c) suspension-triple fiber product over the boundary of the 3-simplex
     m = sphere_even_model(10)
@@ -270,6 +275,8 @@ def test_criterion_09_e2_theorem():
     assert rep_c.dims_pages == expected_c
     tot_c = einfty_vs_target(e_c, 5)
     assert tot_c.ok(), (tot_c.mismatches, tot_c.product_failures)
+    # the interval forms keep t but not t^2, so every sampled product is dropped, and counted
+    assert tot_c.product_checks == 0 and tot_c.products_skipped > 0
     # the glued object is the product of the suspension with the base sphere
     assert tot_c.totals_pages == {0: 1, 1: 0, 2: 1, 3: 1, 4: 0, 5: 1}
     verdict(9, "second-page theorem and limit totals", t0, 60.0)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -184,6 +185,22 @@ def minimal_model_problem():
     }
 
 
+def loop_model_problem():
+    return {
+        "version": "1",
+        "task": "loop-model",
+        "algebras": {
+            "CP1": {
+                "type": "free",
+                "generators": [["x", 2], ["y", 3]],
+                "differential": {"y": [["1", {"x": 2}]]},
+                "cutoff": 6,
+            }
+        },
+        "task_args": {"model": "CP1", "upto": 4},
+    }
+
+
 def suspend_problem():
     return {
         "version": "1",
@@ -240,6 +257,8 @@ def ss_problem():
         (edge_system_problem, _set(("algebras", "PP"), {"type": "product", "factors": ["P", []]})),
         (edge_system_problem, _set(("algebras", "PP"), {"type": "tensor", "factors": 5})),
         (edge_system_problem, _set(("algebras", "PP"), {"type": "product", "factors": "PP"})),
+        (loop_model_problem, _set(("task_args", "model"), ["S2"])),
+        (loop_model_problem, _set(("task_args", "model"), {"a": 1})),
     ],
 )
 def test_malformed_references_and_integers_exit_2(tmp_path, capsys, make, mutate):
@@ -306,22 +325,6 @@ def test_integral_strings_are_integers(tmp_path, capsys):
     code, out, _ = run_cli(capsys, [write(tmp_path, doc), "--format", "machine"])
     assert code == 0
     assert json.loads(out)["result"]["dims"] == [1, 2, 1]
-
-
-def loop_model_problem():
-    return {
-        "version": "1",
-        "task": "loop-model",
-        "algebras": {
-            "CP1": {
-                "type": "free",
-                "generators": [["x", 2], ["y", 3]],
-                "differential": {"y": [["1", {"x": 2}]]},
-                "cutoff": 6,
-            }
-        },
-        "task_args": {"model": "CP1", "upto": 4},
-    }
 
 
 def test_loop_model_task(tmp_path, capsys):
@@ -418,6 +421,7 @@ def test_broken_kernel_invariants_exit_as_internal_errors(tmp_path, capsys, monk
 
     # no vector lies in any kernel: the carrier's first check fails
     monkeypatch.setattr(KernelBasis, "coords_many", lambda self, vectors: [None] * len(vectors))
+    monkeypatch.setattr(KernelBasis, "coords_matrix", lambda self, images: None)
     code, out, err = run_cli(capsys, [write(tmp_path, glue_problem()), "--format", "machine"] + flags)
     assert (code, out) == (1, "")
     assert err == f"internal error: {message}\n"
@@ -628,3 +632,35 @@ def test_machine_reports_are_byte_identical(tmp_path, capsys, make, flags, diges
     code, out, _ = run_cli(capsys, [write(tmp_path, make()), "--format", "machine", *flags])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- deterministic fuzzing ------------------------------------------------------
+
+FUZZ_VALUES = [None, True, False, 1.5, "1.5", -1, 0, 3, [], {}, [1, 2]]
+
+
+def _paths(node, prefix=()):
+    """Every key path below ``node``, through dicts and lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def test_mutated_fixtures_exit_0_1_or_2_without_a_traceback(tmp_path, capsys):
+    """Each fixture with one key or list item dropped, or one value swapped for
+    a value of another type or a small integer: no input ends in an exception."""
+    rng = random.Random(20261018)
+    fixtures = [make for make, _, _ in REPORT_DIGESTS]
+    for trial in range(300):
+        doc = rng.choice(fixtures)()
+        path = rng.choice(list(_paths(doc)))
+        if rng.random() < 0.25:
+            _drop(path)(doc)
+        else:
+            _set(path, rng.choice(FUZZ_VALUES))(doc)
+        flags = rng.choice([[], ["--verify"]])
+        code, _, err = run_cli(capsys, [write(tmp_path, doc), "--format", "machine", *flags])
+        assert code in (0, 1, 2), (trial, path, doc)
+        if code == 2:
+            assert "input error:" in err, (trial, path, err)

@@ -23,6 +23,7 @@ from cdgalab.exactlin import (
 
 from fixtures import wedge_of_2_spheres
 from helpers import (
+    dense_kernel,
     dense_kernel_basis,
     fraction_echelon,
     fraction_matmul,
@@ -300,7 +301,8 @@ def test_kernel_free_column_coords_match_solve_and_oracle():
     rng = random.Random(31)
     for m in _kernel_cases(rng):
         basis = kernel_basis(m)
-        ker = KernelBasis(m, basis)
+        ker = KernelBasis(m)
+        assert ker.vectors == basis
         assert ker.rank == m.cols - rank(m)
         assert ker.inclusion == QMatrix.from_cols(basis, m.cols)
         probes = _probes(rng, basis, m.cols)
@@ -321,7 +323,7 @@ def test_kernel_membership_matches_dense_matvec():
         )
     seen = set()
     for m in cases:
-        ker = KernelBasis(m, kernel_basis(m))
+        ker = KernelBasis(m)
         probes = _probes(rng, ker.vectors, m.cols)
         # members moved by one coordinate, which leaves the kernel unless that column is zero
         cols = rng.sample(range(m.cols), min(m.cols, 4))
@@ -338,11 +340,36 @@ def test_kernel_membership_matches_dense_matvec():
     assert seen == {True, False}
 
 
-def test_kernel_basis_needs_a_private_column_per_vector():
-    m = QMatrix.zero(1, 2)
-    one, two = Fraction(1), Fraction(2)
-    with pytest.raises(InputError):
-        KernelBasis(m, [(one, one), (one, two)])
+def test_kernel_basis_matches_the_dense_construction():
+    rng = random.Random(43)
+    cases = _kernel_cases(rng)
+    # entries of one size tie many vectors at their first nonzero coordinate
+    cases += [random_qmatrix(rng, rng.randint(1, 6), rng.randint(2, 9), density=0.4, span=1) for _ in range(40)]
+    for m in cases:
+        ker, dense = KernelBasis(m), dense_kernel(m)
+        assert ker.vectors == dense.vectors == dense_kernel_basis(m)
+        assert ker.inclusion == dense.inclusion
+        probes = _probes(rng, dense.vectors, m.cols)
+        assert ker.coords_many(probes) == dense.coords_many(probes)
+
+
+def test_kernel_coords_matrix_matches_coords_of_each_column():
+    rng = random.Random(59)
+    seen = set()
+    for m in _kernel_cases(rng):
+        ker = KernelBasis(m)
+        members = ker.inclusion.matmul(random_qmatrix(rng, ker.rank, 3))
+        probes = QMatrix.from_cols(_probes(rng, ker.vectors, m.cols), m.cols)  # mostly outside
+        for mat in (members, probes, probes.scale(0)):
+            cols = ker.coords_many(mat.to_cols())
+            got = ker.coords_matrix(mat)
+            if None in cols:
+                assert got is None
+            else:
+                assert got == QMatrix.from_cols(cols, ker.rank)
+                assert ker.inclusion.matmul(got) == mat
+            seen.add(got is None)
+    assert seen == {True, False}
 
 
 # -- keyed bases -------------------------------------------------------------
@@ -550,7 +577,7 @@ def test_engine_matches_fraction_reference_on_recorded_traffic(monkeypatch):
     from cdgalab.sullivan import minimal_model
     from test_specseq import _small_suspension_system
 
-    engine = exactlin._echelon
+    engine = exactlin._int_echelon
     calls = []
 
     def recording(m, pivot_cols=None):
@@ -558,13 +585,15 @@ def test_engine_matches_fraction_reference_on_recorded_traffic(monkeypatch):
         calls.append((m, pivot_cols, out))
         return out
 
-    monkeypatch.setattr(exactlin, "_echelon", recording)
+    monkeypatch.setattr(exactlin, "_int_echelon", recording)
     assert einfty_vs_target(_small_suspension_system(), 3).ok()
     spectral = len(calls)
     minimal_model(wedge_of_2_spheres(2, 7), 6)
     assert 0 < spectral < len(calls)
-    for m, pivot_cols, out in calls:
-        _assert_same_echelon(m, pivot_cols, out)
+    for m, pivot_cols, (prows, pivots, rest) in calls:
+        # each pivot row is its reduced row times its entry at the pivot
+        rows = [{c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(prows, pivots)]
+        _assert_same_echelon(m, pivot_cols, (rows + [{c: Fraction(v) for c, v in row.items()} for row in rest], pivots))
 
 
 # -- integer matvec, matmul and kernels against the Fraction loops -----------
@@ -619,8 +648,9 @@ def test_plumbing_and_kernels_match_fraction_loops_on_recorded_traffic(monkeypat
     from cdgalab.sullivan import minimal_model
     from test_specseq import _small_suspension_system
 
-    calls = {"matvec": [], "matmul": [], "coords": [], "kernel": []}
-    engine, matvec, matmul, coords = exactlin._echelon, QMatrix.matvec, QMatrix.matmul, KernelBasis.coords_many
+    calls = {"matvec": [], "matmul": [], "coords": [], "coords_matrix": [], "kernel": []}
+    engine, matvec, matmul, coords = exactlin._int_echelon, QMatrix.matvec, QMatrix.matmul, KernelBasis.coords_many
+    coords_matrix = KernelBasis.coords_matrix
 
     def recording(name, fn):
         def wrapper(*args):
@@ -635,10 +665,11 @@ def test_plumbing_and_kernels_match_fraction_loops_on_recorded_traffic(monkeypat
             calls["kernel"].append(m)
         return engine(m, pivot_cols)
 
-    monkeypatch.setattr(exactlin, "_echelon", full_elimination)
+    monkeypatch.setattr(exactlin, "_int_echelon", full_elimination)
     monkeypatch.setattr(QMatrix, "matvec", recording("matvec", matvec))
     monkeypatch.setattr(QMatrix, "matmul", recording("matmul", matmul))
     monkeypatch.setattr(KernelBasis, "coords_many", recording("coords", coords))
+    monkeypatch.setattr(KernelBasis, "coords_matrix", recording("coords_matrix", coords_matrix))
     assert einfty_vs_target(_small_suspension_system(), 3).ok()
     minimal_model(wedge_of_2_spheres(2, 7), 6)
     monkeypatch.undo()
@@ -650,5 +681,9 @@ def test_plumbing_and_kernels_match_fraction_loops_on_recorded_traffic(monkeypat
     for (ker, vectors), out in calls["coords"]:
         for x, got in zip(vectors, out):
             assert (got is not None) == (not any(fraction_matvec(ker.matrix, x)))
+    for (ker, images), out in calls["coords_matrix"]:
+        assert (out is not None) == fraction_matmul(ker.matrix, images).is_zero()
+        if out is not None:
+            assert fraction_matmul(ker.inclusion, out) == images
     for m in calls["kernel"]:
         assert kernel_basis(m) == dense_kernel_basis(m)

@@ -14,7 +14,7 @@ from cdgalab.cdga import (
     truncate,
 )
 from cdgalab.errors import InputError, InternalError, PreconditionError
-from cdgalab.exactlin import KernelBasis, QMatrix, kernel_basis, rank, unit_vector
+from cdgalab.exactlin import KernelBasis, QMatrix, rank, unit_vector
 from cdgalab.polyforms import forms_dga
 from cdgalab.gluing import (
     _kernel_carrier,
@@ -273,13 +273,9 @@ def test_tensor_levels_come_from_the_first_factor():
 
 # -- broken invariants against bad input --------------------------------------
 
-def _kernel(m):
-    return KernelBasis(m, kernel_basis(m))
-
-
 def test_kernel_carrier_reports_a_differential_leaving_the_kernel_as_internal():
     a = interval_forms(2, cutoff=1)  # d t = dt leaves the zero subspace of degree 1
-    kernels = [_kernel(QMatrix.zero(0, a.dim(0))), _kernel(QMatrix.identity(a.dim(1)))]
+    kernels = [KernelBasis(QMatrix.zero(0, a.dim(0))), KernelBasis(QMatrix.identity(a.dim(1)))]
     with pytest.raises(InternalError, match="differential does not preserve the kernel subspace"):
         _kernel_carrier(kernels, BlockSum([a], 1), name="broken")
 
@@ -287,7 +283,7 @@ def test_kernel_carrier_reports_a_differential_leaving_the_kernel_as_internal():
 def test_kernel_carrier_reports_a_unit_outside_the_kernel_as_internal():
     a = interval_forms(2, cutoff=0)
     with pytest.raises(InternalError, match="the unit is not a compatible family"):
-        _kernel_carrier([_kernel(QMatrix.identity(a.dim(0)))], BlockSum([a], 0), name="broken")
+        _kernel_carrier([KernelBasis(QMatrix.identity(a.dim(0)))], BlockSum([a], 0), name="broken")
 
 
 def test_non_multiplicative_leg_is_an_input_error():

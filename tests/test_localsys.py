@@ -43,6 +43,7 @@ from cdgalab.polyforms import (
 )
 
 from fixtures import sphere_even_model, torus_model
+from helpers import dense_carrier_differentials, dense_kernel_basis, per_simplex_fiber_product_system
 
 
 def odd_generator_fiber(degree=3, cutoff=5) -> TruncatedDGA:
@@ -476,3 +477,60 @@ def test_validate_reports_wrong_restriction_ends_on_a_triangle():
     restr[((0, 1, 2), 0)] = DGMorphism.identity(sphere_even_model(3))
     problems = validate(FiniteLocalSystem(e.base, dict(e.fibers), restr))
     assert problems == ["restriction endpoints wrong at ((0, 1, 2), 0)"]
+
+
+# -- sharing and the dense reference build -------------------------------------
+
+SUSPENSION_CASES = {
+    # (sphere model cutoff, upto, sizes): the small suspension system of the
+    # spectral-sequence tests, and family (c) of acceptance criterion 9
+    "small": (6, 4, dict(forms_total=2, forms_cutoff=3, sys_cutoff=4)),
+    "criterion_9c": (10, 7, dict(forms_total=3, forms_cutoff=4, sys_cutoff=7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUSPENSION_CASES))
+def test_fiber_product_system_matches_the_per_simplex_dense_build(case):
+    from test_acceptance import _suspension_legs
+
+    cutoff, upto, sizes = SUSPENSION_CASES[case]
+    f, g = _suspension_legs(boundary_complex(3), sphere_even_model(cutoff), **sizes)
+    e, carriers = fiber_product_system(f, g, upto)
+    dense_carriers, dense_restr = per_simplex_fiber_product_system(f, g, upto)
+    for s, fp in carriers.items():
+        carrier, dense = fp.carrier, dense_carriers[s].carrier
+        assert carrier.dims == dense.dims
+        for k in range(upto + 1):
+            vectors = dense_kernel_basis(dense.kernels[k].matrix)
+            assert carrier.kernels[k].vectors == vectors
+            assert carrier.kernels[k].inclusion == QMatrix.from_cols(vectors, dense.ambient.dim(k))
+        assert [carrier.d_matrix(k) for k in range(upto)] == dense_carrier_differentials(dense)
+    assert {key: r.mats for key, r in e.facet_restrictions.items()} == dense_restr
+    gamma = global_sections(e, upto)
+    assert [gamma.d_matrix(k) for k in range(upto)] == dense_carrier_differentials(gamma)
+
+
+def test_suspension_system_builds_each_distinct_fiber_product_and_push_once(monkeypatch):
+    from cdgalab import localsys
+    from test_acceptance import _suspension_legs
+
+    calls = {"fiber_product": 0, "_push": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(localsys, name, counting(name, getattr(localsys, name)))
+    cutoff, upto, sizes = SUSPENSION_CASES["small"]
+    f, g = _suspension_legs(boundary_complex(3), sphere_even_model(cutoff), **sizes)
+    # one tensor map and one fiber product per simplex dimension 0, 1, 2, and one
+    # restriction per (dimension, face): two faces of an edge, three of a triangle
+    assert [len({id(h) for h in leg.maps.values()}) for leg in (f, g)] == [3, 3]
+    e, carriers = fiber_product_system(f, g, upto)
+    assert calls == {"fiber_product": 3, "_push": 5}
+    assert len({id(fp) for fp in carriers.values()}) == 3
+    assert validate(e) == []
