@@ -14,7 +14,7 @@ from cdgalab.localsys import (
     twist_restriction,
 )
 from cdgalab.polyforms import cycle_complex
-from cdgalab.specseq import PageTower, e2_check, einfty_vs_target, skeletal_filtration
+from cdgalab.specseq import e2_check, einfty_vs_target
 
 base = cycle_complex(3)
 print("== the ambient forms system over a 3-vertex circle ==")

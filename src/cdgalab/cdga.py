@@ -139,7 +139,7 @@ class TruncatedDGA:
 
     __slots__ = (
         "cutoff", "dims", "unit", "diff_mats", "_mult_fn", "_mult_cache", "_terms_cache",
-        "labels", "levels", "bases", "ambient", "kernels", "name",
+        "labels", "levels", "bases", "ambient", "kernels", "name", "_leaf_cache",
     )
 
     def __init__(
@@ -190,6 +190,7 @@ class TruncatedDGA:
         self.ambient = ambient
         self.kernels = list(kernels) if kernels is not None else None
         self.name = name
+        self._leaf_cache: dict[int, tuple] = {}  # the spectral sequences' view, per degree
         if check:
             self._check_d_squared()
 

@@ -541,12 +541,12 @@ def task_ss(problem: Problem, flags) -> tuple[int, dict]:
     e2 = {}
     for p in range(p_max + 1):
         for q in range(q_max + 1):
-            e2[f"{p},{q}"] = tower.entry(2, p, q)[0]
+            e2[f"{p},{q}"] = tower.dim(2, p, q)
     r_inf = tower.infinity_page_index()
     einf = {}
     for p in range(p_max + 1):
         for q in range(q_max + 1):
-            einf[f"{p},{q}"] = tower.entry(r_inf, p, q)[0]
+            einf[f"{p},{q}"] = tower.dim(r_inf, p, q)
     result = {"E2": e2, "Einfty": einf, "p_bound": ss.filtered.p_bound}
     verify = None
     code = 0

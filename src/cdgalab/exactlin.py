@@ -356,18 +356,21 @@ def _int_echelon(m: QMatrix, pivot_cols: Optional[int] = None):
     reduced row times its entry at the pivot.  Pivots are chosen among the first ``pivot_cols``
     columns only; trailing columns ride along (augmented solves), and a row past the pivots is
     a nonzero multiple of a residual, nonzero exactly where those columns are inconsistent."""
-    if pivot_cols is None:
-        pivot_cols = m.cols
     frows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
         frows[r][c] = v
-    rows = [_int_row(row) for row in frows]
+    return _reduce_rows([_int_row(row) for row in frows], m.cols if pivot_cols is None else pivot_cols)
+
+
+def _reduce_rows(rows: list[dict[int, int]], pivot_cols: int):
+    """:func:`_int_echelon` on primitive integer rows, which it reduces in place."""
     # column -> a superset of the rows nonzero there, read for the pivot
     # candidates and the rows to clear: a cleared row is added at the pivot
     # row's columns, and skipped where it cancelled when read
     holders: defaultdict[int, set[int]] = defaultdict(set)
-    for r, c in m.entries:
-        holders[c].add(r)
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].add(r)
     free = set(range(len(rows)))  # rows not chosen as pivot rows yet
     order: list[int] = []
     pivots: list[int] = []
@@ -438,6 +441,24 @@ def _kernel_columns(m: QMatrix) -> list[tuple[int, Fraction, dict[int, Fraction]
             ties.sort(key=lambda t: _dense_order(t[2]))
         columns += ties
     return columns
+
+
+def _span_basis(vectors: Iterable[Mapping[int, Fraction]], dim: int) -> list[dict[int, Fraction]]:
+    """The canonical basis of the span of sparse ``vectors`` in ``dim`` coordinates: the vectors
+    :func:`_kernel_columns` gives for any matrix whose kernel is that span.
+
+    Those are the reduced echelon form of the span with the columns taken last to first: each
+    vector ends at a column where all the others vanish, as a kernel vector ends at its free
+    column.  They are scaled to lead with 1 and sorted the same way.
+    """
+    flipped = [{dim - 1 - c: x for c, x in v.items() if x} for v in vectors]
+    rows, _, _ = _reduce_rows([_int_row(v) for v in flipped if v], dim)
+    basis = []
+    for row in rows:
+        lead = row[max(row)]
+        basis.append({dim - 1 - c: Fraction(x, lead) for c, x in row.items()})
+    basis.sort(key=lambda v: (min(v), _dense_order(v)))
+    return basis
 
 
 def kernel_basis(m: QMatrix) -> list[Vector]:

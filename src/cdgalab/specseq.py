@@ -1,27 +1,33 @@
 """Spectral sequences of finite decreasingly filtered cochain complexes.
 
-Pages are computed from the classical cocycle/boundary towers
+The pages are those of the classical cocycle/boundary towers
 
     Z_r^{p,q} = { x in F^p C^{p+q} : dx in F^{p+r} },
     E_r^{p,q} = Z_r / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 
-by exact linear algebra, lazily per bidegree with caching.  The skeletal
-filtration of the global sections of a local system filters a section by the
-base form level of its components (level >= p vanishes on all simplices of
-dimension below p); it is multiplicative and supported in the first quadrant,
-and its second page is compared against twisted simplicial cohomology with
-the fiberwise cohomology coefficients.
+read off one reduction per degree.  Each degree is written in a basis adapted to the
+filtration, from one integer echelon, and d is reduced in those bases column by column
+from the highest level down, as in the persistence algorithm (Edelsbrunner, Letscher and
+Zomorodian 2002; Basu and Parida 2017): every pivot pair (column level, pivot level)
+gives every E_r dimension at once.  Representatives are built only where they are read.
+The skeletal filtration of the global sections of a local system filters a section by the
+base form level of its components (level >= p vanishes on all simplices of dimension
+below p); it is multiplicative and supported in the first quadrant, and its second page
+is compared against twisted simplicial cohomology with the fiberwise cohomology
+coefficients.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from fractions import Fraction
+from math import lcm
+from typing import NamedTuple, Optional
 
-from .cdga import TruncatedDGA, _boundaries, cohomology
+from .cdga import TruncatedDGA, _block_diagonal, cohomology
 from .errors import CutoffTooSmallError, InputError, InternalError, PreconditionError
-from .exactlin import KernelBasis, QMatrix, RowSpace, Vector, rank
+from .exactlin import ONE, ZERO, QMatrix, RowSpace, Vector, _eliminate, _primitive, _reduce_rows, _span_basis, rank
 from .gluing import _push
 from .localsys import (
     FiniteLocalSystem,
@@ -31,46 +37,149 @@ from .localsys import (
     h_local_coefficients,
 )
 
+_Sparse = dict[int, Fraction]
+
+
+def _in_leaves(alg: TruncatedDGA, k: int) -> tuple[list[TruncatedDGA], int, list[dict[int, int]], list]:
+    """The degree-k basis of ``alg`` in the coordinates of the innermost algebras, whose basis
+    elements carry levels: ``(leaves, den, columns, reads)``.  ``leaves`` are those algebras in
+    block order; ``columns[j] / den`` is basis element j as a sparse integer column; and
+    ``reads[j]`` is the coordinate and factor that read the coordinate of basis element j off
+    any combination of the columns.
+
+    An algebra without an ambient sum is its own leaf; a kernel carrier composes its inclusion
+    with its parts' columns.  Kept on the algebra, because a fiber is shared by every system,
+    section algebra and spectral sequence built on it.
+    """
+    if k not in alg._leaf_cache:
+        if alg.ambient is None:
+            n = alg.dim(k)
+            alg._leaf_cache[k] = [alg], 1, [{a: 1} for a in range(n)], [(a, ONE) for a in range(n)]
+        else:
+            parts = [_in_leaves(part, k) for part in alg.ambient.parts]
+            common = lcm(*(den for _, den, _, _ in parts))
+            leaves, blocks, part_reads, offset = [], [], [], 0
+            for p_leaves, den, columns, p_reads in parts:
+                leaves += p_leaves
+                blocks += [{offset + c: x * (common // den) for c, x in col.items()} for col in columns]
+                part_reads += [(offset + c, x) for c, x in p_reads]
+                offset += sum(leaf.dim(k) for leaf in p_leaves)
+            kernel = alg.kernels[k]
+            kden, kcols = kernel.inclusion._int_columns()
+            columns = []
+            for j in range(kernel.rank):
+                acc: dict[int, int] = {}
+                for f, x in kcols.get(j, ()):
+                    for c, y in blocks[f].items():
+                        acc[c] = acc.get(c, 0) + x * y
+                columns.append({c: v for c, v in acc.items() if v})
+            reads: list = [None] * kernel.rank
+            for f, (j, inv) in kernel._reads.items():
+                c, x = part_reads[f]
+                reads[j] = (c, x * inv)
+            alg._leaf_cache[k] = leaves, kden * common, columns, reads
+    return alg._leaf_cache[k]
+
+
+class _AdaptedBasis:
+    """One degree of a filtered complex in a basis adapted to its filtration.
+
+    ``rows`` is the reduced row echelon form of the degree's basis written in the innermost
+    coordinates (:func:`_in_leaves`), with the coordinates taken in order of level; each row
+    is a primitive integer multiple, and ``pivots`` holds the coordinate of its pivot.
+    ``levels``, nondecreasing, are the levels of the pivots: F^p is spanned by the rows of
+    level >= p, because a combination vanishing below level p uses no row whose pivot lies
+    there.
+    """
+
+    def __init__(self, alg: TruncatedDGA, k: int, p_bound: int):
+        self.dim = alg.dim(k)
+        self.leaves, _, self.columns, reads = _in_leaves(alg, k)
+        self.coord_levels = [
+            min(max(leaf.basis_level(k, a), 0), p_bound) for leaf in self.leaves for a in range(leaf.dim(k))
+        ]
+        order = sorted(range(len(self.coord_levels)), key=self.coord_levels.__getitem__)
+        position = {c: i for i, c in enumerate(order)}
+        rows, pivots, _ = _reduce_rows(
+            [_primitive({position[c]: x for c, x in col.items()}) for col in self.columns], len(order)
+        )
+        self.rows = [{order[i]: x for i, x in row.items()} for row in rows]
+        self.pivots = [order[i] for i in pivots]
+        self.levels = [self.coord_levels[c] for c in self.pivots]
+        self._reads = {c: (a, x) for a, (c, x) in enumerate(reads)}
+        self._basis: Optional[list[_Sparse]] = None
+
+    def span(self, combos: list[dict[int, int]]) -> list[_Sparse]:
+        """Combinations of the rows, written in the algebra's basis."""
+        if self._basis is None:
+            # a row is a multiple of the image of a vector, whose coordinates the reads give
+            self._basis = [
+                {self._reads[c][0]: self._reads[c][1] * v for c, v in row.items() if c in self._reads}
+                for row in self.rows
+            ]
+        out = []
+        for combo in combos:
+            acc: _Sparse = {}
+            for i, w in combo.items():
+                for a, x in self._basis[i].items():
+                    acc[a] = acc.get(a, 0) + w * x
+            out.append({a: x for a, x in acc.items() if x})
+        return out
+
+
+def _dense(v: _Sparse, dim: int) -> Vector:
+    out = [ZERO] * dim
+    for a, x in v.items():
+        out[a] = x
+    return tuple(out)
+
 
 @dataclass
 class FilteredComplex:
     """A truncated DG algebra with a decreasing multiplicative filtration.
 
-    F^p in degree k is the kernel of ``algebra.level_rows(k, p)`` for
-    p <= p_bound, so F^0 is the whole complex, and F^p = 0 beyond p_bound.
-    Each level is computed once, when first read, as a :class:`KernelBasis`.
+    F^p in degree k holds the elements whose coordinates in the innermost algebras vanish
+    below level p, with levels clamped to [0, p_bound]: F^0 is the whole complex, and F^p = 0
+    beyond p_bound.  Each degree is written in an adapted basis (:class:`_AdaptedBasis`) once,
+    when first read, and every F^p is read off it.
     """
 
     algebra: TruncatedDGA
     p_bound: int
-    _rows: dict = field(default_factory=dict, init=False, repr=False)
-    _spaces: dict = field(default_factory=dict, init=False, repr=False)
+    _bases: dict = field(default_factory=dict, init=False, repr=False)
+    _levels: dict = field(default_factory=dict, init=False, repr=False)
 
-    def level_rows(self, p: int, k: int) -> QMatrix:
-        """Rows whose kernel is F^p in degree k."""
-        key = (p, k)
-        if key not in self._rows:
-            if p > self.p_bound:
-                self._rows[key] = QMatrix.identity(self.algebra.dim(k))
-            else:
-                self._rows[key] = self.algebra.level_rows(k, p)
-        return self._rows[key]
+    def _adapted(self, k: int) -> _AdaptedBasis:
+        if k not in self._bases:
+            self._bases[k] = _AdaptedBasis(self.algebra, k, self.p_bound)
+        return self._bases[k]
 
-    def level(self, p: int, k: int) -> KernelBasis:
-        """F^p in degree k, for a degree k of the algebra."""
-        if (p, k) not in self._spaces:
-            self._spaces[(p, k)] = KernelBasis(self.level_rows(p, k))
-        return self._spaces[(p, k)]
+    def _level(self, p: int, k: int) -> list[_Sparse]:
+        """The canonical basis of F^p in degree k, for a degree k of the algebra."""
+        p = min(max(p, 0), self.p_bound + 1)
+        if (p, k) not in self._levels:
+            ad = self._adapted(k)
+            span = ad.span([{i: 1} for i, level in enumerate(ad.levels) if level >= p])
+            self._levels[(p, k)] = _span_basis(span, self.algebra.dim(k))
+        return self._levels[(p, k)]
 
     def subspace(self, p: int, k: int) -> list[Vector]:
-        """Basis of F^p in degree k."""
+        """Basis of F^p in degree k: the canonical basis of :func:`kernel_basis`."""
         if k < 0 or k > self.algebra.cutoff:
             return []
-        return self.level(p, k).vectors
+        return [_dense(v, self.algebra.dim(k)) for v in self._level(p, k)]
 
     def contains(self, p: int, k: int, v: Vector) -> bool:
         """Whether the degree-k vector ``v`` lies in F^p."""
-        return not any(self.level_rows(p, k).matvec(v))
+        ad = self._adapted(k)
+        if len(v) != ad.dim:
+            raise InputError(f"vector of length {len(v)} in degree {k} of dimension {ad.dim}")
+        image: _Sparse = {}
+        for x, col in zip(v, ad.columns):
+            if x:
+                for c, y in col.items():
+                    image[c] = image.get(c, 0) + x * y
+        return not any(x for c, x in image.items() if ad.coord_levels[c] < p)
 
     def validate(self, rng=None, product_samples: int = 60) -> list[str]:
         problems = []
@@ -119,34 +228,172 @@ class Page:
         return self.entries.get((p, q), 0)
 
 
+class _Reduction(NamedTuple):
+    """d out of one degree, reduced in the adapted bases of that degree and the next.
+
+    ``low`` maps each column whose reduced image is nonzero to the row where that image ends;
+    ``vectors[j]`` is the reduced column j as a combination of the rows of its degree, and
+    ``images[j]`` its image, as a combination of the rows of the next degree.
+    """
+
+    low: dict[int, int]
+    vectors: list[dict[int, int]]
+    images: dict[int, dict[int, int]]
+
+
 class PageTower:
-    """Lazy page computations over a filtered complex."""
+    """Every page of a filtered complex, read off one reduction of d per degree.
+
+    The reduction of d out of degree n (:meth:`_reduction`) pairs basis elements of degrees n
+    and n + 1.  An element of level p in a pair of length r (level of the row minus level of
+    the column) lives in E_0 .. E_r at filtration p, and an element in no pair in every page.
+    Representatives, denominators, classes and d_r follow the classical tower: the
+    representatives of E_r^{p,q} are the canonical cycles ``z_basis(p, p + r, n)`` that
+    enlarge the span of the denominators, in order.  They are built only when read.
+    """
 
     def __init__(self, fc: FilteredComplex):
         self.fc = fc
+        self._reductions: dict[int, _Reduction] = {}
         self._z_cache: dict[tuple[int, int, int], list[Vector]] = {}
         # (r, p, q) -> (entry, space spanned by the denominators, then the reps)
         self._entry_cache: dict[tuple[int, int, int], tuple[tuple, RowSpace]] = {}
 
-    # -- subspaces ------------------------------------------------------
+    # -- the reduction -----------------------------------------------------
+    def _reduction(self, n: int) -> _Reduction:
+        """The reduction of d out of degree n, for n below the cutoff.
+
+        Columns are taken from the last row of the echelon back, so from the highest level
+        down, and each is cleared at its lowest row (the nonzero row of least index, so of
+        least level) against the reduced columns taken before it, which lie in the same F^p.
+        A column that is the lowest row of a reduced image one degree down is set to that
+        image, a cocycle, without reduction: it would reduce to zero (the clearing of Chen
+        and Kerber, "Persistent homology computation with a twist", 2011).
+        """
+        if n in self._reductions:
+            return self._reductions[n]
+        below = self._reduction(n - 1) if n else None
+        src, dst = self.fc._adapted(n), self.fc._adapted(n + 1)
+        _, d_cols = _block_diagonal([leaf.d_matrix(n) for leaf in src.leaves])._int_columns()
+        # d of a row is a combination of the next rows, read off at their pivots
+        at = {c: (i, row[c]) for i, (row, c) in enumerate(zip(dst.rows, dst.pivots))}
+        cleared = {low: j for j, low in below.low.items()} if below else {}
+        shift = len(dst.rows)  # a column holds its image below shift and its vector above
+        reduced: dict[int, dict[int, int]] = {}  # lowest row -> the reduced column ending there
+        low: dict[int, int] = {}
+        vectors: list[dict[int, int]] = [{} for _ in src.rows]
+        images: dict[int, dict[int, int]] = {}
+        for j in range(len(src.rows) - 1, -1, -1):
+            if j in cleared:
+                vectors[j] = below.images[cleared[j]]
+                continue
+            acc: dict[int, int] = {}
+            for c, v in src.rows[j].items():
+                for r, x in d_cols.get(c, ()):
+                    if r in at:
+                        acc[r] = acc.get(r, 0) + v * x
+            terms = [(at[r], x) for r, x in acc.items() if x]
+            scale = lcm(*(a for (_, a), _ in terms))
+            col = {i: x * (scale // a) for (i, a), x in terms}
+            col[shift + j] = scale
+            _primitive(col)
+            end = min(col)
+            while end in reduced:
+                _eliminate(col, reduced[end], end)
+                end = min(col)
+            if end < shift:
+                if dst.levels[end] < src.levels[j]:
+                    raise InputError(f"the differential out of degree {n} leaves F^{src.levels[j]}")
+                reduced[end] = col
+                low[j] = end
+                images[j] = {i: x for i, x in col.items() if i < shift}
+            vectors[j] = {i - shift: x for i, x in col.items() if i >= shift}
+        self._reductions[n] = _Reduction(low, vectors, images)
+        return self._reductions[n]
+
+    def _needs_d(self, p: int, n: int) -> None:
+        """Refuse a page entry past E_0 that needs the differential out of the cutoff degree."""
+        cutoff = self.fc.algebra.cutoff
+        if n == cutoff and any(level >= p for level in self.fc._adapted(n).levels):
+            raise InputError(
+                f"page entries past E_0 need p + q below the cutoff {cutoff} where F^p is nonzero "
+                f"(asked for p = {p}, p + q = {n})"
+            )
+
+    def dim(self, r: int, p: int, q: int) -> int:
+        """The dimension of E_r^{p,q}."""
+        n = p + q
+        if p < 0 or n < 0 or n > self.fc.algebra.cutoff:
+            return 0
+        levels = self.fc._adapted(n).levels
+        if r == 0:
+            return levels.count(p)
+        self._needs_d(p, n)
+        if n == self.fc.algebra.cutoff:
+            return 0
+        # an element in a pair shorter than r is gone from E_r: a column, or the row it ends at
+        after = self.fc._adapted(n + 1).levels
+        gone = {j for j, end in self._reduction(n).low.items() if after[end] - levels[j] < r}
+        if n:
+            before = self.fc._adapted(n - 1).levels
+            gone.update(end for j, end in self._reduction(n - 1).low.items() if levels[end] - before[j] < r)
+        return sum(1 for i, level in enumerate(levels) if level == p and i not in gone)
+
+    # -- spans off the reduction ------------------------------------------
+    def _z_span(self, p: int, target_p: int, n: int) -> list[dict[int, int]]:
+        """{ x in F^p C^n : dx in F^{target_p} } in the adapted basis, for n below the cutoff."""
+        red, levels = self._reduction(n), self.fc._adapted(n).levels
+        after = self.fc._adapted(n + 1).levels
+        return [
+            red.vectors[j]
+            for j, level in enumerate(levels)
+            if level >= p and (j not in red.low or after[red.low[j]] >= target_p)
+        ]
+
+    def _d_span(self, p: int, target_p: int, n: int) -> list[dict[int, int]]:
+        """d of { x in F^p C^{n-1} : dx in F^{target_p} } in the adapted basis of degree n."""
+        if n < 1:
+            return []
+        red, levels = self._reduction(n - 1), self.fc._adapted(n - 1).levels
+        after = self.fc._adapted(n).levels
+        return [red.images[j] for j, end in red.low.items() if levels[j] >= p and after[end] >= target_p]
+
     def z_basis(self, p: int, target_p: int, n: int) -> list[Vector]:
-        """Basis of { x in F^p C^n : dx in F^{target_p} }."""
+        """Basis of { x in F^p C^n : dx in F^{target_p} }.
+
+        It is the canonical basis of F^p times the canonical kernel basis of the condition in
+        the coordinates of that basis.  Both are rebuilt from spans read off the reduction,
+        since a canonical kernel basis depends only on the kernel (:func:`_span_basis`).
+        """
         alg = self.fc.algebra
         key = (max(p, 0), min(max(target_p, 0), self.fc.p_bound + 1), n)
-        if key in self._z_cache:
-            return self._z_cache[key]
-        p_eff, tgt_eff, _ = key
-        if not 0 <= n <= alg.cutoff or not self.fc.level(p_eff, n).rank:
-            self._z_cache[key] = []
-            return []
-        if n >= alg.cutoff:
-            # no differential out of the top stored degree
-            raise InputError("page computation needs degrees below the cutoff")
-        fp_m = self.fc.level(p_eff, n).inclusion
-        rows = self.fc.level_rows(tgt_eff, n + 1).matmul(alg.d_matrix(n).matmul(fp_m))
-        out = fp_m.matmul(KernelBasis(rows).inclusion).to_cols()
-        self._z_cache[key] = out
-        return out
+        if key not in self._z_cache:
+            fp = self.fc._level(p, n) if 0 <= n <= alg.cutoff else []
+            if not fp:
+                self._z_cache[key] = []
+                return []
+            self._needs_d(p, n)
+            # a canonical basis vector ends where the others vanish; coordinates are read there
+            ends = [(max(v), v[max(v)]) for v in fp]
+            coords = [
+                {t: x[end] / lead for t, (end, lead) in enumerate(ends) if end in x}
+                for x in self.fc._adapted(n).span(self._z_span(p, target_p, n))
+            ]
+            out = []
+            for c in _span_basis(coords, len(fp)):
+                acc: _Sparse = {}
+                for t, w in c.items():
+                    for a, x in fp[t].items():
+                        acc[a] = acc.get(a, 0) + w * x
+                out.append(_dense(acc, alg.dim(n)))
+            self._z_cache[key] = out
+        return self._z_cache[key]
+
+    def _cocycle_space(self, p: int, n: int) -> RowSpace:
+        """The cocycles of F^p in degree n < cutoff plus every coboundary."""
+        dim = self.fc.algebra.dim(n)
+        spans = self._d_span(0, 0, n) + self._z_span(p, self.fc.p_bound + 1, n)
+        return RowSpace(dim, [_dense(v, dim) for v in self.fc._adapted(n).span(spans)])
 
     # -- entries -----------------------------------------------------------
     def entry(self, r: int, p: int, q: int):
@@ -159,18 +406,18 @@ class PageTower:
             return self._entry_cache[key]
         alg = self.fc.algebra
         n = p + q
-        if p < 0 or n < 0:
-            self._entry_cache[key] = ((0, [], []), RowSpace(0))
+        if p < 0 or n < 0 or n > alg.cutoff:
+            self._entry_cache[key] = ((0, [], []), RowSpace(alg.dim(n)))
             return self._entry_cache[key]
         if r == 0:
             z = self.fc.subspace(p, n)
             denom = self.fc.subspace(p + 1, n)
         else:
             z = self.z_basis(p, p + r, n)
-            denom = list(self.z_basis(p + 1, p + r, n))
-            lower = self.z_basis(p - r + 1, p, n - 1) if n >= 1 else []
-            for v in lower:
-                denom.append(alg.apply_d(n - 1, v))
+            spans = self._d_span(p - r + 1, p, n)
+            if n < alg.cutoff:  # at the cutoff F^p = 0, and so is the cycle part
+                spans = self._z_span(p + 1, p + r, n) + spans
+            denom = [_dense(v, alg.dim(n)) for v in self.fc._adapted(n).span(spans)]
         rs = RowSpace(alg.dim(n), denom)
         reps = [v for v in z if rs.add(v)]
         self._entry_cache[key] = ((len(reps), reps, denom), rs)
@@ -215,14 +462,18 @@ class PageTower:
 
 
 def pages(fc: FilteredComplex, r_max: int, p_max: Optional[int] = None, q_max: Optional[int] = None) -> list[Page]:
-    """Pages E_0 .. E_{r_max} on a finite window (defaults fill the cutoff)."""
+    """Pages E_0 .. E_{r_max} on a finite window.
+
+    The default window is every p up to ``p_bound`` and every q with p + q below the cutoff
+    for all of them, the entries past E_0 that can be computed.
+    """
     problems = fc.validate()
     if problems:
         raise InputError("invalid filtered complex: " + problems[0])
     if p_max is None:
-        p_max = fc.p_bound
+        p_max = min(fc.p_bound, fc.algebra.cutoff - 1)
     if q_max is None:
-        q_max = max(0, fc.algebra.cutoff - 2)
+        q_max = max(0, fc.algebra.cutoff - 1 - p_max)
     tower = PageTower(fc)
     return [tower.page(r, p_max, q_max) for r in range(r_max + 1)]
 
@@ -318,7 +569,7 @@ class SpectralSequence:
         mismatches = []
         for p in range(p_max + 1):
             for q in range(q_max + 1):
-                dim_e, _, _ = self.tower.entry(2, p, q)
+                dim_e = self.tower.dim(2, p, q)
                 dims_pages[(p, q)] = dim_e
                 if dim_e != h_twisted[(p, q)]:
                     mismatches.append(((p, q), dim_e, h_twisted[(p, q)]))
@@ -338,13 +589,12 @@ class SpectralSequence:
         totals_pages = {}
         totals_target = {}
         mismatches = []
-        entries = {}
+        dims = {}
         for k in range(upto + 1):
             total = 0
             for p in range(0, min(k, fc.p_bound) + 1):
-                dim_e, reps, _ = tower.entry(r_inf, p, k - p)
-                entries[(p, k - p)] = reps
-                total += dim_e
+                dims[(p, k - p)] = tower.dim(r_inf, p, k - p)
+                total += dims[(p, k - p)]
             totals_pages[k] = total
             totals_target[k] = h.dims[k]
             if total != h.dims[k]:
@@ -352,7 +602,8 @@ class SpectralSequence:
         report = EInftyReport(totals_pages, totals_target, mismatches)
         # product filtration compatibility on permanent-cycle representatives
         rng = random.Random(0)
-        keys = [kq for kq, reps in entries.items() if reps]
+        keys = [kq for kq, dim_e in dims.items() if dim_e]
+        spaces: dict[tuple[int, int], RowSpace] = {}
         for _ in range(product_samples):
             if not keys:
                 break
@@ -360,8 +611,8 @@ class SpectralSequence:
             (p2, q2) = keys[rng.randrange(len(keys))]
             if p1 + q1 + p2 + q2 > upto:
                 continue
-            x = entries[(p1, q1)][rng.randrange(len(entries[(p1, q1)]))]
-            y = entries[(p2, q2)][rng.randrange(len(entries[(p2, q2)]))]
+            x = tower.entry(r_inf, p1, q1)[1][rng.randrange(dims[(p1, q1)])]
+            y = tower.entry(r_inf, p2, q2)[1][rng.randrange(dims[(p2, q2)])]
             try:
                 prod = gamma.multiply(p1 + q1, x, p2 + q2, y)
             except CutoffTooSmallError:
@@ -371,11 +622,10 @@ class SpectralSequence:
             pf = p1 + p2
             # class of the product must be representable by an F^{p1+p2}
             # cocycle modulo coboundaries
-            space = _boundaries(gamma, n)
-            for z in tower.z_basis(pf, fc.p_bound + 1, n) if n < gamma.cutoff else []:
-                space.add(z)
+            if (pf, n) not in spaces:
+                spaces[(pf, n)] = tower._cocycle_space(pf, n)
             report.product_checks += 1
-            if not space.contains(prod):
+            if not spaces[(pf, n)].contains(prod):
                 report.product_failures.append(((p1, q1), (p2, q2)))
         return report
 

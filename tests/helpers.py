@@ -11,7 +11,7 @@ from math import comb
 import random
 
 from cdgalab.errors import InputError
-from cdgalab.exactlin import ONE, ZERO, QMatrix, RowSpace, concat, kernel_basis, rref, unit_vector
+from cdgalab.exactlin import ONE, ZERO, KernelBasis, QMatrix, RowSpace, concat, kernel_basis, rref, unit_vector
 from cdgalab.polyforms import PolyForm, d
 
 
@@ -482,3 +482,163 @@ def symbolic_odd_derivation(images, x):
             term = (sign * e) * (left * img * right)
             out = out + coeff * term
     return out
+
+
+class PerEntryTower:
+    """The classical page tower, one kernel per cycle space and one span per entry.
+
+    The slow reference for ``specseq.PageTower``, with the same ``entry``,
+    ``z_basis``, ``class_in_entry`` and ``diff``.  F^p is the kernel of the
+    algebra's ``level_rows`` (all of degree k beyond ``p_bound``), never the
+    adapted basis; each entry runs its own kernels and fills its own span.
+    """
+
+    def __init__(self, fc):
+        self.fc = fc
+        self._levels = {}
+        self._z_cache = {}
+        self._entry_cache = {}
+
+    def level_rows(self, p: int, k: int) -> QMatrix:
+        alg = self.fc.algebra
+        return QMatrix.identity(alg.dim(k)) if p > self.fc.p_bound else alg.level_rows(k, p)
+
+    def level(self, p: int, k: int) -> KernelBasis:
+        if (p, k) not in self._levels:
+            self._levels[(p, k)] = KernelBasis(self.level_rows(p, k))
+        return self._levels[(p, k)]
+
+    def subspace(self, p: int, k: int) -> list:
+        if k < 0 or k > self.fc.algebra.cutoff:
+            return []
+        return self.level(p, k).vectors
+
+    def z_basis(self, p: int, target_p: int, n: int) -> list:
+        """Basis of { x in F^p C^n : dx in F^{target_p} }."""
+        alg = self.fc.algebra
+        key = (max(p, 0), min(max(target_p, 0), self.fc.p_bound + 1), n)
+        if key in self._z_cache:
+            return self._z_cache[key]
+        p_eff, tgt_eff, _ = key
+        if not 0 <= n <= alg.cutoff or not self.level(p_eff, n).rank:
+            self._z_cache[key] = []
+            return []
+        if n >= alg.cutoff:
+            raise InputError("page computation needs degrees below the cutoff")
+        fp_m = self.level(p_eff, n).inclusion
+        rows = self.level_rows(tgt_eff, n + 1).matmul(alg.d_matrix(n).matmul(fp_m))
+        out = fp_m.matmul(KernelBasis(rows).inclusion).to_cols()
+        self._z_cache[key] = out
+        return out
+
+    def entry(self, r: int, p: int, q: int):
+        """(dims, representatives, denominator basis) of E_r^{p,q}."""
+        return self._entry(r, p, q)[0]
+
+    def _entry(self, r: int, p: int, q: int):
+        key = (r, p, q)
+        if key in self._entry_cache:
+            return self._entry_cache[key]
+        alg = self.fc.algebra
+        n = p + q
+        if p < 0 or n < 0:
+            self._entry_cache[key] = ((0, [], []), RowSpace(0))
+            return self._entry_cache[key]
+        if r == 0:
+            z = self.subspace(p, n)
+            denom = self.subspace(p + 1, n)
+        else:
+            z = self.z_basis(p, p + r, n)
+            denom = list(self.z_basis(p + 1, p + r, n))
+            lower = self.z_basis(p - r + 1, p, n - 1) if n >= 1 else []
+            for v in lower:
+                denom.append(alg.apply_d(n - 1, v))
+        rs = RowSpace(alg.dim(n), denom)
+        reps = [v for v in z if rs.add(v)]
+        self._entry_cache[key] = ((len(reps), reps, denom), rs)
+        return self._entry_cache[key]
+
+    def class_in_entry(self, r: int, p: int, q: int, v) -> tuple:
+        """Coordinates of the class of ``v`` in the representatives of E_r^{p,q}."""
+        (dim_e, _, _), space = self._entry(r, p, q)
+        if not space.rank:
+            if any(v):
+                raise InputError("vector has no expression in an empty page entry")
+            return ()
+        (coords,) = space.express([v], "vector does not lie in the page entry")
+        return coords[space.rank - dim_e :]
+
+    def diff(self, r: int, p: int, q: int) -> QMatrix:
+        """Matrix of d_r : E_r^{p,q} -> E_r^{p+r, q-r+1}."""
+        alg = self.fc.algebra
+        _, reps, _ = self.entry(r, p, q)
+        dim_tgt, _, _ = self.entry(r, p + r, q - r + 1)
+        cols = [
+            self.class_in_entry(r, p + r, q - r + 1, alg.apply_d(p + q, v)) if dim_tgt else ()
+            for v in reps
+        ]
+        return QMatrix.from_cols(cols, dim_tgt)
+
+
+def random_filtered_complex(rng: random.Random, dims, p_bound: int, lengths=(0, 1, 2, 3)):
+    """A cochain complex with per-basis levels and a known spectral sequence.
+
+    Returns ``(algebra, pairs)``.  The differential starts in normal form:
+    each pair ``(n, x, y)`` sends basis element x of degree n to basis
+    element y of degree n + 1, whose level exceeds x's by a length drawn from
+    ``lengths``, and sends everything else to zero.  It is then conjugated by
+    a random automorphism of each degree that keeps every level subspace, so
+    no coordinate shows the pairs.  Levels are shuffled across positions and
+    repeat.  A pair of length r lives in E_0 .. E_r and dies in E_{r+1}.
+    The product keeps only the unit: these complexes are for page
+    computations, which never multiply.
+    """
+    from cdgalab.cdga import TruncatedDGA
+    from cdgalab.exactlin import solve_many
+
+    cutoff = len(dims) - 1
+    levels = [[None] * dims[n] for n in range(cutoff + 1)]
+    targets = [set() for _ in range(cutoff + 1)]
+    pairs = []
+    for n in range(cutoff):
+        sources = [x for x in range(dims[n]) if x not in targets[n] and levels[n][x] is None]
+        rng.shuffle(sources)
+        free = [y for y in range(dims[n + 1]) if levels[n + 1][y] is None]
+        rng.shuffle(free)
+        for x, y in zip(sources[: rng.randint(1, 3)], free):
+            length = rng.choice([r for r in lengths if r <= p_bound])
+            levels[n][x] = rng.randint(0, p_bound - length)
+            levels[n + 1][y] = levels[n][x] + length
+            targets[n + 1].add(y)
+            pairs.append((n, x, y))
+    for n in range(cutoff + 1):
+        levels[n] = [rng.randint(0, p_bound) if lv is None else lv for lv in levels[n]]
+
+    def automorphism(n):
+        """Unitriangular in the order (level, index), so each level subspace is kept."""
+        key = [(levels[n][i], i) for i in range(dims[n])]
+        return QMatrix(dims[n], dims[n], {
+            (i, j): (ONE if i == j else Fraction(rng.randint(-2, 2)))
+            for i in range(dims[n]) for j in range(dims[n])
+            if i == j or (key[i] > key[j] and rng.random() < 0.5)
+        })
+
+    autos = [automorphism(n) for n in range(cutoff + 1)]
+    diff_mats = []
+    for n in range(cutoff):
+        normal = QMatrix(dims[n + 1], dims[n], {(y, x): ONE for m, x, y in pairs if m == n})
+        inverse = QMatrix.from_cols(solve_many(autos[n], [unit_vector(dims[n], i) for i in range(dims[n])]), dims[n])
+        diff_mats.append(autos[n + 1].matmul(normal).matmul(inverse))
+    alg = TruncatedDGA(
+        cutoff, dims, unit_vector(dims[0], 0), diff_mats,
+        lambda i, a, j, b: None, levels=levels, check=True, name="random filtered",
+    )
+    return alg, pairs
+
+
+def spans_agree(u, v) -> bool:
+    """Whether two lists of vectors, dependent or not, span the same space."""
+    if not u or not v:
+        return not any(map(any, u)) and not any(map(any, v))
+    dim = len(u[0])
+    return RowSpace(dim, u).rank == RowSpace(dim, v).rank == RowSpace(dim, list(u) + list(v)).rank

@@ -61,7 +61,7 @@ from cdgalab.polyforms import (
     random_polyform,
     standard_complex,
 )
-from cdgalab.specseq import PageTower, e2_check, einfty_vs_target, skeletal_filtration, triple_morphism_pages
+from cdgalab.specseq import SpectralSequence, e2_check, einfty_vs_target, triple_morphism_pages
 from cdgalab.sullivan import loop_model, minimal_model
 
 from fixtures import cp_model, cp2_formal, sphere_even_model, torus_model
@@ -227,11 +227,32 @@ def _suspension_legs(base, m, forms_total, forms_cutoff, sys_cutoff):
     return tensor_system_morphism(sys_e1, sys_e0, f_leg), tensor_system_morphism(sys_qq, sys_e0, g_leg)
 
 
+def criterion_09_system_a():
+    """(a) constant fiber with cohomology in degrees 0, 2, 4 over the circle."""
+    return tensor_system(forms_system(cycle_complex(3), 2, cutoff=8), cp2_formal(8), cutoff=8)
+
+
+def criterion_09_system_b():
+    """(b) sign-twisted odd class over the circle: twisted rows vanish."""
+    from test_localsys import odd_generator_fiber
+    from test_specseq import tensor_sign_twist
+    from cdgalab.localsys import twist_restriction
+
+    e_b = tensor_system(forms_system(cycle_complex(3), 2, cutoff=8), odd_generator_fiber(3, 8), cutoff=8)
+    return twist_restriction(e_b, (0, 2), 0, tensor_sign_twist(e_b.fibers[(0,)], 3))
+
+
+def criterion_09_system_c():
+    """(c) suspension-triple fiber product over the boundary of the 3-simplex."""
+    e_c, _ = _suspension_fp_system(
+        boundary_complex(3), sphere_even_model(10), upto=7, forms_total=3, forms_cutoff=4, sys_cutoff=7
+    )
+    return e_c
+
+
 def test_criterion_09_e2_theorem():
     t0 = time.monotonic()
-    # (a) constant fiber with cohomology in degrees 0, 2, 4 over the circle
-    F = cp2_formal(8)
-    e_a = tensor_system(forms_system(cycle_complex(3), 2, cutoff=8), F, cutoff=8)
+    e_a = criterion_09_system_a()
     rep_a = e2_check(e_a, 2, 4)
     assert rep_a.ok(), rep_a.mismatches
     expected_a = {(p, q): 0 for p in range(3) for q in range(5)}
@@ -243,14 +264,7 @@ def test_criterion_09_e2_theorem():
     assert tot_a.ok(), (tot_a.mismatches, tot_a.product_failures)
     assert (tot_a.product_checks, tot_a.products_skipped) == (4, 0)
 
-    # (b) sign-twisted odd class over the circle: twisted rows vanish
-    from test_localsys import odd_generator_fiber
-    from test_specseq import tensor_sign_twist
-    from cdgalab.localsys import twist_restriction
-
-    Fz = odd_generator_fiber(3, 8)
-    e_b = tensor_system(forms_system(cycle_complex(3), 2, cutoff=8), Fz, cutoff=8)
-    e_b = twist_restriction(e_b, (0, 2), 0, tensor_sign_twist(e_b.fibers[(0,)], 3))
+    e_b = criterion_09_system_b()
     rep_b = e2_check(e_b, 2, 4)
     assert rep_b.ok(), rep_b.mismatches
     assert rep_b.dims_pages[(0, 0)] == 1 and rep_b.dims_pages[(1, 0)] == 1
@@ -260,11 +274,7 @@ def test_criterion_09_e2_theorem():
     assert tot_b.ok(), (tot_b.mismatches, tot_b.product_failures)
     assert tot_b.products_skipped == 0
 
-    # (c) suspension-triple fiber product over the boundary of the 3-simplex
-    m = sphere_even_model(10)
-    e_c, _ = _suspension_fp_system(
-        boundary_complex(3), m, upto=7, forms_total=3, forms_cutoff=4, sys_cutoff=7
-    )
+    e_c = criterion_09_system_c()
     rep_c = e2_check(e_c, 2, 4)
     assert rep_c.ok(), rep_c.mismatches
     expected_c = {(p, q): 0 for p in range(3) for q in range(5)}
@@ -280,6 +290,25 @@ def test_criterion_09_e2_theorem():
     # the glued object is the product of the suspension with the base sphere
     assert tot_c.totals_pages == {0: 1, 1: 0, 2: 1, 3: 1, 4: 0, 5: 1}
     verdict(9, "second-page theorem and limit totals", t0, 60.0)
+
+
+def test_criterion_09_suspension_rung_over_the_boundary_of_the_4_simplex():
+    """The glued object is S^3 x S^3: E2 = H(S^3) (x) H(S^3), and the limit totals agree."""
+    t0 = time.monotonic()
+    e, _ = _suspension_fp_system(
+        boundary_complex(4), sphere_even_model(10), upto=7, forms_total=4, forms_cutoff=5, sys_cutoff=7
+    )
+    ss = SpectralSequence(e, 7)
+    rep = ss.e2_check(3, 3)
+    assert rep.ok(), rep.mismatches
+    expected = {(p, q): 0 for p in range(4) for q in range(4)}
+    for key in ((0, 0), (3, 0), (0, 3), (3, 3)):
+        expected[key] = 1
+    assert rep.dims_pages == expected
+    tot = ss.einfty_vs_target(6)
+    assert tot.ok(), (tot.mismatches, tot.product_failures)
+    assert [tot.totals_pages[k] for k in range(7)] == [1, 0, 0, 2, 0, 0, 1]
+    verdict(9, "suspension rung over the boundary of the 4-simplex", t0, 20.0)
 
 
 def test_criterion_10_naturality_and_detection():

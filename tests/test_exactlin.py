@@ -353,6 +353,21 @@ def test_kernel_basis_matches_the_dense_construction():
         assert ker.coords_many(probes) == dense.coords_many(probes)
 
 
+def test_span_basis_of_any_spanning_set_is_the_canonical_kernel_basis():
+    rng = random.Random(59)
+    cases = _kernel_cases(rng)
+    cases += [random_qmatrix(rng, rng.randint(1, 6), rng.randint(2, 9), density=0.4, span=1) for _ in range(40)]
+    for m in cases:
+        basis = kernel_basis(m)
+        # a dependent spanning set, shuffled: combinations, multiples of each vector, and a zero
+        spanning = [_combo(rng, basis, m.cols) for _ in range(len(basis) + 2)]
+        spanning += [_combo(rng, [v], m.cols) for v in basis] + basis + [(Fraction(0),) * m.cols]
+        rng.shuffle(spanning)
+        sparse = [{c: x for c, x in enumerate(v) if x} for v in spanning]
+        got = [tuple(v.get(c, Fraction(0)) for c in range(m.cols)) for v in exactlin._span_basis(sparse, m.cols)]
+        assert got == basis
+
+
 def test_kernel_coords_matrix_matches_coords_of_each_column():
     rng = random.Random(59)
     seen = set()

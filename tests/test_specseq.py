@@ -48,7 +48,14 @@ from cdgalab.specseq import (
 )
 
 from fixtures import sphere_even_model
-from helpers import same_span, stacked_level_subspace, stacked_z_basis
+from helpers import (
+    PerEntryTower,
+    random_filtered_complex,
+    same_span,
+    spans_agree,
+    stacked_level_subspace,
+    stacked_z_basis,
+)
 from test_localsys import odd_generator_fiber, sign_automorphism
 
 
@@ -207,6 +214,20 @@ def test_levels_and_cycles_span_the_stacked_preimages(make, upto):
                 assert same_span(tower.z_basis(p, t, n), z)
 
 
+def test_default_page_window_holds_only_computable_entries():
+    fc = skeletal_filtration(_small_suspension_system(), 3)
+    assert (fc.p_bound, fc.algebra.cutoff) == (2, 3)
+    pgs = pages(fc, 3)
+    assert sorted(pgs[0].entries) == [(0, 0), (1, 0), (2, 0)]
+    assert page_consistency(pgs) == []
+    # E_1^{1,2} sits at the cutoff, where d is not stored and F^1 is nonzero
+    with pytest.raises(InputError, match="below the cutoff 3"):
+        pages(fc, 2, p_max=2, q_max=2)
+    # E_0 = F^p / F^{p+1} needs no differential, so it reaches the cutoff
+    e0 = pages(fc, 0, p_max=2, q_max=2)[0]
+    assert e0.dim(2, 1) == len(fc.subspace(2, 3)) > 0
+
+
 def test_first_quadrant_support_and_collapse_bound():
     e = forms_system(cycle_complex(3), 2, cutoff=4)
     fc = skeletal_filtration(e, 3)
@@ -250,6 +271,17 @@ def test_e2_circle_with_fiber_classes():
     assert rep.ok(), rep.mismatches
     assert rep.dims_pages[(0, 2)] == 1
     assert rep.dims_pages[(1, 2)] == 1
+
+
+def test_einfty_builds_each_product_check_space_once(monkeypatch):
+    from test_acceptance import criterion_09_system_b
+
+    built = []
+    space = PageTower._cocycle_space
+    monkeypatch.setattr(PageTower, "_cocycle_space", lambda self, p, n: built.append((p, n)) or space(self, p, n))
+    rep = einfty_vs_target(criterion_09_system_b(), 4)
+    assert (rep.product_checks, rep.products_skipped, rep.product_failures) == (12, 0, [])
+    assert sorted(built) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_e2_sign_twisted_rows_vanish():
@@ -604,3 +636,97 @@ def test_e2_check_rejects_a_system_that_is_not_locally_constant():
     restr[((0, 1), 0)] = DGMorphism(fiber, fiber, mats, check="none")
     with pytest.raises(InputError, match="locally constant"):
         e2_check(FiniteLocalSystem(e.base, dict(e.fibers), restr), 1, 1)
+
+
+# -- the reduction against the per-entry tower -------------------------------------
+
+def _combination(rng, vectors, dim):
+    acc = [Fraction(0)] * dim
+    for v in vectors:
+        c = rng.randint(-2, 2)
+        if c:
+            acc = [a + c * x for a, x in zip(acc, v)]
+    return tuple(acc)
+
+
+def assert_tower_matches_oracle(fc, rng) -> dict:
+    """Every entry of the computable window against :class:`PerEntryTower`.
+
+    Dimensions for r = 0 .. r_inf, the same representatives in the same order,
+    denominators with the same span, and equal classes and d_r.  Returns the
+    rank of each d_r summed over the window.
+    """
+    tower, oracle = PageTower(fc), PerEntryTower(fc)
+    alg = fc.algebra
+    ranks = {}
+    for r in range(tower.infinity_page_index() + 1):
+        ranks[r] = 0
+        for n in range(alg.cutoff + (r == 0)):
+            for p in range(fc.p_bound + 2):
+                q = n - p
+                expected = oracle.entry(r, p, q)
+                assert tower.dim(r, p, q) == expected[0], (r, p, q)
+                dim_e, reps, denom = tower.entry(r, p, q)
+                assert (dim_e, reps) == expected[:2], (r, p, q)
+                assert all(type(x) is Fraction for v in reps + denom for x in v)
+                assert spans_agree(denom, expected[2]), (r, p, q)
+                for _ in range(2):
+                    v = _combination(rng, reps + denom, alg.dim(n))
+                    assert tower.class_in_entry(r, p, q, v) == oracle.class_in_entry(r, p, q, v)
+                if n + 1 < alg.cutoff:
+                    d_r = tower.diff(r, p, q)
+                    assert d_r == oracle.diff(r, p, q), (r, p, q)
+                    ranks[r] += rank(d_r)
+    return ranks
+
+
+def _cone_complex():
+    from test_gluing import circle_legs
+
+    return mapping_cone_filtered(*circle_legs(total=3, cutoff=5), 4)
+
+
+def _criterion_09(family):
+    import test_acceptance
+
+    return lambda: skeletal_filtration(getattr(test_acceptance, f"criterion_09_system_{family}")(), 7)
+
+
+@pytest.mark.parametrize(
+    "make, d_ranks",
+    [
+        (_criterion_09("a"), {}),
+        (_criterion_09("b"), {}),
+        (_criterion_09("c"), {}),
+        (lambda: skeletal_filtration(_circle_tensor_system(), 5), {}),
+        (lambda: skeletal_filtration(_small_suspension_system(), 4), {}),
+        (lambda: skeletal_filtration(hopf_like_system(), 4), {2: 1}),  # the Euler class's d2
+        (lambda: skeletal_filtration(forms_system(cycle_complex(3), 2, cutoff=4), 4), {}),
+        (_cone_complex, {}),
+    ],
+    ids=["criterion-9a", "criterion-9b", "criterion-9c", "circle-tensor", "small-suspension",
+         "line-bundle", "circle-forms", "cone"],
+)
+def test_page_tower_matches_the_per_entry_oracle(make, d_ranks):
+    ranks = assert_tower_matches_oracle(make(), random.Random(11))
+    assert sum(ranks.values())
+    assert {r: ranks[r] for r in d_ranks} == d_ranks
+
+
+@pytest.mark.parametrize("seed", [3, 5, 8, 9])  # seeds whose d2 and d3 are nonzero in the window
+def test_page_tower_matches_the_oracle_on_random_filtered_complexes(seed):
+    rng = random.Random(seed)
+    alg, pairs = random_filtered_complex(rng, [rng.randint(2, 6) for _ in range(6)], p_bound=3)
+    fc = FilteredComplex(algebra=alg, p_bound=3)
+    assert fc.validate() == []
+    ranks = assert_tower_matches_oracle(fc, rng)
+    # the normal form names every pair, so each page is known in closed form
+    lengths = {(n, x): alg.levels[n + 1][y] - alg.levels[n][x] for n, x, y in pairs}
+    lengths.update({(n + 1, y): alg.levels[n + 1][y] - alg.levels[n][x] for n, x, y in pairs})
+    tower = PageTower(fc)
+    for r in range(tower.infinity_page_index() + 1):
+        for n in range(alg.cutoff):
+            for p in range(4):
+                alive = [a for a in range(alg.dims[n]) if alg.levels[n][a] == p and lengths.get((n, a), r) >= r]
+                assert tower.dim(r, p, n - p) == len(alive), (r, p, n)
+    assert ranks[2] and ranks[3], ranks
