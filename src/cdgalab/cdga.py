@@ -775,10 +775,7 @@ def cohomology(a: TruncatedDGA, upto: int) -> GradedCohomology:
     ``upto`` must be strictly below the cutoff: H at the cutoff would need the
     differential leaving the top stored degree.
     """
-    if upto >= a.cutoff:
-        raise InputError(
-            f"cohomology up to degree {upto} needs cutoff > {upto} (have {a.cutoff})"
-        )
+    _below_cutoff(a, upto)
     dims: list[int] = []
     reps: list[list[Vector]] = []
     spaces: list[RowSpace] = []
@@ -790,14 +787,19 @@ def cohomology(a: TruncatedDGA, upto: int) -> GradedCohomology:
     return GradedCohomology(a, upto, dims, reps, spaces)
 
 
-def _cohomology_degree(a: TruncatedDGA, k: int) -> tuple[list[Vector], RowSpace]:
+def _cohomology_degree(
+    a: TruncatedDGA, k: int, cocycles: Optional[list[Vector]] = None
+) -> tuple[list[Vector], RowSpace]:
     """Representatives of H^k and the cocycle space they complete.
 
     The space is spanned by the boundaries first and then by the
     representatives, the cocycles of the kernel basis that leave it larger.
+    ``cocycles`` is that kernel basis of d_k when the caller already has it.
     """
     rs = _boundaries(a, k)
-    return [v for v in kernel_basis(a.d_matrix(k)) if rs.add(v)], rs
+    if cocycles is None:
+        cocycles = kernel_basis(a.d_matrix(k))
+    return [v for v in cocycles if rs.add(v)], rs
 
 
 def _boundaries(a: TruncatedDGA, k: int) -> RowSpace:
@@ -805,8 +807,19 @@ def _boundaries(a: TruncatedDGA, k: int) -> RowSpace:
     return RowSpace.of_columns(a.d_matrix(k - 1)) if k >= 1 else RowSpace(a.dim(k))
 
 
+def _below_cutoff(a: TruncatedDGA, upto: int) -> None:
+    if upto >= a.cutoff:
+        raise InputError(
+            f"cohomology up to degree {upto} needs cutoff > {upto} (have {a.cutoff})"
+        )
+
+
 def cohomology_dims(a: TruncatedDGA, upto: int) -> list[int]:
-    return cohomology(a, upto).dims
+    """dim H^k = dim C^k - rank d_k - rank d_{k-1} for k <= upto, the dimensions of
+    :func:`cohomology` from ranks alone, with no representatives."""
+    _below_cutoff(a, upto)
+    ranks = [rank(a.d_matrix(k)) for k in range(upto + 1)]
+    return [a.dim(k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(upto + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -515,7 +515,7 @@ def task_glue(problem: Problem, flags) -> tuple[int, dict]:
 
 def task_gamma(problem: Problem, flags) -> tuple[int, dict]:
     e = problem.system(_need(problem, "system", flags))
-    upto = _within_fibers(e, _bound(_need(problem, "upto", flags), "upto"), "upto")
+    upto = localsys._within_fibers(e, _bound(_need(problem, "upto", flags), "upto"), "upto")
     g = localsys.global_sections(e, upto)
     result = {
         "dims": list(g.dims),
@@ -524,19 +524,11 @@ def task_gamma(problem: Problem, flags) -> tuple[int, dict]:
     return 0, result
 
 
-def _within_fibers(e: localsys.FiniteLocalSystem, n: int, what: str) -> int:
-    """``n``, once the global sections of ``e`` can be built up to degree n."""
-    cap = e.min_cutoff()
-    if n > cap:
-        raise InputError(f"{what} = {n} exceeds the smallest fiber cutoff {cap}")
-    return n
-
-
 def task_ss(problem: Problem, flags) -> tuple[int, dict]:
     e = problem.system(_need(problem, "system", flags))
     p_max = _bound(_need(problem, "p_max", flags), "p_max")
     q_max = _bound(_need(problem, "q_max", flags), "q_max")
-    ss = specseq.SpectralSequence(e, _within_fibers(e, p_max + q_max + 1, "p_max + q_max + 1"))
+    ss = specseq._sequence(e, p_max + q_max + 1, "p_max + q_max + 1")
     tower = ss.tower
     e2 = {}
     for p in range(p_max + 1):

@@ -11,7 +11,7 @@ twisted simplicial cohomology with those coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .cdga import (
@@ -48,11 +48,18 @@ from .polyforms import (
 
 @dataclass
 class FiniteLocalSystem:
-    """Contravariant assignment of DG algebras to the simplices of a complex."""
+    """Contravariant assignment of DG algebras to the simplices of a complex.
+
+    The first spectral-sequence check of a system keeps its skeletal spectral sequence (global
+    sections, filtration and page tower) on the system, and later checks read it; so a system
+    is not to be mutated after a check.  Nothing in the library mutates a system after
+    construction.
+    """
 
     base: SimplicialComplexK
     fibers: dict[Simplex, TruncatedDGA]
     facet_restrictions: dict[tuple[Simplex, int], DGMorphism]
+    _sequence_cache: object = field(default=None, init=False, repr=False, compare=False)
 
     def fiber(self, s: Simplex) -> TruncatedDGA:
         return self.fibers[tuple(s)]
@@ -76,6 +83,14 @@ class FiniteLocalSystem:
         if not self.fibers:
             raise InputError("the base complex has no simplices")
         return min(f.cutoff for f in self.fibers.values())
+
+
+def _within_fibers(e: FiniteLocalSystem, n: int, what: str) -> int:
+    """``n``, once the global sections of ``e`` can be built up to degree n; ``what`` names n."""
+    cap = e.min_cutoff()
+    if n > cap:
+        raise InputError(f"{what} = {n} exceeds the smallest fiber cutoff {cap}")
+    return n
 
 
 def validate(e: FiniteLocalSystem) -> list[str]:

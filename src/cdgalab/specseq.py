@@ -25,13 +25,14 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional
 
-from .cdga import TruncatedDGA, _block_diagonal, cohomology
+from .cdga import TruncatedDGA, _block_diagonal, cohomology_dims
 from .errors import CutoffTooSmallError, InputError, InternalError, PreconditionError
 from .exactlin import ONE, ZERO, QMatrix, RowSpace, Vector, _eliminate, _primitive, _reduce_rows, _span_basis, rank
 from .gluing import _push
 from .localsys import (
     FiniteLocalSystem,
     SystemMorphism,
+    _within_fibers,
     cohomology_local_system,
     global_sections,
     h_local_coefficients,
@@ -545,7 +546,8 @@ class SpectralSequence:
 
     The global sections up to degree ``upto``, their skeletal filtration and
     the page tower are built here; every page, entry and report of the
-    system is read from them.
+    system is read from them.  The module-level checks keep one on the system
+    (:func:`_sequence`).
     """
 
     def __init__(self, e: FiniteLocalSystem, upto: int):
@@ -578,6 +580,8 @@ class SpectralSequence:
     def einfty_vs_target(self, upto: int, product_samples: int = 12) -> EInftyReport:
         """Totals of the limit page against the cohomology of global sections.
 
+        The target dimensions are read from the ranks of the differential of
+        the sections (:func:`cohomology_dims`), independently of the tower.
         Also verifies that chosen permanent cycles multiply compatibly with
         the filtration: the product of classes of filtration p and p' is a
         class of filtration at least p + p'.
@@ -585,7 +589,7 @@ class SpectralSequence:
         fc, tower = self.filtered, self.tower
         r_inf = tower.infinity_page_index()
         gamma = fc.algebra
-        h = cohomology(gamma, upto)
+        h_dims = cohomology_dims(gamma, upto)
         totals_pages = {}
         totals_target = {}
         mismatches = []
@@ -596,9 +600,9 @@ class SpectralSequence:
                 dims[(p, k - p)] = tower.dim(r_inf, p, k - p)
                 total += dims[(p, k - p)]
             totals_pages[k] = total
-            totals_target[k] = h.dims[k]
-            if total != h.dims[k]:
-                mismatches.append((k, total, h.dims[k]))
+            totals_target[k] = h_dims[k]
+            if total != h_dims[k]:
+                mismatches.append((k, total, h_dims[k]))
         report = EInftyReport(totals_pages, totals_target, mismatches)
         # product filtration compatibility on permanent-cycle representatives
         rng = random.Random(0)
@@ -630,14 +634,33 @@ class SpectralSequence:
         return report
 
 
+def _sequence(e: FiniteLocalSystem, upto: int, what: str) -> SpectralSequence:
+    """The sequence kept on ``e`` when its sections reach degree ``upto``; otherwise a new one,
+    kept on ``e`` in place of the smaller one.  ``what`` names ``upto`` in the caller's terms
+    for the error raised when the fibers stop below it.
+
+    A larger sequence gives the same answers: the sections of a degree do not depend on the
+    bound, and every basis, page entry and representative of degree n is canonical and reads
+    only degrees n - 1 to n + 1.
+    """
+    ss = e._sequence_cache
+    if ss is None or ss.filtered.algebra.cutoff < upto:
+        ss = e._sequence_cache = SpectralSequence(e, _within_fibers(e, upto, what))
+    return ss
+
+
 def e2_check(e: FiniteLocalSystem, p_max: int, q_max: int) -> E2Report:
-    """:meth:`SpectralSequence.e2_check` on a sequence built for these bounds."""
-    return SpectralSequence(e, p_max + q_max + 1).e2_check(p_max, q_max)
+    """:meth:`SpectralSequence.e2_check` on the sequence of ``e`` with sections up to degree
+    p_max + q_max + 1, built once and kept on ``e`` for every later check, which reads it
+    (so ``e`` is not to be mutated after a check)."""
+    return _sequence(e, p_max + q_max + 1, "p_max + q_max + 1").e2_check(p_max, q_max)
 
 
 def einfty_vs_target(e: FiniteLocalSystem, upto: int, product_samples: int = 12) -> EInftyReport:
-    """:meth:`SpectralSequence.einfty_vs_target` on a sequence built for ``upto``."""
-    return SpectralSequence(e, upto + 1).einfty_vs_target(upto, product_samples)
+    """:meth:`SpectralSequence.einfty_vs_target` on the sequence of ``e`` with sections up to
+    degree upto + 1, built once and kept on ``e`` for every later check, which reads it (so
+    ``e`` is not to be mutated after a check)."""
+    return _sequence(e, upto + 1, "upto + 1").einfty_vs_target(upto, product_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +690,8 @@ def triple_morphism_pages(
     problems = m.validate()
     if problems:
         raise InputError("invalid system morphism: " + problems[0])
-    src_ss = SpectralSequence(m.source, upto)
-    dst_ss = SpectralSequence(m.target, upto)
+    src_ss = _sequence(m.source, upto, "upto")
+    dst_ss = _sequence(m.target, upto, "upto")
     src_fc, dst_fc = src_ss.filtered, dst_ss.filtered
     src_tower, dst_tower = src_ss.tower, dst_ss.tower
     if p_max is None:

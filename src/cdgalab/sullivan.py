@@ -89,7 +89,11 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
     differentials out of degrees n - 1 to n + 1, so it truncates the model
     through n + 2 and computes H and the comparison matrices only in degrees
     n and n + 1.  Generators are only appended, so each monomial's
-    differential is computed once and carried to every later stage.
+    differential is computed once and carried to every later stage.  So is
+    the cocycle basis of degree n + 1: the degree-n generators of stage n
+    make no monomial of degree n + 1 (every generator has degree >= 2), and
+    no older differential involves them, so stage n + 1 recomputes only the
+    boundaries there.
     """
     if upto < 0:
         raise InputError(f"minimal_model needs a non-negative upto, got {upto}")
@@ -106,11 +110,13 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
 
     model = FreeCDGA(FreeGCA([]), {}, check=False)
     phi: dict[str, tuple[int, tuple]] = {}
+    cocycles: dict[int, list] = {}
     for n in range(2, upto + 1):
         top = min(n + 1, target.cutoff - 1)
         trunc = truncate(model, top + 1)
         degrees = range(n, top + 1)
-        hs_reps = {k: _cohomology_degree(trunc, k)[0] for k in degrees}
+        cocycles = {k: cocycles[k] if k in cocycles else kernel_basis(trunc.d_matrix(k)) for k in degrees}
+        hs_reps = {k: _cohomology_degree(trunc, k, cocycles[k])[0] for k in degrees}
         mats = _comparison_matrices(model, trunc, target, phi, degrees)
         # cokernel of H^n(phi)
         image = RowSpace(ht.dims[n])

@@ -115,6 +115,48 @@ def test_cohomology_requires_upto_below_cutoff():
         cohomology(t, 2)
 
 
+def _wedge_model_truncation():
+    from cdgalab.sullivan import minimal_model
+
+    return truncate(minimal_model(wedge_of_2_spheres(2, 8), 7).model, 8)
+
+
+def _fiber_product_carrier():
+    from cdgalab.gluing import fiber_product
+    from test_gluing import circle_legs
+
+    return fiber_product(*circle_legs(total=3, cutoff=7), 6).carrier
+
+
+def _criterion_09c_sections():
+    from cdgalab.localsys import global_sections
+    from test_acceptance import criterion_09_system_c
+
+    return global_sections(criterion_09_system_c(), 6)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cp2_formal(7),
+        _fiber_product_carrier,
+        _criterion_09c_sections,
+        _wedge_model_truncation,
+        lambda: truncate(FreeCDGA(FreeGCA([("x", 2), ("y", 3)]), {}), 7),  # zero differential
+    ],
+    ids=["cp2-formal", "fiber-product-carrier", "criterion-9c-sections", "wedge-model", "zero-d"],
+)
+def test_cohomology_dims_from_ranks_match_the_cohomology(make):
+    a = make()
+    for upto in range(a.cutoff):
+        assert cohomology_dims(a, upto) == cohomology(a, upto).dims
+    with pytest.raises(InputError) as exc_dims:
+        cohomology_dims(a, a.cutoff)
+    with pytest.raises(InputError) as exc_full:
+        cohomology(a, a.cutoff)
+    assert str(exc_dims.value) == str(exc_full.value)
+
+
 def test_power_quotient_cohomology():
     a = power_quotient_dga(2, 3, 7)
     assert cohomology_dims(a, 6) == [1, 0, 1, 0, 1, 0, 0]

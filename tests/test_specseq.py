@@ -39,6 +39,7 @@ from cdgalab.specseq import (
     FilteredComplex,
     Page,
     PageTower,
+    SpectralSequence,
     e2_check,
     einfty_vs_target,
     page_consistency,
@@ -730,3 +731,78 @@ def test_page_tower_matches_the_oracle_on_random_filtered_complexes(seed):
                 alive = [a for a in range(alg.dims[n]) if alg.levels[n][a] == p and lengths.get((n, a), r) >= r]
                 assert tower.dim(r, p, n - p) == len(alive), (r, p, n)
     assert ranks[2] and ranks[3], ranks
+
+
+# -- one sequence per system ----------------------------------------------------
+
+@pytest.mark.parametrize("family, upto", [("a", 4), ("b", 4), ("c", 5)])
+@pytest.mark.parametrize("e2_first", [True, False], ids=["e2-first", "einfty-first"])
+def test_checks_read_one_kept_sequence_and_answer_as_a_fresh_one(family, upto, e2_first):
+    import test_acceptance
+
+    e = getattr(test_acceptance, f"criterion_09_system_{family}")()
+    if e2_first:
+        e2, totals = e2_check(e, 2, 4), einfty_vs_target(e, upto)
+    else:
+        totals, e2 = einfty_vs_target(e, upto), e2_check(e, 2, 4)
+    assert e._sequence_cache.filtered.algebra.cutoff == 7
+    assert e2 == SpectralSequence(e, 7).e2_check(2, 4)
+    fresh = SpectralSequence(e, upto + 1).einfty_vs_target(upto)
+    assert totals == fresh  # every field, the product checks, skips and failures included
+    assert (totals.product_checks, totals.products_skipped) == (fresh.product_checks, fresh.products_skipped)
+
+
+def _counting_section_builds(monkeypatch) -> list[int]:
+    from cdgalab import localsys
+
+    builds = []
+    sections_basis = localsys._sections_basis
+    monkeypatch.setattr(localsys, "_sections_basis", lambda e, upto: builds.append(upto) or sections_basis(e, upto))
+    return builds
+
+
+def test_both_checks_on_one_system_build_its_sections_once(monkeypatch):
+    builds = _counting_section_builds(monkeypatch)
+    e = forms_system(cycle_complex(3), 2, cutoff=4)
+    assert e2_check(e, 1, 1).ok() and einfty_vs_target(e, 2).ok()
+    assert builds == [3]
+
+
+def test_a_larger_bound_builds_the_sections_once_more(monkeypatch):
+    builds = _counting_section_builds(monkeypatch)
+    e = forms_system(cycle_complex(3), 2, cutoff=4)
+    assert einfty_vs_target(e, 1).ok()
+    assert e2_check(e, 1, 1).ok()
+    assert einfty_vs_target(e, 2).ok() and einfty_vs_target(e, 1).ok()
+    assert builds == [2, 3]
+
+
+def test_e2_check_reads_the_sequence_a_morphism_built_on_its_source(monkeypatch):
+    builds = _counting_section_builds(monkeypatch)
+    src = forms_system(cycle_complex(3), 2, cutoff=4)
+    dst = FiniteLocalSystem(src.base, dict(src.fibers), dict(src.facet_restrictions))  # a second system
+    ident = SystemMorphism(src, dst, {s: DGMorphism.identity(src.fibers[s]) for s in src.base.all_simplices()})
+    assert triple_morphism_pages(ident, 3, 2).ok()
+    assert builds == [3, 3]
+    assert e2_check(src, 1, 1).ok()
+    assert builds == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda e: e2_check(e, 2, 2), "p_max + q_max + 1 = 5 exceeds the smallest fiber cutoff 4"),
+        (lambda e: einfty_vs_target(e, 4), "upto + 1 = 5 exceeds the smallest fiber cutoff 4"),
+        (
+            lambda e: triple_morphism_pages(
+                SystemMorphism(e, e, {s: DGMorphism.identity(e.fibers[s]) for s in e.base.all_simplices()}), 5, 2
+            ),
+            "upto = 5 exceeds the smallest fiber cutoff 4",
+        ),
+    ],
+    ids=["e2_check", "einfty_vs_target", "triple_morphism_pages"],
+)
+def test_a_bound_past_the_fibers_is_named_as_the_caller_passed_it(check, message):
+    with pytest.raises(InputError) as exc:
+        check(forms_system(cycle_complex(3), 2, cutoff=4))
+    assert str(exc.value) == message

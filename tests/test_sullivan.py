@@ -245,6 +245,30 @@ def test_wedge_models_are_pinned():
     assert digest == PINNED_WEDGE_MODELS
 
 
+@pytest.mark.parametrize(
+    "make, upto", [(lambda: wedge_of_2_spheres(2, 9), 8), (lambda: cp2_formal(8), 7)], ids=["wedge2", "cp2"]
+)
+def test_each_stage_carries_the_cocycle_basis_it_would_recompute(monkeypatch, make, upto):
+    from cdgalab.exactlin import kernel_basis
+
+    reads = []
+    degree = sullivan._cohomology_degree
+
+    def recording(a, k, cocycles=None):
+        assert cocycles == kernel_basis(a.d_matrix(k)), k
+        reads.append((k, cocycles))
+        return degree(a, k, cocycles)
+
+    monkeypatch.setattr(sullivan, "_cohomology_degree", recording)
+    target = make()
+    minimal_model(target, upto)
+    # stage n reads degrees n and n + 1 below the cutoff, and degree n is the stage before's n + 1
+    stages = [[k for k in (n, n + 1) if k < target.cutoff] for n in range(2, upto + 1)]
+    assert [k for k, _ in reads] == [k for ks in stages for k in ks]
+    carried = [c for k, c in reads if k > 2]
+    assert all(a is b for a, b in zip(carried[::2], carried[1::2]))
+
+
 def test_small_comparison_is_checked_in_full():
     res = minimal_model(cp2_formal(7), 6)
     src, cap = res.comparison.source, res.comparison.cap
