@@ -546,8 +546,7 @@ class SpectralSequence:
 
     The global sections up to degree ``upto``, their skeletal filtration and
     the page tower are built here; every page, entry and report of the
-    system is read from them.  The module-level checks keep one on the system
-    (:func:`_sequence`).
+    system is read from them.
     """
 
     def __init__(self, e: FiniteLocalSystem, upto: int):
@@ -650,16 +649,14 @@ def _sequence(e: FiniteLocalSystem, upto: int, what: str) -> SpectralSequence:
 
 
 def e2_check(e: FiniteLocalSystem, p_max: int, q_max: int) -> E2Report:
-    """:meth:`SpectralSequence.e2_check` on the sequence of ``e`` with sections up to degree
-    p_max + q_max + 1, built once and kept on ``e`` for every later check, which reads it
-    (so ``e`` is not to be mutated after a check)."""
+    """:meth:`SpectralSequence.e2_check` on the sequence kept on ``e`` for every check
+    (:func:`_sequence`), with sections up to p_max + q_max + 1; do not mutate ``e`` after."""
     return _sequence(e, p_max + q_max + 1, "p_max + q_max + 1").e2_check(p_max, q_max)
 
 
 def einfty_vs_target(e: FiniteLocalSystem, upto: int, product_samples: int = 12) -> EInftyReport:
-    """:meth:`SpectralSequence.einfty_vs_target` on the sequence of ``e`` with sections up to
-    degree upto + 1, built once and kept on ``e`` for every later check, which reads it (so
-    ``e`` is not to be mutated after a check)."""
+    """:meth:`SpectralSequence.einfty_vs_target` on the sequence kept on ``e`` for every check
+    (:func:`_sequence`), with sections up to upto + 1; do not mutate ``e`` after."""
     return _sequence(e, upto + 1, "upto + 1").einfty_vs_target(upto, product_samples)
 
 

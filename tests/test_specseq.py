@@ -749,7 +749,18 @@ def test_checks_read_one_kept_sequence_and_answer_as_a_fresh_one(family, upto, e
     assert e2 == SpectralSequence(e, 7).e2_check(2, 4)
     fresh = SpectralSequence(e, upto + 1).einfty_vs_target(upto)
     assert totals == fresh  # every field, the product checks, skips and failures included
-    assert (totals.product_checks, totals.products_skipped) == (fresh.product_checks, fresh.products_skipped)
+
+
+def test_the_kept_sequence_goes_with_its_system():
+    import gc
+    import weakref
+
+    e = forms_system(cycle_complex(3), 2, cutoff=4)
+    assert e2_check(e, 1, 1).ok()
+    kept = weakref.ref(e._sequence_cache)
+    del e
+    gc.collect()
+    assert kept() is None
 
 
 def _counting_section_builds(monkeypatch) -> list[int]:
