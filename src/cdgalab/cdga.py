@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import CutoffTooSmallError, InputError
 from .exactlin import (
@@ -118,16 +118,19 @@ def check_d_squared(f: FreeCDGA):
 # Truncated DG algebras
 # ---------------------------------------------------------------------------
 
-MultFn = Callable[[int, int, int, int], Optional[Vector]]
+MultFn = Callable[[int, int, int, int], Optional[Sequence[tuple[int, Fraction]]]]
 
 
 class TruncatedDGA:
     """DG algebra presented by explicit bases up to ``cutoff``.
 
-    ``mult_fn(i, a, j, b)`` returns the structure-constant vector of the
-    product of basis elements ``a`` (degree ``i``) and ``b`` (degree ``j``)
-    for ``i <= j``, or None when the product was dropped.  Tables may be
-    supplied lazily; results are cached.  ``levels`` optionally attaches a
+    ``mult_fn(i, a, j, b)`` returns the structure constants of the product of
+    basis elements ``a`` (degree ``i``) and ``b`` (degree ``j``) for ``i <= j``
+    as ``(index, value)`` pairs of its nonzero coordinates in degree ``i + j``,
+    or None when the product was dropped.  It is called at most once per pair,
+    on first read: the results, dropped products included, make the one sparse
+    product table that every product and construction reads.  ``labels`` may
+    be a callable, called on first read.  ``levels`` optionally attaches a
     filtration level to every basis element (used by the spectral sequence
     machinery).  ``bases`` optionally names the basis elements of every
     degree by keys: a monomial, a form term or a tensor factor pair.  An
@@ -138,8 +141,8 @@ class TruncatedDGA:
     """
 
     __slots__ = (
-        "cutoff", "dims", "unit", "diff_mats", "_mult_fn", "_mult_cache", "_terms_cache",
-        "labels", "levels", "bases", "ambient", "kernels", "name", "_leaf_cache",
+        "cutoff", "dims", "unit", "diff_mats", "_mult_fn", "_products",
+        "_labels", "levels", "bases", "ambient", "kernels", "name", "_leaf_cache", "__weakref__",
     )
 
     def __init__(
@@ -149,7 +152,7 @@ class TruncatedDGA:
         unit: Vector,
         diff_mats: Sequence[Optional[QMatrix]],
         mult_fn: MultFn,
-        labels: Optional[Sequence[Sequence[str]]] = None,
+        labels: Union[Sequence[Sequence[str]], Callable[[], Sequence[Sequence[str]]], None] = None,
         levels: Optional[Sequence[Sequence[int]]] = None,
         bases: Optional[Sequence[KeyedBasis]] = None,
         ambient: Optional[BlockSum] = None,
@@ -180,11 +183,11 @@ class TruncatedDGA:
                 raise InputError(f"differential matrix at degree {k} has the wrong shape")
         self.diff_mats: list[QMatrix] = mats  # type: ignore[assignment]
         self._mult_fn = mult_fn
-        self._mult_cache: dict[tuple[int, int, int, int], Optional[Vector]] = {}
-        self._terms_cache: dict[tuple[int, int, int, int], list[tuple[int, Fraction]]] = {}
+        # (i, a, j, b) -> the product's nonzero (index, value) pairs, or None when dropped
+        self._products: dict[tuple[int, int, int, int], Optional[Sequence[tuple[int, Fraction]]]] = {}
         if labels is None:
-            labels = [[f"e{k}_{a}" for a in range(dims[k])] for k in range(cutoff + 1)]
-        self.labels = [list(l) for l in labels]
+            labels = lambda dims=self.dims: [[f"e{k}_{a}" for a in range(n)] for k, n in enumerate(dims)]
+        self._labels = labels if callable(labels) else [list(l) for l in labels]
         self.levels = [list(l) for l in levels] if levels is not None else None
         self.bases = list(bases) if bases is not None else None
         self.ambient = ambient
@@ -199,11 +202,15 @@ class TruncatedDGA:
         tag = f" {self.name!r}" if self.name else ""
         return f"TruncatedDGA{tag}(cutoff={self.cutoff}, dims={self.dims})"
 
+    @property
+    def labels(self) -> list[list[str]]:
+        """A name per basis element and degree, built on first read."""
+        if callable(self._labels):
+            self._labels = [list(l) for l in self._labels()]
+        return self._labels
+
     def dim(self, k: int) -> int:
         return self.dims[k] if 0 <= k <= self.cutoff else 0
-
-    def zero(self, k: int) -> Vector:
-        return zero_vector(self.dim(k))
 
     def d_matrix(self, k: int) -> QMatrix:
         if not 0 <= k < self.cutoff:
@@ -222,35 +229,43 @@ class TruncatedDGA:
                 raise InputError(f"d squared is nonzero from degree {k}")
 
     # -- products ---------------------------------------------------------
-    def product_basis(self, i: int, a: int, j: int, b: int) -> Vector:
-        """Structure constants of e_a^{(i)} * e_b^{(j)} as a degree i+j vector."""
+    def _terms(self, i: int, a: int, j: int, b: int) -> Sequence[tuple[int, Fraction]]:
+        """The nonzero structure constants ``(index, value)`` of e_a^{(i)} * e_b^{(j)}."""
+        terms = self._products.get((i, a, j, b))
+        return terms if terms is not None else self._read(i, a, j, b)
+
+    def _read(self, i: int, a: int, j: int, b: int) -> Sequence[tuple[int, Fraction]]:
+        """A product missing from the table, or a dropped one, which raises."""
         if i + j > self.cutoff:
             raise CutoffTooSmallError(
                 f"product of degrees {i} and {j} exceeds cutoff {self.cutoff}"
             )
         if not (0 <= a < self.dim(i) and 0 <= b < self.dim(j)):
             raise InputError("basis index out of range")
+        table, key = self._products, (i, a, j, b)
         if i > j or (i == j and a > b):
             # graded commutativity fixes the other triangle
-            base = self.product_basis(j, b, i, a)
-            sign = -1 if (i * j) % 2 else 1
-            return base if sign == 1 else tuple(-x for x in base)
-        key = (i, a, j, b)
-        if key in self._mult_cache:
-            val = self._mult_cache[key]
-        else:
-            val = self._mult_fn(i, a, j, b)
-            if val is not None:
-                val = tuple(val)
-                if len(val) != self.dim(i + j):
-                    raise InputError("mult_fn returned a vector of the wrong length")
-            self._mult_cache[key] = val
-        if val is None:
+            base = self._terms(j, b, i, a)
+            table[key] = base if (i * j) % 2 == 0 else tuple((t, -x) for t, x in base)
+        elif key not in table:
+            terms = self._mult_fn(i, a, j, b)
+            if terms is not None and not all(0 <= t < self.dims[i + j] for t, _ in terms):
+                raise InputError("mult_fn returned an index outside the product degree")
+            table[key] = terms
+        if table[key] is None:
             raise CutoffTooSmallError(
                 f"product of basis elements ({i},{a}) and ({j},{b}) was dropped; "
                 "rebuild with a larger cutoff"
             )
-        return val
+        return table[key]
+
+    def product_basis(self, i: int, a: int, j: int, b: int) -> Vector:
+        """Structure constants of e_a^{(i)} * e_b^{(j)} as a degree i+j vector: the dense
+        view of the product table, for callers outside it."""
+        out = [ZERO] * self.dim(i + j)
+        for t, x in self._terms(i, a, j, b):
+            out[t] = x
+        return tuple(out)
 
     def multiply(self, i: int, va: Vector, j: int, vb: Vector) -> Vector:
         """Bilinear product of a degree-i vector and a degree-j vector."""
@@ -259,23 +274,19 @@ class TruncatedDGA:
                 f"product of degrees {i} and {j} exceeds cutoff {self.cutoff}"
             )
         acc = [ZERO] * self.dim(i + j)
+        table = self._products
+        right = [(b, cb) for b, cb in enumerate(vb) if cb]
         for a, ca in enumerate(va):
             if not ca:
                 continue
-            for b, cb in enumerate(vb):
-                if not cb:
-                    continue
-                terms = self._terms_cache.get((i, a, j, b))
+            for b, cb in right:
+                terms = table.get((i, a, j, b))
                 if terms is None:
-                    pv = self.product_basis(i, a, j, b)
-                    terms = self._terms_cache[(i, a, j, b)] = [(t, x) for t, x in enumerate(pv) if x]
+                    terms = self._read(i, a, j, b)
                 c = ca * cb
                 for t, x in terms:
                     acc[t] += c * x
         return tuple(acc)
-
-    def one_times(self, k: int, v: Vector) -> Vector:
-        return self.multiply(0, self.unit, k, v)
 
     # -- filtration levels -------------------------------------------------
     def level_rows(self, k: int, p: int) -> QMatrix:
@@ -305,18 +316,11 @@ class TruncatedDGA:
         Pairs whose product was dropped are skipped, not reported.
         """
         problems: list[str] = []
-
-        def safe_product(i, a, j, b):
-            try:
-                return self.product_basis(i, a, j, b)
-            except CutoffTooSmallError:
-                return None
-
         # unit laws
         for k in range(self.cutoff + 1):
             for a in range(self.dim(k)):
                 try:
-                    lhs = self.one_times(k, unit_vector(self.dim(k), a))
+                    lhs = self.multiply(0, self.unit, k, unit_vector(self.dim(k), a))
                 except CutoffTooSmallError:
                     continue
                 if lhs != unit_vector(self.dim(k), a):
@@ -333,11 +337,8 @@ class TruncatedDGA:
         if not full and rng is not None and len(pairs) > samples:
             pairs = [pairs[rng.randrange(len(pairs))] for _ in range(samples)]
         for i, a, j, b in pairs:
-            ab = safe_product(i, a, j, b)
-            if ab is None:
-                continue
             try:
-                lhs = self.apply_d(i + j, ab)
+                lhs = self.apply_d(i + j, self.product_basis(i, a, j, b))
                 da = self.apply_d(i, unit_vector(self.dim(i), a))
                 db = self.apply_d(j, unit_vector(self.dim(j), b))
                 term1 = self.multiply(i + 1, da, j, unit_vector(self.dim(j), b))
@@ -395,10 +396,14 @@ def from_tables(
     mult: Mapping[tuple[int, int, int, int], Vector],
     **kw,
 ) -> TruncatedDGA:
-    """TruncatedDGA from an explicit (possibly partial) product table."""
+    """TruncatedDGA from an explicit (possibly partial) table of dense product vectors;
+    each is read into the sparse product table on first read."""
 
     def mult_fn(i, a, j, b):
-        return mult.get((i, a, j, b))
+        vec = mult.get((i, a, j, b))
+        if vec is not None and len(vec) != dims[i + j]:
+            raise InputError("mult_fn returned a vector of the wrong length")
+        return None if vec is None else [(t, x) for t, x in enumerate(vec) if x]
 
     return TruncatedDGA(cutoff, dims, unit, diff_mats, mult_fn, **kw)
 
@@ -421,9 +426,9 @@ def truncate(f: FreeCDGA, cutoff: int) -> TruncatedDGA:
     def mult_fn(i, a, j, b):
         prod = gca.mono_mul(bases[i].keys[a], bases[j].keys[b])
         if prod is None:
-            return bases[i + j].vector({})
+            return ()
         sign, mono = prod
-        return bases[i + j].vector({mono: ONE if sign > 0 else -ONE})
+        return ((bases[i + j].index[mono], ONE if sign > 0 else -ONE),)
 
     return TruncatedDGA(
         cutoff,
@@ -431,7 +436,7 @@ def truncate(f: FreeCDGA, cutoff: int) -> TruncatedDGA:
         bases[0].vector({gca.unit_monomial(): ONE}),
         diff_mats,
         mult_fn,
-        labels=[[gca.mono_str(m) for m in basis.keys] for basis in bases],
+        labels=lambda: [[gca.mono_str(m) for m in basis.keys] for basis in bases],
         bases=bases,
         check=False,
     )
@@ -445,7 +450,7 @@ def point_dga(cutoff: int) -> TruncatedDGA:
         dims,
         (ONE,),
         [QMatrix.zero(dims[k + 1], dims[k]) for k in range(cutoff)],
-        lambda i, a, j, b: (ONE,) if i == j == 0 else (),
+        lambda i, a, j, b: ((0, ONE),),
         labels=[["1"]] + [[] for _ in range(cutoff)],
         check=False,
         name="Q",
@@ -466,16 +471,8 @@ def power_quotient_dga(degree: int, power: int, cutoff: int) -> TruncatedDGA:
             exps[e * degree] = e
 
     def mult_fn(i, a, j, b):
-        k = i + j
-        if k > cutoff:
-            return None
-        e = exps.get(i, None)
-        f = exps.get(j, None)
-        if e is None or f is None:
-            return ()
-        if e + f < power and k in exps and exps[k] == e + f:
-            return (ONE,)
-        return tuple([ZERO] * dims[k]) if dims[k] else ()
+        # x^e x^f = x^(e+f), within the cutoff as i + j is
+        return ((0, ONE),) if exps[i] + exps[j] < power else ()
 
     labels = [
         (["1"] if k == 0 else ([f"x^{exps[k]}"] if dims[k] else []))
@@ -597,28 +594,21 @@ def direct_sum(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = None) -
     diff_mats = [blocks.d_matrix(k) for k in range(cutoff)]
 
     def mult_fn(i, ia, j, jb):
-        k = i + j
-        acc = [ZERO] * dims[k]
-        if ia < a.dim(i) and jb < a.dim(j):
-            try:
-                pv = a.product_basis(i, ia, j, jb)
-            except CutoffTooSmallError:
-                return None
-            for t, x in enumerate(pv):
-                acc[t] = x
-        elif ia >= a.dim(i) and jb >= a.dim(j):
-            try:
-                pv = b.product_basis(i, ia - a.dim(i), j, jb - a.dim(j))
-            except CutoffTooSmallError:
-                return None
-            for t, x in enumerate(pv):
-                acc[t + a.dim(k)] = x
-        return tuple(acc)
+        try:
+            if ia < a.dim(i) and jb < a.dim(j):
+                return a._terms(i, ia, j, jb)
+            if ia >= a.dim(i) and jb >= a.dim(j):
+                shift = a.dim(i + j)
+                return [(shift + t, x) for t, x in b._terms(i, ia - a.dim(i), j, jb - a.dim(j))]
+        except CutoffTooSmallError:
+            return None
+        return ()
 
-    labels = [
-        [f"({l},0)" for l in a.labels[k]] + [f"(0,{l})" for l in b.labels[k]]
-        for k in range(cutoff + 1)
-    ]
+    def labels():
+        return [
+            [f"({l},0)" for l in a.labels[k]] + [f"(0,{l})" for l in b.labels[k]]
+            for k in range(cutoff + 1)
+        ]
     levels = None
     if a.levels is not None or b.levels is not None:
         levels = [
@@ -688,20 +678,15 @@ def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = Non
         if i1 + i2 > a.cutoff or j1 + j2 > b.cutoff:
             return None
         try:
-            pa = a.product_basis(i1, a1, i2, a2)
-            pb = b.product_basis(j1, b1, j2, b2)
+            pa = a._terms(i1, a1, i2, a2)
+            pb = b._terms(j1, b1, j2, b2)
         except CutoffTooSmallError:
             return None
         sign = -1 if (j1 * i2) % 2 else 1
-        return bases[i + j].vector(
-            {
-                (i1 + i2, r, j1 + j2, s): sign * va * vb
-                for r, va in enumerate(pa)
-                if va
-                for s, vb in enumerate(pb)
-                if vb
-            }
-        )
+        index = bases[i + j].index
+        return [
+            (index[(i1 + i2, r, j1 + j2, s)], sign * va * vb) for r, va in pa for s, vb in pb
+        ]
 
     return TruncatedDGA(
         cutoff,
@@ -709,7 +694,7 @@ def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = Non
         tuple(a.unit[ia] * b.unit[jb] for _, ia, _, jb in bases[0].keys),
         diff_mats,
         mult_fn,
-        labels=[
+        labels=lambda: [
             [f"{a.labels[i][ia]}(x){b.labels[j][jb]}" for i, ia, j, jb in basis.keys]
             for basis in bases
         ],
@@ -908,18 +893,27 @@ class DGMorphism:
 
             rng = random.Random(0)
             pairs = [pairs[rng.randrange(len(pairs))] for _ in range(400)]
+        # the columns of every matrix, the images of the source basis, as sparse lists
+        images: list[dict[int, list[tuple[int, Fraction]]]] = [{} for _ in self.mats]
+        for k, m in enumerate(self.mats):
+            for (r, c), x in m.entries.items():
+                images[k].setdefault(c, []).append((r, x))
         checked = 0
         for i, a, j, b in pairs:
             try:
-                pv = src.product_basis(i, a, j, b)
+                terms = src._terms(i, a, j, b)
             except CutoffTooSmallError:
                 continue
-            lhs = self.apply(i + j, pv)
+            # phi(e_a e_b): the product's terms times the images of their basis elements
+            lhs = [ZERO] * tgt.dim(i + j)
+            for t, x in terms:
+                for r, y in images[i + j].get(t, ()):
+                    lhs[r] += x * y
             try:
                 rhs = tgt.multiply(i, self.mats[i].column(a), j, self.mats[j].column(b))
             except CutoffTooSmallError:
                 continue
-            if lhs != rhs:
+            if tuple(lhs) != rhs:
                 raise InputError(
                     f"morphism is not multiplicative on basis pair ({i},{a}),({j},{b})"
                 )

@@ -515,7 +515,7 @@ def task_glue(problem: Problem, flags) -> tuple[int, dict]:
 
 def task_gamma(problem: Problem, flags) -> tuple[int, dict]:
     e = problem.system(_need(problem, "system", flags))
-    upto = localsys._within_fibers(e, _bound(_need(problem, "upto", flags), "upto"), "upto")
+    upto = _bound(_need(problem, "upto", flags), "upto")
     g = localsys.global_sections(e, upto)
     result = {
         "dims": list(g.dims),

@@ -84,10 +84,6 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_scale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x if x else x for x in a)
-
-
 def vec_is_zero(a: Vector) -> bool:
     return not any(a)
 
@@ -556,8 +552,17 @@ class RowSpace(_Coordinates):
 
     @classmethod
     def of_columns(cls, m: QMatrix) -> "RowSpace":
-        """The span of the columns of ``m``, generated by those that enlarge it."""
-        return cls(m.rows, m.to_cols())
+        """The span of the columns of ``m``, generated by those that enlarge it; the columns
+        are reduced as integer columns, and only a kept one is made a dense generator."""
+        space = cls(m.rows)
+        den, columns = m._int_columns()
+        for c in sorted(columns):
+            if space._keep(space._residual(_primitive(dict(columns[c])))):
+                generator = [ZERO] * m.rows
+                for r, x in columns[c]:
+                    generator[r] = Fraction(x, den)
+                space.generators.append(tuple(generator))
+        return space
 
     @property
     def rank(self) -> int:
@@ -572,7 +577,10 @@ class RowSpace(_Coordinates):
         """A nonzero integer multiple of the residual of ``v``; empty in the span."""
         if len(v) != self.dim:
             raise InputError("RowSpace: vector of wrong length")
-        work = _int_row({i: rat(x) for i, x in enumerate(v) if x})
+        return self._residual(_int_row({i: rat(x) for i, x in enumerate(v) if x}))
+
+    def _residual(self, work: dict[int, int]) -> dict[int, int]:
+        """Reduce the primitive integer row ``work`` in place by the echelon rows."""
         for p, row in self._rows.items():
             if p in work:
                 _eliminate(work, row, p)
@@ -583,15 +591,20 @@ class RowSpace(_Coordinates):
 
     def add(self, v: Sequence[Fraction]) -> bool:
         """Insert ``v``; True if it enlarged the span."""
-        new_row = self.reduce(v)
-        if not new_row:
+        if not self._keep(self.reduce(v)):
             return False
-        p = min(new_row)
+        self.generators.append(tuple(v))
+        return True
+
+    def _keep(self, residual: dict[int, int]) -> bool:
+        """Keep a nonzero residual as an echelon row; True if it did.  The caller adds the generator."""
+        if not residual:
+            return False
+        p = min(residual)
         for row in self._rows.values():
             if p in row:
-                _eliminate(row, new_row, p)
-        self._rows[p] = new_row
-        self.generators.append(tuple(v))
+                _eliminate(row, residual, p)
+        self._rows[p] = residual
         self._transform = None
         return True
 

@@ -36,7 +36,6 @@ from .exactlin import (
     QMatrix,
     RowSpace,
     Vector,
-    ZERO,
     rank,
     solve_many,
     unit_vector,
@@ -99,7 +98,8 @@ def _kernel_carrier(kernels: list[KernelBasis], ambient: BlockSum, name: str) ->
             prod = ambient.multiply(i, kernels[i].vectors[a], j, kernels[j].vectors[b])
         except CutoffTooSmallError:
             return None
-        return kernels[i + j].express([prod], "product does not preserve the kernel subspace")[0]
+        (coords,) = kernels[i + j].express([prod], "product does not preserve the kernel subspace")
+        return [(t, x) for t, x in enumerate(coords) if x]
 
     (unit,) = kernels[0].coords_many([ambient.unit])
     if unit is None:
@@ -280,19 +280,14 @@ def suspension_model(m: TruncatedDGA, upto: int) -> SuspensionModel:
         diff_mats.append(QMatrix.from_cols(cols, dims[k + 1]))
 
     def mult_fn(i, a, j, b):
-        k = i + j
-        if k > upto:
-            return None
-        if i == 0:
-            return unit_vector(dims[k], b) if dims[k] else ()
-        if j == 0:
-            return unit_vector(dims[k], a) if dims[k] else ()
-        return tuple([ZERO] * dims[k])
+        # the unit times anything (i <= j), and zero between positive degrees
+        return ((b, ONE),) if i == 0 else ()
 
-    labels = [["1"], []] + [
-        [f"({m.labels[k - 1][_label_index(m, k - 1, v)]})*dt" if _label_index(m, k - 1, v) is not None else f"w{k}_{t}*dt" for t, v in enumerate(shifted[k])]
-        for k in range(2, upto + 1)
-    ]
+    def labels():
+        return [["1"], []] + [
+            [f"({m.labels[k - 1][_label_index(m, k - 1, v)]})*dt" if _label_index(m, k - 1, v) is not None else f"w{k}_{t}*dt" for t, v in enumerate(shifted[k])]
+            for k in range(2, upto + 1)
+        ]
     carrier = TruncatedDGA(
         upto,
         dims,

@@ -357,12 +357,7 @@ def _sections_basis(e: FiniteLocalSystem, upto: int) -> tuple[list[KernelBasis],
 
 def global_sections(e: FiniteLocalSystem, upto: int) -> TruncatedDGA:
     """Compatible families as a DG algebra (the limit over the face poset)."""
-    cap = e.min_cutoff()
-    if upto > cap:
-        raise InputError(
-            f"global_sections up to degree {upto} exceeds the smallest fiber cutoff {cap}"
-        )
-    kernels, ambient = _sections_basis(e, upto)
+    kernels, ambient = _sections_basis(e, _within_fibers(e, upto, "upto"))
     return _kernel_carrier(kernels, ambient, name="global_sections")
 
 

@@ -421,7 +421,10 @@ def forms_dga(n: int, total_degree: int, cutoff: Optional[int] = None) -> FormsD
         if sum(ka[0]) + sum(kb[0]) + i + j > total_degree:
             return None
         pair = _key_product(ka, kb)
-        return bases[i + j].vector(dict([pair]) if pair else {})
+        if pair is None:
+            return ()
+        key, sign = pair
+        return ((bases[i + j].index[key], ONE if sign > 0 else -ONE),)
 
     return FormsDGA(
         n,
@@ -430,7 +433,7 @@ def forms_dga(n: int, total_degree: int, cutoff: Optional[int] = None) -> FormsD
         bases[0].vector({((0,) * n, ()): ONE}),
         diff_mats,
         mult_fn,
-        labels=[[repr(PolyForm._of(n, {key: ONE})) for key in basis.keys] for basis in bases],
+        labels=lambda: [[repr(PolyForm._of(n, {key: ONE})) for key in basis.keys] for basis in bases],
         levels=[[len(key[1]) for key in basis.keys] for basis in bases],
         bases=bases,
         check=False,

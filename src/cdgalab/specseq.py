@@ -20,7 +20,7 @@ coefficients.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional
@@ -49,36 +49,36 @@ def _in_leaves(alg: TruncatedDGA, k: int) -> tuple[list[TruncatedDGA], int, list
     any combination of the columns.
 
     An algebra without an ambient sum is its own leaf; a kernel carrier composes its inclusion
-    with its parts' columns.  Kept on the algebra, because a fiber is shared by every system,
-    section algebra and spectral sequence built on it.
+    with its parts' columns.  A carrier keeps its view, because a fiber is shared by every
+    system, section algebra and spectral sequence built on it; a leaf's view is the identity,
+    and keeping it would make the leaf refer to itself.
     """
+    if alg.ambient is None:
+        n = alg.dim(k)
+        return [alg], 1, [{a: 1} for a in range(n)], [(a, ONE) for a in range(n)]
     if k not in alg._leaf_cache:
-        if alg.ambient is None:
-            n = alg.dim(k)
-            alg._leaf_cache[k] = [alg], 1, [{a: 1} for a in range(n)], [(a, ONE) for a in range(n)]
-        else:
-            parts = [_in_leaves(part, k) for part in alg.ambient.parts]
-            common = lcm(*(den for _, den, _, _ in parts))
-            leaves, blocks, part_reads, offset = [], [], [], 0
-            for p_leaves, den, columns, p_reads in parts:
-                leaves += p_leaves
-                blocks += [{offset + c: x * (common // den) for c, x in col.items()} for col in columns]
-                part_reads += [(offset + c, x) for c, x in p_reads]
-                offset += sum(leaf.dim(k) for leaf in p_leaves)
-            kernel = alg.kernels[k]
-            kden, kcols = kernel.inclusion._int_columns()
-            columns = []
-            for j in range(kernel.rank):
-                acc: dict[int, int] = {}
-                for f, x in kcols.get(j, ()):
-                    for c, y in blocks[f].items():
-                        acc[c] = acc.get(c, 0) + x * y
-                columns.append({c: v for c, v in acc.items() if v})
-            reads: list = [None] * kernel.rank
-            for f, (j, inv) in kernel._reads.items():
-                c, x = part_reads[f]
-                reads[j] = (c, x * inv)
-            alg._leaf_cache[k] = leaves, kden * common, columns, reads
+        parts = [_in_leaves(part, k) for part in alg.ambient.parts]
+        common = lcm(*(den for _, den, _, _ in parts))
+        leaves, blocks, part_reads, offset = [], [], [], 0
+        for p_leaves, den, columns, p_reads in parts:
+            leaves += p_leaves
+            blocks += [{offset + c: x * (common // den) for c, x in col.items()} for col in columns]
+            part_reads += [(offset + c, x) for c, x in p_reads]
+            offset += sum(leaf.dim(k) for leaf in p_leaves)
+        kernel = alg.kernels[k]
+        kden, kcols = kernel.inclusion._int_columns()
+        columns = []
+        for j in range(kernel.rank):
+            acc: dict[int, int] = {}
+            for f, x in kcols.get(j, ()):
+                for c, y in blocks[f].items():
+                    acc[c] = acc.get(c, 0) + x * y
+            columns.append({c: v for c, v in acc.items() if v})
+        reads: list = [None] * kernel.rank
+        for f, (j, inv) in kernel._reads.items():
+            c, x = part_reads[f]
+            reads[j] = (c, x * inv)
+        alg._leaf_cache[k] = leaves, kden * common, columns, reads
     return alg._leaf_cache[k]
 
 
@@ -546,11 +546,12 @@ class SpectralSequence:
 
     The global sections up to degree ``upto``, their skeletal filtration and
     the page tower are built here; every page, entry and report of the
-    system is read from them.
+    system is read from them.  ``system`` is a copy of ``e`` without the
+    sequence kept on it, so a sequence kept there does not keep ``e`` alive.
     """
 
     def __init__(self, e: FiniteLocalSystem, upto: int):
-        self.system = e
+        self.system = replace(e)
         self.filtered = skeletal_filtration(e, upto)
         self.tower = PageTower(self.filtered)
 

@@ -17,7 +17,6 @@ classical published form of the loop model of complex projective spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cdga import (
     DGMorphism,
@@ -29,7 +28,7 @@ from .cdga import (
     truncate,
 )
 from .errors import InputError, InternalError, PreconditionError
-from .exactlin import QMatrix, RowSpace, ZERO, kernel_basis, solve, vec_is_zero
+from .exactlin import QMatrix, RowSpace, kernel_basis, solve, vec_is_zero
 from .graded import Element, FreeGCA, Monomial, apply_odd_derivation
 
 
@@ -93,7 +92,8 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
     the cocycle basis of degree n + 1: the degree-n generators of stage n
     make no monomial of degree n + 1 (every generator has degree >= 2), and
     no older differential involves them, so stage n + 1 recomputes only the
-    boundaries there.
+    boundaries there.  The last stage's truncation is also the final one when
+    it reaches the target's cutoff and the stage adds no generator.
     """
     if upto < 0:
         raise InputError(f"minimal_model needs a non-negative upto, got {upto}")
@@ -111,9 +111,11 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
     model = FreeCDGA(FreeGCA([]), {}, check=False)
     phi: dict[str, tuple[int, tuple]] = {}
     cocycles: dict[int, list] = {}
+    trunc, truncated = None, None  # the latest stage's truncation and the model it truncates
     for n in range(2, upto + 1):
         top = min(n + 1, target.cutoff - 1)
         trunc = truncate(model, top + 1)
+        truncated = model
         degrees = range(n, top + 1)
         cocycles = {k: cocycles[k] if k in cocycles else kernel_basis(trunc.d_matrix(k)) for k in degrees}
         hs_reps = {k: _cohomology_degree(trunc, k, cocycles[k])[0] for k in degrees}
@@ -135,15 +137,10 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
             hmat_cols = [ht.class_of(n + 1, mats[n + 1].matvec(rep)) for rep in reps]
             hmat = QMatrix.from_cols(hmat_cols, ht.dims[n + 1])
             keys = trunc.bases[n + 1].keys
+            rep_mat = QMatrix.from_cols(reps, len(keys))
             for kv in kernel_basis(hmat):
                 # kv combines model classes whose image class vanishes
-                z: dict[int, Fraction] = {}
-                for c, rep in zip(kv, reps):
-                    if c:
-                        for t, r in enumerate(rep):
-                            if r:
-                                z[t] = z.get(t, ZERO) + c * r
-                z_vec = tuple(z.get(t, ZERO) for t in range(len(keys)))
+                z_vec = rep_mat.matvec(kv)
                 b = solve(target.d_matrix(n), mats[n + 1].matvec(z_vec))
                 if b is None:
                     raise InternalError("vanishing class has no primitive")
@@ -154,7 +151,8 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
         if gens:
             model = model._extend(gens, diff)
 
-    trunc = truncate(model, target.cutoff)
+    if truncated is not model or trunc.cutoff != target.cutoff:
+        trunc = truncate(model, target.cutoff)
     mats = _comparison_matrices(model, trunc, target, phi, range(target.cutoff + 1))
     comparison = DGMorphism(trunc, target, list(mats.values()), check="auto")
     ok, offender = minimality_check(model)

@@ -10,8 +10,8 @@ from itertools import combinations
 from math import comb
 import random
 
-from cdgalab.errors import InputError
-from cdgalab.exactlin import ONE, ZERO, KernelBasis, QMatrix, RowSpace, concat, kernel_basis, rref, unit_vector
+from cdgalab.errors import CutoffTooSmallError, InputError
+from cdgalab.exactlin import ONE, ZERO, KernelBasis, QMatrix, RowSpace, concat, kernel_basis, rref, solve, unit_vector
 from cdgalab.polyforms import PolyForm, d
 
 
@@ -593,7 +593,7 @@ def random_filtered_complex(rng: random.Random, dims, p_bound: int, lengths=(0, 
     The product keeps only the unit: these complexes are for page
     computations, which never multiply.
     """
-    from cdgalab.cdga import TruncatedDGA
+    from cdgalab.cdga import from_tables
     from cdgalab.exactlin import solve_many
 
     cutoff = len(dims) - 1
@@ -629,9 +629,9 @@ def random_filtered_complex(rng: random.Random, dims, p_bound: int, lengths=(0, 
         normal = QMatrix(dims[n + 1], dims[n], {(y, x): ONE for m, x, y in pairs if m == n})
         inverse = QMatrix.from_cols(solve_many(autos[n], [unit_vector(dims[n], i) for i in range(dims[n])]), dims[n])
         diff_mats.append(autos[n + 1].matmul(normal).matmul(inverse))
-    alg = TruncatedDGA(
+    alg = from_tables(
         cutoff, dims, unit_vector(dims[0], 0), diff_mats,
-        lambda i, a, j, b: None, levels=levels, check=True, name="random filtered",
+        {}, levels=levels, check=True, name="random filtered",
     )
     return alg, pairs
 
@@ -642,3 +642,121 @@ def spans_agree(u, v) -> bool:
         return not any(map(any, u)) and not any(map(any, v))
     dim = len(u[0])
     return RowSpace(dim, u).rank == RowSpace(dim, v).rank == RowSpace(dim, list(u) + list(v)).rank
+
+
+# -- dense product rules, one per construction ---------------------------------
+#
+# Each rule returns the product of basis elements (i, a) and (j, b) of the
+# constructed algebra as a dense vector, or None when it is dropped, for every
+# pair in either order: the dense tables the constructions built before their
+# products were kept sparse.
+
+
+def product_table_mismatches(alg, rule) -> list:
+    """The pairs where ``alg.product_basis`` (None when dropped) differs from ``rule``."""
+    out = []
+    for i in range(alg.cutoff + 1):
+        for j in range(alg.cutoff + 1 - i):
+            for a in range(alg.dim(i)):
+                for b in range(alg.dim(j)):
+                    try:
+                        got = alg.product_basis(i, a, j, b)
+                    except CutoffTooSmallError:
+                        got = None
+                    if got != rule(i, a, j, b):
+                        out.append((i, a, j, b))
+    return out
+
+
+def truncation_rule(f, trunc):
+    """Products of monomials as elements of the free algebra."""
+    gca = f.gca
+
+    def rule(i, a, j, b):
+        prod = gca.element({trunc.bases[i].keys[a]: ONE}) * gca.element({trunc.bases[j].keys[b]: ONE})
+        return trunc.bases[i + j].vector(prod.terms)
+
+    return rule
+
+
+def direct_sum_rule(a, b, s):
+    """Each summand multiplies its own block; products across the blocks vanish."""
+
+    def rule(i, x, j, y):
+        out = [ZERO] * s.dim(i + j)
+        try:
+            if x < a.dim(i) and y < a.dim(j):
+                part, shift = a.product_basis(i, x, j, y), 0
+            elif x >= a.dim(i) and y >= a.dim(j):
+                part, shift = b.product_basis(i, x - a.dim(i), j, y - a.dim(j)), a.dim(i + j)
+            else:
+                part, shift = (), 0
+        except CutoffTooSmallError:
+            return None
+        for t, v in enumerate(part):
+            out[shift + t] = v
+        return tuple(out)
+
+    return rule
+
+
+def tensor_rule(a, b, tp):
+    """(x1 (x) y1)(x2 (x) y2) = (-1)^{|y1||x2|} x1 x2 (x) y1 y2."""
+
+    def rule(i, x, j, y):
+        i1, a1, j1, b1 = tp.bases[i].keys[x]
+        i2, a2, j2, b2 = tp.bases[j].keys[y]
+        if i1 + i2 > a.cutoff or j1 + j2 > b.cutoff:
+            return None
+        try:
+            pa, pb = a.product_basis(i1, a1, i2, a2), b.product_basis(j1, b1, j2, b2)
+        except CutoffTooSmallError:
+            return None
+        sign = -1 if (j1 * i2) % 2 else 1
+        return tp.bases[i + j].vector({
+            (i1 + i2, r, j1 + j2, s): sign * u * v
+            for r, u in enumerate(pa) if u for s, v in enumerate(pb) if v
+        })
+
+    return rule
+
+
+def forms_rule(alg, total: int):
+    """Products of unit forms by the pairwise term loop, dropped above the total degree."""
+
+    def rule(i, a, j, b):
+        ua = PolyForm(alg.simplex_dim, {alg.bases[i].keys[a]: ONE})
+        ub = PolyForm(alg.simplex_dim, {alg.bases[j].keys[b]: ONE})
+        if ua.total_degree() + ub.total_degree() > total:
+            return None
+        return alg.bases[i + j].vector(pairwise_product(ua, ub))
+
+    return rule
+
+
+def carrier_rule(carrier):
+    """The ambient product of two kernel vectors, block by block, solved for in the kernel."""
+    amb = carrier.ambient
+
+    def rule(i, a, j, b):
+        va, vb = carrier.kernels[i].vectors[a], carrier.kernels[j].vectors[b]
+        blocks = zip(amb.parts, amb.split(i, va), amb.split(j, vb))
+        try:
+            prod = concat(*(dense_multiply(part, i, x, j, y) for part, x, y in blocks))
+        except CutoffTooSmallError:
+            return None
+        return solve(carrier.kernels[i + j].inclusion, prod)
+
+    return rule
+
+
+def suspension_rule(carrier):
+    """The unit times anything; products of positive degrees vanish."""
+
+    def rule(i, a, j, b):
+        n = carrier.dim(i + j)
+        if i == 0 or j == 0:
+            return unit_vector(n, b if i == 0 else a)
+        return (ZERO,) * n
+
+    return rule

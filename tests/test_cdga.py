@@ -7,10 +7,12 @@ from cdgalab.cdga import (
     BlockSum,
     DGMorphism,
     FreeCDGA,
+    TruncatedDGA,
     check_d_squared,
     cohomology,
     cohomology_dims,
     direct_sum,
+    from_tables,
     induced_map,
     is_quasi_iso,
     point_dga,
@@ -19,11 +21,12 @@ from cdgalab.cdga import (
     truncate,
 )
 from cdgalab.errors import CutoffTooSmallError, InputError
-from cdgalab.exactlin import QMatrix, rank, vec_is_zero
+from cdgalab.exactlin import QMatrix, rank, unit_vector, vec_is_zero
 from cdgalab.graded import FreeGCA
 from cdgalab.polyforms import FormsDGA, forms_dga
 
 from fixtures import cp2_formal, cp_model, sphere_even_model, torus_free, torus_model, wedge_of_2_spheres
+import helpers
 from helpers import dense_multiply
 
 
@@ -396,3 +399,143 @@ def test_multiply_matches_the_dense_product_loop():
                         assert got == _product_or_dropped(dense_multiply, alg, i, va, j, vb)
                         seen.add("dropped" if got == "dropped" else any(got))
     assert seen == {True, False, "dropped"}
+
+
+# -- the sparse product table ------------------------------------------------
+
+def _table_cases():
+    from cdgalab.gluing import fiber_product, interval_forms, suspension_model
+    from cdgalab.localsys import forms_system, global_sections
+    from cdgalab.polyforms import cycle_complex
+    from test_gluing import circle_legs
+
+    cp1, torus = cp_model(1), torus_free()
+    exterior = FreeCDGA(FreeGCA([("t1", 1), ("t2", 1), ("t3", 1)]), {})
+    t_cp1, t_torus, t_exterior = truncate(cp1, 5), truncate(torus, 2), truncate(exterior, 3)
+    forms1, forms2 = forms_dga(1, 2), forms_dga(2, 3)
+    s1 = direct_sum(forms1, t_torus)
+    s2 = direct_sum(cp2_formal(4), forms2, cutoff=3)
+    tp1 = tensor_product(t_torus, t_torus, cutoff=2)
+    tp2 = tensor_product(forms1, interval_forms(2, cutoff=3), cutoff=2)
+    circle = fiber_product(*circle_legs(total=2, cutoff=3), 2).carrier
+    sections = global_sections(forms_system(cycle_complex(3), 2, cutoff=3), 2)
+    susp = suspension_model(t_exterior, 4).carrier
+    return {
+        "truncate-cp1": (t_cp1, helpers.truncation_rule(cp1, t_cp1)),
+        "truncate-exterior": (t_exterior, helpers.truncation_rule(exterior, t_exterior)),
+        "forms-interval": (forms1, helpers.forms_rule(forms1, 2)),
+        "forms-triangle": (forms2, helpers.forms_rule(forms2, 3)),
+        "direct-sum-forms-torus": (s1, helpers.direct_sum_rule(forms1, t_torus, s1)),
+        "direct-sum-cp2-forms": (s2, helpers.direct_sum_rule(cp2_formal(4), forms2, s2)),
+        "tensor-torus-torus": (tp1, helpers.tensor_rule(t_torus, t_torus, tp1)),
+        "tensor-forms-forms": (tp2, helpers.tensor_rule(forms1, interval_forms(2, cutoff=3), tp2)),
+        "fiber-product-circle": (circle, helpers.carrier_rule(circle)),
+        "global-sections": (sections, helpers.carrier_rule(sections)),
+        "suspension": (susp, helpers.suspension_rule(susp)),
+    }
+
+
+TABLE_CASES = [
+    "truncate-cp1", "truncate-exterior", "forms-interval", "forms-triangle", "direct-sum-forms-torus",
+    "direct-sum-cp2-forms", "tensor-torus-torus", "tensor-forms-forms", "fiber-product-circle",
+    "global-sections", "suspension",
+]
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_product_table_matches_the_dense_rule_of_its_construction(case):
+    alg, rule = _table_cases()[case]
+    assert helpers.product_table_mismatches(alg, rule) == []
+
+
+def test_product_tables_cover_dropped_signed_and_zero_products():
+    seen = set()
+    for alg, _ in _table_cases().values():
+        for i in range(alg.cutoff + 1):
+            for j in range(alg.cutoff + 1 - i):
+                for a in range(alg.dim(i)):
+                    for b in range(alg.dim(j)):
+                        try:
+                            v = alg.product_basis(i, a, j, b)
+                        except CutoffTooSmallError:
+                            seen.add("dropped")
+                            continue
+                        seen.add("zero" if not any(v) else "negative" if min(v) < 0 else "positive")
+    assert seen == {"dropped", "zero", "negative", "positive"}
+
+
+def _dropped(alg, i, a, j, b) -> bool:
+    try:
+        alg.product_basis(i, a, j, b)
+    except CutoffTooSmallError:
+        return True
+    return False
+
+
+def test_the_sparse_multiplicativity_check_reads_every_kept_pair_with_its_sign():
+    for alg, _ in _table_cases().values():
+        pairs = [
+            (i, a, j, b)
+            for i in range(alg.cutoff + 1)
+            for j in range(i, alg.cutoff + 1 - i)
+            for a in range(alg.dim(i))
+            for b in range(alg.dim(j))
+        ]
+        kept = sum(1 for pair in pairs if not _dropped(alg, *pair))
+        ident = DGMorphism(alg, alg, [QMatrix.identity(alg.dim(k)) for k in range(alg.cutoff + 1)], check="full")
+        assert (ident.check_mode, ident.pairs_checked) == ("full", kept)
+    # t1 -> t1, t2 -> t2 and t1 t2 -> 2 t1 t2 is a cochain map but not multiplicative
+    t = torus_model(2)
+    doubled = [QMatrix.identity(1), QMatrix.identity(2), QMatrix(1, 1, {(0, 0): 2})]
+    with pytest.raises(InputError, match=r"not multiplicative on basis pair \(1,0\),\(1,1\)"):
+        DGMorphism(t, t, doubled, check="full")
+
+
+def test_mult_fn_runs_once_per_pair_dropped_pairs_included():
+    base = forms_dga(1, 2, cutoff=2)
+    calls = []
+
+    def counting(i, a, j, b):
+        calls.append((i, a, j, b))
+        return base._mult_fn(i, a, j, b)
+
+    alg = TruncatedDGA(
+        base.cutoff, base.dims, base.unit, base.diff_mats, counting, levels=base.levels, bases=base.bases
+    )
+    dropped = set()
+    for _ in range(2):
+        for i in range(alg.cutoff + 1):
+            for j in range(alg.cutoff + 1 - i):
+                for a in range(alg.dim(i)):
+                    for b in range(alg.dim(j)):
+                        try:
+                            alg.product_basis(i, a, j, b)
+                            alg.multiply(i, unit_vector(alg.dim(i), a), j, unit_vector(alg.dim(j), b))
+                        except CutoffTooSmallError:
+                            dropped.add((i, a, j, b))
+    assert dropped and len(calls) == len(set(calls))
+    # the table asks only for one order of each pair; graded commutativity gives the other
+    assert all(i < j or (i == j and a <= b) for i, a, j, b in calls)
+    assert alg.validate() == base.validate() == []
+
+
+def test_from_tables_reads_dense_vectors_into_the_sparse_table():
+    zero, one = Fraction(0), Fraction(1)
+    table = {(0, 0, 0, 0): (one,), (0, 0, 1, 0): (one,), (0, 0, 2, 0): (one,), (0, 0, 1, 1): (zero,)}
+    alg = from_tables(2, [1, 1, 1], (one,), [None, None], table)
+    assert alg.product_basis(2, 0, 0, 0) == (one,)
+    assert alg._products[(0, 0, 2, 0)] == [(0, one)]
+    with pytest.raises(CutoffTooSmallError, match="was dropped"):
+        alg.multiply(1, (one,), 1, (one,))
+    bad = from_tables(1, [1, 1], (one,), [None], {(0, 0, 1, 0): (one, one)})
+    with pytest.raises(InputError, match="wrong length"):
+        bad.product_basis(0, 0, 1, 0)
+
+
+def test_truncation_labels_are_built_on_first_read():
+    t = truncate(torus_free(), 2)
+    assert callable(t._labels)
+    assert t.labels == [["1"], ["t1", "t2"], ["t1*t2"]]
+    assert t._labels is t.labels
+    assert point_dga(1).labels == [["1"], []]
+    assert TruncatedDGA(1, [1, 1], (1,), [None], lambda i, a, j, b: ((0, Fraction(1)),)).labels == [["e0_0"], ["e1_0"]]

@@ -205,6 +205,13 @@ def test_global_sections_forms_circle():
     assert cohomology_dims(g, 1) == [1, 1]
 
 
+def test_global_sections_beyond_the_fibers_is_an_input_error_in_the_shared_wording():
+    e = forms_system(cycle_complex(3), 2, cutoff=4)
+    with pytest.raises(InputError, match="^upto = 5 exceeds the smallest fiber cutoff 4$"):
+        global_sections(e, 5)
+    assert global_sections(e, 4).cutoff == 4
+
+
 def test_global_sections_forms_match_simplex_forms():
     # over the full 2-simplex the compatible families are the forms on it
     from cdgalab.polyforms import forms_dga

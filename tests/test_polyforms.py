@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdgalab.errors import InputError
+from cdgalab.errors import CutoffTooSmallError, InputError
 from cdgalab.exactlin import ONE
 from cdgalab.polyforms import (
     PolyForm,
@@ -393,7 +393,11 @@ def test_forms_dga_tables_match_symbolic_construction():
                             expected = None
                             if ua.total_degree() + ub.total_degree() <= t:
                                 expected = alg.bases[i + j].vector(pairwise_product(ua, ub))
-                            assert alg._mult_fn(i, a, j, b) == expected
+                            try:
+                                got = alg.product_basis(i, a, j, b)
+                            except CutoffTooSmallError:
+                                got = None
+                            assert got == expected
             if n:
                 face = forms_dga(n - 1, t)
                 for f in range(n + 1):

@@ -9,6 +9,7 @@ from cdgalab.cdga import (
     cohomology,
     cohomology_dims,
     direct_sum,
+    from_tables,
     point_dga,
     tensor_product,
     truncate,
@@ -119,12 +120,12 @@ def mapping_cone_filtered(f, g, upto: int) -> FilteredComplex:
             for (r, cc), v in c.d_matrix(n - 1).entries.items():
                 entries[(ab_n1 + r, ab_n + cc)] = -v
         diff_mats.append(QMatrix(dims[n + 1], dims[n], entries))
-    cone = TruncatedDGA(
+    cone = from_tables(
         upto,
         dims,
         unit_vector(dims[0], 0),
         diff_mats,
-        lambda i, x, j, y: None,
+        {},
         levels=[
             [0] * (a.dim(n) + b.dim(n)) + [1] * (dims[n] - a.dim(n) - b.dim(n))
             for n in range(upto + 1)
@@ -366,17 +367,19 @@ def line_bundle_system(base, D: int, cutoff: int, euler: dict) -> FiniteLocalSys
         def mult_fn(i, x, j, y, n=n, bases=bases, zero=zero):
             (x_t, x_key), (y_t, y_key) = bases[i].keys[x], bases[j].keys[y]
             if x_t and y_t:
-                return (ZERO,) * len(bases[i + j])
+                return ()
             prod = keyform(n, x_key) * keyform(n, y_key)
             if not x_t and not y_t:
                 if prod.total_degree() > D:
                     return None
-                return bases[i + j].vector(terms(prod, zero))
-            if x_t and j % 2:
-                prod = -1 * prod
-            if prod.total_degree() > D - 2:
-                return None
-            return bases[i + j].vector(terms(zero, prod))
+                product = terms(prod, zero)
+            else:
+                if x_t and j % 2:
+                    prod = -1 * prod
+                if prod.total_degree() > D - 2:
+                    return None
+                product = terms(zero, prod)
+            return [(bases[i + j].index[key], c) for key, c in product.items()]
 
         fibers[s] = TruncatedDGA(
             cutoff,
@@ -761,6 +764,22 @@ def test_the_kept_sequence_goes_with_its_system():
     del e
     gc.collect()
     assert kept() is None
+
+
+def test_reference_counting_frees_a_checked_system_and_its_fibers():
+    import gc
+    import weakref
+
+    e = forms_system(cycle_complex(3), 2, cutoff=4)
+    gc.collect()
+    gc.disable()
+    try:
+        assert e2_check(e, 1, 1).ok()
+        refs = [weakref.ref(e), weakref.ref(e._sequence_cache)] + [weakref.ref(f) for f in e.fibers.values()]
+        del e
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def _counting_section_builds(monkeypatch) -> list[int]:

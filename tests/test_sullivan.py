@@ -291,3 +291,25 @@ def test_unchecked_morphism_records_no_pairs():
 
     ident = DGMorphism.identity(cp2_formal(5))
     assert (ident.check_mode, ident.pairs_checked) == ("none", 0)
+
+
+@pytest.mark.parametrize("spheres, cutoff, pairs", [(2, 9, 498), (3, 6, 196), (2, 11, 2091)])
+def test_wedge_comparison_checks_every_pair(spheres, cutoff, pairs):
+    comparison = minimal_model(wedge_of_2_spheres(spheres, cutoff), cutoff - 1).comparison
+    assert (comparison.check_mode, comparison.pairs_checked) == ("full", pairs)
+
+
+def test_a_comparison_with_one_mutated_entry_is_not_multiplicative():
+    from cdgalab.cdga import DGMorphism
+
+    res = minimal_model(cp2_formal(7), 6)
+    comparison = res.comparison
+    assert comparison.check_mode == "full" and comparison.pairs_checked > 0
+    # x^2 -> 2 x^2 in degree 4 still commutes with both differentials (zero there)
+    square = comparison.source.bases[4].index[(2, 0)]
+    mats = list(comparison.mats)
+    (row,) = [r for (r, c) in mats[4].entries if c == square]
+    mats[4] = QMatrix(mats[4].rows, mats[4].cols, {**mats[4].entries, (row, square): 2 * mats[4].entries[(row, square)]})
+    DGMorphism(comparison.source, comparison.target, comparison.mats, check="full")
+    with pytest.raises(InputError, match="not multiplicative on basis pair \\(2,0\\),\\(2,0\\)"):
+        DGMorphism(comparison.source, comparison.target, mats, check="full")
