@@ -120,6 +120,9 @@ def check_d_squared(f: FreeCDGA):
 
 MultFn = Callable[[int, int, int, int], Optional[Sequence[tuple[int, Fraction]]]]
 
+# basis pairs and triples that a sampled TruncatedDGA.validate checks
+_VALIDATE_SAMPLES = 120
+
 
 class TruncatedDGA:
     """DG algebra presented by explicit bases up to ``cutoff``.
@@ -273,6 +276,11 @@ class TruncatedDGA:
             raise CutoffTooSmallError(
                 f"product of degrees {i} and {j} exceeds cutoff {self.cutoff}"
             )
+        if (len(va), len(vb)) != (self.dim(i), self.dim(j)):
+            raise InputError(
+                f"multiply: vectors of lengths {len(va)} and {len(vb)} against dimensions "
+                f"{self.dim(i)} and {self.dim(j)} in degrees {i} and {j}"
+            )
         acc = [ZERO] * self.dim(i + j)
         table = self._products
         right = [(b, cb) for b, cb in enumerate(vb) if cb]
@@ -309,7 +317,7 @@ class TruncatedDGA:
         return self.levels[k][a] if self.levels is not None else 0
 
     # -- validation ---------------------------------------------------------
-    def validate(self, full: bool = True, rng=None, samples: int = 120) -> list[str]:
+    def validate(self, full: bool = True, rng=None) -> list[str]:
         """Check unit laws, Leibniz, graded commutativity and associativity.
 
         Returns a list of human-readable failure descriptions (empty = ok).
@@ -334,8 +342,8 @@ class TruncatedDGA:
             for a in range(self.dim(i))
             for b in range(self.dim(j))
         ]
-        if not full and rng is not None and len(pairs) > samples:
-            pairs = [pairs[rng.randrange(len(pairs))] for _ in range(samples)]
+        if not full and rng is not None and len(pairs) > _VALIDATE_SAMPLES:
+            pairs = [pairs[rng.randrange(len(pairs))] for _ in range(_VALIDATE_SAMPLES)]
         for i, a, j, b in pairs:
             try:
                 lhs = self.apply_d(i + j, self.product_basis(i, a, j, b))
@@ -352,7 +360,7 @@ class TruncatedDGA:
         # associativity (sampled when lazy tables are large)
         triples = []
         if rng is not None:
-            for _ in range(samples):
+            for _ in range(_VALIDATE_SAMPLES):
                 i = rng.randint(0, self.cutoff)
                 j = rng.randint(0, self.cutoff - i)
                 k = rng.randint(0, self.cutoff - i - j)
@@ -717,8 +725,8 @@ def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = Non
 class GradedCohomology:
     """Chosen cocycle representatives and class arithmetic up to a degree.
 
-    ``spaces[k]`` spans the cocycles of degree k, generated by boundaries
-    first and then by ``reps[k]``.
+    ``spaces[k]`` spans the cocycles of degree k: its kept columns are
+    boundaries first and then ``reps[k]``.
     """
 
     algebra: TruncatedDGA
@@ -761,35 +769,25 @@ def cohomology(a: TruncatedDGA, upto: int) -> GradedCohomology:
     differential leaving the top stored degree.
     """
     _below_cutoff(a, upto)
-    dims: list[int] = []
-    reps: list[list[Vector]] = []
-    spaces: list[RowSpace] = []
-    for k in range(upto + 1):
-        chosen, rs = _cohomology_degree(a, k)
-        dims.append(len(chosen))
-        reps.append(chosen)
-        spaces.append(rs)
-    return GradedCohomology(a, upto, dims, reps, spaces)
+    degrees = [_cohomology_degree(a, k) for k in range(upto + 1)]
+    reps = [chosen for chosen, _ in degrees]
+    return GradedCohomology(a, upto, [len(chosen) for chosen in reps], reps, [rs for _, rs in degrees])
 
 
 def _cohomology_degree(
-    a: TruncatedDGA, k: int, cocycles: Optional[list[Vector]] = None
+    a: TruncatedDGA, k: int, cocycles: Optional[QMatrix] = None
 ) -> tuple[list[Vector], RowSpace]:
     """Representatives of H^k and the cocycle space they complete.
 
-    The space is spanned by the boundaries first and then by the
-    representatives, the cocycles of the kernel basis that leave it larger.
-    ``cocycles`` is that kernel basis of d_k when the caller already has it.
+    The space is the column span of ``[d_{k-1} | cocycles]``, so the boundaries come
+    first; the representatives are the kept cocycle columns.  ``cocycles`` is the
+    inclusion of ker d_k (:attr:`KernelBasis.inclusion`) when the caller already has it.
     """
-    rs = _boundaries(a, k)
     if cocycles is None:
-        cocycles = kernel_basis(a.d_matrix(k))
-    return [v for v in cocycles if rs.add(v)], rs
-
-
-def _boundaries(a: TruncatedDGA, k: int) -> RowSpace:
-    """The image of d_{k-1} in degree k, spanned by the columns of its matrix."""
-    return RowSpace.of_columns(a.d_matrix(k - 1)) if k >= 1 else RowSpace(a.dim(k))
+        cocycles = KernelBasis(a.d_matrix(k)).inclusion
+    boundaries = a.d_matrix(k - 1) if k else QMatrix._of(a.dim(k), 0, {})
+    rs = RowSpace(boundaries.hstack(cocycles))
+    return [cocycles.column(c - boundaries.cols) for c in rs.columns if c >= boundaries.cols], rs
 
 
 def _below_cutoff(a: TruncatedDGA, upto: int) -> None:

@@ -480,6 +480,9 @@ def solve_many(m: QMatrix, rhs: Sequence[Vector]) -> list[Optional[Vector]]:
     k = len(rhs)
     if k == 0:
         return []
+    for j, b in enumerate(rhs):
+        if len(b) != m.rows:
+            raise InputError(f"solve_many: rhs {j} of length {len(b)} against {m.rows} rows")
     aug = QMatrix(
         m.rows,
         m.cols + k,
@@ -491,9 +494,6 @@ def solve_many(m: QMatrix, rhs: Sequence[Vector]) -> list[Optional[Vector]]:
             if v
         },
     )
-    for b in rhs:
-        if len(b) != m.rows:
-            raise InputError("solve_many: rhs length mismatch")
     rows, pivots = _echelon(aug, pivot_cols=m.cols)
     nz_rows = len(pivots)
     out: list[Optional[Vector]] = []
@@ -532,37 +532,32 @@ class _Coordinates:
 
 
 class RowSpace(_Coordinates):
-    """Incrementally maintained row space with exact membership and coordinates.
+    """The span of the columns of a matrix, with exact membership and coordinates.
 
-    ``generators`` are the added vectors that enlarged the span, in order;
-    :meth:`coords` writes a member of the span in them.  The transform it
-    reads from comes from one elimination of the generators, made on the
-    first query and kept until the span grows again, so spaces that only
-    test membership never pay for it.
+    ``columns`` are the indices of the columns that enlarge the span, in order;
+    :meth:`coords` writes a member of the span in those columns.  The columns
+    are reduced as primitive integer columns.  The transform that coordinates
+    read from comes from one elimination of the kept columns, made on the
+    first query, so spaces that only test membership never pay for it.
     """
 
-    def __init__(self, dim: int, vectors: Iterable[Vector] = ()):  # noqa: D401
-        self.dim = dim
+    def __init__(self, m: QMatrix):
+        self.dim = m.rows
+        self.matrix = m
         # reduced echelon rows keyed by pivot column, as primitive integer rows
         self._rows: dict[int, dict[int, int]] = {}
-        self.generators: list[Vector] = []
+        self.columns: list[int] = []
         self._transform: Optional[dict[int, dict[int, Fraction]]] = None
-        for v in vectors:
-            self.add(v)
-
-    @classmethod
-    def of_columns(cls, m: QMatrix) -> "RowSpace":
-        """The span of the columns of ``m``, generated by those that enlarge it; the columns
-        are reduced as integer columns, and only a kept one is made a dense generator."""
-        space = cls(m.rows)
-        den, columns = m._int_columns()
-        for c in sorted(columns):
-            if space._keep(space._residual(_primitive(dict(columns[c])))):
-                generator = [ZERO] * m.rows
-                for r, x in columns[c]:
-                    generator[r] = Fraction(x, den)
-                space.generators.append(tuple(generator))
-        return space
+        _, by_col = m._int_columns()
+        for c in sorted(by_col):
+            residual = self._residual(_primitive(dict(by_col[c])))
+            if residual:
+                p = min(residual)
+                for row in self._rows.values():
+                    if p in row:
+                        _eliminate(row, residual, p)
+                self._rows[p] = residual
+                self.columns.append(c)
 
     @property
     def rank(self) -> int:
@@ -589,40 +584,21 @@ class RowSpace(_Coordinates):
     def contains(self, v: Sequence[Fraction]) -> bool:
         return not self.reduce(v)
 
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Insert ``v``; True if it enlarged the span."""
-        if not self._keep(self.reduce(v)):
-            return False
-        self.generators.append(tuple(v))
-        return True
-
-    def _keep(self, residual: dict[int, int]) -> bool:
-        """Keep a nonzero residual as an echelon row; True if it did.  The caller adds the generator."""
-        if not residual:
-            return False
-        p = min(residual)
-        for row in self._rows.values():
-            if p in row:
-                _eliminate(row, residual, p)
-        self._rows[p] = residual
-        self._transform = None
-        return True
-
     def _transforms(self) -> dict[int, dict[int, Fraction]]:
-        """Per pivot column, the echelon row as a combination of the generators.
+        """Per pivot column, the echelon row as a combination of the kept columns.
 
-        The reduced echelon form of ``[generators | identity]`` has all its
-        pivots left of the bar, because the generators are independent; right
-        of the bar it records the combinations.
+        The reduced echelon form of ``[kept columns transposed | identity]``
+        has all its pivots left of the bar, because the kept columns are
+        independent; right of the bar it records the combinations.
         """
         if self._transform is None:
             r, n = self.rank, self.dim
+            at = {c: i for i, c in enumerate(self.columns)}
             entries = {(i, n + i): ONE for i in range(r)}
-            for i, g in enumerate(self.generators):
-                for c, x in enumerate(g):
-                    if x:
-                        entries[(i, c)] = x
-            _, pivots, red = rref(QMatrix(r, n + r, entries))
+            for (row, c), x in self.matrix.entries.items():
+                if c in at:
+                    entries[(at[c], row)] = x
+            _, pivots, red = rref(QMatrix._of(r, n + r, entries))
             rows: list[dict[int, Fraction]] = [{} for _ in range(r)]
             for (i, c), x in red.entries.items():
                 if c >= n:
@@ -631,7 +607,7 @@ class RowSpace(_Coordinates):
         return self._transform
 
     def coords_many(self, vectors: Sequence[Sequence[Fraction]]) -> list[Optional[Vector]]:
-        """Coordinates in ``generators``, or None for vectors outside the span.
+        """Coordinates in the kept ``columns``, or None for vectors outside the span.
 
         A member of the span is the sum of the echelon rows weighted by its
         own entries at the pivot columns, because the echelon form is reduced.

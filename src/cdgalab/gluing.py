@@ -260,7 +260,7 @@ def suspension_model(m: TruncatedDGA, upto: int) -> SuspensionModel:
     if h0.dims[0] != 1:
         raise PreconditionError("suspension_model needs a connected source algebra")
 
-    pivots = set(RowSpace.of_columns(m.d_matrix(0)).pivots)
+    pivots = set(RowSpace(m.d_matrix(0)).pivots)
     comp = [unit_vector(m.dim(1), j) for j in range(m.dim(1)) if j not in pivots]
     shifted: list[list[Vector]] = [[], []]  # degrees 0 and 1 of the carrier
     for k in range(2, upto + 1):

@@ -30,11 +30,11 @@ from .exactlin import (
     ONE,
     KernelBasis,
     QMatrix,
-    RowSpace,
     ZERO,
     concat,
     kernel_basis,  # noqa: F401  the benchmark's tracer self-test wraps this binding
     rank,
+    solve_many,
     unit_vector,
 )
 from .gluing import FiberProductDGA, _kernel_carrier, _push, fiber_product, interval_forms
@@ -487,11 +487,10 @@ def cohomology_local_system(e: FiniteLocalSystem, upto: int) -> LocalCoefficient
         per_q = {}
         for q in range(upto + 1):
             m = to_v[q]
-            # the inverse writes each unit vector in the basis of m's columns
-            space = RowSpace.of_columns(m)
-            if not space.rank == m.rows == m.cols:
+            # the inverse solves m x = e_r for every unit vector e_r
+            inv = solve_many(m, [unit_vector(m.rows, r) for r in range(m.rows)])
+            if m.rows != m.cols or None in inv:
                 raise PreconditionError(f"transport not invertible on edge {s}")
-            inv = space.coords_many([unit_vector(m.rows, r) for r in range(m.rows)])
             per_q[q] = to_u[q].matmul(QMatrix.from_cols(inv, m.cols))  # type: ignore[arg-type]
         edges[(u, v)] = per_q
     return LocalCoefficients(e.base, vertex_dims, edges)

@@ -613,12 +613,11 @@ def simplicial_coboundary(base: SimplicialComplexK, cochain: Mapping[Simplex, Fr
 # extension of compatible boundary data
 # ---------------------------------------------------------------------------
 
-def extend_to_simplex(
-    n: int,
-    faces: Mapping[int, PolyForm],
-    degree: int,
-    extra_degree_tries: int = 6,
-) -> PolyForm:
+# how far above the faces' total degree extend_to_simplex searches
+_EXTRA_DEGREE_TRIES = 6
+
+
+def extend_to_simplex(n: int, faces: Mapping[int, PolyForm], degree: int) -> PolyForm:
     """A degree-``degree`` form on the n-simplex with prescribed facets.
 
     ``faces`` maps facet indices to forms on the (n-1)-simplex; the family
@@ -646,17 +645,16 @@ def extend_to_simplex(
                             f"incompatible facet family: faces {i} and {j} disagree"
                         )
     base_degree = max(max((w.total_degree() for w in faces.values()), default=0), degree)
-    target = KeyedBasis(form_basis(n - 1, base_degree + extra_degree_tries, degree))
+    target = KeyedBasis(form_basis(n - 1, base_degree + _EXTRA_DEGREE_TRIES, degree))
     # one block of restriction equations per constrained facet
     rhs = tuple(x for i in sorted(faces) for x in target.vector(faces[i].terms))
-    for bump in range(extra_degree_tries + 1):
+    for bump in range(_EXTRA_DEGREE_TRIES + 1):
         basis = form_basis(n, base_degree + bump, degree)
         sol = solve(_restrictions(n, basis, target, sorted(faces)), rhs)
         if sol is not None:
             return vector_to_form(n, basis, sol)
     raise CutoffTooSmallError(
-        "no polynomial extension found within the degree budget; "
-        "raise extra_degree_tries"
+        f"no polynomial extension found of total degree at most {base_degree + _EXTRA_DEGREE_TRIES}"
     )
 
 

@@ -40,6 +40,10 @@ from .localsys import (
 
 _Sparse = dict[int, Fraction]
 
+# products sampled by FilteredComplex.validate (with an rng) and by einfty_vs_target
+_FILTRATION_SAMPLES = 60
+_PRODUCT_SAMPLES = 12
+
 
 def _in_leaves(alg: TruncatedDGA, k: int) -> tuple[list[TruncatedDGA], int, list[dict[int, int]], list]:
     """The degree-k basis of ``alg`` in the coordinates of the innermost algebras, whose basis
@@ -128,6 +132,11 @@ class _AdaptedBasis:
         return out
 
 
+def _columns(vectors: list[_Sparse], dim: int) -> QMatrix:
+    """The matrix whose columns are the sparse ``vectors`` of length ``dim``."""
+    return QMatrix._of(dim, len(vectors), {(a, j): x for j, v in enumerate(vectors) for a, x in v.items()})
+
+
 def _dense(v: _Sparse, dim: int) -> Vector:
     out = [ZERO] * dim
     for a, x in v.items():
@@ -182,7 +191,7 @@ class FilteredComplex:
                     image[c] = image.get(c, 0) + x * y
         return not any(x for c, x in image.items() if ad.coord_levels[c] < p)
 
-    def validate(self, rng=None, product_samples: int = 60) -> list[str]:
+    def validate(self, rng=None) -> list[str]:
         problems = []
         alg = self.algebra
         for p in range(1, self.p_bound + 1):
@@ -193,7 +202,7 @@ class FilteredComplex:
                 if not all(self.contains(p, k + 1, alg.apply_d(k, v)) for v in self.subspace(p, k)):
                     problems.append(f"d leaves F^{p} at degree {k}")
         if rng is not None:
-            for _ in range(product_samples):
+            for _ in range(_FILTRATION_SAMPLES):
                 p = rng.randint(0, self.p_bound)
                 q = rng.randint(0, self.p_bound - p)
                 i = rng.randint(0, self.algebra.cutoff)
@@ -392,9 +401,8 @@ class PageTower:
 
     def _cocycle_space(self, p: int, n: int) -> RowSpace:
         """The cocycles of F^p in degree n < cutoff plus every coboundary."""
-        dim = self.fc.algebra.dim(n)
         spans = self._d_span(0, 0, n) + self._z_span(p, self.fc.p_bound + 1, n)
-        return RowSpace(dim, [_dense(v, dim) for v in self.fc._adapted(n).span(spans)])
+        return RowSpace(_columns(self.fc._adapted(n).span(spans), self.fc.algebra.dim(n)))
 
     # -- entries -----------------------------------------------------------
     def entry(self, r: int, p: int, q: int):
@@ -408,20 +416,21 @@ class PageTower:
         alg = self.fc.algebra
         n = p + q
         if p < 0 or n < 0 or n > alg.cutoff:
-            self._entry_cache[key] = ((0, [], []), RowSpace(alg.dim(n)))
+            self._entry_cache[key] = ((0, [], []), RowSpace(_columns([], alg.dim(n))))
             return self._entry_cache[key]
         if r == 0:
             z = self.fc.subspace(p, n)
-            denom = self.fc.subspace(p + 1, n)
+            denom = self.fc._level(p + 1, n)
         else:
             z = self.z_basis(p, p + r, n)
             spans = self._d_span(p - r + 1, p, n)
             if n < alg.cutoff:  # at the cutoff F^p = 0, and so is the cycle part
                 spans = self._z_span(p + 1, p + r, n) + spans
-            denom = [_dense(v, alg.dim(n)) for v in self.fc._adapted(n).span(spans)]
-        rs = RowSpace(alg.dim(n), denom)
-        reps = [v for v in z if rs.add(v)]
-        self._entry_cache[key] = ((len(reps), reps, denom), rs)
+            denom = self.fc._adapted(n).span(spans)
+        dim = alg.dim(n)
+        rs = RowSpace(_columns(denom, dim).hstack(QMatrix.from_cols(z, dim)))
+        reps = [z[c - len(denom)] for c in rs.columns if c >= len(denom)]
+        self._entry_cache[key] = ((len(reps), reps, [_dense(v, dim) for v in denom]), rs)
         return self._entry_cache[key]
 
     def class_in_entry(self, r: int, p: int, q: int, v: Vector) -> Vector:
@@ -577,7 +586,7 @@ class SpectralSequence:
                     mismatches.append(((p, q), dim_e, h_twisted[(p, q)]))
         return E2Report(dims_pages, h_twisted, mismatches)
 
-    def einfty_vs_target(self, upto: int, product_samples: int = 12) -> EInftyReport:
+    def einfty_vs_target(self, upto: int) -> EInftyReport:
         """Totals of the limit page against the cohomology of global sections.
 
         The target dimensions are read from the ranks of the differential of
@@ -608,7 +617,7 @@ class SpectralSequence:
         rng = random.Random(0)
         keys = [kq for kq, dim_e in dims.items() if dim_e]
         spaces: dict[tuple[int, int], RowSpace] = {}
-        for _ in range(product_samples):
+        for _ in range(_PRODUCT_SAMPLES):
             if not keys:
                 break
             (p1, q1) = keys[rng.randrange(len(keys))]
@@ -655,10 +664,10 @@ def e2_check(e: FiniteLocalSystem, p_max: int, q_max: int) -> E2Report:
     return _sequence(e, p_max + q_max + 1, "p_max + q_max + 1").e2_check(p_max, q_max)
 
 
-def einfty_vs_target(e: FiniteLocalSystem, upto: int, product_samples: int = 12) -> EInftyReport:
+def einfty_vs_target(e: FiniteLocalSystem, upto: int) -> EInftyReport:
     """:meth:`SpectralSequence.einfty_vs_target` on the sequence kept on ``e`` for every check
     (:func:`_sequence`), with sections up to upto + 1; do not mutate ``e`` after."""
-    return _sequence(e, upto + 1, "upto + 1").einfty_vs_target(upto, product_samples)
+    return _sequence(e, upto + 1, "upto + 1").einfty_vs_target(upto)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .cdga import (
     truncate,
 )
 from .errors import InputError, InternalError, PreconditionError
-from .exactlin import QMatrix, RowSpace, kernel_basis, solve, vec_is_zero
+from .exactlin import KernelBasis, QMatrix, RowSpace, kernel_basis, solve_many, vec_is_zero
 from .graded import Element, FreeGCA, Monomial, apply_odd_derivation
 
 
@@ -110,27 +110,25 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
 
     model = FreeCDGA(FreeGCA([]), {}, check=False)
     phi: dict[str, tuple[int, tuple]] = {}
-    cocycles: dict[int, list] = {}
+    cocycles: dict[int, QMatrix] = {}
     trunc, truncated = None, None  # the latest stage's truncation and the model it truncates
     for n in range(2, upto + 1):
         top = min(n + 1, target.cutoff - 1)
         trunc = truncate(model, top + 1)
         truncated = model
         degrees = range(n, top + 1)
-        cocycles = {k: cocycles[k] if k in cocycles else kernel_basis(trunc.d_matrix(k)) for k in degrees}
+        cocycles = {k: cocycles[k] if k in cocycles else KernelBasis(trunc.d_matrix(k)).inclusion for k in degrees}
         hs_reps = {k: _cohomology_degree(trunc, k, cocycles[k])[0] for k in degrees}
         mats = _comparison_matrices(model, trunc, target, phi, degrees)
-        # cokernel of H^n(phi)
-        image = RowSpace(ht.dims[n])
-        for rep in hs_reps[n]:
-            image.add(ht.class_of(n, mats[n].matvec(rep)))
+        # cokernel of H^n(phi): the target classes, unit vectors in class coordinates, that enlarge the image
+        images = QMatrix.from_cols([ht.class_of(n, mats[n].matvec(rep)) for rep in hs_reps[n]], ht.dims[n])
         gens: list[tuple[str, int]] = []
         diff: dict[str, Element] = {}
-        for t_rep in ht.reps[n]:
-            if image.add(ht.class_of(n, t_rep)):
+        for c in RowSpace(images.hstack(QMatrix.identity(ht.dims[n]))).columns:
+            if c >= images.cols:
                 name = f"v{n}_{len(gens)}"
                 gens.append((name, n))
-                phi[name] = (n, tuple(t_rep))
+                phi[name] = (n, tuple(ht.reps[n][c - images.cols]))
         # kernel of H^{n+1}(phi), computable while n+1 is below the cutoff
         if n + 1 <= target.cutoff - 1:
             reps = hs_reps[n + 1]
@@ -138,10 +136,10 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
             hmat = QMatrix.from_cols(hmat_cols, ht.dims[n + 1])
             keys = trunc.bases[n + 1].keys
             rep_mat = QMatrix.from_cols(reps, len(keys))
-            for kv in kernel_basis(hmat):
-                # kv combines model classes whose image class vanishes
-                z_vec = rep_mat.matvec(kv)
-                b = solve(target.d_matrix(n), mats[n + 1].matvec(z_vec))
+            # each kernel vector combines model classes whose image class vanishes
+            z_vecs = [rep_mat.matvec(kv) for kv in kernel_basis(hmat)]
+            primitives = solve_many(target.d_matrix(n), [mats[n + 1].matvec(z_vec) for z_vec in z_vecs])
+            for z_vec, b in zip(z_vecs, primitives):
                 if b is None:
                     raise InternalError("vanishing class has no primitive")
                 name = f"v{n}_{len(gens)}"

@@ -11,7 +11,10 @@ from math import comb
 import random
 
 from cdgalab.errors import CutoffTooSmallError, InputError
-from cdgalab.exactlin import ONE, ZERO, KernelBasis, QMatrix, RowSpace, concat, kernel_basis, rref, solve, unit_vector
+from cdgalab.exactlin import (
+    ONE, ZERO, KernelBasis, QMatrix, RowSpace, _Coordinates, _eliminate, _int_row, concat, kernel_basis, rank, rat,
+    rref, solve, unit_vector,
+)
 from cdgalab.polyforms import PolyForm, d
 
 
@@ -269,6 +272,80 @@ def same_span(u, v) -> bool:
     return len(u) == len(v) == naive_rank(rows) == naive_rank(rows + [list(x) for x in v])
 
 
+class IncrementalRowSpace(_Coordinates):
+    """A span grown one dense vector at a time, with exact membership and coordinates.
+
+    ``generators`` are the added vectors that enlarged the span, in order; :meth:`coords`
+    writes a member of the span in them.  The echelon rows are primitive integer rows,
+    and the coordinates come from one reduction of ``[generators | identity]``.
+    """
+
+    def __init__(self, dim: int, vectors=()):
+        self.dim = dim
+        self._rows: dict = {}  # pivot column -> reduced echelon row
+        self.generators: list = []
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> tuple:
+        return tuple(sorted(self._rows))
+
+    def reduce(self, v) -> dict:
+        """A nonzero integer multiple of the residual of ``v``; empty in the span."""
+        if len(v) != self.dim:
+            raise InputError("RowSpace: vector of wrong length")
+        work = _int_row({i: rat(x) for i, x in enumerate(v) if x})
+        for p, row in self._rows.items():
+            if p in work:
+                _eliminate(work, row, p)
+        return work
+
+    def contains(self, v) -> bool:
+        return not self.reduce(v)
+
+    def add(self, v) -> bool:
+        """Insert ``v``; True if it enlarged the span."""
+        residual = self.reduce(v)
+        if not residual:
+            return False
+        p = min(residual)
+        for row in self._rows.values():
+            if p in row:
+                _eliminate(row, residual, p)
+        self._rows[p] = residual
+        self.generators.append(tuple(v))
+        return True
+
+    def coords_many(self, vectors) -> list:
+        r, n = self.rank, self.dim
+        entries = {(i, n + i): ONE for i in range(r)}
+        for i, g in enumerate(self.generators):
+            for c, x in enumerate(g):
+                if x:
+                    entries[(i, c)] = x
+        _, pivots, red = rref(QMatrix(r, n + r, entries))
+        transform = {p: {} for p in pivots}
+        for (i, c), x in red.entries.items():
+            if c >= n:
+                transform[pivots[i]][c - n] = x
+        out = []
+        for v in vectors:
+            if self.reduce(v):
+                out.append(None)
+                continue
+            acc = [ZERO] * r
+            for p, row in transform.items():
+                for j, t in row.items():
+                    acc[j] += v[p] * t
+            out.append(tuple(acc))
+        return out
+
+
 def stacked_preimage(a: QMatrix, sub) -> list:
     """Basis of ``{x : a x in span(sub)}`` through the kernel of ``[a | -sub]``.
 
@@ -278,8 +355,8 @@ def stacked_preimage(a: QMatrix, sub) -> list:
     if not sub:
         return kernel_basis(a)
     stacked = a.hstack(QMatrix.from_cols(sub, a.rows).scale(-1))
-    kept = RowSpace(a.cols)
-    return [h for h in (v[: a.cols] for v in kernel_basis(stacked)) if kept.add(h)]
+    heads = [v[: a.cols] for v in kernel_basis(stacked)]
+    return [heads[c] for c in RowSpace(QMatrix.from_cols(heads, a.cols)).columns]
 
 
 def stacked_level_subspace(alg, k: int, p: int) -> list:
@@ -542,7 +619,7 @@ class PerEntryTower:
         alg = self.fc.algebra
         n = p + q
         if p < 0 or n < 0:
-            self._entry_cache[key] = ((0, [], []), RowSpace(0))
+            self._entry_cache[key] = ((0, [], []), RowSpace(QMatrix.zero(0, 0)))
             return self._entry_cache[key]
         if r == 0:
             z = self.subspace(p, n)
@@ -553,8 +630,8 @@ class PerEntryTower:
             lower = self.z_basis(p - r + 1, p, n - 1) if n >= 1 else []
             for v in lower:
                 denom.append(alg.apply_d(n - 1, v))
-        rs = RowSpace(alg.dim(n), denom)
-        reps = [v for v in z if rs.add(v)]
+        rs = RowSpace(QMatrix.from_cols(denom + list(z), alg.dim(n)))
+        reps = [z[c - len(denom)] for c in rs.columns if c >= len(denom)]
         self._entry_cache[key] = ((len(reps), reps, denom), rs)
         return self._entry_cache[key]
 
@@ -641,7 +718,8 @@ def spans_agree(u, v) -> bool:
     if not u or not v:
         return not any(map(any, u)) and not any(map(any, v))
     dim = len(u[0])
-    return RowSpace(dim, u).rank == RowSpace(dim, v).rank == RowSpace(dim, list(u) + list(v)).rank
+    ranks = [rank(QMatrix.from_cols(vectors, dim)) for vectors in (u, v, list(u) + list(v))]
+    return ranks[0] == ranks[1] == ranks[2]
 
 
 # -- dense product rules, one per construction ---------------------------------

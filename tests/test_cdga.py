@@ -21,7 +21,7 @@ from cdgalab.cdga import (
     truncate,
 )
 from cdgalab.errors import CutoffTooSmallError, InputError
-from cdgalab.exactlin import QMatrix, rank, unit_vector, vec_is_zero
+from cdgalab.exactlin import QMatrix, kernel_basis, rank, unit_vector, vec_is_zero
 from cdgalab.graded import FreeGCA
 from cdgalab.polyforms import FormsDGA, forms_dga
 
@@ -87,6 +87,18 @@ def test_truncated_product_above_cutoff_raises():
     t = torus_model(1)
     with pytest.raises(CutoffTooSmallError):
         t.product_basis(1, 0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "va, vb, lengths",
+    [((1,), (1,), "1 and 1"), ((1,), (1, 0, 0), "1 and 3"), ((1, 0), (1, 0), "2 and 2")],
+    ids=["short", "long", "long-left"],
+)
+def test_multiply_checks_both_vector_lengths(va, vb, lengths):
+    # torus_model(3) has dimensions 1, 2, 1 in degrees 0, 1, 2
+    t = torus_model(3)
+    with pytest.raises(InputError, match=f"lengths {lengths} against dimensions 1 and 2 in degrees 0 and 1"):
+        t.multiply(0, tuple(map(Fraction, va)), 1, tuple(map(Fraction, vb)))
 
 
 def test_truncated_validate_clean():
@@ -158,6 +170,24 @@ def test_cohomology_dims_from_ranks_match_the_cohomology(make):
     with pytest.raises(InputError) as exc_full:
         cohomology(a, a.cutoff)
     assert str(exc_dims.value) == str(exc_full.value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_wedge_model_truncation, lambda: forms_dga(2, 3), _fiber_product_carrier],
+    ids=["wedge-model", "forms", "fiber-product-carrier"],
+)
+def test_cohomology_picks_the_representatives_of_the_incremental_span(make):
+    # the span grown one dense vector at a time: boundaries first, then kernel-basis cocycles
+    a = make()
+    h = cohomology(a, a.cutoff - 1)
+    for k in range(a.cutoff):
+        oracle = helpers.IncrementalRowSpace(a.dim(k), a.d_matrix(k - 1).to_cols() if k else ())
+        cocycles = kernel_basis(a.d_matrix(k))
+        assert h.reps[k] == [v for v in cocycles if oracle.add(v)], k
+        coords = oracle.coords_many(cocycles)
+        assert h.spaces[k].coords_many(cocycles) == coords, k
+        assert [h.class_of(k, v) for v in cocycles] == [c[oracle.rank - h.dims[k]:] for c in coords], k
 
 
 def test_power_quotient_cohomology():

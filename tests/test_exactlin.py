@@ -23,6 +23,7 @@ from cdgalab.exactlin import (
 
 from fixtures import wedge_of_2_spheres
 from helpers import (
+    IncrementalRowSpace,
     dense_kernel,
     dense_kernel_basis,
     fraction_echelon,
@@ -170,13 +171,21 @@ def test_solve_dimension_mismatch():
         solve(QMatrix.identity(2), (Fraction(1),))
 
 
+@pytest.mark.parametrize("length", [3, 1], ids=["too-long", "too-short"])
+def test_solve_many_names_a_wrong_rhs_length(length):
+    m = QMatrix.from_rows([[1, 0, 2], [0, 1, 3]])
+    rhs = [(Fraction(1), Fraction(2)), tuple(Fraction(1) for _ in range(length))]
+    with pytest.raises(InputError, match=f"solve_many: rhs 1 of length {length} against 2 rows"):
+        solve_many(m, rhs)
+
+
 def test_rowspace_membership_and_growth():
-    rs = RowSpace(3)
-    assert rs.add((Fraction(1), Fraction(0), Fraction(1)))
-    assert not rs.add((Fraction(2), Fraction(0), Fraction(2)))
+    rs = RowSpace(QMatrix.from_rows([[0, 1, 2, 0], [0, 0, 0, 1], [0, 1, 2, 0]]))
+    assert rs.columns == [1, 3] and rs.pivots == (0, 1)
     assert rs.contains((Fraction(-1), Fraction(0), Fraction(-1)))
-    assert not rs.contains((Fraction(0), Fraction(1), Fraction(0)))
-    assert rs.rank == 1
+    assert not rs.contains((Fraction(0), Fraction(1), Fraction(1)))
+    assert rs.rank == 2
+    assert rs.coords((Fraction(2), Fraction(3), Fraction(2))) == (Fraction(2), Fraction(3))
 
 
 def test_sparse_and_dense_paths_agree():
@@ -241,24 +250,22 @@ def _rowspace_cases(rng):
 def test_rowspace_coords_match_solve_and_oracle():
     rng = random.Random(2024)
     for n, added in _rowspace_cases(rng):
-        rs = RowSpace(n, added)
-        assert rs.rank == len(rs.generators) == naive_rank([list(v) for v in added])
-        m = QMatrix.from_cols(rs.generators, n)
+        rs = RowSpace(QMatrix.from_cols(added, n))
+        oracle = IncrementalRowSpace(n)
+        assert rs.columns == [c for c, v in enumerate(added) if oracle.add(v)]
+        assert rs.pivots == oracle.pivots
+        assert rs.rank == len(rs.columns) == naive_rank([list(v) for v in added])
+        m = QMatrix.from_cols([added[c] for c in rs.columns], n)
         for x in _probes(rng, added, n):
             expected = solve(m, x)
             assert expected == _fraction_solve(m, x)
-            assert rs.coords(x) == expected
-            member = naive_rank([list(v) for v in rs.generators] + [list(x)]) == rs.rank
+            assert rs.coords(x) == oracle.coords(x) == expected
+            member = naive_rank([list(added[c]) for c in rs.columns] + [list(x)]) == rs.rank
             assert rs.contains(x) == member == (expected is not None)
-        # the cached transform is dropped when the span grows
-        if n:
-            fresh = _random_vector(rng, n)
-            if rs.add(fresh):
-                assert rs.coords(fresh) == solve(QMatrix.from_cols(rs.generators, n), fresh)
 
 
 def test_rowspace_express_raises_with_message():
-    rs = RowSpace(2, [(Fraction(1), Fraction(1))])
+    rs = RowSpace(QMatrix.from_rows([[1], [1]]))
     assert rs.express([(Fraction(2), Fraction(2))], "outside") == [(Fraction(2),)]
     with pytest.raises(InputError, match="outside"):
         rs.express([(Fraction(2), Fraction(2)), (Fraction(1), Fraction(0))], "outside")
@@ -272,8 +279,8 @@ def test_rowspace_coords_of_reps_modulo_dependent_denominators():
         denom = [_random_vector(rng, n) for _ in range(rng.randint(0, 3))]
         denom += [_combo(rng, denom, n) for _ in range(rng.randint(0, 2))]
         z = [_random_vector(rng, n) for _ in range(rng.randint(0, 4))]
-        rs = RowSpace(n, denom)
-        reps = [v for v in z if rs.add(v)]
+        rs = RowSpace(QMatrix.from_cols(denom + z, n))
+        reps = [z[c - len(denom)] for c in rs.columns if c >= len(denom)]
         cols = reps + denom
         for x in _probes(rng, cols, n):
             slow = solve(QMatrix.from_cols(cols, n), x)
@@ -492,13 +499,14 @@ def test_column_space_matches_fraction_reference():
     rng = random.Random(4242)
     for m in _engine_cases(rng):
         t_rows, t_pivots = fraction_echelon(QMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()}))
-        space = RowSpace.of_columns(m)
+        space = RowSpace(m)
         assert space.pivots == tuple(t_pivots)
         assert space.rank == len(t_pivots)
         for row in t_rows[: len(t_pivots)]:
             assert space.contains(tuple(row.get(c, Fraction(0)) for c in range(m.rows)))
-        columns = [m.column(c) for c in range(m.cols)]
-        assert all(g in columns for g in space.generators)
+        # a column is kept exactly when it enlarges the span of the columns before it
+        ranks = [naive_rank([list(m.column(c)) for c in range(j)]) for j in range(m.cols + 1)]
+        assert space.columns == [j for j in range(m.cols) if ranks[j + 1] > ranks[j]]
 
 
 def _fraction_solve(m, b):

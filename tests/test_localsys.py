@@ -122,17 +122,44 @@ def test_constant_system_locally_constant():
     assert is_locally_constant(e, 4)
 
 
-def test_killing_restriction_not_locally_constant():
+def _killing_system():
+    """The constant odd-generator system over a circle with the class z killed on one vertex."""
     base = cycle_complex(3)
     fiber = odd_generator_fiber(3, 5)
     e = constant_system(base, fiber)
-    zero_mats = [QMatrix.zero(fiber.dim(k), fiber.dim(k)) for k in range(fiber.cutoff + 1)]
-    zero_mats[0] = QMatrix.identity(1)
-    killing = DGMorphism(fiber, fiber, zero_mats, check="none")
+    mats = [QMatrix.zero(fiber.dim(k), fiber.dim(k)) for k in range(fiber.cutoff + 1)]
+    mats[0] = QMatrix.identity(1)
     restr = dict(e.facet_restrictions)
-    restr[((0, 1), 0)] = killing
-    e2 = FiniteLocalSystem(base, dict(e.fibers), restr)
-    assert not is_locally_constant(e2, 4)
+    restr[((0, 1), 0)] = DGMorphism(fiber, fiber, mats, check="none")
+    return FiniteLocalSystem(base, dict(e.fibers), restr)
+
+
+def test_killing_restriction_not_locally_constant():
+    assert not is_locally_constant(_killing_system(), 4)
+
+
+def _point_vertex_system():
+    """The same circle with the point algebra on vertex 1, so H^3 there is 0 against 1 on its edges."""
+    base = cycle_complex(3)
+    fiber, point = odd_generator_fiber(3, 5), point_dga(5)
+    e = constant_system(base, fiber)
+    fibers = dict(e.fibers)
+    fibers[(1,)] = point
+    mats = [QMatrix.identity(1)] + [QMatrix.zero(0, fiber.dim(k)) for k in range(1, fiber.cutoff + 1)]
+    restr = dict(e.facet_restrictions)
+    for edge, i in (((0, 1), 0), ((1, 2), 1)):
+        restr[(edge, i)] = DGMorphism(fiber, point, mats, check="none")
+    return FiniteLocalSystem(base, fibers, restr)
+
+
+@pytest.mark.parametrize("make", [_killing_system, _point_vertex_system], ids=["singular", "non-square"])
+def test_a_transport_that_is_not_invertible_is_a_precondition_error(monkeypatch, make):
+    # past the local-constancy check, the transport on edge (0, 1) has no inverse
+    import cdgalab.localsys as localsys
+
+    monkeypatch.setattr(localsys, "is_locally_constant", lambda *args: True)
+    with pytest.raises(PreconditionError, match=r"transport not invertible on edge \(0, 1\)"):
+        cohomology_local_system(make(), 4)
 
 
 def test_twisted_system_locally_constant():
