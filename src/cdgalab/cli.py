@@ -43,6 +43,7 @@ across runs on the same input; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -645,11 +646,9 @@ def human_section(report: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    task = None
-    if argv and argv[0] in TASKS:
-        task = argv.pop(0)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="cdgalab",
         description="exact-arithmetic computations with DG algebras, local systems and spectral sequences",
@@ -659,7 +658,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--cutoff", type=int, default=None)
     parser.add_argument("--format", choices=("human", "machine"), default="human")
     parser.add_argument("--verify", action="store_true")
-    flags = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    task = None
+    if argv and argv[0] in TASKS:
+        task = argv.pop(0)
+    flags = _parser().parse_args(argv)
     flags.task = task
     try:
         code, report, seconds = run(flags.file, flags)

@@ -56,12 +56,16 @@ def _comparison_matrices(model: FreeCDGA, trunc: TruncatedDGA, target: Truncated
     phi(m) is the left fold of target products over the generators of m in
     order, so phi(m) = phi(m') phi(g) for the last generator g of m and m'
     the monomial with one factor of g fewer; each phi(m') is computed once.
+    In a degree where the target is zero the image is the empty vector, with
+    no product taken.
     """
     gca = model.gca
     images = [phi[g.name] for g in gca.generators]
     memo = {gca.unit_monomial(): target.unit}
 
     def image(mono: Monomial, k: int) -> tuple:
+        if not target.dim(k):
+            return ()
         vec = memo.get(mono)
         if vec is None:
             last = max(i for i, e in enumerate(mono) if e)

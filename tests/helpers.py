@@ -512,6 +512,30 @@ def wedge_generator_counts(spheres: int, top: int) -> dict[int, int]:
     return counts
 
 
+def folded_comparison_matrices(model, trunc, target, phi, degrees) -> dict:
+    """The reference for ``sullivan._comparison_matrices``, with no shortcut.
+
+    The image of a monomial is the unit of ``target`` times the image of each of
+    its generators in turn, in generator order and with multiplicity, taken by
+    :func:`dense_multiply` in every degree, those where the target is zero
+    included.  ``phi`` maps a generator name to its degree and image vector.
+    """
+    gens = model.gca.generators
+    out = {}
+    for k in degrees:
+        cols = []
+        for mono in trunc.bases[k].keys:
+            deg, vec = 0, target.unit
+            for g, e in zip(gens, mono):
+                gdeg, gvec = phi[g.name]
+                for _ in range(e):
+                    vec = dense_multiply(target, deg, vec, gdeg, gvec)
+                    deg += gdeg
+            cols.append(vec)
+        out[k] = QMatrix.from_cols(cols, target.dim(k))
+    return out
+
+
 def loop_mono_mul(alg, a, b):
     """Product of two monomials of ``alg`` by a loop over every generator.
 

@@ -546,6 +546,29 @@ def test_upto_flag_overrides(tmp_path, capsys):
     assert json.loads(out)["result"]["dims"] == [1, 2]
 
 
+def test_one_parser_serves_every_call_and_keeps_no_flags(tmp_path, capsys):
+    from cdgalab import cli
+
+    path = write(tmp_path, torus_problem(upto=2))
+    code, out, _ = run_cli(capsys, [path, "--format", "machine", "--upto", "1"])
+    assert code == 0 and json.loads(out)["result"]["dims"] == [1, 2]
+    parser = cli._parser()
+    # the next call parses with the same parser and falls back to the defaults
+    code, out, _ = run_cli(capsys, [path])
+    assert code == 0 and out.startswith("task: cohomology")
+    assert cli._parser() is parser
+    for bad in ([path, "--format", "xml"], [path, "--upto", "one"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: cdgalab")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "JSON problem file" in capsys.readouterr().out
+    assert cli._parser() is parser
+
+
 def test_cutoff_flag_fills_missing_cutoff(tmp_path, capsys):
     doc = torus_problem()
     del doc["algebras"]["T"]["cutoff"]

@@ -20,7 +20,7 @@ from fixtures import (
     sphere_odd_free,
     wedge_of_2_spheres,
 )
-from helpers import naive_rank, wedge_generator_counts
+from helpers import folded_comparison_matrices, naive_rank, wedge_generator_counts
 
 
 # -- minimality check ------------------------------------------------------
@@ -269,21 +269,78 @@ def test_each_stage_carries_the_cocycle_basis_it_would_recompute(monkeypatch, ma
     assert all(a is b for a, b in zip(carried[::2], carried[1::2]))
 
 
+def _compared_pairs(comparison) -> int:
+    """The basis pairs of the source whose product degree is nonzero in the target."""
+    src, tgt, cap = comparison.source, comparison.target, comparison.cap
+    return sum(
+        src.dim(i) * src.dim(j)
+        for i in range(cap + 1)
+        for j in range(i, cap + 1 - i)
+        if tgt.dim(i + j)
+    )
+
+
 def test_small_comparison_is_checked_in_full():
     res = minimal_model(cp2_formal(7), 6)
-    src, cap = res.comparison.source, res.comparison.cap
-    pairs = sum(
-        src.dim(i) * src.dim(j) for i in range(cap + 1) for j in range(i, cap + 1 - i)
-    )
     assert res.comparison.check_mode == "full"
-    assert res.comparison.pairs_checked == pairs > 0
+    # CP^2 is Q in degrees 0, 2 and 4: 1 (0,0) pair, 1 (0,2), 1 (0,4) and 1 (2,2)
+    assert res.comparison.pairs_checked == _compared_pairs(res.comparison) == 4
 
 
-def test_large_comparison_is_sampled():
-    # 4,354 basis pairs at cutoff 12 (2,091 at cutoff 11, still checked in full)
+def test_large_comparison_is_sampled(monkeypatch):
+    from cdgalab.cdga import DGMorphism, TruncatedDGA
+
     res = minimal_model(wedge_of_2_spheres(2, 12), 11)
-    assert res.comparison.check_mode == "sampled"
-    assert 0 < res.comparison.pairs_checked <= 400
+    # the target is zero above degree 2, so the comparison compares only 3 pairs
+    assert (res.comparison.check_mode, res.comparison.pairs_checked) == ("full", _compared_pairs(res.comparison))
+    src = res.comparison.source
+    mats = [QMatrix.identity(src.dim(k)) for k in range(src.cutoff + 1)]
+    full = DGMorphism(src, src, mats, check="full")
+    assert full.pairs_checked == _compared_pairs(full) > 4000
+    # the full check filled the product table, so every read below is one of the sampled pairs
+    reads = []
+    terms = TruncatedDGA._terms
+
+    def recording(self, i, a, j, b):
+        reads.append((i, a, j, b))
+        return terms(self, i, a, j, b)
+
+    monkeypatch.setattr(TruncatedDGA, "_terms", recording)
+    ident = DGMorphism(src, src, mats, check="auto")
+    assert (ident.check_mode, ident.pairs_checked) == ("sampled", 400)
+    assert len(set(reads)) == len(reads) == 400
+
+
+@pytest.mark.parametrize(
+    "make, upto", [(lambda: wedge_of_2_spheres(2, 9), 8), (lambda: cp2_formal(7), 6)], ids=["wedge2", "cp2"]
+)
+def test_comparison_matrices_match_the_plain_fold_in_every_degree(monkeypatch, make, upto):
+    from cdgalab.cdga import TruncatedDGA
+
+    target = make()
+    # no product of the construction or its checks lands in a degree where the target is zero
+    degrees = []
+    multiply = TruncatedDGA.multiply
+
+    def recording(self, i, va, j, vb):
+        if self is target:
+            degrees.append(i + j)
+        return multiply(self, i, va, j, vb)
+
+    monkeypatch.setattr(TruncatedDGA, "multiply", recording)
+    res = minimal_model(target, upto)
+    assert degrees and all(target.dim(k) for k in degrees)
+    monkeypatch.undo()
+    trunc, mats = res.comparison.source, res.comparison.mats
+    gens = res.model.gca.generators
+    phi = {}
+    for n, g in enumerate(gens):
+        key = tuple(int(m == n) for m in range(len(gens)))
+        phi[g.name] = (g.degree, mats[g.degree].column(trunc.bases[g.degree].index[key]))
+    every = range(target.cutoff + 1)
+    folded = sullivan._comparison_matrices(res.model, trunc, target, phi, every)
+    assert folded == folded_comparison_matrices(res.model, trunc, target, phi, every)
+    assert list(folded.values()) == mats
 
 
 def test_unchecked_morphism_records_no_pairs():
@@ -293,9 +350,12 @@ def test_unchecked_morphism_records_no_pairs():
     assert (ident.check_mode, ident.pairs_checked) == ("none", 0)
 
 
-@pytest.mark.parametrize("spheres, cutoff, pairs", [(2, 9, 498), (3, 6, 196), (2, 11, 2091)])
-def test_wedge_comparison_checks_every_pair(spheres, cutoff, pairs):
+@pytest.mark.parametrize("spheres, cutoff", [(2, 9), (3, 6), (2, 11)])
+def test_wedge_comparison_checks_every_pair(spheres, cutoff):
     comparison = minimal_model(wedge_of_2_spheres(spheres, cutoff), cutoff - 1).comparison
+    # the wedge is Q in degree 0 and Q^spheres in degree 2: the (0,0) pair and the spheres (0,2) pairs
+    pairs = _compared_pairs(comparison)
+    assert pairs == 1 + spheres
     assert (comparison.check_mode, comparison.pairs_checked) == ("full", pairs)
 
 
