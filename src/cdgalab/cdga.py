@@ -343,7 +343,7 @@ class TruncatedDGA:
             for b in range(self.dim(j))
         ]
         if not full and rng is not None and len(pairs) > _VALIDATE_SAMPLES:
-            pairs = [pairs[rng.randrange(len(pairs))] for _ in range(_VALIDATE_SAMPLES)]
+            pairs = rng.sample(pairs, _VALIDATE_SAMPLES)
         for i, a, j, b in pairs:
             try:
                 lhs = self.apply_d(i + j, self.product_basis(i, a, j, b))
@@ -734,7 +734,6 @@ class GradedCohomology:
     dims: list[int]
     reps: list[list[Vector]]
     spaces: list[RowSpace] = field(repr=False)
-    _tables: dict = field(default_factory=dict, repr=False)
 
     def dim(self, k: int) -> int:
         return self.dims[k] if 0 <= k <= self.upto else 0
@@ -748,18 +747,13 @@ class GradedCohomology:
         space = self.spaces[k]
         if not space.rank and not vec_is_zero(v):
             raise InputError("nonzero vector in a degree with no cocycles")
-        (coords,) = space.express([v], "vector is not a cocycle modulo boundaries")
-        return coords[space.rank - self.dims[k] :]
+        return space.tail_coords(v, self.dims[k], "vector is not a cocycle modulo boundaries")
 
     def cup(self, p: int, i: int, q: int, j: int) -> Vector:
         """Class coordinates of [rep_i^p * rep_j^q] in H^{p+q}."""
         if p + q > self.upto:
             raise InputError("product degree exceeds the computed range")
-        key = (p, i, q, j)
-        if key not in self._tables:
-            prod = self.algebra.multiply(p, self.reps[p][i], q, self.reps[q][j])
-            self._tables[key] = self.class_of(p + q, prod)
-        return self._tables[key]
+        return self.class_of(p + q, self.algebra.multiply(p, self.reps[p][i], q, self.reps[q][j]))
 
 
 def cohomology(a: TruncatedDGA, upto: int) -> GradedCohomology:
@@ -787,7 +781,7 @@ def _cohomology_degree(
         cocycles = KernelBasis(a.d_matrix(k)).inclusion
     boundaries = a.d_matrix(k - 1) if k else QMatrix._of(a.dim(k), 0, {})
     rs = RowSpace(boundaries.hstack(cocycles))
-    return [cocycles.column(c - boundaries.cols) for c in rs.columns if c >= boundaries.cols], rs
+    return [cocycles.column(c) for c in rs.columns_from(boundaries.cols)], rs
 
 
 def _below_cutoff(a: TruncatedDGA, upto: int) -> None:

@@ -409,7 +409,7 @@ def _need(problem: Problem, key: str, flags) -> Any:
     raise InputError(f"missing parameter {key!r}")
 
 
-def task_cohomology(problem: Problem, flags) -> tuple[int, dict]:
+def task_cohomology(problem: Problem, flags) -> tuple[int, dict, Optional[dict]]:
     alg = problem.algebra(_need(problem, "algebra", flags))
     upto = _bound(_need(problem, "upto", flags), "upto")
     h = cdga.cohomology(alg, upto)
@@ -433,10 +433,10 @@ def task_cohomology(problem: Problem, flags) -> tuple[int, dict]:
         },
         "nonzero_products": products,
     }
-    return 0, result
+    return 0, result, None
 
 
-def task_minimal_model(problem: Problem, flags) -> tuple[int, dict]:
+def task_minimal_model(problem: Problem, flags) -> tuple[int, dict, Optional[dict]]:
     target = problem.algebra(_need(problem, "target", flags))
     upto = _bound(_need(problem, "upto", flags), "upto")
     res = sullivan.minimal_model(target, upto)
@@ -448,10 +448,10 @@ def task_minimal_model(problem: Problem, flags) -> tuple[int, dict]:
         "built_upto": res.built_upto,
         "model": emit_free(res.model, target.cutoff),
     }
-    return 0, result
+    return 0, result, None
 
 
-def task_loop_model(problem: Problem, flags) -> tuple[int, dict]:
+def task_loop_model(problem: Problem, flags) -> tuple[int, dict, Optional[dict]]:
     name = _need(problem, "model", flags)
     if not isinstance(name, str) or name not in problem.free_algebras:
         raise InputError("loop-model needs a free algebra input")
@@ -469,10 +469,10 @@ def task_loop_model(problem: Problem, flags) -> tuple[int, dict]:
     if upto is not None:
         t = cdga.truncate(lm, upto + 1)
         result["cohomology_dims"] = cdga.cohomology_dims(t, upto)
-    return 0, result
+    return 0, result, None
 
 
-def task_suspend(problem: Problem, flags) -> tuple[int, dict]:
+def task_suspend(problem: Problem, flags) -> tuple[int, dict, Optional[dict]]:
     m = problem.algebra(_need(problem, "model", flags))
     upto = _bound(_need(problem, "upto", flags), "upto")
     s = gluing.suspension_model(m, upto)
@@ -490,10 +490,10 @@ def task_suspend(problem: Problem, flags) -> tuple[int, dict]:
         "positive_products_vanish": vanishing,
         "algebra": emit_truncated(s.carrier),
     }
-    return 0, result
+    return 0, result, None
 
 
-def task_glue(problem: Problem, flags) -> tuple[int, dict]:
+def task_glue(problem: Problem, flags) -> tuple[int, dict, Optional[dict]]:
     f = problem.morphism(_need(problem, "f", flags))
     g = problem.morphism(_need(problem, "g", flags))
     upto = _bound(_need(problem, "upto", flags), "upto")
@@ -511,10 +511,10 @@ def task_glue(problem: Problem, flags) -> tuple[int, dict]:
         }
         if not rep.ok():
             code = 1
-    return code, {"result": result, "verify": verify}
+    return code, result, verify
 
 
-def task_gamma(problem: Problem, flags) -> tuple[int, dict]:
+def task_gamma(problem: Problem, flags) -> tuple[int, dict, Optional[dict]]:
     e = problem.system(_need(problem, "system", flags))
     upto = _bound(_need(problem, "upto", flags), "upto")
     g = localsys.global_sections(e, upto)
@@ -522,10 +522,10 @@ def task_gamma(problem: Problem, flags) -> tuple[int, dict]:
         "dims": list(g.dims),
         "cohomology_dims": cdga.cohomology_dims(g, upto - 1) if upto >= 1 else [],
     }
-    return 0, result
+    return 0, result, None
 
 
-def task_ss(problem: Problem, flags) -> tuple[int, dict]:
+def task_ss(problem: Problem, flags) -> tuple[int, dict, Optional[dict]]:
     e = problem.system(_need(problem, "system", flags))
     p_max = _bound(_need(problem, "p_max", flags), "p_max")
     q_max = _bound(_need(problem, "q_max", flags), "q_max")
@@ -554,10 +554,10 @@ def task_ss(problem: Problem, flags) -> tuple[int, dict]:
         }
         if not rep.ok() or not totals.ok():
             code = 1
-    return code, {"result": result, "verify": verify}
+    return code, result, verify
 
 
-def task_check_admissible(problem: Problem, flags) -> tuple[int, dict]:
+def task_check_admissible(problem: Problem, flags) -> tuple[int, dict, Optional[dict]]:
     n_max = _int(_need(problem, "n_max", flags), "n_max")
     budget = _int(problem.task_args.get("samples", 20), "samples")
     seed = _int(problem.task_args.get("seed", 0), "seed")
@@ -571,9 +571,10 @@ def task_check_admissible(problem: Problem, flags) -> tuple[int, dict]:
         "samples": rep.samples,
         "failures": rep.failures,
     }
-    return (0 if rep.ok() else 1), result
+    return (0 if rep.ok() else 1), result, None
 
 
+# each runner returns (exit code, result, verify), verify None where the task has no verification
 TASK_RUNNERS = {
     "cohomology": task_cohomology,
     "minimal-model": task_minimal_model,
@@ -606,13 +607,7 @@ def run(path: str, flags) -> tuple[int, dict, float]:
         raise InputError(f"unknown task {task!r}")
     if flags.task and flags.task != problem.task:
         problem.task = flags.task
-    code, payload = TASK_RUNNERS[task](problem, flags)
-    if "result" in payload and set(payload) <= {"result", "verify"}:
-        result = payload["result"]
-        verify = payload["verify"]
-    else:
-        result = payload
-        verify = None
+    code, result, verify = TASK_RUNNERS[task](problem, flags)
     report = {
         "version": SCHEMA_VERSION,
         "task": task,

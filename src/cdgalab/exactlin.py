@@ -31,8 +31,6 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -338,13 +336,6 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> None:
     _primitive(row)
 
 
-def _echelon(m: QMatrix, pivot_cols: Optional[int] = None):
-    """Return (rows-as-dicts, pivots) for the RREF of ``m``: :func:`_int_echelon` over the rationals."""
-    prows, pivots, rest = _int_echelon(m, pivot_cols)
-    out = [{c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(prows, pivots)]
-    return out + [{c: Fraction(v) for c, v in row.items()} for row in rest], pivots
-
-
 def _int_echelon(m: QMatrix, pivot_cols: Optional[int] = None):
     """Return (pivot rows, pivots, other rows) of the RREF of ``m``, each row times an integer.
 
@@ -400,11 +391,8 @@ def _reduce_rows(rows: list[dict[int, int]], pivot_cols: int):
 
 def rref(m: QMatrix) -> tuple[int, tuple[int, ...], QMatrix]:
     """Reduced row echelon form: ``(rank, pivot columns, reduced matrix)``."""
-    rows, pivots = _echelon(m)
-    entries = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            entries[(r, c)] = v
+    rows, pivots, _ = _int_echelon(m)
+    entries = {(r, c): Fraction(v, row[p]) for r, (row, p) in enumerate(zip(rows, pivots)) for c, v in row.items()}
     return len(pivots), tuple(pivots), QMatrix._of(m.rows, m.cols, entries)
 
 
@@ -459,13 +447,7 @@ def _span_basis(vectors: Iterable[Mapping[int, Fraction]], dim: int) -> list[dic
 
 def kernel_basis(m: QMatrix) -> list[Vector]:
     """Canonical basis of the right kernel ``{v : m v = 0}``: :attr:`KernelBasis.vectors`."""
-    out = []
-    for _, _, col in _kernel_columns(m):
-        v = [ZERO] * m.cols
-        for r, x in col.items():
-            v[r] = x
-        out.append(tuple(v))
-    return out
+    return KernelBasis(m).vectors
 
 
 def solve(m: QMatrix, b: Sequence[Fraction]) -> Optional[Vector]:
@@ -494,24 +476,16 @@ def solve_many(m: QMatrix, rhs: Sequence[Vector]) -> list[Optional[Vector]]:
             if v
         },
     )
-    rows, pivots = _echelon(aug, pivot_cols=m.cols)
-    nz_rows = len(pivots)
+    rows, pivots, rest = _int_echelon(aug, pivot_cols=m.cols)
     out: list[Optional[Vector]] = []
-    for j in range(k):
-        col = m.cols + j
-        consistent = True
-        for r in range(nz_rows, m.rows):
-            if rows[r].get(col):
-                consistent = False
-                break
-        if not consistent:
+    for col in range(m.cols, m.cols + k):
+        if any(col in row for row in rest):
             out.append(None)
             continue
         x = [ZERO] * m.cols
-        for r, p in enumerate(pivots):
-            v = rows[r].get(col)
-            if v:
-                x[p] = v
+        for row, p in zip(rows, pivots):
+            if col in row:
+                x[p] = Fraction(row[col], row[p])
         out.append(tuple(x))
     return out
 
@@ -598,12 +572,10 @@ class RowSpace(_Coordinates):
             for (row, c), x in self.matrix.entries.items():
                 if c in at:
                     entries[(at[c], row)] = x
-            _, pivots, red = rref(QMatrix._of(r, n + r, entries))
-            rows: list[dict[int, Fraction]] = [{} for _ in range(r)]
-            for (i, c), x in red.entries.items():
-                if c >= n:
-                    rows[i][c - n] = x
-            self._transform = dict(zip(pivots, rows))
+            rows, pivots, _ = _int_echelon(QMatrix._of(r, n + r, entries), pivot_cols=n)
+            self._transform = {
+                p: {c - n: Fraction(x, row[p]) for c, x in row.items() if c >= n} for row, p in zip(rows, pivots)
+            }
         return self._transform
 
     def coords_many(self, vectors: Sequence[Sequence[Fraction]]) -> list[Optional[Vector]]:
@@ -625,6 +597,18 @@ class RowSpace(_Coordinates):
                         acc[j] += f * t
             out.append(tuple(acc))
         return out
+
+    # -- a quotient: the span of [denominators | candidates] ----------------
+    def columns_from(self, j: int) -> list[int]:
+        """The kept columns at or after column ``j``, counted from ``j``: the candidates,
+        from column ``j`` on, that enlarge the span of the denominators before them."""
+        return [c - j for c in self.columns if c >= j]
+
+    def tail_coords(self, v: Sequence[Fraction], n: int, message: str) -> Vector:
+        """Coordinates of the member ``v`` in the last ``n`` kept columns, its class modulo
+        the columns kept before them; raises InputError(message) when ``v`` lies outside."""
+        (coords,) = self.express([v], message)
+        return coords[self.rank - n :]
 
 
 class KernelBasis(_Coordinates):

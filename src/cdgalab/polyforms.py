@@ -706,7 +706,6 @@ class AdmissibilityReport:
     axiom_acyclicity: bool = True
     axiom_extendability: bool = True
     axiom_no_zero_divisor_equation: bool = True
-    stokes_checked: int = 0
     samples: dict = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
 

@@ -265,7 +265,6 @@ class PageTower:
     def __init__(self, fc: FilteredComplex):
         self.fc = fc
         self._reductions: dict[int, _Reduction] = {}
-        self._z_cache: dict[tuple[int, int, int], list[Vector]] = {}
         # (r, p, q) -> (entry, space spanned by the denominators, then the reps)
         self._entry_cache: dict[tuple[int, int, int], tuple[tuple, RowSpace]] = {}
 
@@ -376,28 +375,24 @@ class PageTower:
         since a canonical kernel basis depends only on the kernel (:func:`_span_basis`).
         """
         alg = self.fc.algebra
-        key = (max(p, 0), min(max(target_p, 0), self.fc.p_bound + 1), n)
-        if key not in self._z_cache:
-            fp = self.fc._level(p, n) if 0 <= n <= alg.cutoff else []
-            if not fp:
-                self._z_cache[key] = []
-                return []
-            self._needs_d(p, n)
-            # a canonical basis vector ends where the others vanish; coordinates are read there
-            ends = [(max(v), v[max(v)]) for v in fp]
-            coords = [
-                {t: x[end] / lead for t, (end, lead) in enumerate(ends) if end in x}
-                for x in self.fc._adapted(n).span(self._z_span(p, target_p, n))
-            ]
-            out = []
-            for c in _span_basis(coords, len(fp)):
-                acc: _Sparse = {}
-                for t, w in c.items():
-                    for a, x in fp[t].items():
-                        acc[a] = acc.get(a, 0) + w * x
-                out.append(_dense(acc, alg.dim(n)))
-            self._z_cache[key] = out
-        return self._z_cache[key]
+        fp = self.fc._level(p, n) if 0 <= n <= alg.cutoff else []
+        if not fp:
+            return []
+        self._needs_d(p, n)
+        # a canonical basis vector ends where the others vanish; coordinates are read there
+        ends = [(max(v), v[max(v)]) for v in fp]
+        coords = [
+            {t: x[end] / lead for t, (end, lead) in enumerate(ends) if end in x}
+            for x in self.fc._adapted(n).span(self._z_span(p, target_p, n))
+        ]
+        out = []
+        for c in _span_basis(coords, len(fp)):
+            acc: _Sparse = {}
+            for t, w in c.items():
+                for a, x in fp[t].items():
+                    acc[a] = acc.get(a, 0) + w * x
+            out.append(_dense(acc, alg.dim(n)))
+        return out
 
     def _cocycle_space(self, p: int, n: int) -> RowSpace:
         """The cocycles of F^p in degree n < cutoff plus every coboundary."""
@@ -429,7 +424,7 @@ class PageTower:
             denom = self.fc._adapted(n).span(spans)
         dim = alg.dim(n)
         rs = RowSpace(_columns(denom, dim).hstack(QMatrix.from_cols(z, dim)))
-        reps = [z[c - len(denom)] for c in rs.columns if c >= len(denom)]
+        reps = [z[c] for c in rs.columns_from(len(denom))]
         self._entry_cache[key] = ((len(reps), reps, [_dense(v, dim) for v in denom]), rs)
         return self._entry_cache[key]
 
@@ -440,8 +435,7 @@ class PageTower:
             if any(v):
                 raise InputError("vector has no expression in an empty page entry")
             return ()
-        (coords,) = space.express([v], "vector does not lie in the page entry")
-        return coords[space.rank - dim_e :]
+        return space.tail_coords(v, dim_e, "vector does not lie in the page entry")
 
     def diff(self, r: int, p: int, q: int) -> QMatrix:
         """Matrix of d_r : E_r^{p,q} -> E_r^{p+r, q-r+1}."""

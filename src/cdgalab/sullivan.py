@@ -128,11 +128,10 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
         images = QMatrix.from_cols([ht.class_of(n, mats[n].matvec(rep)) for rep in hs_reps[n]], ht.dims[n])
         gens: list[tuple[str, int]] = []
         diff: dict[str, Element] = {}
-        for c in RowSpace(images.hstack(QMatrix.identity(ht.dims[n]))).columns:
-            if c >= images.cols:
-                name = f"v{n}_{len(gens)}"
-                gens.append((name, n))
-                phi[name] = (n, tuple(ht.reps[n][c - images.cols]))
+        for c in RowSpace(images.hstack(QMatrix.identity(ht.dims[n]))).columns_from(images.cols):
+            name = f"v{n}_{len(gens)}"
+            gens.append((name, n))
+            phi[name] = (n, tuple(ht.reps[n][c]))
         # kernel of H^{n+1}(phi), computable while n+1 is below the cutoff
         if n + 1 <= target.cutoff - 1:
             reps = hs_reps[n + 1]

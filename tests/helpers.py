@@ -75,8 +75,9 @@ def naive_rank(rows) -> int:
 def fraction_echelon(m: QMatrix, pivot_cols=None):
     """Reduced row echelon form by plain ``Fraction`` Gauss-Jordan elimination.
 
-    The slow exact reference for ``exactlin._echelon``: same arguments and
-    return value ``(rows as {column: value} dicts, pivot columns)``.  Each
+    The slow exact reference for ``exactlin._int_echelon``, whose rows it gives
+    over the rationals: same arguments, and it returns ``(rows as {column: value}
+    dicts, pivot columns)``.  Each
     pivot is the candidate entry of smallest ``numerator * denominator`` bit
     length, and every pivot row is scaled to 1 before it clears its column.
     """

@@ -351,6 +351,28 @@ def test_tensor_leibniz():
     assert tp.validate(full=False, rng=random.Random(0)) == []
 
 
+def test_sampled_validation_compares_distinct_leibniz_pairs(monkeypatch):
+    from cdgalab.sullivan import minimal_model
+
+    src = minimal_model(wedge_of_2_spheres(2, 9), 8).comparison.source
+    c = src.cutoff
+    pairs = sum(src.dim(i) * src.dim(j) for i in range(c + 1) for j in range(i, c + 1 - i) if i + j + 1 <= c)
+    assert pairs == 258
+    seen = []
+    product_basis = type(src).product_basis
+
+    def recording(self, i, a, j, b):
+        seen.append((i, a, j, b))
+        return product_basis(self, i, a, j, b)
+
+    monkeypatch.setattr(type(src), "product_basis", recording)
+    assert src.validate(full=False, rng=random.Random(0)) == []
+    # each Leibniz pair takes one product, and they all come before the associativity triples
+    leibniz = seen[:120]
+    assert len(set(leibniz)) == 120
+    assert all(i <= j and i + j + 1 <= c for i, _, j, _ in leibniz)
+
+
 def test_element_vector_roundtrip():
     f = cp_model(1)
     t = truncate(f, 6)

@@ -281,6 +281,7 @@ def test_rowspace_coords_of_reps_modulo_dependent_denominators():
         z = [_random_vector(rng, n) for _ in range(rng.randint(0, 4))]
         rs = RowSpace(QMatrix.from_cols(denom + z, n))
         reps = [z[c - len(denom)] for c in rs.columns if c >= len(denom)]
+        assert [z[c] for c in rs.columns_from(len(denom))] == reps
         cols = reps + denom
         for x in _probes(rng, cols, n):
             slow = solve(QMatrix.from_cols(cols, n), x)
@@ -288,6 +289,40 @@ def test_rowspace_coords_of_reps_modulo_dependent_denominators():
             assert (fast is None) == (slow is None)
             if fast is not None:
                 assert fast[rs.rank - len(reps):] == slow[: len(reps)]
+                assert rs.tail_coords(x, len(reps), "outside") == slow[: len(reps)]
+            else:
+                with pytest.raises(InputError, match="outside"):
+                    rs.tail_coords(x, len(reps), "outside")
+
+
+def test_rowspace_quotient_reads_on_a_rank_zero_space():
+    empty = RowSpace(QMatrix.zero(3, 2))
+    assert empty.rank == 0 and empty.columns_from(0) == empty.columns_from(1) == []
+    assert empty.tail_coords((Fraction(0),) * 3, 0, "outside") == ()
+    with pytest.raises(InputError, match="^no class here$"):
+        empty.tail_coords((Fraction(0), Fraction(1), Fraction(0)), 0, "no class here")
+
+
+def test_rowspace_quotient_reads_when_a_candidate_repeats_a_denominator():
+    def col(*xs):
+        return tuple(Fraction(x) for x in xs)
+
+    denom = [col(1, 0, 0, 0), col(0, 1, 1, 0)]
+    # the first candidate repeats a denominator and the third is a combination of the others
+    z = [col(1, 0, 0, 0), col(0, 0, 1, 0), col(1, 1, 2, 0), col(0, 0, 0, 0), col(0, 0, 0, 2)]
+    rs = RowSpace(QMatrix.from_cols(denom + z, 4))
+    assert rs.columns == [0, 1, 3, 6]
+    assert rs.columns_from(len(denom)) == [1, 4]
+    assert rs.columns_from(len(denom) + 2) == [2]
+    kept = QMatrix.from_cols([(denom + z)[c] for c in rs.columns], 4)
+    members = [col(2, 3, 5, 0), col(1, 0, 0, 0), col(0, 1, 1, 6), col(0, 0, 0, 0)]
+    for v, x in zip(members, solve_many(kept, members)):
+        assert rs.tail_coords(v, 2, "outside") == x[2:]
+    # a rank-4 space holds every vector; drop the last candidate to leave one outside
+    small = RowSpace(QMatrix.from_cols(denom + z[:4], 4))
+    assert small.columns_from(len(denom)) == [1]
+    with pytest.raises(InputError, match="^not a class$"):
+        small.tail_coords(col(0, 0, 0, 1), 1, "not a class")
 
 
 def _kernel_cases(rng):
@@ -424,8 +459,17 @@ def _dense(rows, ncols):
     return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
 
 
+def _read_echelon(m, pivot_cols, out=None):
+    """The rows of ``_int_echelon(m, pivot_cols)`` (or of its result ``out``) over the
+    rationals, as ``(rows, pivots)``: each pivot row divided by its entry at the pivot,
+    the other rows as they are."""
+    prows, pivots, rest = out or exactlin._int_echelon(m, pivot_cols)
+    rows = [{c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(prows, pivots)]
+    return rows + [{c: Fraction(v) for c, v in row.items()} for row in rest], pivots
+
+
 def _assert_same_echelon(m, pivot_cols, got):
-    """``got`` from ``_echelon(m, pivot_cols)`` agrees with the Fraction reference.
+    """``got`` from :func:`_read_echelon` agrees with the Fraction reference.
 
     Past the pivot rows each engine leaves some spanning set of the
     residuals: they must have the same support (the inconsistent trailing
@@ -478,7 +522,7 @@ def test_engine_matches_fraction_reference():
     rng = random.Random(4242)
     for m in _engine_cases(rng):
         for pivot_cols in sorted({m.cols, m.cols // 2, 0}):
-            _assert_same_echelon(m, pivot_cols, exactlin._echelon(m, pivot_cols))
+            _assert_same_echelon(m, pivot_cols, _read_echelon(m, pivot_cols))
         ref_rows, ref_pivots = fraction_echelon(m)
         r, pivots, red = rref(m)
         assert (r, pivots) == (len(ref_pivots), tuple(ref_pivots))
@@ -528,7 +572,7 @@ def _check_solutions(m, rhs):
         if x is not None:
             assert m.matvec(x) == tuple(b)
     aug = m.hstack(QMatrix.from_cols(rhs, m.rows))
-    _assert_same_echelon(aug, m.cols, exactlin._echelon(aug, m.cols))
+    _assert_same_echelon(aug, m.cols, _read_echelon(aug, m.cols))
 
 
 def test_solve_many_matches_substitution_and_reference():
@@ -613,10 +657,9 @@ def test_engine_matches_fraction_reference_on_recorded_traffic(monkeypatch):
     spectral = len(calls)
     minimal_model(wedge_of_2_spheres(2, 7), 6)
     assert 0 < spectral < len(calls)
-    for m, pivot_cols, (prows, pivots, rest) in calls:
+    for m, pivot_cols, out in calls:
         # each pivot row is its reduced row times its entry at the pivot
-        rows = [{c: Fraction(v, row[p]) for c, v in row.items()} for row, p in zip(prows, pivots)]
-        _assert_same_echelon(m, pivot_cols, (rows + [{c: Fraction(v) for c, v in row.items()} for row in rest], pivots))
+        _assert_same_echelon(m, pivot_cols, _read_echelon(m, pivot_cols, out))
 
 
 # -- integer matvec, matmul and kernels against the Fraction loops -----------
