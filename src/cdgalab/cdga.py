@@ -365,16 +365,8 @@ class TruncatedDGA:
                 j = rng.randint(0, self.cutoff - i)
                 k = rng.randint(0, self.cutoff - i - j)
                 if self.dim(i) and self.dim(j) and self.dim(k):
-                    triples.append(
-                        (
-                            i,
-                            rng.randrange(self.dim(i)),
-                            j,
-                            rng.randrange(self.dim(j)),
-                            k,
-                            rng.randrange(self.dim(k)),
-                        )
-                    )
+                    a, b, c = (rng.randrange(self.dim(x)) for x in (i, j, k))
+                    triples.append((i, a, j, b, k, c))
         else:
             for i in range(self.cutoff + 1):
                 for j in range(self.cutoff + 1 - i):
@@ -955,11 +947,11 @@ def induced_map(
         raise InputError("induced_map needs upto below both cutoffs")
     hs = source_h if source_h is not None else cohomology(h.source, upto)
     ht = target_h if target_h is not None else cohomology(h.target, upto)
-    out = []
-    for k in range(upto + 1):
-        cols = [ht.class_of(k, h.apply(k, r)) for r in hs.reps[k]]
-        out.append(QMatrix.from_cols(cols, ht.dims[k]))
-    return out
+    return [_induced(h, k, hs.reps[k], ht) for k in range(upto + 1)]
+
+
+def _induced(h: DGMorphism, k: int, reps: Sequence[Vector], ht: GradedCohomology) -> QMatrix:
+    return QMatrix.from_cols([ht.class_of(k, h.apply(k, r)) for r in reps], ht.dims[k])
 
 
 def is_quasi_iso(
@@ -968,11 +960,18 @@ def is_quasi_iso(
     source_h: Optional[GradedCohomology] = None,
     target_h: Optional[GradedCohomology] = None,
 ) -> tuple[bool, Optional[int]]:
-    """True iff H(h) is bijective in all degrees <= upto; else first failure."""
-    hs = source_h if source_h is not None else cohomology(h.source, upto)
+    """True iff H(h) is bijective in all degrees <= upto; else first failure.  The source's
+    dimensions come from ranks, and its representatives, their classes and the rank of
+    H^k(h) are built only in degrees where both sides are nonzero."""
+    if upto >= min(h.source.cutoff, h.target.cutoff):
+        raise InputError("is_quasi_iso needs upto below both cutoffs")
+    dims = source_h.dims if source_h is not None else cohomology_dims(h.source, upto)
     ht = target_h if target_h is not None else cohomology(h.target, upto)
-    mats = induced_map(h, upto, hs, ht)
     for k in range(upto + 1):
-        if hs.dims[k] != ht.dims[k] or rank(mats[k]) != hs.dims[k]:
+        if dims[k] != ht.dims[k]:
             return False, k
+        if dims[k]:
+            reps = source_h.reps[k] if source_h is not None else _cohomology_degree(h.source, k)[0]
+            if rank(_induced(h, k, reps, ht)) != dims[k]:
+                return False, k
     return True, None

@@ -343,6 +343,8 @@ def _int_echelon(m: QMatrix, pivot_cols: Optional[int] = None):
     reduced row times its entry at the pivot.  Pivots are chosen among the first ``pivot_cols``
     columns only; trailing columns ride along (augmented solves), and a row past the pivots is
     a nonzero multiple of a residual, nonzero exactly where those columns are inconsistent."""
+    if not m.entries:
+        return [], [], [{} for _ in range(m.rows)]
     frows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
         frows[r][c] = v
@@ -404,6 +406,8 @@ def _kernel_columns(m: QMatrix) -> list[tuple[int, Fraction, dict[int, Fraction]
     """The canonical kernel basis of ``m`` as (free column f, 1 / the entry at f, sparse vector):
     1 at f and minus the pivot rows' entries at f elsewhere, scaled to lead with 1, sorted by
     the index of the first nonzero coordinate, then as dense tuples."""
+    if not m.entries:
+        return [(f, ONE, {f: ONE}) for f in range(m.cols)]
     rows, pivots, _ = _int_echelon(m)
     at: dict[int, list[tuple[int, int, int]]] = {f: [] for f in set(range(m.cols)).difference(pivots)}
     for row, p in zip(rows, pivots):

@@ -6,8 +6,8 @@ canonical order accumulates the Koszul sign.  Because every generator has
 positive degree, each graded piece is finite dimensional.
 
 Odd derivations act on monomial keys: the i-th generator of a monomial
-contributes e_i (-1)^{|prefix|} left D(g_i) right, and both products are
-``mono_mul`` calls on exponent tuples, so no element is built per term.
+contributes e_i (-1)^{|prefix|} left D(g_i) right, each term of D(g_i) taken in
+one pass over exponent tuples, so no element is built per term.
 """
 
 from __future__ import annotations
@@ -74,14 +74,6 @@ class FreeGCA:
 
     def mono_degree(self, m: Monomial) -> int:
         return sum(e * d for e, d in zip(m, self.degrees))
-
-    def word_length(self, m: Monomial) -> int:
-        return sum(m)
-
-    def mono_valid(self, m: Monomial) -> bool:
-        return len(m) == self.ngens and all(
-            e >= 0 and (e <= 1 or d % 2 == 0) for e, d in zip(m, self.degrees)
-        )
 
     def mono_mul(self, a: Monomial, b: Monomial) -> Optional[tuple[int, Monomial]]:
         """Product of monomials: ``(koszul_sign, monomial)`` or None for zero.
@@ -155,7 +147,7 @@ class FreeGCA:
         data: dict[Monomial, Fraction] = {}
         for m, c in items:
             m = tuple(m)
-            if not self.mono_valid(m):
+            if len(m) != self.ngens or any(e < 0 or (e > 1 and d % 2) for e, d in zip(m, self.degrees)):
                 raise InputError(f"invalid monomial {m} for {self}")
             fc = rat(c)
             if fc != 0:
@@ -302,14 +294,14 @@ def apply_odd_derivation(images: Mapping[str, Element], x: Element) -> Element:
 def derive_monomial(images: Mapping[str, Element], alg: FreeGCA, mono: Monomial) -> dict[Monomial, Fraction]:
     """Terms of D(mono) for the odd derivation D with ``gen -> images[gen]``.
 
-    The i-th generator contributes e_i (-1)^{|prefix|} left D(g_i) right,
-    where left is the prefix with g_i^{e_i - 1} appended (that leftover power
-    is even unless e_i = 1, so parking it costs no sign) and right is the
-    rest of the monomial; both products are taken on exponent keys.
+    The i-th generator contributes e_i (-1)^{|prefix|} left D(g_i) right, with g_i^{e_i - 1}
+    (even unless e_i = 1, so it costs no sign) between left and right: a term of D(g_i) adds
+    its exponents to mono with e_i decremented, and each of its odd generators moves past
+    the odd generators of mono strictly between it and position i.
     """
     out: dict[Monomial, Fraction] = {}
-    zeros = (0,) * len(mono)
-    prefix_deg = 0
+    # odd generators of mono before each position
+    before = list(accumulate((d & 1 if e else 0 for e, d in zip(mono, alg.degrees)), initial=0))
     for i, e in enumerate(mono):
         if not e:
             continue
@@ -319,21 +311,21 @@ def derive_monomial(images: Mapping[str, Element], alg: FreeGCA, mono: Monomial)
             raise InputError(f"no derivation image for generator {gname!r}")
         if img.algebra is not alg:
             raise InputError("derivation images must live in the algebra of x")
-        scale = -e if prefix_deg % 2 else e
-        left = mono[:i] + (e - 1,) + zeros[i + 1 :]
-        right = zeros[: i + 1] + mono[i + 1 :]
+        # an odd g_i leaves position i: one odd generator fewer lies between i and any l > i
+        lo, hi = before[i], before[i] + (alg.degrees[i] & 1)
+        base = mono[:i] + (e - 1,) + mono[i + 1 :]
         for m, c in img.terms.items():
-            lm = alg.mono_mul(left, m)
-            if lm is None:
-                continue
-            rm = alg.mono_mul(lm[1], right)
-            if rm is None:
-                continue
-            key = rm[1]
-            v = out.get(key, ZERO) + scale * lm[0] * rm[0] * c
-            if v:
-                out[key] = v
+            sign = lo
+            for l in alg.odd_positions:
+                if m[l]:
+                    if base[l]:
+                        break
+                    sign += before[l] + (hi if l > i else lo)
             else:
-                out.pop(key, None)
-        prefix_deg += e * alg.degrees[i]
+                key = tuple(map(add, base, m))
+                v = out.get(key, ZERO) + (-e * c if sign & 1 else e * c)
+                if v:
+                    out[key] = v
+                else:
+                    out.pop(key, None)
     return out

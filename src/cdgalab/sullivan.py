@@ -45,7 +45,7 @@ def minimality_check(f: FreeCDGA):
     for g in f.gca.generators:
         img = f.diff[g.name]
         for mono in img.terms:
-            if f.gca.word_length(mono) < 2:
+            if sum(mono) < 2:
                 return False, g.name
     return True, None
 
@@ -90,14 +90,15 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
 
     Stage n reads only H^n and H^{n+1} of the model, which depend on its
     differentials out of degrees n - 1 to n + 1, so it truncates the model
-    through n + 2 and computes H and the comparison matrices only in degrees
-    n and n + 1.  Generators are only appended, so each monomial's
-    differential is computed once and carried to every later stage.  So is
-    the cocycle basis of degree n + 1: the degree-n generators of stage n
-    make no monomial of degree n + 1 (every generator has degree >= 2), and
-    no older differential involves them, so stage n + 1 recomputes only the
-    boundaries there.  The last stage's truncation is also the final one when
-    it reaches the target's cutoff and the stage adds no generator.
+    through n + 2 and computes H and the comparison matrices in degree n + 1,
+    and in degree n only if H^n(target), which the cokernel there needs, is
+    nonzero.  Generators are only appended, so each monomial's differential
+    is computed once and carried to every later stage.  So is the cocycle
+    basis of degree n + 1: the degree-n generators of stage n make no
+    monomial of degree n + 1 (every generator has degree >= 2), and no older
+    differential involves them, so stage n + 1 recomputes only the boundaries
+    there.  The last stage's truncation is also the final one when it
+    reaches the target's cutoff and the stage adds no generator.
     """
     if upto < 0:
         raise InputError(f"minimal_model needs a non-negative upto, got {upto}")
@@ -120,12 +121,12 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
         top = min(n + 1, target.cutoff - 1)
         trunc = truncate(model, top + 1)
         truncated = model
-        degrees = range(n, top + 1)
+        degrees = [k for k in range(n, top + 1) if k > n or ht.dims[n]]
         cocycles = {k: cocycles[k] if k in cocycles else KernelBasis(trunc.d_matrix(k)).inclusion for k in degrees}
         hs_reps = {k: _cohomology_degree(trunc, k, cocycles[k])[0] for k in degrees}
         mats = _comparison_matrices(model, trunc, target, phi, degrees)
         # cokernel of H^n(phi): the target classes, unit vectors in class coordinates, that enlarge the image
-        images = QMatrix.from_cols([ht.class_of(n, mats[n].matvec(rep)) for rep in hs_reps[n]], ht.dims[n])
+        images = QMatrix.from_cols([ht.class_of(n, mats[n].matvec(rep)) for rep in hs_reps.get(n, [])], ht.dims[n])
         gens: list[tuple[str, int]] = []
         diff: dict[str, Element] = {}
         for c in RowSpace(images.hstack(QMatrix.identity(ht.dims[n]))).columns_from(images.cols):
@@ -135,8 +136,7 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
         # kernel of H^{n+1}(phi), computable while n+1 is below the cutoff
         if n + 1 <= target.cutoff - 1:
             reps = hs_reps[n + 1]
-            hmat_cols = [ht.class_of(n + 1, mats[n + 1].matvec(rep)) for rep in reps]
-            hmat = QMatrix.from_cols(hmat_cols, ht.dims[n + 1])
+            hmat = QMatrix.from_cols([ht.class_of(n + 1, mats[n + 1].matvec(rep)) for rep in reps], ht.dims[n + 1])
             keys = trunc.bases[n + 1].keys
             rep_mat = QMatrix.from_cols(reps, len(keys))
             # each kernel vector combines model classes whose image class vanishes
@@ -147,7 +147,7 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
                     raise InternalError("vanishing class has no primitive")
                 name = f"v{n}_{len(gens)}"
                 gens.append((name, n))
-                diff[name] = model.gca.element({keys[t]: c for t, c in enumerate(z_vec) if c})
+                diff[name] = Element(model.gca, {keys[t]: c for t, c in enumerate(z_vec) if c})
                 phi[name] = (n, tuple(b))
         if gens:
             model = model._extend(gens, diff)

@@ -10,12 +10,13 @@ from itertools import combinations
 from math import comb
 import random
 
+from cdgalab.cdga import cohomology, induced_map
 from cdgalab.errors import CutoffTooSmallError, InputError
 from cdgalab.exactlin import (
-    ONE, ZERO, KernelBasis, QMatrix, RowSpace, _Coordinates, _eliminate, _int_row, concat, kernel_basis, rank, rat,
+    ONE, ZERO, KernelBasis, KeyedBasis, QMatrix, RowSpace, _Coordinates, _eliminate, _int_row, concat, kernel_basis, rank, rat,
     rref, solve, unit_vector,
 )
-from cdgalab.polyforms import PolyForm, d
+from cdgalab.polyforms import PolyForm, d, form_basis
 
 
 def minor_rank(m: QMatrix) -> int:
@@ -535,6 +536,30 @@ def folded_comparison_matrices(model, trunc, target, phi, degrees) -> dict:
             cols.append(vec)
         out[k] = QMatrix.from_cols(cols, target.dim(k))
     return out
+
+
+def representative_quasi_iso(h, upto):
+    """``(ok, first failing degree)`` of H(h) through ``upto`` from full cohomology on both sides.
+
+    The reference for ``cdga.is_quasi_iso``: representatives, their classes and
+    the induced matrix in every degree, and the rank by plain elimination.
+    """
+    hs = cohomology(h.source, upto)
+    ht = cohomology(h.target, upto)
+    for k, m in enumerate(induced_map(h, upto, hs, ht)):
+        if hs.dims[k] != ht.dims[k] or naive_rank(m.to_rows()) != hs.dims[k]:
+            return False, k
+    return True, None
+
+
+def full_zero_divisor_solve(f: PolyForm, wtotal: int) -> bool:
+    """Whether df = f w for a 1-form w of total degree <= wtotal, by one solve of the
+    full product matrix on every 1-form basis key: the reference for
+    ``polyforms._df_in_f_times_forms``."""
+    n = f.n
+    target = KeyedBasis(form_basis(n, f.total_degree() + wtotal, 1))
+    products = [(f * PolyForm(n, {key: ONE})).terms for key in form_basis(n, wtotal, 1)]
+    return solve(target.matrix(products), target.vector(d(f).terms)) is not None
 
 
 def loop_mono_mul(alg, a, b):

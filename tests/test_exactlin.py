@@ -113,6 +113,22 @@ def test_kernel_zero_matrix_full():
     assert basis == [unit_vector(3, i) for i in range(3)]
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 4), (3, 0), (0, 0), (3, 4)])
+def test_matrices_without_entries_read_as_the_general_path_does(rows, cols):
+    m = QMatrix.zero(rows, cols)
+    pivot_rows, pivots, rest = exactlin._int_echelon(m)
+    assert (pivot_rows, pivots, rest) == exactlin._reduce_rows([{} for _ in range(rows)], cols)
+    assert len({id(row) for row in rest}) == rows
+    assert fraction_echelon(m) == ([{}] * rows, [])
+    # every column is free: its kernel vector is the unit vector there, read with scale 1
+    assert exactlin._kernel_columns(m) == [(f, 1, {f: 1}) for f in range(cols)]
+    assert kernel_basis(m) == dense_kernel_basis(m) == [unit_vector(cols, f) for f in range(cols)]
+    assert rank(m) == 0 and rref(m) == (0, (), m)
+    # a nonzero right-hand side has no solution; with no rows there is none
+    solution = (Fraction(0),) * cols
+    assert solve_many(m, [(Fraction(0),) * rows, (Fraction(1),) * rows]) == [solution, None if rows else solution]
+
+
 def test_kernel_single_row():
     basis = kernel_basis(QMatrix.from_rows([[1, 1]]))
     assert len(basis) == 1

@@ -132,7 +132,7 @@ def test_odd_derivation_rule():
 
 # -- key-level arithmetic against the loop and symbolic references ------------
 
-MIXED_ORDERS = [(3, 2, 1, 4, 3), (1, 1, 2, 3), (4, 2, 2, 5, 1), (2, 3)]
+MIXED_ORDERS = [(3, 2, 1, 4, 3), (1, 1, 2, 3), (4, 2, 2, 5, 1), (2, 3), (3, 2, 5, 1, 4, 3)]
 
 
 def mixed_algebra(degrees):

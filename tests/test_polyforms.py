@@ -9,6 +9,7 @@ from cdgalab.polyforms import (
     PolyForm,
     SimplicialComplexK,
     SimplicialForm,
+    _df_in_f_times_forms,
     boundary_complex,
     check_admissible_axioms,
     contraction,
@@ -30,7 +31,7 @@ from cdgalab.polyforms import (
 )
 from cdgalab.cdga import cohomology_dims
 
-from helpers import pairwise_product, symbolic_face_restrict
+from helpers import full_zero_divisor_solve, pairwise_product, symbolic_face_restrict
 
 
 # -- independent integration oracle ---------------------------------------
@@ -430,3 +431,19 @@ def test_zero_divisor_instance_t1():
         target = KeyedBasis(form_basis(1, 1 + wtotal, 1))
         products = [(f * PolyForm(1, {key: ONE})).terms for key in form_basis(1, wtotal, 1)]
         assert solve(target.matrix(products), target.vector(df.terms)) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_divisor_solve_per_direction_matches_full_solve(n):
+    # the sampled f of check_admissible_axioms, and a constant, where w = 0 solves df = f w
+    rng = random.Random(n)
+    fs = [PolyForm.constant(n, 3)]
+    while len(fs) < 7:
+        f = random_polyform(rng, n, 0, 3)
+        f = f - PolyForm.constant(n, evaluate_at_vertex(f, 0))
+        if not f.is_zero():
+            fs.append(f)
+    for f in fs:
+        for wtotal in (f.total_degree(), f.total_degree() + 1):
+            verdict = _df_in_f_times_forms(f, wtotal)
+            assert verdict == full_zero_divisor_solve(f, wtotal) == (f.total_degree() == 0)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cdgalab import sullivan
-from cdgalab.cdga import FreeCDGA, cohomology_dims, tensor_product, truncate
+from cdgalab.cdga import DGMorphism, FreeCDGA, cohomology, cohomology_dims, is_quasi_iso, tensor_product, truncate
 from cdgalab.errors import InputError, InternalError, PreconditionError
 from cdgalab.exactlin import QMatrix
 from cdgalab.graded import FreeGCA
@@ -20,7 +20,7 @@ from fixtures import (
     sphere_odd_free,
     wedge_of_2_spheres,
 )
-from helpers import folded_comparison_matrices, naive_rank, wedge_generator_counts
+from helpers import folded_comparison_matrices, naive_rank, representative_quasi_iso, wedge_generator_counts
 
 
 # -- minimality check ------------------------------------------------------
@@ -262,11 +262,50 @@ def test_each_stage_carries_the_cocycle_basis_it_would_recompute(monkeypatch, ma
     monkeypatch.setattr(sullivan, "_cohomology_degree", recording)
     target = make()
     minimal_model(target, upto)
-    # stage n reads degrees n and n + 1 below the cutoff, and degree n is the stage before's n + 1
-    stages = [[k for k in (n, n + 1) if k < target.cutoff] for n in range(2, upto + 1)]
+    # stage n reads degree n + 1 below the cutoff, and degree n only where H^n(target) is nonzero
+    h_dims = cohomology_dims(target, upto)
+    stages = [[k for k in (n, n + 1) if k < target.cutoff and (k > n or h_dims[n])] for n in range(2, upto + 1)]
     assert [k for k, _ in reads] == [k for ks in stages for k in ks]
-    carried = [c for k, c in reads if k > 2]
-    assert all(a is b for a, b in zip(carried[::2], carried[1::2]))
+    # a stage n > 2 that reads degree n reads the basis the stage before carried
+    first = {}
+    assert all(first.setdefault(k, c) is c for k, c in reads)
+    assert len(reads) - len(first) == sum(1 for n in range(3, upto + 1) if h_dims[n])
+
+
+def _with_entry(h, k, at, value):
+    """``h`` with the entry ``at`` of its degree-k matrix set to ``value``, unchecked."""
+    m = h.mats[k]
+    entries = {key: v for key, v in m.entries.items() if key != at} | ({at: Fraction(value)} if value else {})
+    mats = list(h.mats)
+    mats[k] = QMatrix(m.rows, m.cols, entries)
+    return DGMorphism(h.source, h.target, mats, check="none")
+
+
+def _wedge_comparison(upto=8):
+    return minimal_model(wedge_of_2_spheres(2, 9), upto).comparison
+
+
+@pytest.mark.parametrize(
+    "make, upto, expected",
+    [
+        (_wedge_comparison, 7, (True, None)),
+        (lambda: minimal_model(cp2_formal(7), 6).comparison, 5, (True, None)),
+        # v2_1 -> a + b keeps H^2 bijective
+        (lambda: _with_entry(_wedge_comparison(), 2, (0, 1), 1), 7, (True, None)),
+        # v2_1 -> 0: H^2 has the right dimension on both sides but rank 1
+        (lambda: _with_entry(_wedge_comparison(), 2, (1, 1), 0), 7, (False, 2)),
+        # x^2 -> 0 in CP^2: degree 2 holds, degree 4 fails by rank
+        (lambda: _with_entry(minimal_model(cp2_formal(7), 6).comparison, 4, (0, 0), 0), 5, (False, 4)),
+        # generators through degree 2 only: H^4 of the model is 3-dimensional, of the target 0
+        (lambda: _wedge_comparison(2), 7, (False, 4)),
+    ],
+    ids=["wedge2", "cp2", "wedge2-mutated", "wedge2-rank", "cp2-rank", "dims"],
+)
+def test_quasi_iso_matches_the_representative_check(make, upto, expected):
+    h = make()
+    assert representative_quasi_iso(h, upto) == expected
+    assert is_quasi_iso(h, upto) == expected
+    assert is_quasi_iso(h, upto, source_h=cohomology(h.source, upto)) == expected
 
 
 def _compared_pairs(comparison) -> int:
