@@ -120,9 +120,6 @@ def check_d_squared(f: FreeCDGA):
 
 MultFn = Callable[[int, int, int, int], Optional[Sequence[tuple[int, Fraction]]]]
 
-# basis pairs and triples that a sampled TruncatedDGA.validate checks
-_VALIDATE_SAMPLES = 120
-
 
 class TruncatedDGA:
     """DG algebra presented by explicit bases up to ``cutoff``.
@@ -317,11 +314,13 @@ class TruncatedDGA:
         return self.levels[k][a] if self.levels is not None else 0
 
     # -- validation ---------------------------------------------------------
-    def validate(self, full: bool = True, rng=None) -> list[str]:
-        """Check unit laws, Leibniz, graded commutativity and associativity.
+    def validate(self) -> list[str]:
+        """Check the unit laws, the Leibniz rule and associativity on every basis case.
 
-        Returns a list of human-readable failure descriptions (empty = ok).
-        Pairs whose product was dropped are skipped, not reported.
+        Every basis element, every basis pair (a, b) with |a| <= |b| and |a| + |b| < cutoff,
+        and every basis triple within the cutoff is checked; nothing is sampled.  Returns a
+        list of human-readable failure descriptions (empty = ok).  Cases that need a dropped
+        product are skipped, not reported.
         """
         problems: list[str] = []
         # unit laws
@@ -334,16 +333,14 @@ class TruncatedDGA:
                 if lhs != unit_vector(self.dim(k), a):
                     problems.append(f"unit law fails on basis ({k},{a})")
         # Leibniz
-        pairs = [
+        pairs = (
             (i, a, j, b)
             for i in range(self.cutoff + 1)
             for j in range(i, self.cutoff + 1 - i)
             if i + j + 1 <= self.cutoff
             for a in range(self.dim(i))
             for b in range(self.dim(j))
-        ]
-        if not full and rng is not None and len(pairs) > _VALIDATE_SAMPLES:
-            pairs = rng.sample(pairs, _VALIDATE_SAMPLES)
+        )
         for i, a, j, b in pairs:
             try:
                 lhs = self.apply_d(i + j, self.product_basis(i, a, j, b))
@@ -357,24 +354,16 @@ class TruncatedDGA:
             rhs = tuple(x + sign * y for x, y in zip(term1, term2))
             if lhs != rhs:
                 problems.append(f"Leibniz fails on basis pair ({i},{a}),({j},{b})")
-        # associativity (sampled when lazy tables are large)
-        triples = []
-        if rng is not None:
-            for _ in range(_VALIDATE_SAMPLES):
-                i = rng.randint(0, self.cutoff)
-                j = rng.randint(0, self.cutoff - i)
-                k = rng.randint(0, self.cutoff - i - j)
-                if self.dim(i) and self.dim(j) and self.dim(k):
-                    a, b, c = (rng.randrange(self.dim(x)) for x in (i, j, k))
-                    triples.append((i, a, j, b, k, c))
-        else:
-            for i in range(self.cutoff + 1):
-                for j in range(self.cutoff + 1 - i):
-                    for k in range(self.cutoff + 1 - i - j):
-                        for a in range(self.dim(i)):
-                            for b in range(self.dim(j)):
-                                for c in range(self.dim(k)):
-                                    triples.append((i, a, j, b, k, c))
+        # associativity
+        triples = (
+            (i, a, j, b, k, c)
+            for i in range(self.cutoff + 1)
+            for j in range(self.cutoff + 1 - i)
+            for k in range(self.cutoff + 1 - i - j)
+            for a in range(self.dim(i))
+            for b in range(self.dim(j))
+            for c in range(self.dim(k))
+        )
         for i, a, j, b, k, c in triples:
             try:
                 ab = self.product_basis(i, a, j, b)
@@ -798,16 +787,14 @@ def cohomology_dims(a: TruncatedDGA, upto: int) -> list[int]:
 class DGMorphism:
     """Degreewise linear map between truncated DG algebras.
 
-    Checked at construction: unit to unit, commutation with differentials,
-    multiplicativity on basis pairs within the common cutoff (full check for
-    small algebras, deterministic sampling for large ones, skipping dropped
-    products).  A pair whose product degree has dimension zero in the target
-    is not enumerated: both of its sides lie in the zero space, so it holds
-    whatever the matrices are.  ``check_mode`` records how deep that check
-    went ("full", "sampled" or "none") and ``pairs_checked`` how many basis
-    pairs had both sides compared: the pairs with a nonzero target degree
-    whose product was kept, all of them up to 4,000 such pairs and otherwise
-    400 distinct ones drawn with a fixed seed.
+    With ``check="full"``, the default, construction checks that the unit goes to the unit,
+    that the map commutes with the differentials, and that it is multiplicative on every
+    basis pair within the common cutoff, skipping dropped products; ``check="none"`` checks
+    nothing, for maps the library built itself.  A pair whose product degree has dimension
+    zero in the target is not enumerated: both of its sides lie in the zero space, so it
+    holds whatever the matrices are.  ``check_mode`` records the check run ("full" or
+    "none") and ``pairs_checked`` how many basis pairs had both sides compared: every pair
+    with a nonzero target degree whose product was kept.
     """
 
     def __init__(
@@ -815,9 +802,11 @@ class DGMorphism:
         source: TruncatedDGA,
         target: TruncatedDGA,
         mats: Sequence[QMatrix],
-        check: str = "auto",
+        check: str = "full",
         name: str = "",
     ):
+        if check not in ("full", "none"):
+            raise InputError(f"morphism check must be 'full' or 'none', not {check!r}")
         self.source = source
         self.target = target
         self.cap = min(source.cutoff, target.cutoff)
@@ -830,10 +819,8 @@ class DGMorphism:
                 raise InputError(f"morphism matrix at degree {k} has the wrong shape")
         self.mats = list(mats)
         self.name = name
-        self.check_mode = "none"
-        self.pairs_checked = 0
-        if check != "none":
-            self.check_mode, self.pairs_checked = self._verify(check)
+        self.check_mode = check
+        self.pairs_checked = self._verify() if check == "full" else 0
 
     @classmethod
     def identity(cls, a: TruncatedDGA) -> "DGMorphism":
@@ -856,8 +843,8 @@ class DGMorphism:
             check="none",
         )
 
-    def _verify(self, mode: str) -> tuple[str, int]:
-        """Run the checks; return the check mode and the pairs compared."""
+    def _verify(self) -> int:
+        """Run the checks; return the number of basis pairs compared."""
         src, tgt = self.source, self.target
         if self.mats[0].matvec(src.unit) != tgt.unit:
             raise InputError("morphism does not send the unit to the unit")
@@ -867,21 +854,14 @@ class DGMorphism:
             if lhs != rhs:
                 raise InputError(f"morphism is not a cochain map at degree {k}")
         # both sides of a product in a zero target degree are the empty vector
-        pairs = [
+        pairs = (
             (i, a, j, b)
             for i in range(self.cap + 1)
             for j in range(i, self.cap + 1 - i)
             if tgt.dim(i + j)
             for a in range(src.dim(i))
             for b in range(src.dim(j))
-        ]
-        if mode == "auto":
-            mode = "full" if len(pairs) <= 4000 else "sample"
-        sampled = mode == "sample" and len(pairs) > 400
-        if sampled:
-            import random
-
-            pairs = random.Random(0).sample(pairs, 400)
+        )
         # the columns of every matrix, the images of the source basis, as sparse lists
         images: list[dict[int, list[tuple[int, Fraction]]]] = [{} for _ in self.mats]
         for k, m in enumerate(self.mats):
@@ -907,7 +887,7 @@ class DGMorphism:
                     f"morphism is not multiplicative on basis pair ({i},{a}),({j},{b})"
                 )
             checked += 1
-        return ("sampled" if sampled else "full"), checked
+        return checked
 
 
 def tensor_morphism(

@@ -264,7 +264,7 @@ class Problem:
                     mats.append(QMatrix.zero(tgt.dim(k), src.dim(k)))
                 else:
                     mats.append(_matrix(rows, tgt.dim(k), src.dim(k)))
-            return DGMorphism(src, tgt, mats, check="auto")
+            return DGMorphism(src, tgt, mats)
         raise InputError(f"unknown morphism type {kind!r}")
 
     # -- systems --------------------------------------------------------------

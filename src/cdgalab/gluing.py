@@ -313,7 +313,7 @@ def induced_fp_map(
     dst: FiberProductDGA,
     on_a: DGMorphism,
     on_b: DGMorphism,
-    check: str = "auto",
+    check: str = "full",
 ) -> DGMorphism:
     """Map of fiber products induced by componentwise maps of the corners.
 
@@ -387,7 +387,7 @@ def endpoint_evaluations(cyl: TruncatedDGA, m: TruncatedDGA, mm: TruncatedDGA) -
                 entries[(ia, col)] = ONE
             entries[(ia + second, col)] = ONE
         mats.append(QMatrix(mm.dim(k), cyl.dim(k), entries))
-    return DGMorphism(cyl, mm, mats, check="auto", name="endpoint evaluation")
+    return DGMorphism(cyl, mm, mats, name="endpoint evaluation")
 
 
 def two_point_unit_leg(mm: TruncatedDGA, m: TruncatedDGA, cutoff: int) -> tuple[TruncatedDGA, DGMorphism]:
@@ -396,7 +396,7 @@ def two_point_unit_leg(mm: TruncatedDGA, m: TruncatedDGA, cutoff: int) -> tuple[
     mats = [QMatrix.zero(mm.dim(k), qq.dim(k)) for k in range(min(qq.cutoff, mm.cutoff) + 1)]
     blocks = BlockSum((m, m), 0)
     mats[0] = QMatrix.from_cols([blocks.inject(t, 0, m.unit) for t in (0, 1)], mm.dim(0))
-    return qq, DGMorphism(qq, mm, mats, check="auto", name="unit pair")
+    return qq, DGMorphism(qq, mm, mats, name="unit pair")
 
 
 def suspension_triple(m: TruncatedDGA, upto: int, interval_total: int = 2) -> tuple[DGMorphism, DGMorphism]:
@@ -433,4 +433,4 @@ def suspension_inclusion(susp: SuspensionModel, fp: FiberProductDGA) -> DGMorphi
             ambs.append(amb)
         cols = fp.kernels[k].express(ambs, "suspension element is not in the fiber product")
         mats.append(QMatrix.from_cols(cols, fp.carrier.dim(k)))
-    return DGMorphism(susp.carrier, fp.carrier, mats, check="auto", name="suspension inclusion")
+    return DGMorphism(susp.carrier, fp.carrier, mats, name="suspension inclusion")

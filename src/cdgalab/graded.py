@@ -134,6 +134,7 @@ class FreeGCA:
             expo[i] = 0
 
         rec(0, n)
+        del rec  # it holds itself, and self, through its closure; unbinding it breaks the cycle
         out.sort(reverse=True)
         self._basis_cache[n] = out
         return out

@@ -112,7 +112,7 @@ def validate(e: FiniteLocalSystem) -> list[str]:
         if r.source is not e.fibers[s] or r.target is not e.fibers[facet]:
             problems.append(f"restriction endpoints wrong at ({s}, {i})")
         try:
-            r._verify("auto")
+            r._verify()
         except CdgaError as exc:
             problems.append(f"restriction at ({s}, {i}) is not a DG morphism: {exc}")
     if problems:

@@ -356,6 +356,7 @@ def _exponents_upto(n: int, bound: int) -> list[Expo]:
         expo[i] = 0
 
     rec(0, bound)
+    del rec  # it holds itself through its closure cell; unbinding it breaks the cycle
     out.sort()
     return out
 

@@ -74,10 +74,12 @@ def _comparison_matrices(model: FreeCDGA, trunc: TruncatedDGA, target: Truncated
             vec = memo[mono] = target.multiply(k - gdeg, image(rest, k - gdeg), gdeg, gvec)
         return vec
 
-    return {
+    mats = {
         k: QMatrix.from_cols([image(mono, k) for mono in trunc.bases[k].keys], target.dim(k))
         for k in degrees
     }
+    del image  # it holds itself through its closure cell; unbinding it breaks the cycle
+    return mats
 
 
 def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
@@ -155,7 +157,7 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
     if truncated is not model or trunc.cutoff != target.cutoff:
         trunc = truncate(model, target.cutoff)
     mats = _comparison_matrices(model, trunc, target, phi, range(target.cutoff + 1))
-    comparison = DGMorphism(trunc, target, list(mats.values()), check="auto")
+    comparison = DGMorphism(trunc, target, list(mats.values()))
     ok, offender = minimality_check(model)
     if not ok:
         raise InternalError(f"constructed model is not minimal at {offender}")

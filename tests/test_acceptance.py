@@ -355,7 +355,7 @@ def test_criterion_10_naturality_and_detection():
                             image[(i + 1, thick[i + 1].index[tkey], 2, jb)] = v
                     images.append(image)
                 mats.append(tgt.bases[k].matrix(images))
-            maps[s] = DGMorphism(src, tgt, mats, check="full")
+            maps[s] = DGMorphism(src, tgt, mats)
         return SystemMorphism(src_sys, sys_e0, maps)
 
     gq_sys = leg_into_e0(sys_qq, with_winding=False)
@@ -443,7 +443,7 @@ def test_criterion_11_property_suites():
         f = FreeCDGA(gca, diff)
         assert check_d_squared(f)[0]
         t = truncate(f, 6)
-        assert t.validate(full=False, rng=rng) == []
+        assert t.validate() == []
         h = cohomology_dims(t, 5)
         # Euler characteristic over a window closed under d at both ends
         for window in range(5, 0, -1):

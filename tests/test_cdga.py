@@ -348,16 +348,23 @@ def test_tensor_leibniz():
     c = truncate(cp_model(1), 5)
     s = sphere_even_model(5)
     tp = tensor_product(c, s, cutoff=5)
-    assert tp.validate(full=False, rng=random.Random(0)) == []
+    assert tp.validate() == []
 
 
-def test_sampled_validation_compares_distinct_leibniz_pairs(monkeypatch):
+def test_validation_compares_every_leibniz_pair(monkeypatch):
     from cdgalab.sullivan import minimal_model
 
     src = minimal_model(wedge_of_2_spheres(2, 9), 8).comparison.source
     c = src.cutoff
-    pairs = sum(src.dim(i) * src.dim(j) for i in range(c + 1) for j in range(i, c + 1 - i) if i + j + 1 <= c)
-    assert pairs == 258
+    pairs = [
+        (i, a, j, b)
+        for i in range(c + 1)
+        for j in range(i, c + 1 - i)
+        if i + j + 1 <= c
+        for a in range(src.dim(i))
+        for b in range(src.dim(j))
+    ]
+    assert len(pairs) == 258
     seen = []
     product_basis = type(src).product_basis
 
@@ -366,11 +373,9 @@ def test_sampled_validation_compares_distinct_leibniz_pairs(monkeypatch):
         return product_basis(self, i, a, j, b)
 
     monkeypatch.setattr(type(src), "product_basis", recording)
-    assert src.validate(full=False, rng=random.Random(0)) == []
+    assert src.validate() == []
     # each Leibniz pair takes one product, and they all come before the associativity triples
-    leibniz = seen[:120]
-    assert len(set(leibniz)) == 120
-    assert all(i <= j and i + j + 1 <= c for i, _, j, _ in leibniz)
+    assert seen[: len(pairs)] == pairs
 
 
 def test_element_vector_roundtrip():
@@ -536,13 +541,20 @@ def test_the_sparse_multiplicativity_check_reads_every_kept_pair_with_its_sign()
             for b in range(alg.dim(j))
         ]
         kept = sum(1 for pair in pairs if not _dropped(alg, *pair))
-        ident = DGMorphism(alg, alg, [QMatrix.identity(alg.dim(k)) for k in range(alg.cutoff + 1)], check="full")
+        ident = DGMorphism(alg, alg, [QMatrix.identity(alg.dim(k)) for k in range(alg.cutoff + 1)])
         assert (ident.check_mode, ident.pairs_checked) == ("full", kept)
     # t1 -> t1, t2 -> t2 and t1 t2 -> 2 t1 t2 is a cochain map but not multiplicative
     t = torus_model(2)
     doubled = [QMatrix.identity(1), QMatrix.identity(2), QMatrix(1, 1, {(0, 0): 2})]
     with pytest.raises(InputError, match=r"not multiplicative on basis pair \(1,0\),\(1,1\)"):
-        DGMorphism(t, t, doubled, check="full")
+        DGMorphism(t, t, doubled)
+
+
+@pytest.mark.parametrize("check", ["auto", "sample", "sampled", "", True, None])
+def test_a_morphism_check_is_full_or_none(check):
+    t = torus_model(2)
+    with pytest.raises(InputError, match="morphism check must be 'full' or 'none'"):
+        DGMorphism(t, t, [QMatrix.identity(t.dim(k)) for k in range(t.cutoff + 1)], check=check)
 
 
 def test_mult_fn_runs_once_per_pair_dropped_pairs_included():

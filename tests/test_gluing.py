@@ -98,8 +98,8 @@ def test_fiber_product_projections_are_morphisms():
     f, g = circle_legs()
     fp = fiber_product(f, g, 4)
     # projections commute with d (checked by building real DGMorphisms)
-    DGMorphism(fp.carrier, fp.a, fp.proj_a.mats, check="full")
-    DGMorphism(fp.carrier, fp.b, fp.proj_b.mats, check="full")
+    DGMorphism(fp.carrier, fp.a, fp.proj_a.mats)
+    DGMorphism(fp.carrier, fp.b, fp.proj_b.mats)
 
 
 # -- Mayer-Vietoris -------------------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -150,6 +152,20 @@ def test_basis_matches_brute_force(degrees):
     alg = mixed_algebra(degrees)
     for n in range(0, 13):
         assert alg.basis_in_degree(n) == brute_force_basis(alg, n)
+
+
+def test_a_dropped_algebra_is_freed_by_reference_counting():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        alg = FreeGCA([("a", 2), ("b", 3), ("c", 4)])
+        assert alg.basis_in_degree(8)
+        ref = weakref.ref(alg)
+        del alg
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("degrees", MIXED_ORDERS)

@@ -106,7 +106,7 @@ def test_non_multiplicative_restriction_detected():
 def test_validate_lets_a_program_fault_through(monkeypatch):
     # only library errors describe a bad restriction; anything else is a bug
     # in the program and must not be reported as "not a DG morphism"
-    def broken(self, mode):
+    def broken(self):
         raise RuntimeError("broken check")
 
     e = constant_system(cycle_complex(3), sphere_even_model(5))

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from cdgalab.polyforms import (
     SimplicialComplexK,
     SimplicialForm,
     _df_in_f_times_forms,
+    _exponents_upto,
     boundary_complex,
     check_admissible_axioms,
     contraction,
@@ -410,7 +412,7 @@ def test_forms_dga_tables_match_symbolic_construction():
 
 def test_forms_dga_leibniz():
     a = forms_dga(2, 3)
-    assert a.validate(full=False, rng=random.Random(0)) == []
+    assert a.validate() == []
 
 
 # -- admissibility -------------------------------------------------------------
@@ -447,3 +449,15 @@ def test_zero_divisor_solve_per_direction_matches_full_solve(n):
         for wtotal in (f.total_degree(), f.total_degree() + 1):
             verdict = _df_in_f_times_forms(f, wtotal)
             assert verdict == full_zero_divisor_solve(f, wtotal) == (f.total_degree() == 0)
+
+
+def test_exponent_listing_leaves_no_reference_cycles():
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert len(_exponents_upto(3, 4)) == 35
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

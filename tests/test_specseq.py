@@ -11,6 +11,7 @@ from cdgalab.cdga import (
     direct_sum,
     from_tables,
     point_dga,
+    power_quotient_dga,
     tensor_product,
     truncate,
 )
@@ -230,10 +231,22 @@ def test_default_page_window_holds_only_computable_entries():
     assert e0.dim(2, 1) == len(fc.subspace(2, 3)) > 0
 
 
+def test_a_filtration_whose_products_leave_it_is_rejected():
+    base = power_quotient_dga(2, 3, 5)
+    # x and x^2 both at level 1: d = 0 keeps every F^p, but x * x = x^2 must lie in F^2 = 0
+    alg = TruncatedDGA(
+        base.cutoff, base.dims, base.unit, base.diff_mats, base._terms, levels=[[0], [], [1], [], [1], []]
+    )
+    fc = FilteredComplex(algebra=alg, p_bound=2)
+    assert fc.validate() == ["product of F^1 and F^1 leaves F^2 on adapted basis pair (2,0),(2,0)"]
+    with pytest.raises(InputError, match=r"leaves F\^2"):
+        pages(fc, 1)
+
+
 def test_first_quadrant_support_and_collapse_bound():
     e = forms_system(cycle_complex(3), 2, cutoff=4)
     fc = skeletal_filtration(e, 3)
-    assert fc.validate(rng=random.Random(1)) == []
+    assert fc.validate() == []
     tower = PageTower(fc)
     for p in range(0, 3):
         for q in range(-1, 3):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -326,28 +327,28 @@ def test_small_comparison_is_checked_in_full():
     assert res.comparison.pairs_checked == _compared_pairs(res.comparison) == 4
 
 
-def test_large_comparison_is_sampled(monkeypatch):
-    from cdgalab.cdga import DGMorphism, TruncatedDGA
-
+@pytest.fixture(scope="module")
+def wedge12_source():
     res = minimal_model(wedge_of_2_spheres(2, 12), 11)
     # the target is zero above degree 2, so the comparison compares only 3 pairs
     assert (res.comparison.check_mode, res.comparison.pairs_checked) == ("full", _compared_pairs(res.comparison))
-    src = res.comparison.source
+    return res.comparison.source
+
+
+def test_large_comparison_is_checked_in_full(wedge12_source):
+    src = wedge12_source
+    ident = DGMorphism(src, src, [QMatrix.identity(src.dim(k)) for k in range(src.cutoff + 1)])
+    assert (ident.check_mode, ident.pairs_checked) == ("full", _compared_pairs(ident)) == ("full", 4354)
+
+
+def test_a_doubled_basis_element_outside_the_image_of_d_is_not_multiplicative(wedge12_source):
+    src = wedge12_source
     mats = [QMatrix.identity(src.dim(k)) for k in range(src.cutoff + 1)]
-    full = DGMorphism(src, src, mats, check="full")
-    assert full.pairs_checked == _compared_pairs(full) > 4000
-    # the full check filled the product table, so every read below is one of the sampled pairs
-    reads = []
-    terms = TruncatedDGA._terms
-
-    def recording(self, i, a, j, b):
-        reads.append((i, a, j, b))
-        return terms(self, i, a, j, b)
-
-    monkeypatch.setattr(TruncatedDGA, "_terms", recording)
-    ident = DGMorphism(src, src, mats, check="auto")
-    assert (ident.check_mode, ident.pairs_checked) == ("sampled", 400)
-    assert len(set(reads)) == len(reads) == 400
+    # row 156 of d_11 is zero, so doubling basis element 156 of degree 12 still commutes with d
+    assert not any(r == 156 for r, _ in src.d_matrix(11).entries)
+    mats[12] = QMatrix(mats[12].rows, mats[12].cols, {**mats[12].entries, (156, 156): 2})
+    with pytest.raises(InputError, match=r"not multiplicative on basis pair \(2,0\),\(10,156\)"):
+        DGMorphism(src, src, mats)
 
 
 @pytest.mark.parametrize(
@@ -382,6 +383,18 @@ def test_comparison_matrices_match_the_plain_fold_in_every_degree(monkeypatch, m
     assert list(folded.values()) == mats
 
 
+def test_a_minimal_model_leaves_no_reference_cycles():
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        minimal_model(wedge_of_2_spheres(2, 9), 8)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_unchecked_morphism_records_no_pairs():
     from cdgalab.cdga import DGMorphism
 
@@ -409,6 +422,6 @@ def test_a_comparison_with_one_mutated_entry_is_not_multiplicative():
     mats = list(comparison.mats)
     (row,) = [r for (r, c) in mats[4].entries if c == square]
     mats[4] = QMatrix(mats[4].rows, mats[4].cols, {**mats[4].entries, (row, square): 2 * mats[4].entries[(row, square)]})
-    DGMorphism(comparison.source, comparison.target, comparison.mats, check="full")
+    DGMorphism(comparison.source, comparison.target, comparison.mats)
     with pytest.raises(InputError, match="not multiplicative on basis pair \\(2,0\\),\\(2,0\\)"):
-        DGMorphism(comparison.source, comparison.target, mats, check="full")
+        DGMorphism(comparison.source, comparison.target, mats)
