@@ -278,20 +278,23 @@ class TruncatedDGA:
                 f"multiply: vectors of lengths {len(va)} and {len(vb)} against dimensions "
                 f"{self.dim(i)} and {self.dim(j)} in degrees {i} and {j}"
             )
+        right = [(b, cb) for b, cb in enumerate(vb) if cb]
+        return tuple(self._product(i, [(a, ca) for a, ca in enumerate(va) if ca], j, right))
+
+    def _product(self, i: int, xs: Sequence, j: int, ys: Sequence) -> list:
+        """The product of a degree-i and a degree-j vector given by their nonzero ``(index, value)``
+        pairs, as a dense list; a dropped product it needs raises CutoffTooSmallError."""
         acc = [ZERO] * self.dim(i + j)
         table = self._products
-        right = [(b, cb) for b, cb in enumerate(vb) if cb]
-        for a, ca in enumerate(va):
-            if not ca:
-                continue
-            for b, cb in right:
+        for a, ca in xs:
+            for b, cb in ys:
                 terms = table.get((i, a, j, b))
                 if terms is None:
                     terms = self._read(i, a, j, b)
                 c = ca * cb
                 for t, x in terms:
                     acc[t] += c * x
-        return tuple(acc)
+        return acc
 
     # -- filtration levels -------------------------------------------------
     def level_rows(self, k: int, p: int) -> QMatrix:
@@ -519,10 +522,10 @@ class BlockSum:
         starts = self._starts[k]
         return zero_vector(starts[t]) + tuple(v) + zero_vector(starts[-1] - starts[t + 1])
 
-    def projection(self, t: int, k: int) -> QMatrix:
-        """The matrix that reads block t off a degree-k vector."""
-        lo, n = self._starts[k][t], self.parts[t].dim(k)
-        return QMatrix(n, self.dim(k), {(r, lo + r): ONE for r in range(n)})
+    def block_rows(self, t: int, k: int, m: QMatrix) -> QMatrix:
+        """The rows of ``m``, a matrix on degree-k vectors, that block t holds."""
+        lo, hi = self._starts[k][t : t + 2]
+        return QMatrix._of(hi - lo, m.cols, {(r - lo, c): x for (r, c), x in m.entries.items() if lo <= r < hi})
 
     def d_matrix(self, k: int) -> QMatrix:
         """The block-diagonal differential out of degree k."""
@@ -643,6 +646,8 @@ def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = Non
         raise InputError("tensor product lost the unit; lower the cutoff")
 
     diff_mats = []
+    da = [m.sparse_columns() for m in a.diff_mats[:cutoff]]
+    db = [m.sparse_columns() for m in b.diff_mats[:cutoff]]
     for k in range(cutoff):
         images = []
         for i, ia, j, jb in bases[k].keys:
@@ -653,11 +658,8 @@ def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = Non
                     "tensor factor differential missing at its cutoff; lower the "
                     "tensor cutoff or rebuild the factor with a larger cutoff"
                 )
-            sign = -1 if i % 2 else 1
-            image = {(i + 1, r, j, jb): v for r, v in enumerate(a.d_matrix(i).column(ia)) if v}
-            image.update(
-                {(i, ia, j + 1, r): sign * v for r, v in enumerate(b.d_matrix(j).column(jb)) if v}
-            )
+            image = {(i + 1, r, j, jb): v for r, v in da[i].get(ia, ())}
+            image.update({(i, ia, j + 1, r): -v if i % 2 else v for r, v in db[j].get(jb, ())})
             images.append(image)
         diff_mats.append(bases[k + 1].matrix(images))
 
@@ -862,11 +864,8 @@ class DGMorphism:
             for a in range(src.dim(i))
             for b in range(src.dim(j))
         )
-        # the columns of every matrix, the images of the source basis, as sparse lists
-        images: list[dict[int, list[tuple[int, Fraction]]]] = [{} for _ in self.mats]
-        for k, m in enumerate(self.mats):
-            for (r, c), x in m.entries.items():
-                images[k].setdefault(c, []).append((r, x))
+        # the columns of every matrix, the images of the source basis
+        images = [m.sparse_columns() for m in self.mats]
         checked = 0
         for i, a, j, b in pairs:
             try:
@@ -879,10 +878,10 @@ class DGMorphism:
                 for r, y in images[i + j].get(t, ()):
                     lhs[r] += x * y
             try:
-                rhs = tgt.multiply(i, self.mats[i].column(a), j, self.mats[j].column(b))
+                rhs = tgt._product(i, images[i].get(a, ()), j, images[j].get(b, ()))
             except CutoffTooSmallError:
                 continue
-            if tuple(lhs) != rhs:
+            if lhs != rhs:
                 raise InputError(
                     f"morphism is not multiplicative on basis pair ({i},{a}),({j},{b})"
                 )
@@ -903,15 +902,18 @@ def tensor_morphism(
     stands for an identity.  The maps keep degrees, so no Koszul sign enters.
     """
 
-    def image(h: Optional[DGMorphism], d: int, x: int):
-        return [(x, ONE)] if h is None else [(r, v) for r, v in enumerate(h.mats[d].column(x)) if v]
-
+    cap = min(src.cutoff, tgt.cutoff)
+    f_cols, g_cols = ([m.sparse_columns() for m in h.mats[: cap + 1]] if h else None for h in (f, g))
     mats = []
-    for k in range(min(src.cutoff, tgt.cutoff) + 1):
-        images = [
-            {(i, r, j, s): u * v for r, u in image(f, i, ia) for s, v in image(g, j, jb)}
-            for i, ia, j, jb in src.bases[k].keys
-        ]
+    for k in range(cap + 1):
+        images = []
+        for i, ia, j, jb in src.bases[k].keys:
+            # an identity leg contributes (x, ONE), which multiplies nothing
+            left = f_cols[i].get(ia, ()) if f_cols else ((ia, ONE),)
+            right = g_cols[j].get(jb, ()) if g_cols else ((jb, ONE),)
+            images.append(
+                {(i, r, j, s): v if u is ONE else u if v is ONE else u * v for r, u in left for s, v in right}
+            )
         mats.append(tgt.bases[k].matrix(images))
     return DGMorphism(src, tgt, mats, check="none")
 

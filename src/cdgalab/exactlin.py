@@ -171,6 +171,13 @@ class QMatrix:
     def column(self, c: int) -> Vector:
         return tuple(self.entries.get((r, c), ZERO) for r in range(self.rows))
 
+    def sparse_columns(self) -> dict[int, list[tuple[int, Fraction]]]:
+        """The nonempty columns as ``(row, entry)`` lists, rows ascending; not cached."""
+        by_col: dict[int, list[tuple[int, Fraction]]] = {}
+        for (r, c), v in sorted(self.entries.items()):
+            by_col.setdefault(c, []).append((r, v))
+        return by_col
+
     def to_rows(self) -> list[list[Fraction]]:
         out = [[ZERO] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
@@ -254,11 +261,7 @@ class QMatrix:
         den = aden * bden
         entries: dict[tuple[int, int], Fraction] = {}
         for c, terms in b_cols.items():
-            acc: dict[int, int] = {}
-            for k, b in terms:
-                for r, a in a_cols.get(k, ()):
-                    acc[r] = acc.get(r, 0) + a * b
-            for r, v in acc.items():
+            for r, v in _combine(a_cols, terms).items():
                 if v:
                     entries[(r, c)] = Fraction(v, den)
         return QMatrix._of(self.rows, other.cols, entries)
@@ -290,6 +293,16 @@ class QMatrix:
         for (r, c), v in other.entries.items():
             entries[(r + self.rows, c)] = v
         return QMatrix._of(self.rows + other.rows, self.cols, entries)
+
+
+def _combine(columns: Mapping[int, Iterable[tuple]], terms: Iterable[tuple]) -> dict:
+    """``sum b * columns[k]`` over the ``(k, b)`` in ``terms``, each column a list of ``(row, entry)``
+    pairs, as a sparse column that keeps cancelled zeros; integer input gives integers."""
+    acc: dict = {}
+    for k, b in terms:
+        for r, a in columns.get(k, ()):
+            acc[r] = acc.get(r, 0) + a * b
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -653,13 +666,24 @@ class KernelBasis(_Coordinates):
                 out.append(tuple(x[c] * s if x[c] else ZERO for c, (_, s) in self._reads.items()))
         return out
 
-    def coords_matrix(self, images: QMatrix) -> Optional[QMatrix]:
-        """The columns of ``images`` in kernel coordinates, or None when one lies outside."""
-        if not self.matrix.matmul(images).is_zero():
-            return None
-        reads = self._reads
-        entries = {(reads[r][0], c): x * reads[r][1] for (r, c), x in images.entries.items() if r in reads}
-        return QMatrix._of(self.rank, images.cols, entries)
+    def coords_matrix(self, left: QMatrix, right: QMatrix) -> Optional[QMatrix]:
+        """The columns of ``left right`` in kernel coordinates, or None when one lies outside.
+        Each product column is taken over the integers and certified in the kernel by the
+        integer columns of ``m``; a Fraction is built only for each coordinate read."""
+        if left.cols != right.rows:
+            raise InputError("coords_matrix: inner dimensions differ")
+        (lden, l_cols), (rden, r_cols) = left._int_columns(), right._int_columns()
+        m_cols, reads = self.matrix._int_columns(keep=True)[1], self._reads
+        entries: dict[tuple[int, int], Fraction] = {}
+        for c, terms in r_cols.items():
+            image = _combine(l_cols, terms)
+            if any(_combine(m_cols, image.items()).values()):
+                return None
+            for r, v in image.items():
+                if v and r in reads:
+                    j, inv = reads[r]
+                    entries[(j, c)] = Fraction(v * inv.numerator, lden * rden * inv.denominator)
+        return QMatrix._of(self.rank, right.cols, entries)
 
 
 def _dense_order(col: Mapping[int, Fraction]) -> tuple:

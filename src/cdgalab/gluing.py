@@ -86,7 +86,7 @@ def _kernel_carrier(kernels: list[KernelBasis], ambient: BlockSum, name: str) ->
     dims = [kernels[k].rank for k in range(cutoff + 1)]
     diff_mats = []
     for k in range(cutoff):
-        mat = kernels[k + 1].coords_matrix(ambient.d_matrix(k).matmul(kernels[k].inclusion))
+        mat = kernels[k + 1].coords_matrix(ambient.d_matrix(k), kernels[k].inclusion)
         if mat is None:
             raise InternalError("differential does not preserve the kernel subspace")
         diff_mats.append(mat)
@@ -135,7 +135,7 @@ def fiber_product(f: DGMorphism, g: DGMorphism, upto: int) -> FiberProductDGA:
         DGMorphism(
             carrier,
             part,
-            [ambient.projection(t, k).matmul(kernels[k].inclusion) for k in range(cutoff + 1)],
+            [ambient.block_rows(t, k, kernels[k].inclusion) for k in range(cutoff + 1)],
             check="none",
         )
         for t, part in enumerate((a, b))
@@ -339,8 +339,8 @@ def _push(
     """
     mats = []
     for k in range(min(src.cutoff, dst.cutoff) + 1):
-        images = _block_diagonal([h.mats[k] for h in maps]).matmul(src.kernels[k].inclusion)  # type: ignore[index]
-        mat = dst.kernels[k].coords_matrix(images)  # type: ignore[index]
+        blocks = _block_diagonal([h.mats[k] for h in maps])
+        mat = dst.kernels[k].coords_matrix(blocks, src.kernels[k].inclusion)  # type: ignore[index]
         if mat is None:
             raise error(message)
         mats.append(mat)

@@ -22,12 +22,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import NamedTuple, Optional
 
 from .cdga import TruncatedDGA, _block_diagonal, cohomology_dims
 from .errors import CutoffTooSmallError, InputError, InternalError, PreconditionError
-from .exactlin import ONE, ZERO, QMatrix, RowSpace, Vector, _eliminate, _primitive, _reduce_rows, _span_basis, rank
+from .exactlin import ONE, ZERO, QMatrix, RowSpace, Vector, _combine, _eliminate, _primitive, _reduce_rows, _span_basis, rank
 from .gluing import _push
 from .localsys import (
     FiniteLocalSystem,
@@ -65,18 +66,13 @@ def _in_leaves(alg: TruncatedDGA, k: int) -> tuple[list[TruncatedDGA], int, list
         leaves, blocks, part_reads, offset = [], [], [], 0
         for p_leaves, den, columns, p_reads in parts:
             leaves += p_leaves
-            blocks += [{offset + c: x * (common // den) for c, x in col.items()} for col in columns]
+            blocks += [[(offset + c, x * (common // den)) for c, x in col.items()] for col in columns]
             part_reads += [(offset + c, x) for c, x in p_reads]
             offset += sum(leaf.dim(k) for leaf in p_leaves)
         kernel = alg.kernels[k]
         kden, kcols = kernel.inclusion._int_columns()
-        columns = []
-        for j in range(kernel.rank):
-            acc: dict[int, int] = {}
-            for f, x in kcols.get(j, ()):
-                for c, y in blocks[f].items():
-                    acc[c] = acc.get(c, 0) + x * y
-            columns.append({c: v for c, v in acc.items() if v})
+        by_f = dict(enumerate(blocks))
+        columns = [{c: v for c, v in _combine(by_f, kcols.get(j, ())).items() if v} for j in range(kernel.rank)]
         reads: list = [None] * kernel.rank
         for f, (j, inv) in kernel._reads.items():
             c, x = part_reads[f]
@@ -111,24 +107,17 @@ class _AdaptedBasis:
         self.pivots = [order[i] for i in pivots]
         self.levels = [self.coord_levels[c] for c in self.pivots]
         self._reads = {c: (a, x) for a, (c, x) in enumerate(reads)}
-        self._basis: Optional[list[_Sparse]] = None
+        self._basis: Optional[dict[int, list[tuple[int, Fraction]]]] = None
 
     def span(self, combos: list[dict[int, int]]) -> list[_Sparse]:
         """Combinations of the rows, written in the algebra's basis."""
         if self._basis is None:
             # a row is a multiple of the image of a vector, whose coordinates the reads give
-            self._basis = [
-                {self._reads[c][0]: self._reads[c][1] * v for c, v in row.items() if c in self._reads}
-                for row in self.rows
-            ]
-        out = []
-        for combo in combos:
-            acc: _Sparse = {}
-            for i, w in combo.items():
-                for a, x in self._basis[i].items():
-                    acc[a] = acc.get(a, 0) + w * x
-            out.append({a: x for a, x in acc.items() if x})
-        return out
+            self._basis = {
+                i: [(self._reads[c][0], self._reads[c][1] * v) for c, v in row.items() if c in self._reads]
+                for i, row in enumerate(self.rows)
+            }
+        return [{a: x for a, x in _combine(self._basis, combo.items()).items() if x} for combo in combos]
 
 
 def _columns(vectors: list[_Sparse], dim: int) -> QMatrix:
@@ -207,22 +196,30 @@ class FilteredComplex:
             for k in range(alg.cutoff):
                 if not all(self.contains(p, k + 1, alg.apply_d(k, v)) for v in self.subspace(p, k)):
                     problems.append(f"d leaves F^{p} at degree {k}")
-        elements = []
-        for k in range(alg.cutoff + 1):
-            ad = self._adapted(k)
-            vectors = ad.span([{r: 1} for r in range(len(ad.levels))])
-            elements.append([(level, _dense(v, ad.dim)) for level, v in zip(ad.levels, vectors)])
+        # products are blockwise down to the leaves, so the adapted rows are multiplied leaf by leaf
+        adapted = [self._adapted(k) for k in range(alg.cutoff + 1)]
+        leaves = adapted[0].leaves
+        starts = [list(accumulate((leaf.dim(k) for leaf in leaves), initial=0)) for k in range(alg.cutoff + 1)]
+        elements = [
+            [(level, [[(c - lo, x) for c, x in row.items() if lo <= c < hi] for lo, hi in zip(st, st[1:])])
+             for level, row in zip(ad.levels, ad.rows)]
+            for ad, st in zip(adapted, starts)
+        ]
         # the product table is graded commutative, so each unordered pair is checked once
         for i in range(alg.cutoff + 1):
             for j in range(i, alg.cutoff + 1 - i):
+                levels = adapted[i + j].coord_levels
                 for a, (p, x) in enumerate(elements[i]):
                     start = a if i == j else 0
                     for b, (q, y) in enumerate(elements[j][start:], start):
                         try:
-                            prod = alg.multiply(i, x, j, y)
+                            prods = [
+                                (lo, leaf._product(i, xs, j, ys))
+                                for leaf, lo, xs, ys in zip(leaves, starts[i + j], x, y) if xs and ys
+                            ]
                         except CutoffTooSmallError:
                             continue
-                        if not self.contains(p + q, i + j, prod):
+                        if any(w and levels[lo + t] < p + q for lo, prod in prods for t, w in enumerate(prod)):
                             problems.append(
                                 f"product of F^{p} and F^{q} leaves F^{p + q} "
                                 f"on adapted basis pair ({i},{a}),({j},{b})"

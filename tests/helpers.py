@@ -888,3 +888,93 @@ def suspension_rule(carrier):
         return (ZERO,) * n
 
     return rule
+
+
+def dense_tensor_differentials(a, b, tp) -> list:
+    """The differentials of ``tp = tensor_product(a, b)``, d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy,
+    each factor differential read as a dense column."""
+    mats = []
+    for k in range(tp.cutoff):
+        images = []
+        for i, ia, j, jb in tp.bases[k].keys:
+            sign = -1 if i % 2 else 1
+            image = {(i + 1, r, j, jb): v for r, v in enumerate(a.d_matrix(i).column(ia)) if v}
+            image.update({(i, ia, j + 1, r): sign * v for r, v in enumerate(b.d_matrix(j).column(jb)) if v})
+            images.append(image)
+        mats.append(tp.bases[k + 1].matrix(images))
+    return mats
+
+
+def dense_tensor_morphism_mats(src, tgt, f, g) -> list:
+    """The matrices of ``tensor_morphism(src, tgt, f, g)``, each leg's image read as a dense
+    column; a None leg maps x to 1 * x."""
+
+    def image(h, d, x):
+        return [(x, ONE)] if h is None else [(r, v) for r, v in enumerate(h.mats[d].column(x)) if v]
+
+    mats = []
+    for k in range(min(src.cutoff, tgt.cutoff) + 1):
+        images = [
+            {(i, r, j, s): u * v for r, u in image(f, i, ia) for s, v in image(g, j, jb)}
+            for i, ia, j, jb in src.bases[k].keys
+        ]
+        mats.append(tgt.bases[k].matrix(images))
+    return mats
+
+
+def dense_multiplicativity(h) -> tuple:
+    """``(pairs compared, first failing pair or None)`` of the multiplicativity check of the
+    morphism ``h``: both sides of every basis pair with a nonzero target degree, the target
+    side by ``multiply`` on the dense columns of the matrices; a dropped product skips a pair."""
+    src, tgt = h.source, h.target
+    checked = 0
+    for i in range(h.cap + 1):
+        for j in range(i, h.cap + 1 - i):
+            if not tgt.dim(i + j):
+                continue
+            for a in range(src.dim(i)):
+                for b in range(src.dim(j)):
+                    try:
+                        lhs = h.mats[i + j].matvec(src.product_basis(i, a, j, b))
+                        rhs = tgt.multiply(i, h.mats[i].column(a), j, h.mats[j].column(b))
+                    except CutoffTooSmallError:
+                        continue
+                    if lhs != rhs:
+                        return checked, (i, a, j, b)
+                    checked += 1
+    return checked, None
+
+
+def dense_filtration_problems(fc) -> list:
+    """``FilteredComplex.validate`` with every adapted basis element written densely in the
+    algebra's basis and multiplied there by ``multiply``, then tested with ``contains``."""
+    problems = []
+    alg = fc.algebra
+    for p in range(1, fc.p_bound + 1):
+        for k in range(alg.cutoff + 1):
+            if not all(fc.contains(p - 1, k, v) for v in fc.subspace(p, k)):
+                problems.append(f"F^{p} not inside F^{p - 1} at degree {k}")
+        for k in range(alg.cutoff):
+            if not all(fc.contains(p, k + 1, alg.apply_d(k, v)) for v in fc.subspace(p, k)):
+                problems.append(f"d leaves F^{p} at degree {k}")
+    elements = []
+    for k in range(alg.cutoff + 1):
+        ad = fc._adapted(k)
+        vectors = ad.span([{r: 1} for r in range(len(ad.levels))])
+        dense = [tuple(v.get(a, ZERO) for a in range(ad.dim)) for v in vectors]
+        elements.append(list(zip(ad.levels, dense)))
+    for i in range(alg.cutoff + 1):
+        for j in range(i, alg.cutoff + 1 - i):
+            for a, (p, x) in enumerate(elements[i]):
+                start = a if i == j else 0
+                for b, (q, y) in enumerate(elements[j][start:], start):
+                    try:
+                        prod = alg.multiply(i, x, j, y)
+                    except CutoffTooSmallError:
+                        continue
+                    if not fc.contains(p + q, i + j, prod):
+                        problems.append(
+                            f"product of F^{p} and F^{q} leaves F^{p + q} "
+                            f"on adapted basis pair ({i},{a}),({j},{b})"
+                        )
+    return problems

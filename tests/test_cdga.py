@@ -237,7 +237,7 @@ def test_block_sum_agrees_with_the_direct_sum_tables():
             y = tuple(Fraction(rng.randint(-2, 2)) for _ in range(s.dim(j)))
             assert blocks.multiply(i, x, j, y) == s.multiply(i, x, j, y)
             xa, xb = blocks.split(i, x)
-            assert [blocks.projection(t, i).matvec(x) for t in (0, 1)] == [xa, xb]
+            assert [blocks.block_rows(t, i, QMatrix.identity(s.dim(i))).matvec(x) for t in (0, 1)] == [xa, xb]
             joined = zip(blocks.inject(0, i, xa), blocks.inject(1, i, xb))
             assert tuple(u + v for u, v in joined) == x
 
@@ -349,6 +349,100 @@ def test_tensor_leibniz():
     s = sphere_even_model(5)
     tp = tensor_product(c, s, cutoff=5)
     assert tp.validate() == []
+
+
+def _interval(total, cutoff):
+    from cdgalab.gluing import interval_forms
+
+    return interval_forms(total, cutoff=cutoff)
+
+
+@pytest.mark.parametrize(
+    "make, signed",
+    [
+        (lambda: (torus_model(3), _interval(1, 2), 2), True),  # t1 (x) t: d = -t1 (x) dt
+        (lambda: (truncate(cp_model(1), 5), _interval(2, 5), 5), True),  # y (x) t
+        (lambda: (_interval(2, 5), truncate(cp_model(1), 5), 5), True),  # dt (x) y
+        (lambda: (torus_model(3), torus_model(3), 2), False),
+    ],
+    ids=["torus-interval", "cp1-interval", "interval-cp1", "torus-torus"],
+)
+def test_tensor_differentials_match_the_dense_column_reads(make, signed):
+    a, b, cutoff = make()
+    tp = tensor_product(a, b, cutoff=cutoff)
+    assert tp.diff_mats == helpers.dense_tensor_differentials(a, b, tp)
+    # whether an odd first factor meets a nonzero second differential, where the Koszul sign enters
+    keys = [key for basis in tp.bases[:cutoff] for key in basis.keys]
+    assert any(i % 2 and b.d_matrix(j).sparse_columns().get(jb) for i, _, j, jb in keys) == signed
+
+
+def _torus_shear():
+    """t1 -> t1/2 + t2, t2 -> 3 t2 on the torus model, so t1 t2 -> 3/2 t1 t2."""
+    t = torus_model(3)
+    shear = QMatrix.from_rows([["1/2", 0], [1, 3]])
+    return t, DGMorphism(t, t, [QMatrix.identity(1), shear, QMatrix.from_rows([["3/2"]]), QMatrix.zero(0, 0)])
+
+
+def _interval_flip():
+    """t -> 1 - t and dt -> -dt on the interval forms of total degree 1, where t * t is dropped."""
+    i = _interval(1, 2)
+    return i, DGMorphism(i, i, [QMatrix.from_rows([[1, 1], [0, -1]]), QMatrix.from_rows([[-1]]), QMatrix.zero(0, 0)])
+
+
+def _full_and_dense(src, tgt, mats):
+    """The pairs the full check compares, and the dense reference's (pairs, first failing pair)."""
+    dense = helpers.dense_multiplicativity(DGMorphism(src, tgt, mats, check="none"))
+    return DGMorphism(src, tgt, mats).pairs_checked, dense
+
+
+@pytest.mark.parametrize("legs", ["f", "g", "both", "neither"])
+def test_tensor_morphisms_match_the_dense_column_reads(legs):
+    from cdgalab.cdga import tensor_morphism
+
+    (t, f), (i, g) = _torus_shear(), _interval_flip()
+    f, g = (f if legs in ("f", "both") else None), (g if legs in ("g", "both") else None)
+    tp = tensor_product(t, i, cutoff=2)
+    mats = tensor_morphism(tp, tp, f, g).mats
+    assert mats == helpers.dense_tensor_morphism_mats(tp, tp, f, g)
+    # f (x) g is a map of DG algebras, which both checks confirm on the same pairs
+    checked, (dense, failing) = _full_and_dense(tp, tp, mats)
+    assert (checked, failing) == (dense, None)
+
+
+def test_the_multiplicativity_check_matches_the_dense_reference_where_products_drop():
+    tp = tensor_product(torus_model(3), _interval(1, 2), cutoff=2)
+    ident = [QMatrix.identity(tp.dim(k)) for k in range(tp.cutoff + 1)]
+    assert _dropped(tp, 0, 1, 0, 1)  # (1 (x) t) * (1 (x) t)
+    # the nonzero kept products that mult_fn is asked for, in the order the checks read them
+    kept = [
+        (i, a, j, b)
+        for i in range(tp.cutoff + 1)
+        for j in range(i, tp.cutoff + 1 - i)
+        for a in range(tp.dim(i))
+        for b in range(tp.dim(j))
+        if tp.dim(i + j) and (i < j or a <= b) and not _dropped(tp, i, a, j, b) and any(tp.product_basis(i, a, j, b))
+    ]
+
+    def altered(drop, flip):
+        """``tp`` with the product ``drop`` dropped as well and the sign of ``flip`` changed."""
+        def mult_fn(i, a, j, b):
+            if (i, a, j, b) == drop or _dropped(tp, i, a, j, b):
+                return None
+            terms = tp._terms(i, a, j, b)
+            return [(s, -x) for s, x in terms] if (i, a, j, b) == flip else terms
+
+        return TruncatedDGA(tp.cutoff, tp.dims, tp.unit, tp.diff_mats, mult_fn, check=False)
+
+    checked, (dense, failing) = _full_and_dense(tp, tp, ident)
+    assert (checked, failing) == (dense, None)
+    # a product dropped in the target only skips its pair
+    assert _full_and_dense(tp, altered(kept[0], None), ident) == (checked - 1, (checked - 1, None))
+    # a sign flipped after it is the first failing pair of both checks
+    target = altered(kept[0], kept[-1])
+    _, failing = helpers.dense_multiplicativity(DGMorphism(tp, target, ident, check="none"))
+    assert failing == kept[-1]
+    with pytest.raises(InputError, match=r"not multiplicative on basis pair \(%d,%d\),\(%d,%d\)$" % failing):
+        DGMorphism(tp, target, ident)
 
 
 def test_validation_compares_every_leibniz_pair(monkeypatch):

@@ -421,7 +421,7 @@ def test_broken_kernel_invariants_exit_as_internal_errors(tmp_path, capsys, monk
 
     # no vector lies in any kernel: the carrier's first check fails
     monkeypatch.setattr(KernelBasis, "coords_many", lambda self, vectors: [None] * len(vectors))
-    monkeypatch.setattr(KernelBasis, "coords_matrix", lambda self, images: None)
+    monkeypatch.setattr(KernelBasis, "coords_matrix", lambda self, left, right: None)
     code, out, err = run_cli(capsys, [write(tmp_path, glue_problem()), "--format", "machine"] + flags)
     assert (code, out) == (1, "")
     assert err == f"internal error: {message}\n"

@@ -431,11 +431,17 @@ def test_kernel_coords_matrix_matches_coords_of_each_column():
     seen = set()
     for m in _kernel_cases(rng):
         ker = KernelBasis(m)
-        members = ker.inclusion.matmul(random_qmatrix(rng, ker.rank, 3))
         probes = QMatrix.from_cols(_probes(rng, ker.vectors, m.cols), m.cols)  # mostly outside
-        for mat in (members, probes, probes.scale(0)):
+        factors = [
+            (ker.inclusion, random_qmatrix(rng, ker.rank, 3)),  # members
+            (probes, QMatrix.identity(probes.cols)),
+            (probes, random_qmatrix(rng, probes.cols, 2, density=0.3)),
+            (probes.scale(0), random_qmatrix(rng, probes.cols, 2)),
+        ]
+        for left, right in factors:
+            mat = left.matmul(right)
             cols = ker.coords_many(mat.to_cols())
-            got = ker.coords_matrix(mat)
+            got = ker.coords_matrix(left, right)
             if None in cols:
                 assert got is None
             else:
@@ -443,6 +449,24 @@ def test_kernel_coords_matrix_matches_coords_of_each_column():
                 assert ker.inclusion.matmul(got) == mat
             seen.add(got is None)
     assert seen == {True, False}
+
+
+def test_kernel_coords_matrix_refuses_factors_that_do_not_compose():
+    ker = KernelBasis(QMatrix.from_rows([[1, 1, 0]]))
+    with pytest.raises(InputError, match="inner dimensions"):
+        ker.coords_matrix(QMatrix.identity(3), QMatrix.identity(2))
+
+
+def test_sparse_columns_are_the_nonzero_column_entries_rows_ascending():
+    rng = random.Random(61)
+    for m in _kernel_cases(rng):
+        got = m.sparse_columns()
+        assert sorted(got) == sorted({c for _, c in m.entries})
+        for c in range(m.cols):
+            assert got.get(c, []) == [(r, x) for r, x in enumerate(m.column(c)) if x]
+    # a fresh dict each call: callers may keep it
+    m = QMatrix.identity(2)
+    assert m.sparse_columns() is not m.sparse_columns()
 
 
 # -- keyed bases -------------------------------------------------------------
@@ -763,7 +787,8 @@ def test_plumbing_and_kernels_match_fraction_loops_on_recorded_traffic(monkeypat
     for (ker, vectors), out in calls["coords"]:
         for x, got in zip(vectors, out):
             assert (got is not None) == (not any(fraction_matvec(ker.matrix, x)))
-    for (ker, images), out in calls["coords_matrix"]:
+    for (ker, left, right), out in calls["coords_matrix"]:
+        images = fraction_matmul(left, right)
         assert (out is not None) == fraction_matmul(ker.matrix, images).is_zero()
         if out is not None:
             assert fraction_matmul(ker.inclusion, out) == images

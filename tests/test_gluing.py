@@ -102,6 +102,26 @@ def test_fiber_product_projections_are_morphisms():
     DGMorphism(fp.carrier, fp.b, fp.proj_b.mats)
 
 
+def test_fiber_product_projections_are_the_inclusion_rows_of_each_block():
+    from cdgalab.exactlin import ONE
+    from cdgalab.polyforms import boundary_complex
+    from test_acceptance import _suspension_fp_system
+
+    _, carriers = _suspension_fp_system(
+        boundary_complex(3), sphere_even_model(6), upto=4, forms_total=2, forms_cutoff=3, sys_cutoff=4
+    )
+    fps = list({id(fp): fp for fp in carriers.values()}.values())
+    assert len(fps) == 3  # one per simplex dimension of the boundary of the 3-simplex
+    for fp in fps:
+        ambient = fp.ambient
+        for t, proj in enumerate((fp.proj_a, fp.proj_b)):
+            for k, mat in enumerate(proj.mats):
+                # the matrix that reads block t off a degree-k vector, times the inclusion
+                lo, n = ambient.offsets(k)[t], ambient.parts[t].dim(k)
+                reader = QMatrix(n, ambient.dim(k), {(r, lo + r): ONE for r in range(n)})
+                assert mat == reader.matmul(fp.kernels[k].inclusion)
+
+
 # -- Mayer-Vietoris -------------------------------------------------------------
 
 def test_mayer_vietoris_identity_legs_degenerate():

@@ -50,7 +50,8 @@ from cdgalab.specseq import (
     triple_morphism_pages,
 )
 
-from fixtures import sphere_even_model
+from fixtures import cp2_formal, sphere_even_model
+import helpers
 from helpers import (
     PerEntryTower,
     random_filtered_complex,
@@ -231,16 +232,54 @@ def test_default_page_window_holds_only_computable_entries():
     assert e0.dim(2, 1) == len(fc.subspace(2, 3)) > 0
 
 
-def test_a_filtration_whose_products_leave_it_is_rejected():
+def _leaky_cube_algebra():
+    """Q[x]/(x^3) with x and x^2 both at level 1: d = 0 keeps every F^p, but x * x = x^2
+    must lie in F^2 = 0."""
     base = power_quotient_dga(2, 3, 5)
-    # x and x^2 both at level 1: d = 0 keeps every F^p, but x * x = x^2 must lie in F^2 = 0
-    alg = TruncatedDGA(
+    return TruncatedDGA(
         base.cutoff, base.dims, base.unit, base.diff_mats, base._terms, levels=[[0], [], [1], [], [1], []]
     )
-    fc = FilteredComplex(algebra=alg, p_bound=2)
+
+
+def test_a_filtration_whose_products_leave_it_is_rejected():
+    fc = FilteredComplex(algebra=_leaky_cube_algebra(), p_bound=2)
     assert fc.validate() == ["product of F^1 and F^1 leaves F^2 on adapted basis pair (2,0),(2,0)"]
     with pytest.raises(InputError, match=r"leaves F\^2"):
         pages(fc, 1)
+
+
+def _leaky_fiber_product():
+    """The pullback of Q[y]/(y^3), y and y^2 at level 2, and the leaky cube over their
+    augmentations: two leaves whose levels differ at the same local coordinates."""
+    base = cp2_formal(5)
+    a = TruncatedDGA(
+        base.cutoff, base.dims, base.unit, base.diff_mats, base._terms, levels=[[0], [], [2], [], [2], []]
+    )
+    b, point = _leaky_cube_algebra(), point_dga(5)
+    f, g = (
+        DGMorphism(x, point, [QMatrix.identity(1)] + [QMatrix.zero(0, x.dim(k)) for k in range(1, 6)])
+        for x in (a, b)
+    )
+    return FilteredComplex(fiber_product(f, g, 5).carrier, 2)
+
+
+@pytest.mark.parametrize(
+    "build, problems",
+    [
+        (_leaky_fiber_product, 2),
+        (lambda: skeletal_filtration(hopf_like_system(), 4), 0),
+        (lambda: skeletal_filtration(_small_suspension_system(), 4), 0),
+        (lambda: FilteredComplex(algebra=_leaky_cube_algebra(), p_bound=2), 1),
+        # the leaky fiber under sections: the failing products are read off the leaves
+        (lambda: FilteredComplex(global_sections(constant_system(cycle_complex(3), _leaky_cube_algebra()), 4), 2), 1),
+    ],
+    ids=["leaky-fiber-product", "hopf-like", "suspension", "leaky-cube", "leaky-cube-sections"],
+)
+def test_validate_multiplies_leaf_by_leaf_as_the_dense_products_do(build, problems):
+    fc = build()
+    got = fc.validate()
+    assert got == helpers.dense_filtration_problems(fc)
+    assert len(got) == problems
 
 
 def test_first_quadrant_support_and_collapse_bound():
