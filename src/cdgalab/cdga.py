@@ -37,11 +37,11 @@ from .exactlin import (
     vec_is_zero,
     zero_vector,
 )
-from .graded import Element, FreeGCA, GeneratorSpec, Monomial, apply_odd_derivation, derive_monomial
+from .graded import Element, FreeGCA, Monomial, apply_odd_derivation, derive_monomial
 
 
 class FreeCDGA:
-    """Free CDGA: a free algebra plus a degree +1 differential on generators."""
+    """Free CDGA: a free algebra plus a degree +1 differential on generators, validated when ``check``."""
 
     def __init__(self, gca: FreeGCA, diff: Mapping[str, Element], check: bool = True):
         self.gca = gca
@@ -50,9 +50,9 @@ class FreeCDGA:
             img = diff.get(g.name)
             if img is None:
                 img = gca.zero()
-            if img.algebra is not gca:
+            elif check and img.algebra is not gca:
                 raise InputError(f"differential image of {g.name!r} lives in a different algebra")
-            if not img.is_zero() and img.degree() != g.degree + 1:
+            elif check and not img.is_zero() and img.degree() != g.degree + 1:
                 raise InputError(
                     f"differential of {g.name!r} must be homogeneous of degree {g.degree + 1}"
                 )
@@ -86,19 +86,14 @@ class FreeCDGA:
         ``diff`` gives differentials of the new generators as elements of this
         algebra; a new generator missing from it is closed.
 
-        Appending generators changes no differential of an existing monomial,
-        so the monomial differentials computed so far carry over, padded with
-        zero exponents like every other element.
+        Appending generators changes no key and no differential of an existing
+        monomial, so the images, the monomial differentials computed so far and
+        the bases (through the grown algebra) carry over as they are.
         """
-        gca = FreeGCA(self.gca.generators + tuple(GeneratorSpec(n, d) for n, d in gens))
-        pad = (0,) * len(gens)
-
-        def lift(terms):
-            return {m + pad: c for m, c in terms.items()}
-
-        images = {n: Element(gca, lift(img.terms)) for n, img in {**self.diff, **diff}.items()}
+        gca = FreeGCA(gens, parent=self.gca)
+        images = {n: Element(gca, img.terms) for n, img in {**self.diff, **diff}.items()}
         out = FreeCDGA(gca, images, check=False)
-        out._mono_d = {m + pad: lift(terms) for m, terms in self._mono_d.items()}
+        out._mono_d = dict(self._mono_d)
         return out
 
     def __repr__(self):

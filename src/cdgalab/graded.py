@@ -1,7 +1,11 @@
 """Free graded-commutative algebras on finitely many generators.
 
-Monomials are exponent tuples aligned with the declared generator order;
-odd-degree generators square to zero, and reordering products into that
+Monomials are exponent tuples aligned with the declared generator order and
+stored without trailing zeros: the unit is ``()`` and generator i is
+``(0,) * i + (1,)``.  A key thus does not depend on how many generators come
+after it, so an algebra grown by appending generators keeps its parent's keys,
+and lexicographic order on keys is that of the zero-padded tuples.
+Odd-degree generators square to zero, and reordering products into the
 canonical order accumulates the Koszul sign.  Because every generator has
 positive degree, each graded piece is finite dimensional.
 
@@ -35,10 +39,15 @@ class GeneratorSpec:
 
 
 class FreeGCA:
-    """Free graded-commutative algebra over the rationals."""
+    """Free graded-commutative algebra over the rationals.
 
-    def __init__(self, generators: Iterable):
-        specs = []
+    With a ``parent``, the algebra is grown from it: its generators are the
+    parent's followed by ``generators``, and its bases extend the parent's.
+    """
+
+    def __init__(self, generators: Iterable, parent: Optional["FreeGCA"] = None):
+        self._parent = parent
+        specs = list(parent.generators) if parent is not None else []
         for g in generators:
             if isinstance(g, GeneratorSpec):
                 specs.append(g)
@@ -54,6 +63,8 @@ class FreeGCA:
         self.odd_positions: tuple[int, ...] = tuple(
             i for i, d in enumerate(self.degrees) if d % 2
         )
+        # the number of odd positions below each key length
+        self._odd_below = list(accumulate((d % 2 for d in self.degrees), initial=0))
         self._basis_cache: dict[int, list[Monomial]] = {}
 
     @property
@@ -66,11 +77,10 @@ class FreeGCA:
 
     # -- monomials ------------------------------------------------------
     def unit_monomial(self) -> Monomial:
-        return (0,) * self.ngens
+        return ()
 
     def generator_monomial(self, name: str) -> Monomial:
-        i = self.index[name]
-        return tuple(1 if j == i else 0 for j in range(self.ngens))
+        return (0,) * self.index[name] + (1,)
 
     def mono_degree(self, m: Monomial) -> int:
         return sum(e * d for e, d in zip(m, self.degrees))
@@ -79,18 +89,26 @@ class FreeGCA:
         """Product of monomials: ``(koszul_sign, monomial)`` or None for zero.
 
         Only odd generators move a sign: each odd generator of a passes the
-        odd generators of b that sit at earlier positions.
+        odd generators of b that sit at earlier positions.  Beyond the shorter
+        key only the longer one has generators; a's, there, pass all of b's.
         """
+        la, lb = len(a), len(b)
+        odd = self.odd_positions
+        k = self._odd_below[la if la < lb else lb]
         sign = 0
         odd_b_before = 0
-        for j in self.odd_positions:
+        for j in odd[:k]:
             if a[j]:
                 if b[j]:
                     return None
                 sign += odd_b_before
             elif b[j]:
                 odd_b_before += 1
-        return (-1 if sign & 1 else 1), tuple(map(add, a, b))
+        if la > lb:
+            if odd_b_before & 1:
+                sign += sum(map(a.__getitem__, odd[k : self._odd_below[la]]))
+            return (-1 if sign & 1 else 1), tuple(map(add, a, b)) + a[lb:]
+        return (-1 if sign & 1 else 1), tuple(map(add, a, b)) + b[la:]
 
     def mono_str(self, m: Monomial) -> str:
         parts = []
@@ -106,13 +124,30 @@ class FreeGCA:
         """All monomials of total degree ``n``, lexicographic on exponents.
 
         Descending order, so powers of earlier generators come first and the
-        listing follows the declaration order of the generators.
+        listing follows the declaration order of the generators.  A grown
+        algebra extends its parent's lists by the monomials that contain one of
+        its own generators.
         """
         if n < 0:
             raise InputError("degree must be non-negative")
         cached = self._basis_cache.get(n)
         if cached is not None:
             return cached
+        parent = self._parent
+        if parent is None:
+            out = sorted(self._monomials(n, 0), reverse=True)
+        else:
+            out = parent.basis_in_degree(n)
+            # each new monomial: q, of degree k > 0 in the new generators, times p, one of the parent's
+            news = ((k, q) for k in range(1, n + 1) for q in self._monomials(k, parent.ngens))
+            grown = [p + q[len(p) :] for k, q in news for p in parent.basis_in_degree(n - k)]
+            if grown:
+                out = sorted(out + grown, reverse=True)
+        self._basis_cache[n] = out
+        return out
+
+    def _monomials(self, n: int, start: int) -> list[Monomial]:
+        """The keys of the monomials of degree ``n`` in the generators from position ``start`` on."""
         out: list[Monomial] = []
         expo = [0] * self.ngens
         # least degree among the generators from position i on
@@ -120,7 +155,8 @@ class FreeGCA:
 
         def rec(i: int, remaining: int):
             if remaining == 0:
-                out.append(tuple(expo))
+                # position i - 1 took the last factor, unless the monomial is the unit
+                out.append(tuple(expo[:i]))
                 return
             if remaining < least[i]:
                 return
@@ -133,14 +169,13 @@ class FreeGCA:
                 rec(i + 1, remaining - e * d)
             expo[i] = 0
 
-        rec(0, n)
+        rec(start, n)
         del rec  # it holds itself, and self, through its closure; unbinding it breaks the cycle
-        out.sort(reverse=True)
-        self._basis_cache[n] = out
         return out
 
     # -- elements ----------------------------------------------------------
     def element(self, terms: Mapping[Monomial, Fraction] | Iterable) -> "Element":
+        """The combination of ``terms``; an exponent tuple may end in zeros, which are trimmed."""
         if isinstance(terms, Mapping):
             items = terms.items()
         else:
@@ -148,8 +183,9 @@ class FreeGCA:
         data: dict[Monomial, Fraction] = {}
         for m, c in items:
             m = tuple(m)
-            if len(m) != self.ngens or any(e < 0 or (e > 1 and d % 2) for e, d in zip(m, self.degrees)):
+            if len(m) > self.ngens or any(e < 0 or (e > 1 and d % 2) for e, d in zip(m, self.degrees)):
                 raise InputError(f"invalid monomial {m} for {self}")
+            m = _trim(m)
             fc = rat(c)
             if fc != 0:
                 data[m] = data.get(m, ZERO) + fc
@@ -301,8 +337,9 @@ def derive_monomial(images: Mapping[str, Element], alg: FreeGCA, mono: Monomial)
     the odd generators of mono strictly between it and position i.
     """
     out: dict[Monomial, Fraction] = {}
-    # odd generators of mono before each position
+    # odd generators of mono before each position, up to the last generator of alg
     before = list(accumulate((d & 1 if e else 0 for e, d in zip(mono, alg.degrees)), initial=0))
+    before += before[-1:] * (alg.ngens - len(mono))
     for i, e in enumerate(mono):
         if not e:
             continue
@@ -315,18 +352,28 @@ def derive_monomial(images: Mapping[str, Element], alg: FreeGCA, mono: Monomial)
         # an odd g_i leaves position i: one odd generator fewer lies between i and any l > i
         lo, hi = before[i], before[i] + (alg.degrees[i] & 1)
         base = mono[:i] + (e - 1,) + mono[i + 1 :]
+        if not base[-1]:
+            base = _trim(base)
         for m, c in img.terms.items():
             sign = lo
-            for l in alg.odd_positions:
+            for l in alg.odd_positions[: alg._odd_below[len(m)]]:
                 if m[l]:
-                    if base[l]:
+                    if l < len(base) and base[l]:
                         break
                     sign += before[l] + (hi if l > i else lo)
             else:
-                key = tuple(map(add, base, m))
+                key = tuple(map(add, base, m)) + (base[len(m) :] or m[len(base) :])
                 v = out.get(key, ZERO) + (-e * c if sign & 1 else e * c)
                 if v:
                     out[key] = v
                 else:
                     out.pop(key, None)
     return out
+
+
+def _trim(m: Monomial) -> Monomial:
+    """The exponent tuple ``m`` without trailing zeros: its key."""
+    n = len(m)
+    while n and not m[n - 1]:
+        n -= 1
+    return m[:n]

@@ -270,10 +270,11 @@ def is_locally_constant(
     """Every restriction a quasi-isomorphism in degrees <= upto.
 
     ``fiber_h`` may pass in the fiber cohomologies, keyed by ``id`` of the
-    fiber, when the caller needs them too.
+    fiber, when the caller needs them too.  Facets may share one restriction
+    object, which is checked once.
     """
     hs = fiber_h if fiber_h is not None else _fiber_cohomologies(e, upto)
-    for (s, i), r in e.facet_restrictions.items():
+    for r in {id(r): r for r in e.facet_restrictions.values()}.values():
         ok, _ = is_quasi_iso(r, upto, source_h=hs[id(r.source)], target_h=hs[id(r.target)])
         if not ok:
             return False

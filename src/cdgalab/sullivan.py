@@ -29,7 +29,7 @@ from .cdga import (
 )
 from .errors import InputError, InternalError, PreconditionError
 from .exactlin import KernelBasis, QMatrix, RowSpace, kernel_basis, solve_many, vec_is_zero
-from .graded import Element, FreeGCA, Monomial, apply_odd_derivation
+from .graded import Element, FreeGCA, Monomial, _trim, apply_odd_derivation
 
 
 @dataclass
@@ -68,9 +68,9 @@ def _comparison_matrices(model: FreeCDGA, trunc: TruncatedDGA, target: Truncated
             return ()
         vec = memo.get(mono)
         if vec is None:
-            last = max(i for i, e in enumerate(mono) if e)
+            last = len(mono) - 1
             gdeg, gvec = images[last]
-            rest = mono[:last] + (mono[last] - 1,) + mono[last + 1 :]
+            rest = mono[:last] + (mono[last] - 1,) if mono[last] > 1 else _trim(mono[:last])
             vec = memo[mono] = target.multiply(k - gdeg, image(rest, k - gdeg), gdeg, gvec)
         return vec
 
@@ -179,14 +179,8 @@ def loop_model(base) -> FreeCDGA:
     for g in base.gca.generators:
         if g.degree < 2:
             raise PreconditionError("loop_model needs a 1-connected base model")
-    names = [g.name for g in base.gca.generators]
-    gens = [(g.name, g.degree) for g in base.gca.generators] + [
-        (g.name + "_bar", g.degree - 1) for g in base.gca.generators
-    ]
-    big = FreeGCA(gens)
-
-    def embed(x: Element) -> Element:
-        return big.element({m + (0,) * len(names): c for m, c in x.terms.items()})
+    # the base's keys are keys of the grown algebra
+    big = FreeGCA([(g.name + "_bar", g.degree - 1) for g in base.gca.generators], parent=base.gca)
 
     s_images = {}
     for g in base.gca.generators:
@@ -196,7 +190,7 @@ def loop_model(base) -> FreeCDGA:
 
     diff: dict[str, Element] = {}
     for g in base.gca.generators:
-        diff[g.name] = embed(base.diff[g.name])
+        diff[g.name] = Element(big, base.diff[g.name].terms)
     for g in base.gca.generators:
         sign = -1 if g.degree % 2 == 0 else 1
         diff[g.name + "_bar"] = sign * apply_odd_derivation(s_images, diff[g.name])

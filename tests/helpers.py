@@ -562,13 +562,20 @@ def full_zero_divisor_solve(f: PolyForm, wtotal: int) -> bool:
     return solve(target.matrix(products), target.vector(d(f).terms)) is not None
 
 
+def trimmed(m) -> tuple:
+    """The exponent tuple ``m`` without its trailing zeros."""
+    return tuple(m[: max((j + 1 for j, e in enumerate(m) if e), default=0)])
+
+
 def loop_mono_mul(alg, a, b):
     """Product of two monomials of ``alg`` by a loop over every generator.
 
     The reference for ``FreeGCA.mono_mul``: each odd generator of b moves
     left past the odd generators of a at later positions, and the product is
-    zero when an odd exponent of the sum exceeds one.
+    zero when an odd exponent of the sum exceeds one.  The keys are padded
+    with zeros to every generator on entry, and the product is trimmed.
     """
+    a, b = (m + (0,) * (alg.ngens - len(m)) for m in (a, b))
     sign = 0
     odd_a_after = 0
     for j in range(alg.ngens - 1, -1, -1):
@@ -578,7 +585,31 @@ def loop_mono_mul(alg, a, b):
     prod = tuple(x + y for x, y in zip(a, b))
     if any(d % 2 == 1 and e > 1 for e, d in zip(prod, alg.degrees)):
         return None
-    return (-1) ** sign, prod
+    return (-1) ** sign, trimmed(prod)
+
+
+def loop_derive_monomial(images, alg, mono) -> dict:
+    """Terms of D(mono) from padded keys and :func:`loop_mono_mul`, trimmed at the end.
+
+    The reference for ``graded.derive_monomial``: the i-th generator contributes
+    e_i (-1)^{|prefix|} left * D(g_i) * right, each product a dense loop.
+    """
+    n = alg.ngens
+    mono = tuple(mono) + (0,) * (n - len(mono))
+    out = {}
+    for i, e in enumerate(mono):
+        if not e:
+            continue
+        left = mono[:i] + (e - 1,) + (0,) * (n - i - 1)
+        right = (0,) * (i + 1) + mono[i + 1 :]
+        sign = (-1) ** sum(x * d for x, d in zip(mono[:i], alg.degrees))
+        for m, c in images[alg.generators[i].name].terms.items():
+            first = loop_mono_mul(alg, left, m)
+            second = first and loop_mono_mul(alg, first[1], right)
+            if second:
+                key = trimmed(second[1])
+                out[key] = out.get(key, 0) + sign * e * c * first[0] * second[0]
+    return {key: c for key, c in out.items() if c}
 
 
 def symbolic_odd_derivation(images, x):

@@ -9,7 +9,7 @@ import pytest
 from cdgalab.errors import InputError
 from cdgalab.graded import FreeGCA, apply_odd_derivation, derive_monomial
 
-from helpers import loop_mono_mul, poly_series_coefficient, symbolic_odd_derivation
+from helpers import loop_derive_monomial, loop_mono_mul, poly_series_coefficient, symbolic_odd_derivation, trimmed
 
 
 def exterior_two():
@@ -75,12 +75,12 @@ def test_basis_exterior_degree_two():
 def test_basis_cp_degrees():
     alg = cp_like()
     assert alg.basis_in_degree(5) == [(1, 1)]
-    assert alg.basis_in_degree(6) == [(3, 0)]
+    assert alg.basis_in_degree(6) == [(3,)]
 
 
 def test_basis_degree_zero_is_unit():
     alg = cp_like()
-    assert alg.basis_in_degree(0) == [(0, 0)]
+    assert alg.basis_in_degree(0) == [()]
 
 
 def test_degree_zero_generators_banned():
@@ -143,7 +143,7 @@ def mixed_algebra(degrees):
 
 def brute_force_basis(alg, n):
     ranges = [range(2) if d % 2 else range(n // d + 1) for d in alg.degrees]
-    found = [m for m in product(*ranges) if alg.mono_degree(m) == n]
+    found = [trimmed(m) for m in product(*ranges) if alg.mono_degree(m) == n]
     return sorted(found, reverse=True)
 
 
@@ -210,6 +210,29 @@ def test_loop_space_derivation_matches_symbolic_oracle():
         assert apply_odd_derivation(images, x) == symbolic_odd_derivation(images, x)
 
 
+@pytest.mark.parametrize("degrees", MIXED_ORDERS)
+def test_derive_monomial_matches_the_padded_loop(degrees):
+    # basis keys have every length up to the number of generators
+    rng = random.Random(sum(degrees) * 7)
+    alg = mixed_algebra(degrees)
+    monos = [m for n in range(0, 10) for m in alg.basis_in_degree(n)]
+    assert len({len(m) for m in monos}) == alg.ngens + 1
+    for _ in range(4):
+        images = random_images(rng, alg, 1)
+        for mono in monos:
+            assert derive_monomial(images, alg, mono) == loop_derive_monomial(images, alg, mono)
+
+
+def test_element_trims_padded_keys_and_rejects_longer_ones():
+    alg = cp_like()
+    assert alg.element({(1, 0): 2, (0, 0): 1}).terms == {(1,): 2, (): 1}
+    assert alg.gen("x").terms == {(1,): 1} and alg.one().terms == {(): 1}
+    assert alg.element({(1, 0): 1}) == alg.element({(1,): 1})
+    for bad in [(1, 0, 0), (0, 2), (-1,)]:
+        with pytest.raises(InputError, match="invalid monomial"):
+            alg.element({bad: 1})
+
+
 def test_derive_monomial_checks_images():
     alg = cp_like()
     other = cp_like()
@@ -219,4 +242,4 @@ def test_derive_monomial_checks_images():
     with pytest.raises(InputError, match="algebra of x"):
         derive_monomial({"x": alg.zero(), "y": other.gen("x")}, alg, mono)
     # a generator absent from the monomial needs no image
-    assert derive_monomial({"y": alg.gen("x") * alg.gen("x")}, alg, mono) == {(2, 0): 1}
+    assert derive_monomial({"y": alg.gen("x") * alg.gen("x")}, alg, mono) == {(2,): 1}

@@ -138,6 +138,42 @@ def test_killing_restriction_not_locally_constant():
     assert not is_locally_constant(_killing_system(), 4)
 
 
+def _counting_quasi_iso_checks(monkeypatch) -> list:
+    """The ``id`` of every restriction that ``is_locally_constant`` checks, in order."""
+    import cdgalab.localsys as localsys
+
+    checked = []
+    quasi_iso = localsys.is_quasi_iso
+
+    def counting(r, *args, **kwargs):
+        checked.append(id(r))
+        return quasi_iso(r, *args, **kwargs)
+
+    monkeypatch.setattr(localsys, "is_quasi_iso", counting)
+    return checked
+
+
+@pytest.mark.parametrize("base", [cycle_complex(3), boundary_complex(3)], ids=["circle", "boundary3"])
+def test_local_constancy_checks_each_distinct_restriction_once(monkeypatch, base):
+    # forms systems share one restriction object among the facets it serves
+    e = forms_system(base, 2, cutoff=4)
+    distinct = {id(r) for r in e.facet_restrictions.values()}
+    assert len(distinct) < len(e.facet_restrictions)
+    checked = _counting_quasi_iso_checks(monkeypatch)
+    assert is_locally_constant(e, 3)
+    assert sorted(checked) == sorted(distinct)
+
+
+def test_a_killing_restriction_shared_by_two_facets_is_still_caught(monkeypatch):
+    e = _killing_system()
+    restr = dict(e.facet_restrictions)
+    restr[((1, 2), 1)] = restr[((0, 1), 0)]
+    twisted = FiniteLocalSystem(e.base, dict(e.fibers), restr)
+    checked = _counting_quasi_iso_checks(monkeypatch)
+    assert not is_locally_constant(twisted, 4)
+    assert len(checked) == len(set(checked)) and id(restr[((0, 1), 0)]) in checked
+
+
 def _point_vertex_system():
     """The same circle with the point algebra on vertex 1, so H^3 there is 0 against 1 on its edges."""
     base = cycle_complex(3)

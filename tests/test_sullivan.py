@@ -7,7 +7,16 @@ from fractions import Fraction
 import pytest
 
 from cdgalab import sullivan
-from cdgalab.cdga import DGMorphism, FreeCDGA, cohomology, cohomology_dims, is_quasi_iso, tensor_product, truncate
+from cdgalab.cdga import (
+    DGMorphism,
+    FreeCDGA,
+    check_d_squared,
+    cohomology,
+    cohomology_dims,
+    is_quasi_iso,
+    tensor_product,
+    truncate,
+)
 from cdgalab.errors import InputError, InternalError, PreconditionError
 from cdgalab.exactlin import QMatrix
 from cdgalab.graded import FreeGCA
@@ -137,6 +146,62 @@ def test_staged_build_matches_a_fresh_truncation(name):
         degrees = [g.degree for g in res.model.gca.generators]
         expected = wedge_generator_counts(spheres, top)
         assert {n: degrees.count(n) for n in range(2, top + 1)} == expected
+
+
+# -- grown algebras ------------------------------------------------------------
+
+def _extends_of_minimal_model(monkeypatch, target):
+    """Every algebra ``FreeCDGA._extend`` returns while the model of ``target`` is built."""
+    grown = []
+    extend = FreeCDGA._extend
+
+    def recording(self, gens, diff):
+        grown.append(extend(self, gens, diff))
+        return grown[-1]
+
+    monkeypatch.setattr(FreeCDGA, "_extend", recording)
+    minimal_model(target, target.cutoff - 1)
+    monkeypatch.undo()
+    return grown
+
+
+def _hand_grown_chain():
+    """Even generators, then an odd one, then an even and an odd one of different degrees in one call."""
+    f = FreeCDGA(FreeGCA([("x", 2), ("z", 2)]), {})
+    x, z = f.gca.gen("x"), f.gca.gen("z")
+    f = f._extend([("y", 3)], {"y": x * z})
+    x = f.gca.gen("x")
+    g = f._extend([("w", 4), ("u", 5)], {"u": x * x * x})
+    x, z, w = (g.gca.gen(n) for n in ("x", "z", "w"))
+    h = g._extend([("t", 5)], {"t": x * w - z * z * z})
+    assert check_d_squared(h)[0]
+    return [f, g, h]
+
+
+@pytest.mark.parametrize("case", ["wedge2-11", "cp2-7", "hand"])
+def test_a_grown_algebra_truncates_like_one_built_in_one_go(monkeypatch, case):
+    if case == "hand":
+        grown, cutoff = _hand_grown_chain(), 12
+    else:
+        target = wedge_of_2_spheres(2, 11) if case == "wedge2-11" else cp2_formal(7)
+        grown, cutoff = _extends_of_minimal_model(monkeypatch, target), target.cutoff
+    assert grown
+    for f in grown:
+        gca = FreeGCA(f.gca.generators)
+        whole = truncate(FreeCDGA(gca, {n: gca.element(img.terms) for n, img in f.diff.items()}), cutoff)
+        part = truncate(f, cutoff)
+        assert [b.keys for b in part.bases] == [b.keys for b in whole.bases]
+        assert part.diff_mats == whole.diff_mats
+        for i in range(cutoff + 1):
+            for j in range(cutoff + 1 - i):
+                for a in range(part.dim(i)):
+                    for b in range(part.dim(j)):
+                        assert part.product_basis(i, a, j, b) == whole.product_basis(i, a, j, b)
+        # every key is trimmed: bases, differential images and the cached monomial differentials
+        keys = [m for basis in part.bases for m in basis.keys]
+        keys += [m for img in f.diff.values() for m in img.terms]
+        keys += [m for mono, terms in f._mono_d.items() for m in (mono, *terms)]
+        assert all(m[-1] for m in keys if m)
 
 
 # -- loop models ---------------------------------------------------------------
@@ -375,7 +440,7 @@ def test_comparison_matrices_match_the_plain_fold_in_every_degree(monkeypatch, m
     gens = res.model.gca.generators
     phi = {}
     for n, g in enumerate(gens):
-        key = tuple(int(m == n) for m in range(len(gens)))
+        key = (0,) * n + (1,)
         phi[g.name] = (g.degree, mats[g.degree].column(trunc.bases[g.degree].index[key]))
     every = range(target.cutoff + 1)
     folded = sullivan._comparison_matrices(res.model, trunc, target, phi, every)
@@ -418,7 +483,7 @@ def test_a_comparison_with_one_mutated_entry_is_not_multiplicative():
     comparison = res.comparison
     assert comparison.check_mode == "full" and comparison.pairs_checked > 0
     # x^2 -> 2 x^2 in degree 4 still commutes with both differentials (zero there)
-    square = comparison.source.bases[4].index[(2, 0)]
+    square = comparison.source.bases[4].index[(2,)]
     mats = list(comparison.mats)
     (row,) = [r for (r, c) in mats[4].entries if c == square]
     mats[4] = QMatrix(mats[4].rows, mats[4].cols, {**mats[4].entries, (row, square): 2 * mats[4].entries[(row, square)]})
