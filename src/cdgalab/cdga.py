@@ -29,8 +29,9 @@ from .exactlin import (
     RowSpace,
     Vector,
     ZERO,
+    _primitive,
+    _reduce_rows,
     concat,
-    kernel_basis,
     rank,
     rat,
     unit_vector,
@@ -67,11 +68,6 @@ class FreeCDGA:
             if not ok:
                 name, residue = offender
                 raise InputError(f"d squared is nonzero on generator {name!r}: {residue!r}")
-
-    def d(self, x: Element) -> Element:
-        if x.algebra is not self.gca:
-            raise InputError("element of a different algebra")
-        return apply_odd_derivation(self.diff, x)
 
     def _d_monomial(self, mono: Monomial) -> dict[Monomial, Fraction]:
         """Terms of d(mono), computed once per monomial."""
@@ -124,8 +120,9 @@ class TruncatedDGA:
     as ``(index, value)`` pairs of its nonzero coordinates in degree ``i + j``,
     or None when the product was dropped.  It is called at most once per pair,
     on first read: the results, dropped products included, make the one sparse
-    product table that every product and construction reads.  ``labels`` may
-    be a callable, called on first read.  ``levels`` optionally attaches a
+    product table that every product and construction reads.  ``labels`` gives
+    a string per basis element and degree, or is a callable that returns them,
+    called on first read.  ``levels`` optionally attaches a
     filtration level to every basis element (used by the spectral sequence
     machinery).  ``bases`` optionally names the basis elements of every
     degree by keys: a monomial, a form term or a tensor factor pair.  An
@@ -182,7 +179,11 @@ class TruncatedDGA:
         self._products: dict[tuple[int, int, int, int], Optional[Sequence[tuple[int, Fraction]]]] = {}
         if labels is None:
             labels = lambda dims=self.dims: [[f"e{k}_{a}" for a in range(n)] for k, n in enumerate(dims)]
-        self._labels = labels if callable(labels) else [list(l) for l in labels]
+        if not callable(labels):
+            labels = [list(l) for l in labels]
+            if [len(l) for l in labels] != self.dims or any(not isinstance(x, str) for l in labels for x in l):
+                raise InputError("labels must give one string per basis element in every degree")
+        self._labels = labels
         self.levels = [list(l) for l in levels] if levels is not None else None
         self.bases = list(bases) if bases is not None else None
         self.ambient = ambient
@@ -292,22 +293,6 @@ class TruncatedDGA:
         return acc
 
     # -- filtration levels -------------------------------------------------
-    def level_rows(self, k: int, p: int) -> QMatrix:
-        """Rows whose kernel is the subspace of degree-k elements of level >= p.
-
-        They select the coordinates of level below p; without ``levels`` every
-        basis element has level 0.  A kernel carrier reads the rows of its
-        ambient sum through its inclusion.
-        """
-        if self.ambient is not None:
-            return self.ambient.level_rows(k, p).matmul(self.kernels[k].inclusion)
-        below = [a for a in range(self.dim(k)) if self.basis_level(k, a) < p]
-        return QMatrix._of(len(below), self.dim(k), {(r, a): ONE for r, a in enumerate(below)})
-
-    def level_subspace(self, k: int, p: int) -> list[Vector]:
-        """Basis of the subspace of degree-k elements of level >= p."""
-        return kernel_basis(self.level_rows(k, p))
-
     def basis_level(self, k: int, a: int) -> int:
         return self.levels[k][a] if self.levels is not None else 0
 
@@ -533,10 +518,6 @@ class BlockSum:
         pairs = zip(self.parts, self.split(i, va), self.split(j, vb))
         return concat(*(part.multiply(i, x, j, y) for part, x, y in pairs))
 
-    def level_rows(self, k: int, p: int) -> QMatrix:
-        """The block-diagonal matrix of the parts' level rows in degree k."""
-        return _block_diagonal([part.level_rows(k, p) for part in self.parts])
-
 
 def _block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
     """The matrix with ``blocks`` down its diagonal, in order."""
@@ -551,18 +532,22 @@ def _block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
 
 
 def _require_basis_levels(alg: TruncatedDGA, cutoff: int) -> None:
-    """Refuse a kernel carrier whose filtration per-basis levels cannot hold.
-
-    A carrier's levels live in its ambient sum; they are trivial when no
-    degree has a nonzero subspace of level >= 1.
-    """
-    if alg.ambient is not None and any(
-        alg.level_subspace(k, 1) for k in range(min(cutoff, alg.cutoff) + 1)
-    ):
-        raise InputError(
-            f"{alg.name or 'a kernel carrier'} has a filtration in its ambient sum, "
-            "which per-basis levels cannot express"
-        )
+    """Refuse a kernel carrier whose filtration per-basis levels cannot hold: one with a nonzero
+    element of level >= 1 in the coordinates of its leaves (:func:`specseq._in_leaves`), that is
+    a combination of its basis columns that vanishes below level 1."""
+    if alg.ambient is None:
+        return
+    from .specseq import _in_leaves  # specseq imports cdga
+    for k in range(min(cutoff, alg.cutoff) + 1):
+        leaves, _, columns, _ = _in_leaves(alg, k)
+        levels = [leaf.basis_level(k, a) for leaf in leaves for a in range(leaf.dim(k))]
+        low = [_primitive({c: x for c, x in col.items() if levels[c] < 1}) for col in columns]
+        # such a combination exists when the cut columns are dependent, an empty one included
+        if len(_reduce_rows(low, len(levels))[1]) < len(low):
+            raise InputError(
+                f"{alg.name or 'a kernel carrier'} has a filtration in its ambient sum, "
+                "which per-basis levels cannot express"
+            )
 
 
 def direct_sum(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = None) -> TruncatedDGA:
@@ -712,9 +697,6 @@ class GradedCohomology:
     dims: list[int]
     reps: list[list[Vector]]
     spaces: list[RowSpace] = field(repr=False)
-
-    def dim(self, k: int) -> int:
-        return self.dims[k] if 0 <= k <= self.upto else 0
 
     def class_of(self, k: int, v: Vector) -> Vector:
         """Coordinates of [v] in the chosen representatives of H^k."""

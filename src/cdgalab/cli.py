@@ -20,7 +20,9 @@ Algebra specs: ``{"type": "free", "generators": [["x", 2], ...],
 ``{"type": "point", "cutoff": n}``, ``{"type": "product", "factors": [a, b]}``,
 ``{"type": "tensor", "factors": [a, b], "cutoff": n}``,
 ``{"type": "simplex-forms", "dim": n, "total_degree": D, "cutoff": n}`` and
-``{"type": "truncated", ...}`` (the explicit table form the CLI itself emits).
+``{"type": "truncated", ...}`` (the explicit table form the CLI itself emits;
+one string per basis element and degree in its ``labels``).  Product and
+tensor specs nest at most 100 deep.
 
 Morphism specs give explicit matrices (rows of rational literals, degree
 keyed) or ``{"type": "face-restriction", "source": a, "target": b, "face": i}``.
@@ -68,6 +70,8 @@ TASKS = (
 )
 
 SCHEMA_VERSION = "1"
+
+_MAX_NESTING = 100  # product and tensor specs nest at most this deep; products recurse per level
 
 
 def _int(x, what: str) -> int:
@@ -151,6 +155,7 @@ class Problem:
         self.free_algebras: dict[str, FreeCDGA] = {}
         self.algebras: dict[str, TruncatedDGA] = {}
         self._algebra_specs = dict(_obj(doc.get("algebras", {}), "algebras"))
+        self._nesting: dict[str, int] = {}  # product and tensor levels below each algebra
         self.complexes: dict[str, polyforms.SimplicialComplexK] = {}
         for name, spec in _obj(doc.get("complexes", {}), "complexes").items():
             self.complexes[name] = polyforms.SimplicialComplexK.from_maximal(
@@ -196,6 +201,8 @@ class Problem:
             return self.algebras[name]
         if name in stack:
             raise InputError(f"algebra {name!r} is defined in terms of itself")
+        if len(stack) > _MAX_NESTING:
+            raise InputError(f"algebra {stack[0]!r} nests product and tensor specs over {_MAX_NESTING} deep")
         spec = self._algebra_specs.get(name)
         if spec is None:
             raise InputError(f"unknown algebra {name!r}")
@@ -226,6 +233,9 @@ class Problem:
         elif kind in ("product", "tensor"):
             factors = _items(_req(spec, "factors"), 2, f"the factors of {kind} {name!r}")
             a, b = (self._resolve_algebra(n, stack + [name]) for n in factors)
+            self._nesting[name] = 1 + max(self._nesting.get(n, 0) for n in factors)
+            if self._nesting[name] > _MAX_NESTING:
+                raise InputError(f"algebra {name!r} nests product and tensor specs over {_MAX_NESTING} deep")
             build = cdga.direct_sum if kind == "product" else cdga.tensor_product
             alg = build(a, b, cutoff=_int(cutoff, "cutoff") if cutoff is not None else None)
         elif kind == "simplex-forms":
@@ -391,10 +401,6 @@ def emit_truncated(a: TruncatedDGA) -> dict:
     }
 
 
-def _poly_str(f: FreeCDGA, name: str) -> str:
-    return repr(f.diff[name])
-
-
 # ---------------------------------------------------------------------------
 # tasks
 # ---------------------------------------------------------------------------
@@ -441,10 +447,9 @@ def task_minimal_model(problem: Problem, flags) -> tuple[int, dict, Optional[dic
     upto = _bound(_need(problem, "upto", flags), "upto")
     res = sullivan.minimal_model(target, upto)
     gens = [[g.name, g.degree] for g in res.model.gca.generators]
-    diffs = {g.name: _poly_str(res.model, g.name) for g in res.model.gca.generators}
     result = {
         "generators": gens,
-        "differentials": diffs,
+        "differentials": {g.name: repr(res.model.diff[g.name]) for g in res.model.gca.generators},
         "built_upto": res.built_upto,
         "model": emit_free(res.model, target.cutoff),
     }

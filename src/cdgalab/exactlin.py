@@ -70,10 +70,6 @@ def format_rat(x: Fraction) -> str:
 # vectors
 # ---------------------------------------------------------------------------
 
-def vector(entries: Iterable) -> Vector:
-    return tuple(rat(e) for e in entries)
-
-
 def zero_vector(n: int) -> Vector:
     return (ZERO,) * n
 
@@ -265,14 +261,6 @@ class QMatrix:
                 if v:
                     entries[(r, c)] = Fraction(v, den)
         return QMatrix._of(self.rows, other.cols, entries)
-
-    def add(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("add: shape mismatch")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            entries[k] = entries.get(k, ZERO) + v
-        return QMatrix._of(self.rows, self.cols, {k: v for k, v in entries.items() if v})
 
     def scale(self, c) -> "QMatrix":
         c = rat(c)

@@ -261,33 +261,24 @@ def suspension_model(m: TruncatedDGA, upto: int) -> SuspensionModel:
         raise PreconditionError("suspension_model needs a connected source algebra")
 
     pivots = set(RowSpace(m.d_matrix(0)).pivots)
-    comp = [unit_vector(m.dim(1), j) for j in range(m.dim(1)) if j not in pivots]
-    shifted: list[list[Vector]] = [[], []]  # degrees 0 and 1 of the carrier
-    for k in range(2, upto + 1):
-        if k - 1 == 1:
-            shifted.append(list(comp))
-        else:
-            shifted.append([unit_vector(m.dim(k - 1), t) for t in range(m.dim(k - 1))])
-
-    dims = [1, 0] + [len(shifted[k]) for k in range(2, upto + 1)]
-    diff_mats = []
-    for k in range(upto):
-        if k == 0 or k == 1:
-            diff_mats.append(QMatrix.zero(dims[k + 1] if k + 1 <= upto else 0, dims[k]))
-            continue
-        # images already lie in the degree-k shifted basis (full basis for k >= 2)
-        cols = [m.apply_d(k - 1, v) for v in shifted[k]]
-        diff_mats.append(QMatrix.from_cols(cols, dims[k + 1]))
+    off_pivots = [j for j in range(m.dim(1)) if j not in pivots]
+    # carrier degree k >= 2 keeps these basis indices of m in degree k - 1
+    kept = {k: off_pivots if k == 2 else range(m.dim(k - 1)) for k in range(2, upto + 1)}
+    dims = [1, 0] + [len(kept[k]) for k in range(2, upto + 1)]
+    diff_mats = [QMatrix.zero(dims[k + 1], dims[k]) for k in range(min(upto, 2))]
+    for k in range(2, upto):
+        # d of a kept element is its column of d in m, which lies in carrier degree k + 1 >= 3,
+        # where every index is kept
+        cols = m.d_matrix(k - 1).sparse_columns()
+        entries = {(r, t): x for t, j in enumerate(kept[k]) for r, x in cols.get(j, ())}
+        diff_mats.append(QMatrix._of(dims[k + 1], dims[k], entries))
 
     def mult_fn(i, a, j, b):
         # the unit times anything (i <= j), and zero between positive degrees
         return ((b, ONE),) if i == 0 else ()
 
     def labels():
-        return [["1"], []] + [
-            [f"({m.labels[k - 1][_label_index(m, k - 1, v)]})*dt" if _label_index(m, k - 1, v) is not None else f"w{k}_{t}*dt" for t, v in enumerate(shifted[k])]
-            for k in range(2, upto + 1)
-        ]
+        return [["1"], []] + [[f"({m.labels[k - 1][j]})*dt" for j in kept[k]] for k in range(2, upto + 1)]
     carrier = TruncatedDGA(
         upto,
         dims,
@@ -298,14 +289,9 @@ def suspension_model(m: TruncatedDGA, upto: int) -> SuspensionModel:
         check=False,
         name="suspension",
     )
+    comp = [unit_vector(m.dim(1), j) for j in off_pivots]
+    shifted = [[], []] + [[unit_vector(m.dim(k - 1), j) for j in kept[k]] for k in range(2, upto + 1)]
     return SuspensionModel(carrier=carrier, source=m, complement_choice=comp, shifted_basis=shifted)
-
-
-def _label_index(m: TruncatedDGA, k: int, v: Vector) -> Optional[int]:
-    nz = [t for t, x in enumerate(v) if x != 0]
-    if len(nz) == 1 and v[nz[0]] == 1:
-        return nz[0]
-    return None
 
 
 def induced_fp_map(
@@ -370,23 +356,24 @@ def interval_forms(total_degree: int, cutoff: int = 2) -> TruncatedDGA:
     return forms_dga(1, total_degree, cutoff=cutoff)
 
 
+def _evaluation(cyl: TruncatedDGA, k: int, endpoint: int, shift: int = 0) -> dict:
+    """The entries of evaluation at t = ``endpoint`` on degree k of ``cyl`` = A (x) interval forms,
+    onto A with its rows moved down by ``shift``.  The degree-0 interval basis is 1, t, t^2, ...,
+    so t^b is 1 at t = 1 and [b = 0] at t = 0; dt-terms vanish at both ends."""
+    return {
+        (ia + shift, col): ONE
+        for col, (_, ia, j, jb) in enumerate(cyl.bases[k].keys)
+        if j == 0 and (endpoint == 1 or jb == 0)
+    }
+
+
 def endpoint_evaluations(cyl: TruncatedDGA, m: TruncatedDGA, mm: TruncatedDGA) -> DGMorphism:
     """Evaluation (t=0, t=1) from m (x) interval-forms onto m x m."""
-    mats = []
-    cap = min(cyl.cutoff, mm.cutoff)
-    blocks = BlockSum((m, m), cap)
-    for k in range(cap + 1):
-        entries = {}
-        second = blocks.offsets(k)[1]
-        for col, (i, ia, j, jb) in enumerate(cyl.bases[k].keys):
-            if j != 0:
-                continue  # dt-terms vanish at the endpoints
-            # the degree-0 interval basis is 1, t, t^2, ... in that order, so
-            # t^jb is 1 at t = 1 and [jb = 0] at t = 0
-            if jb == 0:
-                entries[(ia, col)] = ONE
-            entries[(ia + second, col)] = ONE
-        mats.append(QMatrix(mm.dim(k), cyl.dim(k), entries))
+    # m x m holds t = 0 in its first block and t = 1 in its second
+    mats = [
+        QMatrix(mm.dim(k), cyl.dim(k), {**_evaluation(cyl, k, 0), **_evaluation(cyl, k, 1, m.dim(k))})
+        for k in range(min(cyl.cutoff, mm.cutoff) + 1)
+    ]
     return DGMorphism(cyl, mm, mats, name="endpoint evaluation")
 
 

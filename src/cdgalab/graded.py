@@ -225,10 +225,6 @@ class Element:
             raise InputError(f"element is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def homogeneous_part(self, n: int) -> "Element":
-        alg = self.algebra
-        return Element(alg, {m: c for m, c in self.terms.items() if alg.mono_degree(m) == n})
-
     def _require_same(self, other: "Element"):
         if self.algebra is not other.algebra:
             raise InputError("elements of different algebras")

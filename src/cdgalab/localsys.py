@@ -37,7 +37,7 @@ from .exactlin import (
     solve_many,
     unit_vector,
 )
-from .gluing import FiberProductDGA, _kernel_carrier, _push, fiber_product, interval_forms
+from .gluing import FiberProductDGA, _evaluation, _kernel_carrier, _push, fiber_product, interval_forms
 from .polyforms import (
     SimplicialComplexK,
     Simplex,
@@ -60,9 +60,6 @@ class FiniteLocalSystem:
     fibers: dict[Simplex, TruncatedDGA]
     facet_restrictions: dict[tuple[Simplex, int], DGMorphism]
     _sequence_cache: object = field(default=None, init=False, repr=False, compare=False)
-
-    def fiber(self, s: Simplex) -> TruncatedDGA:
-        return self.fibers[tuple(s)]
 
     def restriction(self, s: Simplex, t: Simplex) -> DGMorphism:
         """Composite restriction along t included in s (any codimension)."""
@@ -567,16 +564,10 @@ def cylinder(e: FiniteLocalSystem, interval_total: int = 2):
         for s in e.base.all_simplices():
             src = cyl.fibers[s]
             tgt = e.fibers[s]
-            mats = []
-            for k in range(min(src.cutoff, tgt.cutoff) + 1):
-                # basis element b1 of the interval is t^b1 in degree 0: it is 1
-                # at t = 1 and [b1 = 0] at t = 0; dt terms vanish at both ends
-                entries = {
-                    (a1, col): ONE
-                    for col, (_, a1, d2, b1) in enumerate(src.bases[k].keys)
-                    if d2 == 0 and (endpoint == 1 or b1 == 0)
-                }
-                mats.append(QMatrix(tgt.dim(k), src.dim(k), entries))
+            mats = [
+                QMatrix(tgt.dim(k), src.dim(k), _evaluation(src, k, endpoint))
+                for k in range(min(src.cutoff, tgt.cutoff) + 1)
+            ]
             maps[s] = DGMorphism(src, tgt, mats, check="none")
         evals.append(SystemMorphism(cyl, e, maps))
     return cyl, evals[0], evals[1]

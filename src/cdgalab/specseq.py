@@ -180,19 +180,17 @@ class FilteredComplex:
         return not any(x for c, x in image.items() if ad.coord_levels[c] < p)
 
     def validate(self) -> list[str]:
-        """Check that the filtration is decreasing, stable under d and multiplicative.
+        """Check that the filtration is stable under d and multiplicative.
 
-        Every F^p must lie in F^{p-1} and d(F^p) in F^p, and for every pair of adapted basis
-        elements (:class:`_AdaptedBasis`) x of level p and y of level q, x·y must lie in
-        F^{p+q}; the product is bilinear, so these pairs prove F^p·F^q ⊂ F^{p+q}.  Products
-        the cutoff dropped are skipped.  Returns failure descriptions (empty = ok).
+        d(F^p) must lie in F^p, and for every pair of adapted basis elements (:class:`_AdaptedBasis`)
+        x of level p and y of level q, x·y must lie in F^{p+q}; the product is bilinear, so these
+        pairs prove F^p·F^q ⊂ F^{p+q}.  F^p ⊂ F^{p-1} holds by construction: an adapted row of level
+        p has its entries only at coordinates of level >= p.  Products the cutoff dropped are
+        skipped.  Returns failure descriptions (empty = ok).
         """
         problems = []
         alg = self.algebra
         for p in range(1, self.p_bound + 1):
-            for k in range(alg.cutoff + 1):
-                if not all(self.contains(p - 1, k, v) for v in self.subspace(p, k)):
-                    problems.append(f"F^{p} not inside F^{p - 1} at degree {k}")
             for k in range(alg.cutoff):
                 if not all(self.contains(p, k + 1, alg.apply_d(k, v)) for v in self.subspace(p, k)):
                     problems.append(f"d leaves F^{p} at degree {k}")
@@ -451,7 +449,7 @@ class PageTower:
         ]
         return QMatrix.from_cols(cols, dim_tgt)
 
-    def page(self, r: int, p_max: int, q_max: int, with_diffs: bool = True) -> Page:
+    def page(self, r: int, p_max: int, q_max: int) -> Page:
         page = Page(r=r)
         cutoff = self.fc.algebra.cutoff
         for p in range(0, p_max + 1):
@@ -460,7 +458,7 @@ class PageTower:
                 page.entries[(p, q)] = dim_e
                 page.reps[(p, q)] = reps
                 page.denoms[(p, q)] = denom
-                if with_diffs and p + q + 1 < cutoff:
+                if p + q + 1 < cutoff:
                     page.diffs[(p, q)] = self.diff(r, p, q)
         return page
 

@@ -10,7 +10,7 @@ from itertools import combinations
 from math import comb
 import random
 
-from cdgalab.cdga import cohomology, induced_map
+from cdgalab.cdga import _block_diagonal, cohomology, induced_map
 from cdgalab.errors import CutoffTooSmallError, InputError
 from cdgalab.exactlin import (
     ONE, ZERO, KernelBasis, KeyedBasis, QMatrix, RowSpace, _Coordinates, _eliminate, _int_row, concat, kernel_basis, rank, rat,
@@ -361,6 +361,20 @@ def stacked_preimage(a: QMatrix, sub) -> list:
     return [heads[c] for c in RowSpace(QMatrix.from_cols(heads, a.cols)).columns]
 
 
+def level_rows(alg, k: int, p: int) -> QMatrix:
+    """Rows whose kernel is the subspace of degree-k elements of level >= p.
+
+    They select the coordinates of level below p; without ``levels`` every basis element has
+    level 0.  A kernel carrier reads the block-diagonal rows of its ambient parts through its
+    inclusion.
+    """
+    if alg.ambient is None:
+        below = [a for a in range(alg.dim(k)) if alg.basis_level(k, a) < p]
+        return QMatrix(len(below), alg.dim(k), {(r, a): ONE for r, a in enumerate(below)})
+    rows = _block_diagonal([level_rows(part, k, p) for part in alg.ambient.parts])
+    return rows.matmul(alg.kernels[k].inclusion)
+
+
 def stacked_level_subspace(alg, k: int, p: int) -> list:
     """Level ``>= p`` subspace of ``alg`` in degree k, by stacked preimages.
 
@@ -647,7 +661,7 @@ class PerEntryTower:
 
     The slow reference for ``specseq.PageTower``, with the same ``entry``,
     ``z_basis``, ``class_in_entry`` and ``diff``.  F^p is the kernel of the
-    algebra's ``level_rows`` (all of degree k beyond ``p_bound``), never the
+    algebra's :func:`level_rows` (all of degree k beyond ``p_bound``), never the
     adapted basis; each entry runs its own kernels and fills its own span.
     """
 
@@ -659,7 +673,7 @@ class PerEntryTower:
 
     def level_rows(self, p: int, k: int) -> QMatrix:
         alg = self.fc.algebra
-        return QMatrix.identity(alg.dim(k)) if p > self.fc.p_bound else alg.level_rows(k, p)
+        return QMatrix.identity(alg.dim(k)) if p > self.fc.p_bound else level_rows(alg, k, p)
 
     def level(self, p: int, k: int) -> KernelBasis:
         if (p, k) not in self._levels:
@@ -978,7 +992,8 @@ def dense_multiplicativity(h) -> tuple:
 
 def dense_filtration_problems(fc) -> list:
     """``FilteredComplex.validate`` with every adapted basis element written densely in the
-    algebra's basis and multiplied there by ``multiply``, then tested with ``contains``."""
+    algebra's basis and multiplied there by ``multiply``, then tested with ``contains``; it
+    also tests F^p ⊂ F^{p-1}, which the library takes to hold by construction."""
     problems = []
     alg = fc.algebra
     for p in range(1, fc.p_bound + 1):

@@ -699,3 +699,19 @@ def test_truncation_labels_are_built_on_first_read():
     assert t._labels is t.labels
     assert point_dga(1).labels == [["1"], []]
     assert TruncatedDGA(1, [1, 1], (1,), [None], lambda i, a, j, b: ((0, Fraction(1)),)).labels == [["e0_0"], ["e1_0"]]
+
+
+def test_sum_and_tensor_labels_name_their_factors():
+    a, b = point_dga(2), power_quotient_dga(2, 2, 2)
+    assert direct_sum(a, b).labels == [["(1,0)", "(0,1)"], [], ["(0,x^1)"]]
+    assert tensor_product(b, b, cutoff=2).labels == [["1(x)1"], [], ["1(x)x^1", "x^1(x)1"]]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[["1"]], [["1"], []], [["1"], ["x", "y"]], [["1"], [["x"]]], [["1"], [7]]],
+    ids=["a degree missing", "too few", "too many", "a list", "an integer"],
+)
+def test_sequence_labels_need_one_string_per_basis_element(labels):
+    with pytest.raises(InputError, match="one string per basis element"):
+        TruncatedDGA(1, [1, 1], (1,), [None], lambda i, a, j, b: ((0, Fraction(1)),), labels=labels)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cdgalab.cli import main
+from cdgalab.cli import _MAX_NESTING, main
 
 
 def write(tmp_path, doc, name="problem.json"):
@@ -687,3 +687,161 @@ def test_mutated_fixtures_exit_0_1_or_2_without_a_traceback(tmp_path, capsys):
         assert code in (0, 1, 2), (trial, path, doc)
         if code == 2:
             assert "input error:" in err, (trial, path, err)
+
+
+# -- inputs the fixtures above leave out ------------------------------------------
+
+def suspend_truncated_problem():
+    """The suspension of a 2-sphere given as explicit tables with labels."""
+    return {
+        "version": "1",
+        "task": "suspend",
+        "algebras": {
+            "S": {
+                "type": "truncated",
+                "dims": [1, 0, 1, 0],
+                "unit": ["1"],
+                "mult": [[0, 0, 0, 0, ["1"]], [0, 0, 2, 0, ["1"]]],
+                "labels": [["1"], [], ["x"], []],
+            }
+        },
+        "task_args": {"model": "S", "upto": 3},
+    }
+
+
+def test_suspend_reads_the_labels_of_a_truncated_algebra(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, [write(tmp_path, suspend_truncated_problem()), "--format", "machine"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["cohomology_dims"] == [1, 0, 0]
+    assert result["algebra"]["labels"] == [["1"], [], [], ["(x)*dt"]]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[["1"], [], []], [["1"], [], ["x", "y"], []], [["1"], [], [["x"]], []]],
+    ids=["a degree missing", "longer than the dimension", "not a string"],
+)
+def test_malformed_truncated_labels_exit_2(tmp_path, capsys, labels):
+    doc = _set(("algebras", "S", "labels"), labels)(suspend_truncated_problem())
+    code, out, err = run_cli(capsys, [write(tmp_path, doc), "--format", "machine"])
+    assert (code, out) == (2, "")
+    assert "input error: labels must give one string per basis element in every degree" in err
+
+
+def test_mutated_labels_exit_0_or_2_without_a_traceback(tmp_path, capsys):
+    """The labels and every key path below them, each dropped or set to every fuzz value."""
+    labels = ("algebras", "S", "labels")
+    paths = [labels] + [labels + path for path in _paths(suspend_truncated_problem()["algebras"]["S"]["labels"])]
+    for path in paths:
+        for mutate in [_drop(path)] + [_set(path, value) for value in FUZZ_VALUES]:
+            doc = mutate(suspend_truncated_problem())
+            code, _, err = run_cli(capsys, [write(tmp_path, doc), "--format", "machine"])
+            assert code in (0, 2), (path, doc)
+            if code == 2:
+                assert "input error:" in err, (path, err)
+
+
+def nested_problem(kind, n, reverse=False):
+    """A chain of n specs of ``kind``, each of the next one and a point, listed from the top
+    down or, with ``reverse``, from the bottom up."""
+    algebras = {f"A{i}": {"type": kind, "factors": [f"A{i + 1}", "P"], "cutoff": 2} for i in range(n)}
+    algebras[f"A{n}"] = algebras["P"] = {"type": "point", "cutoff": 2}
+    items = list(algebras.items())
+    return {
+        "version": "1",
+        "task": "cohomology",
+        "algebras": dict(items[::-1] if reverse else items),
+        "task_args": {"algebra": "A0", "upto": 1},
+    }
+
+
+def test_nesting_up_to_the_bound_is_computed(tmp_path, capsys):
+    for reverse in (False, True):
+        doc = nested_problem("tensor", _MAX_NESTING, reverse)
+        code, out, _ = run_cli(capsys, [write(tmp_path, doc), "--format", "machine"])
+        assert code == 0
+        assert json.loads(out)["result"]["dims"] == [1, 0]
+
+
+@pytest.mark.parametrize("kind", ["product", "tensor"])
+@pytest.mark.parametrize("n, reverse", [(_MAX_NESTING + 1, False), (1500, False), (1500, True)])
+def test_nesting_beyond_the_bound_exits_2(tmp_path, capsys, kind, n, reverse):
+    code, out, err = run_cli(capsys, [write(tmp_path, nested_problem(kind, n, reverse)), "--format", "machine"])
+    assert (code, out) == (2, "")
+    assert f"nests product and tensor specs over {_MAX_NESTING} deep" in err
+
+
+def test_restrictions_by_face_and_by_morphism_name_match_the_forms_system(tmp_path, capsys):
+    doc = {
+        "version": "1",
+        "task": "gamma",
+        "algebras": {
+            "F1": {"type": "simplex-forms", "dim": 1, "total_degree": 2, "cutoff": 3},
+            "F0": {"type": "simplex-forms", "dim": 0, "total_degree": 2, "cutoff": 3},
+        },
+        "morphisms": {"r1": {"type": "face-restriction", "source": "F1", "target": "F0", "face": 1}},
+        "complexes": {"K": {"vertices": [0, 1], "maximal": [[0, 1]]}},
+        "systems": {
+            "E": {
+                "type": "explicit",
+                "base": "K",
+                "fibers": {"0": "F0", "1": "F0", "0,1": "F1"},
+                "restrictions": {
+                    "0,1|0": {"type": "face-restriction", "source": "F1", "target": "F0", "face": 0},
+                    "0,1|1": "r1",
+                },
+            },
+            "G": {"type": "forms", "base": "K", "total_degree": 2, "cutoff": 3},
+        },
+        "task_args": {"system": "E", "upto": 3},
+    }
+    code, out, _ = run_cli(capsys, [write(tmp_path, doc), "--format", "machine"])
+    assert code == 0
+    explicit = json.loads(out)["result"]
+    assert explicit["cohomology_dims"] == [1, 0, 0]
+    doc["task_args"]["system"] = "G"
+    code, out, _ = run_cli(capsys, [write(tmp_path, doc), "--format", "machine"])
+    assert code == 0
+    assert json.loads(out)["result"] == explicit
+
+
+def test_truncated_diff_entries_are_read(tmp_path, capsys):
+    """x in degree 1 with dx = y: nothing survives above degree 0."""
+    doc = truncated_problem()
+    doc["algebras"]["A"].update(
+        dims=[1, 1, 1],
+        diff={"1": [[0, 0, "1"]]},
+        mult=[[0, 0, 0, 0, ["1"]], [0, 0, 1, 0, ["1"]], [0, 0, 2, 0, ["1"]], [1, 0, 1, 0, ["0"]]],
+        labels=[["1"], ["x"], ["y"]],
+    )
+    code, out, _ = run_cli(capsys, [write(tmp_path, doc), "--format", "machine"])
+    assert code == 0
+    assert json.loads(out)["result"]["dims"] == [1, 0]
+
+
+def test_human_format_counts_long_lists_and_prints_the_verify_section(tmp_path, capsys):
+    doc = _set(("algebras", "S2", "cutoff"), 9)(_set(("task_args", "upto"), 9)(suspend_problem()))
+    code, out, _ = run_cli(capsys, [write(tmp_path, doc), "--format", "human"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:4] == [
+        "task: suspend",
+        "carrier_dims: [10 entries]",
+        "cohomology_dims: [9 entries]",
+        "positive_products_vanish: True",
+    ]
+    assert "algebra.unit: ['1']" in lines
+    code, out, _ = run_cli(capsys, [write(tmp_path, glue_problem()), "--format", "human", "--verify"])
+    assert code == 0
+    assert {"verify.exact: True", "verify.connecting_ranks: [1, 0, 0]", "verify.failures: []"} <= set(out.splitlines())
+
+
+def test_parameters_give_what_task_args_leave_out(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, [write(tmp_path, torus_problem()), "--format", "machine"])
+    expected = json.loads(out)["result"]
+    doc = torus_problem()
+    doc["parameters"] = {"upto": doc["task_args"].pop("upto")}
+    code, out, _ = run_cli(capsys, [write(tmp_path, doc), "--format", "machine"])
+    assert code == 0
+    assert json.loads(out)["result"] == expected

@@ -201,6 +201,21 @@ def test_suspension_dimension_formula_randomized():
         assert hs[k + 1] == hm[k]
 
 
+@pytest.mark.parametrize("make", [lambda: forms_dga(2, 3), lambda: interval_forms(2)], ids=["simplex", "interval"])
+def test_suspension_of_an_acyclic_algebra_whose_d0_is_nonzero(make):
+    """Carrier degree 2 is a complement of im d^0 in m^1, so the carrier stays acyclic."""
+    m = make()
+    assert rank(m.d_matrix(0)) > 0
+    s = suspension_model(m, m.cutoff + 1)
+    assert s.carrier.dim(2) == m.dim(1) - rank(m.d_matrix(0)) == len(s.complement_choice)
+    assert cohomology_dims(s.carrier, m.cutoff) == [1] + [0] * m.cutoff
+    f, g = suspension_triple(m, m.cutoff)
+    fp = fiber_product(f, g, m.cutoff)
+    s = suspension_model(m, m.cutoff)
+    ok, fail = theta_equivalence_check(fp, s.carrier, suspension_inclusion(s, fp), m.cutoff - 1)
+    assert ok, f"failed at degree {fail}"
+
+
 def test_suspension_requires_connected():
     qq = direct_sum(point_dga(4), point_dga(4))
     with pytest.raises(PreconditionError):

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cdgalab.cdga import (
+    BlockSum,
     DGMorphism,
     TruncatedDGA,
+    _require_basis_levels,
     cohomology,
     cohomology_dims,
     direct_sum,
@@ -17,8 +19,8 @@ from cdgalab.cdga import (
 )
 from cdgalab.cdga import FreeCDGA
 from cdgalab.errors import InputError, InternalError
-from cdgalab.exactlin import ONE, KeyedBasis, QMatrix, ZERO, rank, unit_vector
-from cdgalab.gluing import fiber_product, mayer_vietoris, suspension_triple
+from cdgalab.exactlin import ONE, KernelBasis, KeyedBasis, QMatrix, ZERO, kernel_basis, rank, unit_vector
+from cdgalab.gluing import _kernel_carrier, fiber_product, mayer_vietoris, suspension_triple
 from cdgalab.graded import FreeGCA
 from cdgalab.localsys import (
     FiniteLocalSystem,
@@ -54,6 +56,7 @@ from fixtures import cp2_formal, sphere_even_model
 import helpers
 from helpers import (
     PerEntryTower,
+    level_rows,
     random_filtered_complex,
     same_span,
     spans_agree,
@@ -180,7 +183,7 @@ def test_sum_and_tensor_refuse_a_carrier_filtration_levels_cannot_hold():
     e = _small_suspension_system()
     top = e.fibers[max(e.base.all_simplices(), key=len)]
     assert top.ambient is not None
-    assert [len(top.level_subspace(k, 1)) for k in range(4)] == [0, 12, 8, 1]
+    assert [len(kernel_basis(level_rows(top, k, 1))) for k in range(4)] == [0, 12, 8, 1]
     point = point_dga(3)
     for build in (
         lambda: direct_sum(top, top),
@@ -194,9 +197,38 @@ def test_sum_and_tensor_refuse_a_carrier_filtration_levels_cannot_hold():
     # a carrier with a trivial filtration keeps working
     plain = fiber_product(*suspension_triple(sphere_even_model(5), 3), 3).carrier
     assert plain.ambient is not None
-    assert not any(plain.level_subspace(k, 1) for k in range(plain.cutoff + 1))
+    assert not any(kernel_basis(level_rows(plain, k, 1)) for k in range(plain.cutoff + 1))
     assert direct_sum(plain, plain).dims == [2 * d for d in plain.dims]
     assert tensor_product(plain, point, cutoff=3).dims == plain.dims[:4]
+
+
+def test_the_carrier_guard_agrees_with_the_row_oracle():
+    """The guard refuses a carrier exactly where the row oracle finds an element of level >= 1,
+    on carriers of leaves and on carriers of carriers."""
+    e = _small_suspension_system()
+    plain = fiber_product(*suspension_triple(sphere_even_model(5), 3), 3).carrier
+    carriers = list({id(f): f for f in e.fibers.values()}.values())
+    carriers += [plain, global_sections(e, 3), global_sections(constant_system(boundary_complex(2), plain), 3)]
+    # a degree-1 carrier spanned by e0 + e1 and e0 + e2 over a leaf with levels 0, 1, 1: its
+    # columns cut below level 1 are nonzero but dependent, and e1 - e2 has level 1
+    leaf = from_tables(
+        1, [1, 3], (ONE,), [None],
+        {(0, 0, 0, 0): (ONE,), **{(0, 0, 1, b): unit_vector(3, b) for b in range(3)}},
+        levels=[[0], [0, 1, 1]],
+    )
+    kernels = [KernelBasis(QMatrix.zero(0, 1)), KernelBasis(QMatrix.from_rows([[1, -1, -1]]))]
+    carriers.append(_kernel_carrier(kernels, BlockSum((leaf,), 1), "mixed"))
+    verdicts = []
+    for alg in carriers:
+        oracle = any(kernel_basis(level_rows(alg, k, 1)) for k in range(alg.cutoff + 1))
+        try:
+            _require_basis_levels(alg, alg.cutoff)
+        except InputError:
+            verdicts.append((True, oracle))
+        else:
+            verdicts.append((False, oracle))
+    assert all(refused == oracle for refused, oracle in verdicts)
+    assert {refused for refused, _ in verdicts} == {True, False}
 
 
 @pytest.mark.parametrize("make, upto", [(_circle_tensor_system, 4), (_small_suspension_system, 3)])
@@ -207,7 +239,7 @@ def test_levels_and_cycles_span_the_stacked_preimages(make, upto):
     for p in range(p_bound + 1):
         for k in range(upto + 1):
             oracle[(p, k)] = stacked_level_subspace(alg, k, p)
-            assert same_span(alg.level_subspace(k, p), oracle[(p, k)])
+            assert same_span(kernel_basis(level_rows(alg, k, p)), oracle[(p, k)])
             assert same_span(fc.subspace(p, k), oracle[(p, k)])
     assert any(oracle[(p_bound, k)] for k in range(upto + 1))
     tower = PageTower(fc)
