@@ -6,9 +6,10 @@ this module, and it is the only one that writes a vector in a basis
 :class:`fractions.Fraction` (arbitrary precision, always in lowest terms,
 positive denominator), so results are exact and reproducible.  Matrices are
 stored sparsely.  Elimination clears each row to integers, reduces over the
-integers through a column -> rows index and builds Fractions only for the
-result; kernels are sparse columns read off the integer echelon rows, held by
-:class:`KernelBasis` and densified by :func:`kernel_basis`.  ``matvec`` and ``matmul``
+integers through a column -> rows index, in a forward pass and one back
+substitution, and builds Fractions only for the result; kernels are sparse
+columns read off the integer echelon rows, held by :class:`KernelBasis` and
+densified by :func:`kernel_basis`.  ``matvec`` and ``matmul``
 accumulate integers over a common denominator; ``matvec`` walks a column index
 kept on the immutable matrix.
 
@@ -340,8 +341,9 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> None:
 def _int_echelon(m: QMatrix, pivot_cols: Optional[int] = None):
     """Return (pivot rows, pivots, other rows) of the RREF of ``m``, each row times an integer.
 
-    Rows are cleared to integers and reduced by :func:`_eliminate`, so a pivot row is its
-    reduced row times its entry at the pivot.  Pivots are chosen among the first ``pivot_cols``
+    Rows are cleared to integers and reduced by :func:`_eliminate` in a forward pass, then one
+    back substitution (:func:`_reduce_rows`), so a pivot row is its reduced row times its entry
+    at the pivot, primitive and unique up to sign.  Pivots are chosen among the first ``pivot_cols``
     columns only; trailing columns ride along (augmented solves), and a row past the pivots is
     a nonzero multiple of a residual, nonzero exactly where those columns are inconsistent."""
     if not m.entries:
@@ -353,7 +355,13 @@ def _int_echelon(m: QMatrix, pivot_cols: Optional[int] = None):
 
 
 def _reduce_rows(rows: list[dict[int, int]], pivot_cols: int):
-    """:func:`_int_echelon` on primitive integer rows, which it reduces in place."""
+    """:func:`_int_echelon` on primitive integer rows, which it reduces in place.
+
+    A forward pass clears each pivot column from the rows not chosen yet, which leaves the
+    pivot rows in echelon form; one back substitution, from the last pivot up, then clears
+    each pivot column from the pivot rows above it.  A row already cleared at the later
+    pivots adds nothing there, so no pivot row is cleared twice at one column.
+    """
     # column -> a superset of the rows nonzero there, read for the pivot
     # candidates and the rows to clear: a cleared row is added at the pivot
     # row's columns, and skipped where it cancelled when read
@@ -367,15 +375,10 @@ def _reduce_rows(rows: list[dict[int, int]], pivot_cols: int):
     for col in range(pivot_cols):
         if not free:
             break
-        held = [i for i in holders.get(col, ()) if col in rows[i]]
-        best, best_key = -1, None
-        for i in held:
-            if i in free:
-                key = (abs(rows[i][col]), len(rows[i]), i)
-                if best < 0 or key < best_key:
-                    best, best_key = i, key
-        if best < 0:
+        held = [i for i in holders.get(col, ()) if i in free and col in rows[i]]
+        if not held:
             continue
+        best = min(held, key=lambda i: (abs(rows[i][col]), len(rows[i]), i))
         prow = rows[best]
         for i in held:
             if i != best:
@@ -385,6 +388,11 @@ def _reduce_rows(rows: list[dict[int, int]], pivot_cols: int):
         free.discard(best)
         order.append(best)
         pivots.append(col)
+    for best, col in zip(reversed(order), reversed(pivots)):
+        prow = rows[best]
+        for i in holders[col]:
+            if i != best and col in rows[i]:
+                _eliminate(rows[i], prow, col)
     return [rows[i] for i in order], pivots, [rows[i] for i in sorted(free)]
 
 

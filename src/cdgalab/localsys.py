@@ -472,16 +472,21 @@ def cohomology_local_system(e: FiniteLocalSystem, upto: int) -> LocalCoefficient
     vertex_dims = {}
     for (v,) in e.base.simplices_of_dim(0):
         vertex_dims[v] = {q: hs[id(e.fibers[(v,)])].dims[q] for q in range(upto + 1)}
+    # edges may share one restriction object, as facets do in is_locally_constant
+    induced: dict[int, list[QMatrix]] = {}
+
+    def to_end(s: Simplex, i: int) -> list[QMatrix]:
+        """H of the restriction of the edge s that omits s[i], once per restriction object."""
+        r = e.facet_restrictions[(s, i)]
+        if id(r) not in induced:
+            face = s[:i] + s[i + 1 :]
+            induced[id(r)] = induced_map(r, upto, source_h=hs[id(e.fibers[s])], target_h=hs[id(e.fibers[face])])
+        return induced[id(r)]
+
     edges = {}
     for s in e.base.simplices_of_dim(1):
         u, v = s
-        h_e = hs[id(e.fibers[s])]
-        to_u = induced_map(
-            e.restriction(s, (u,)), upto, source_h=h_e, target_h=hs[id(e.fibers[(u,)])]
-        )
-        to_v = induced_map(
-            e.restriction(s, (v,)), upto, source_h=h_e, target_h=hs[id(e.fibers[(v,)])]
-        )
+        to_u, to_v = to_end(s, 1), to_end(s, 0)
         per_q = {}
         for q in range(upto + 1):
             m = to_v[q]

@@ -6,15 +6,15 @@ The pages are those of the classical cocycle/boundary towers
     E_r^{p,q} = Z_r / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}),
 
 read off one reduction per degree.  Each degree is written in a basis adapted to the
-filtration, from one integer echelon, and d is reduced in those bases column by column
-from the highest level down, as in the persistence algorithm (Edelsbrunner, Letscher and
-Zomorodian 2002; Basu and Parida 2017): every pivot pair (column level, pivot level)
-gives every E_r dimension at once.  Representatives are built only where they are read.
-The skeletal filtration of the global sections of a local system filters a section by the
-base form level of its components (level >= p vanishes on all simplices of dimension
-below p); it is multiplicative and supported in the first quadrant, and its second page
-is compared against twisted simplicial cohomology with the fiberwise cohomology
-coefficients.
+filtration (any basis compatible with it will do, not one particular echelon form), and d
+is reduced in those bases column by column from the highest level down, as in the
+persistence algorithm (Edelsbrunner, Letscher and Zomorodian 2002; Basu and Parida 2017):
+every pivot pair (column level, pivot level) gives every E_r dimension at once.
+Representatives are built only where they are read.  The skeletal filtration of the global
+sections of a local system filters a section by the base form level of its components
+(level >= p vanishes on all simplices of dimension below p); it is multiplicative and
+supported in the first quadrant, and its second page is compared against twisted
+simplicial cohomology with the fiberwise cohomology coefficients.
 """
 
 from __future__ import annotations
@@ -84,12 +84,18 @@ def _in_leaves(alg: TruncatedDGA, k: int) -> tuple[list[TruncatedDGA], int, list
 class _AdaptedBasis:
     """One degree of a filtered complex in a basis adapted to its filtration.
 
-    ``rows`` is the reduced row echelon form of the degree's basis written in the innermost
-    coordinates (:func:`_in_leaves`), with the coordinates taken in order of level; each row
-    is a primitive integer multiple, and ``pivots`` holds the coordinate of its pivot.
-    ``levels``, nondecreasing, are the levels of the pivots: F^p is spanned by the rows of
-    level >= p, because a combination vanishing below level p uses no row whose pivot lies
-    there.
+    ``rows`` spans the degree's basis written in the innermost coordinates (:func:`_in_leaves`),
+    as primitive integer rows sorted by level, and ``pivots`` holds the coordinate of each row's
+    pivot: no other row is nonzero there, and the row vanishes at every coordinate of lower
+    level.  ``levels``, nondecreasing, are the levels of the pivots: F^p is spanned by the rows
+    of level >= p, because a combination vanishing below level p uses no row whose pivot lies
+    there.  The rows need not be in reduced row echelon form.
+
+    They come from :func:`_reduce_rows` with the coordinates taken by level and, within a
+    level, the basis elements' read coordinates first.  A read coordinate is nonzero in its own
+    column only, so where every column lies in one level, each column is its own row with its
+    read coordinate as pivot, and nothing is eliminated; columns that mix levels are reduced to
+    an echelon form in the same order.
     """
 
     def __init__(self, alg: TruncatedDGA, k: int, p_bound: int):
@@ -98,7 +104,8 @@ class _AdaptedBasis:
         self.coord_levels = [
             min(max(leaf.basis_level(k, a), 0), p_bound) for leaf in self.leaves for a in range(leaf.dim(k))
         ]
-        order = sorted(range(len(self.coord_levels)), key=self.coord_levels.__getitem__)
+        private = {c for c, _ in reads}
+        order = sorted(range(len(self.coord_levels)), key=lambda c: (self.coord_levels[c], c not in private))
         position = {c: i for i, c in enumerate(order)}
         rows, pivots, _ = _reduce_rows(
             [_primitive({position[c]: x for c, x in col.items()}) for col in self.columns], len(order)
@@ -273,7 +280,7 @@ class PageTower:
     def _reduction(self, n: int) -> _Reduction:
         """The reduction of d out of degree n, for n below the cutoff.
 
-        Columns are taken from the last row of the echelon back, so from the highest level
+        Columns are taken from the last adapted row back, so from the highest level
         down, and each is cleared at its lowest row (the nonzero row of least index, so of
         least level) against the reduced columns taken before it, which lie in the same F^p.
         A column that is the lowest row of a reduced image one degree down is set to that

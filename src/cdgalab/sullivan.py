@@ -125,10 +125,11 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
         truncated = model
         degrees = [k for k in range(n, top + 1) if k > n or ht.dims[n]]
         cocycles = {k: cocycles[k] if k in cocycles else KernelBasis(trunc.d_matrix(k)).inclusion for k in degrees}
-        hs_reps = {k: _cohomology_degree(trunc, k, cocycles[k])[0] for k in degrees}
+        hs = {k: _cohomology_degree(trunc, k, cocycles[k]) for k in degrees}
         mats = _comparison_matrices(model, trunc, target, phi, degrees)
         # cokernel of H^n(phi): the target classes, unit vectors in class coordinates, that enlarge the image
-        images = QMatrix.from_cols([ht.class_of(n, mats[n].matvec(rep)) for rep in hs_reps.get(n, [])], ht.dims[n])
+        reps = hs[n][0] if n in hs else []
+        images = QMatrix.from_cols([ht.class_of(n, mats[n].matvec(rep)) for rep in reps], ht.dims[n])
         gens: list[tuple[str, int]] = []
         diff: dict[str, Element] = {}
         for c in RowSpace(images.hstack(QMatrix.identity(ht.dims[n]))).columns_from(images.cols):
@@ -137,19 +138,24 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
             phi[name] = (n, tuple(ht.reps[n][c]))
         # kernel of H^{n+1}(phi), computable while n+1 is below the cutoff
         if n + 1 <= target.cutoff - 1:
-            reps = hs_reps[n + 1]
+            reps, space = hs[n + 1]
             hmat = QMatrix.from_cols([ht.class_of(n + 1, mats[n + 1].matvec(rep)) for rep in reps], ht.dims[n + 1])
             keys = trunc.bases[n + 1].keys
-            rep_mat = QMatrix.from_cols(reps, len(keys))
+            # the representatives are the cocycle columns kept past the boundaries, taken sparse
+            at = {c: i for i, c in enumerate(space.columns_from(space.matrix.cols - cocycles[n + 1].cols))}
+            rep_mat = QMatrix._of(
+                len(keys), len(at), {(t, at[c]): x for (t, c), x in cocycles[n + 1].entries.items() if c in at}
+            )
             # each kernel vector combines model classes whose image class vanishes
-            z_vecs = [rep_mat.matvec(kv) for kv in kernel_basis(hmat)]
-            primitives = solve_many(target.d_matrix(n), [mats[n + 1].matvec(z_vec) for z_vec in z_vecs])
-            for z_vec, b in zip(z_vecs, primitives):
+            z_mat = rep_mat.matmul(KernelBasis(hmat).inclusion)
+            primitives = solve_many(target.d_matrix(n), mats[n + 1].matmul(z_mat).to_cols())
+            z_cols = z_mat.sparse_columns()
+            for j, b in enumerate(primitives):
                 if b is None:
                     raise InternalError("vanishing class has no primitive")
                 name = f"v{n}_{len(gens)}"
                 gens.append((name, n))
-                diff[name] = Element(model.gca, {keys[t]: c for t, c in enumerate(z_vec) if c})
+                diff[name] = Element(model.gca, {keys[t]: c for t, c in z_cols[j]})
                 phi[name] = (n, tuple(b))
         if gens:
             model = model._extend(gens, diff)

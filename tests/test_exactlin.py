@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -634,6 +635,73 @@ def test_hilbert_augmented_solve():
     bad = good[:8] + (good[8] + 1,)
     assert solve_many(h9, [good, bad]) == [x, None]
     _check_solutions(h9, [good, bad])
+
+
+def _sparse_int_cases(rng):
+    """Sparse integer matrices with two zero columns, a duplicate row and a row that combines
+    two others, rows shuffled."""
+    cases = []
+    for rows, cols in [(5, 4), (8, 6), (6, 10), (12, 12), (7, 20)]:
+        for _ in range(3):
+            zero = set(rng.sample(range(cols), 2))
+            base = [
+                {c: rng.choice([-3, -2, -1, 1, 2, 5]) for c in range(cols) if c not in zero and rng.random() < 0.35}
+                for _ in range(rows - 2)
+            ]
+            combo = {c: base[1].get(c, 0) - 2 * base[2].get(c, 0) for c in set(base[1]) | set(base[2])}
+            full = base + [dict(base[0]), combo]
+            rng.shuffle(full)
+            cases.append(QMatrix(rows, cols, {(r, c): v for r, row in enumerate(full) for c, v in row.items() if v}))
+    return cases
+
+
+def _reference_span_basis(vectors, dim):
+    """The canonical basis of a span from the Fraction reference: the reduced echelon form with
+    the columns taken last to first, each vector scaled to lead with 1, sorted as dense tuples."""
+    flipped = QMatrix(len(vectors), dim, {(i, dim - 1 - c): x for i, v in enumerate(vectors) for c, x in v.items()})
+    rows, pivots = fraction_echelon(flipped)
+    basis = []
+    for row in rows[: len(pivots)]:
+        v = [Fraction(0)] * dim
+        for c, x in row.items():
+            v[dim - 1 - c] = x
+        lead = next(x for x in v if x)
+        basis.append(tuple(x / lead for x in v))
+    return sorted(basis, key=_lead_index)
+
+
+def test_back_substituted_engine_matches_fraction_reference():
+    """The forward pass and one back substitution give the reference's pivots, and each pivot
+    row is a primitive integer row, its reference row times its entry at the pivot, outside the
+    trailing columns where residuals live; rref, solve_many and _span_basis read the same
+    answers off them."""
+    rng = random.Random(2030)
+    cases = _sparse_int_cases(rng)
+    for m in cases:
+        for pivot_cols in (m.cols, m.cols - 3):
+            prows, pivots, rest = exactlin._int_echelon(m, pivot_cols)
+            ref_rows, ref_pivots = fraction_echelon(m, pivot_cols)
+            assert pivots == ref_pivots
+            support = set().union(*rest)
+            assert all(c >= pivot_cols for c in support)
+            for row, ref, p in zip(prows, ref_rows, pivots):
+                assert math.gcd(*row.values()) == 1
+                assert {c: Fraction(v, row[p]) for c, v in row.items() if c not in support} == {
+                    c: v for c, v in ref.items() if c not in support
+                }
+        r, pivots, red = rref(m)
+        ref_rows, ref_pivots = fraction_echelon(m)
+        assert (r, pivots) == (len(ref_pivots), tuple(ref_pivots))
+        assert red == QMatrix(m.rows, m.cols, {(i, c): v for i, row in enumerate(ref_rows) for c, v in row.items()})
+        consistent = [m.matvec(tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.cols))) for _ in range(2)]
+        arbitrary = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(m.rows))]
+        _check_solutions(m, consistent + arbitrary)
+        rows = [{c: m.entry(i, c) for c in range(m.cols) if m.entry(i, c)} for i in range(m.rows)]
+        got = [tuple(v.get(c, Fraction(0)) for c in range(m.cols)) for v in exactlin._span_basis(rows, m.cols)]
+        assert got == _reference_span_basis(rows, m.cols)
+    # the cases are rank-deficient, and some leave residuals past the pivots
+    assert all(rank(m) < m.rows for m in cases)
+    assert any(exactlin._int_echelon(m, m.cols - 3)[2][0] for m in cases if m.rows > rank(m))
 
 
 # sha256 of the cohomology representatives, cup table (every product in it is

@@ -433,6 +433,34 @@ def test_cohomology_local_system_sign_twist():
     assert twisted.entry(0, 0) == -1
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: forms_system(cycle_complex(3), 2, cutoff=5), lambda: twisted_circle_system()[0]],
+    ids=["forms", "twisted"],
+)
+def test_cohomology_local_system_induces_each_edge_restriction_once(monkeypatch, make):
+    """Edges that share a restriction object share its map in cohomology; every transport is
+    still H(to u) H(to v)^-1, from maps induced edge by edge."""
+    import cdgalab.localsys as localsys
+    from cdgalab.cdga import induced_map
+
+    e = make()
+    edges = e.base.simplices_of_dim(1)
+    distinct = {id(e.facet_restrictions[(s, i)]) for s in edges for i in (0, 1)}
+    induced = []
+
+    def counting(r, *args, **kwargs):
+        induced.append(id(r))
+        return induced_map(r, *args, **kwargs)
+
+    monkeypatch.setattr(localsys, "induced_map", counting)
+    c = cohomology_local_system(e, 4)
+    assert sorted(induced) == sorted(distinct)
+    for u, v in edges:
+        to_u, to_v = (induced_map(e.restriction((u, v), (w,)), 4) for w in (u, v))
+        for q in range(5):
+            assert c.edges[(u, v)][q].matmul(to_v[q]) == to_u[q]
+
+
 def test_h_local_coefficients_trivial_circle():
     base = cycle_complex(3)
     dims = {v: {0: 1} for v in base.vertices}

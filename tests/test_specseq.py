@@ -801,6 +801,81 @@ def test_page_tower_matches_the_per_entry_oracle(make, d_ranks):
     assert {r: ranks[r] for r in d_ranks} == d_ranks
 
 
+def _counting_eliminations(monkeypatch) -> list:
+    """The column of every row elimination from now on."""
+    from cdgalab import exactlin
+
+    calls = []
+    eliminate = exactlin._eliminate
+
+    def counting(*args):
+        calls.append(args[2])
+        return eliminate(*args)
+
+    monkeypatch.setattr(exactlin, "_eliminate", counting)
+    return calls
+
+
+def test_graded_carriers_need_no_elimination(monkeypatch):
+    """Every basis column of the sections lies in one level and has a private read coordinate,
+    so each column is its own adapted row, pivoted there, with nothing eliminated."""
+    fc = skeletal_filtration(_small_suspension_system(), 4)
+    calls = _counting_eliminations(monkeypatch)
+    adapted = [fc._adapted(k) for k in range(fc.algebra.cutoff + 1)]
+    assert calls == []
+    assert {level for ad in adapted for level in ad.levels} == {0, 1, 2}
+    for k, ad in enumerate(adapted):
+        assert len(ad.rows) == fc.algebra.dim(k)
+        assert {len({ad.coord_levels[c] for c in row}) for row in ad.rows} <= {1}
+
+
+def _mixed_level_carrier():
+    """The pullback of the identity and a chain automorphism phi = 1 + hd + dh of a leveled
+    complex into the same complex without levels: its basis columns (phi(e_b), e_b) mix the
+    levels of the coordinates phi(e_b) reaches, and share those coordinates.  h vanishes on
+    degrees 0 and 1, so phi fixes degree 0 and keeps the unit-only product."""
+    rng = random.Random(0)
+    leveled, _ = random_filtered_complex(rng, [1, 3, 4, 4, 3, 2], p_bound=3)
+    plain = from_tables(leveled.cutoff, leveled.dims, leveled.unit, leveled.diff_mats, {})
+    dims, d = leveled.dims, leveled.d_matrix
+    h = {
+        k: QMatrix.from_rows([[rng.randint(-1, 1) for _ in range(dims[k])] for _ in range(dims[k - 1])], dims[k])
+        for k in range(2, leveled.cutoff + 1)
+    }
+    phi = []
+    for k in range(leveled.cutoff + 1):
+        terms = [QMatrix.identity(dims[k])]
+        if k + 1 in h:
+            terms.append(h[k + 1].matmul(d(k)))
+        if k in h:
+            terms.append(d(k - 1).matmul(h[k]))
+        entries = {}
+        for m in terms:
+            for key, x in m.entries.items():
+                entries[key] = entries.get(key, 0) + x
+        phi.append(QMatrix(dims[k], dims[k], entries))
+    ident = DGMorphism(leveled, plain, [QMatrix.identity(n) for n in dims])
+    return fiber_product(ident, DGMorphism(leveled, plain, phi), leveled.cutoff).carrier
+
+
+def test_a_carrier_whose_columns_mix_levels_reduces_to_the_row_oracle(monkeypatch):
+    alg = _mixed_level_carrier()
+    fc = FilteredComplex(alg, 3)
+    calls = _counting_eliminations(monkeypatch)
+    adapted = [fc._adapted(k) for k in range(alg.cutoff + 1)]
+    assert calls
+    assert any(len({ad.coord_levels[c] for c in col}) > 1 for ad in adapted for col in ad.columns)
+    for k, ad in enumerate(adapted):
+        # each pivot is private to its row, and no row reaches below its pivot's level
+        for row, c, level in zip(ad.rows, ad.pivots, ad.levels):
+            assert all(ad.coord_levels[x] >= level for x in row)
+            assert [c in other for other in ad.rows].count(True) == 1
+        for p in range(fc.p_bound + 2):
+            assert sum(1 for level in ad.levels if level >= p) == len(kernel_basis(level_rows(alg, k, p)))
+    ranks = assert_tower_matches_oracle(fc, random.Random(7))
+    assert ranks[2] and ranks[3], ranks
+
+
 @pytest.mark.parametrize("seed", [3, 5, 8, 9])  # seeds whose d2 and d3 are nonzero in the window
 def test_page_tower_matches_the_oracle_on_random_filtered_complexes(seed):
     rng = random.Random(seed)
