@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import CutoffTooSmallError, InputError
@@ -31,12 +31,8 @@ from .exactlin import (
     ZERO,
     _primitive,
     _reduce_rows,
-    concat,
     rank,
     rat,
-    unit_vector,
-    vec_is_zero,
-    zero_vector,
 )
 from .graded import Element, FreeGCA, Monomial, apply_odd_derivation, derive_monomial
 
@@ -111,6 +107,8 @@ def check_d_squared(f: FreeCDGA):
 
 MultFn = Callable[[int, int, int, int], Optional[Sequence[tuple[int, Fraction]]]]
 
+_UNREAD = object()  # a product table's answer for a product not read yet
+
 
 class TruncatedDGA:
     """DG algebra presented by explicit bases up to ``cutoff``.
@@ -163,7 +161,7 @@ class TruncatedDGA:
         if len(unit) != dims[0]:
             raise InputError("unit vector has the wrong length")
         self.unit = tuple(rat(u) for u in unit)
-        if vec_is_zero(self.unit):
+        if not any(self.unit):
             raise InputError("unit must be nonzero")
         mats = list(diff_mats)
         if len(mats) != cutoff:
@@ -225,35 +223,39 @@ class TruncatedDGA:
                 raise InputError(f"d squared is nonzero from degree {k}")
 
     # -- products ---------------------------------------------------------
-    def _terms(self, i: int, a: int, j: int, b: int) -> Sequence[tuple[int, Fraction]]:
-        """The nonzero structure constants ``(index, value)`` of e_a^{(i)} * e_b^{(j)}."""
-        terms = self._products.get((i, a, j, b))
-        return terms if terms is not None else self._read(i, a, j, b)
+    def _lookup(self, i: int, a: int, j: int, b: int) -> Optional[Sequence[tuple[int, Fraction]]]:
+        """The nonzero structure constants ``(index, value)`` of e_a^{(i)} * e_b^{(j)}, or None when the
+        product was dropped: the one read of the product table, which does not raise for a dropped
+        product (``i + j`` within the cutoff, indices in range).  Each product is read once, dropped or
+        not: ``(i, a) <= (j, b)`` from ``mult_fn``, the mirrored pair from it by graded commutativity."""
+        key = (i, a, j, b)
+        terms = self._products.get(key, _UNREAD)
+        if terms is _UNREAD:
+            if (i, a) > (j, b):
+                base = self._lookup(j, b, i, a)
+                terms = base if base is None or (i * j) % 2 == 0 else tuple((t, -x) for t, x in base)
+            else:
+                terms = self._mult_fn(i, a, j, b)
+                if terms is not None and not all(0 <= t < self.dims[i + j] for t, _ in terms):
+                    raise InputError("mult_fn returned an index outside the product degree")
+            self._products[key] = terms
+        return terms
 
-    def _read(self, i: int, a: int, j: int, b: int) -> Sequence[tuple[int, Fraction]]:
-        """A product missing from the table, or a dropped one, which raises."""
+    def _dropped(self, i: int, a: int, j: int, b: int) -> CutoffTooSmallError:
+        return CutoffTooSmallError(
+            f"product of basis elements ({i},{a}) and ({j},{b}) was dropped; rebuild with a larger cutoff"
+        )
+
+    def _terms(self, i: int, a: int, j: int, b: int) -> Sequence[tuple[int, Fraction]]:
+        """:meth:`_lookup` for any degrees and indices; a dropped product raises."""
         if i + j > self.cutoff:
-            raise CutoffTooSmallError(
-                f"product of degrees {i} and {j} exceeds cutoff {self.cutoff}"
-            )
+            raise CutoffTooSmallError(f"product of degrees {i} and {j} exceeds cutoff {self.cutoff}")
         if not (0 <= a < self.dim(i) and 0 <= b < self.dim(j)):
             raise InputError("basis index out of range")
-        table, key = self._products, (i, a, j, b)
-        if i > j or (i == j and a > b):
-            # graded commutativity fixes the other triangle
-            base = self._terms(j, b, i, a)
-            table[key] = base if (i * j) % 2 == 0 else tuple((t, -x) for t, x in base)
-        elif key not in table:
-            terms = self._mult_fn(i, a, j, b)
-            if terms is not None and not all(0 <= t < self.dims[i + j] for t, _ in terms):
-                raise InputError("mult_fn returned an index outside the product degree")
-            table[key] = terms
-        if table[key] is None:
-            raise CutoffTooSmallError(
-                f"product of basis elements ({i},{a}) and ({j},{b}) was dropped; "
-                "rebuild with a larger cutoff"
-            )
-        return table[key]
+        terms = self._lookup(i, a, j, b)
+        if terms is None:
+            raise self._dropped(i, a, j, b)
+        return terms
 
     def product_basis(self, i: int, a: int, j: int, b: int) -> Vector:
         """Structure constants of e_a^{(i)} * e_b^{(j)} as a degree i+j vector: the dense
@@ -266,27 +268,32 @@ class TruncatedDGA:
     def multiply(self, i: int, va: Vector, j: int, vb: Vector) -> Vector:
         """Bilinear product of a degree-i vector and a degree-j vector."""
         if i + j > self.cutoff:
-            raise CutoffTooSmallError(
-                f"product of degrees {i} and {j} exceeds cutoff {self.cutoff}"
-            )
+            raise CutoffTooSmallError(f"product of degrees {i} and {j} exceeds cutoff {self.cutoff}")
         if (len(va), len(vb)) != (self.dim(i), self.dim(j)):
             raise InputError(
                 f"multiply: vectors of lengths {len(va)} and {len(vb)} against dimensions "
                 f"{self.dim(i)} and {self.dim(j)} in degrees {i} and {j}"
             )
+        left = [(a, ca) for a, ca in enumerate(va) if ca]
         right = [(b, cb) for b, cb in enumerate(vb) if cb]
-        return tuple(self._product(i, [(a, ca) for a, ca in enumerate(va) if ca], j, right))
+        prod = self._product(i, left, j, right)
+        if prod is None:
+            # the first dropped product it needs, in the order it reads them
+            raise next(self._dropped(i, a, j, b) for a, _ in left for b, _ in right if self._lookup(i, a, j, b) is None)
+        return tuple(prod)
 
-    def _product(self, i: int, xs: Sequence, j: int, ys: Sequence) -> list:
+    def _product(self, i: int, xs: Sequence, j: int, ys: Sequence) -> Optional[list]:
         """The product of a degree-i and a degree-j vector given by their nonzero ``(index, value)``
-        pairs, as a dense list; a dropped product it needs raises CutoffTooSmallError."""
+        pairs, as a dense list, or None when it needs a dropped product."""
         acc = [ZERO] * self.dim(i + j)
         table = self._products
         for a, ca in xs:
             for b, cb in ys:
-                terms = table.get((i, a, j, b))
+                terms = table.get((i, a, j, b), _UNREAD)
+                if terms is _UNREAD:
+                    terms = self._lookup(i, a, j, b)
                 if terms is None:
-                    terms = self._read(i, a, j, b)
+                    return None
                 c = ca * cb
                 for t, x in terms:
                     acc[t] += c * x
@@ -301,62 +308,63 @@ class TruncatedDGA:
         """Check the unit laws, the Leibniz rule and associativity on every basis case.
 
         Every basis element, every basis pair (a, b) with |a| <= |b| and |a| + |b| < cutoff,
-        and every basis triple within the cutoff is checked; nothing is sampled.  Returns a
-        list of human-readable failure descriptions (empty = ok).  Cases that need a dropped
-        product are skipped, not reported.
+        and every basis triple within the cutoff is checked; nothing is sampled.  Both sides are
+        read off the product table (:meth:`_lookup`) and the sparse columns of the differentials.
+        Returns a list of human-readable failure descriptions (empty = ok).  Cases that need a
+        dropped product are skipped, not reported.
         """
         problems: list[str] = []
+        read = self._lookup
+        d = [m.sparse_columns() for m in self.diff_mats]
+
+        def total(terms) -> Optional[dict]:
+            """``sum c * product`` over the lazy ``(c, product)`` pairs, or None at a dropped product."""
+            acc: dict = {}
+            for c, prod in terms:
+                if prod is None:
+                    return None
+                for t, x in prod:
+                    acc[t] = acc.get(t, 0) + c * x
+            return {t: x for t, x in acc.items() if x}
+
         # unit laws
+        unit = [(u, cu) for u, cu in enumerate(self.unit) if cu]
         for k in range(self.cutoff + 1):
             for a in range(self.dim(k)):
-                try:
-                    lhs = self.multiply(0, self.unit, k, unit_vector(self.dim(k), a))
-                except CutoffTooSmallError:
-                    continue
-                if lhs != unit_vector(self.dim(k), a):
+                lhs = total((cu, read(0, u, k, a)) for u, cu in unit)
+                if lhs is not None and lhs != {a: ONE}:
                     problems.append(f"unit law fails on basis ({k},{a})")
-        # Leibniz
-        pairs = (
-            (i, a, j, b)
-            for i in range(self.cutoff + 1)
-            for j in range(i, self.cutoff + 1 - i)
-            if i + j + 1 <= self.cutoff
-            for a in range(self.dim(i))
-            for b in range(self.dim(j))
-        )
-        for i, a, j, b in pairs:
-            try:
-                lhs = self.apply_d(i + j, self.product_basis(i, a, j, b))
-                da = self.apply_d(i, unit_vector(self.dim(i), a))
-                db = self.apply_d(j, unit_vector(self.dim(j), b))
-                term1 = self.multiply(i + 1, da, j, unit_vector(self.dim(j), b))
-                term2 = self.multiply(i, unit_vector(self.dim(i), a), j + 1, db)
-            except CutoffTooSmallError:
-                continue
-            sign = -1 if i % 2 else 1
-            rhs = tuple(x + sign * y for x, y in zip(term1, term2))
-            if lhs != rhs:
-                problems.append(f"Leibniz fails on basis pair ({i},{a}),({j},{b})")
-        # associativity
-        triples = (
-            (i, a, j, b, k, c)
-            for i in range(self.cutoff + 1)
-            for j in range(self.cutoff + 1 - i)
-            for k in range(self.cutoff + 1 - i - j)
-            for a in range(self.dim(i))
-            for b in range(self.dim(j))
-            for c in range(self.dim(k))
-        )
-        for i, a, j, b, k, c in triples:
-            try:
-                ab = self.product_basis(i, a, j, b)
-                left = self.multiply(i + j, ab, k, unit_vector(self.dim(k), c))
-                bc = self.product_basis(j, b, k, c)
-                right = self.multiply(i, unit_vector(self.dim(i), a), j + k, bc)
-            except CutoffTooSmallError:
-                continue
-            if left != right:
-                problems.append(f"associativity fails on ({i},{a}),({j},{b}),({k},{c})")
+        # Leibniz: d(ab) = (da) b + (-1)^i a (db)
+        for i in range(self.cutoff + 1):
+            for j in range(i, self.cutoff - i):
+                sign = -1 if i % 2 else 1
+                for a in range(self.dim(i)):
+                    for b in range(self.dim(j)):
+                        ab = read(i, a, j, b)
+                        if ab is None:
+                            continue
+                        da_b = ((x, read(i + 1, r, j, b)) for r, x in d[i].get(a, ()))
+                        a_db = ((sign * x, read(i, a, j + 1, s)) for s, x in d[j].get(b, ()))
+                        rhs = total(chain(da_b, a_db))
+                        if rhs is not None and total((x, d[i + j].get(t, ())) for t, x in ab) != rhs:
+                            problems.append(f"Leibniz fails on basis pair ({i},{a}),({j},{b})")
+        # associativity: (ab)c = a(bc)
+        for i in range(self.cutoff + 1):
+            for j in range(self.cutoff + 1 - i):
+                for k in range(self.cutoff + 1 - i - j):
+                    for a in range(self.dim(i)):
+                        for b in range(self.dim(j)):
+                            ab = read(i, a, j, b) if self.dim(k) else None
+                            if ab is None:
+                                continue
+                            for c in range(self.dim(k)):
+                                left = total((x, read(i + j, t, k, c)) for t, x in ab)
+                                bc = read(j, b, k, c) if left is not None else None
+                                if bc is None:
+                                    continue
+                                right = total((x, read(i, a, j + k, t)) for t, x in bc)
+                                if right is not None and left != right:
+                                    problems.append(f"associativity fails on ({i},{a}),({j},{b}),({k},{c})")
         return problems
 
 
@@ -477,7 +485,7 @@ class BlockSum:
     def __init__(self, parts: Sequence[TruncatedDGA], cutoff: int):
         self.parts = tuple(parts)
         self.cutoff = cutoff
-        self.unit = concat(*(part.unit for part in self.parts))
+        self.unit = tuple(x for part in self.parts for x in part.unit)
         self._starts = [
             list(accumulate((part.dim(k) for part in self.parts), initial=0))
             for k in range(cutoff + 1)
@@ -500,7 +508,7 @@ class BlockSum:
     def inject(self, t: int, k: int, v: Vector) -> Vector:
         """The degree-k vector that is ``v`` in block t and zero elsewhere."""
         starts = self._starts[k]
-        return zero_vector(starts[t]) + tuple(v) + zero_vector(starts[-1] - starts[t + 1])
+        return (ZERO,) * starts[t] + tuple(v) + (ZERO,) * (starts[-1] - starts[t + 1])
 
     def block_rows(self, t: int, k: int, m: QMatrix) -> QMatrix:
         """The rows of ``m``, a matrix on degree-k vectors, that block t holds."""
@@ -516,7 +524,7 @@ class BlockSum:
     def multiply(self, i: int, va: Vector, j: int, vb: Vector) -> Vector:
         """Blockwise product of a degree-i vector and a degree-j vector."""
         pairs = zip(self.parts, self.split(i, va), self.split(j, vb))
-        return concat(*(part.multiply(i, x, j, y) for part, x, y in pairs))
+        return tuple(z for part, x, y in pairs for z in part.multiply(i, x, j, y))
 
 
 def _block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
@@ -566,14 +574,12 @@ def direct_sum(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = None) -
     diff_mats = [blocks.d_matrix(k) for k in range(cutoff)]
 
     def mult_fn(i, ia, j, jb):
-        try:
-            if ia < a.dim(i) and jb < a.dim(j):
-                return a._terms(i, ia, j, jb)
-            if ia >= a.dim(i) and jb >= a.dim(j):
-                shift = a.dim(i + j)
-                return [(shift + t, x) for t, x in b._terms(i, ia - a.dim(i), j, jb - a.dim(j))]
-        except CutoffTooSmallError:
-            return None
+        if ia < a.dim(i) and jb < a.dim(j):
+            return a._lookup(i, ia, j, jb)
+        if ia >= a.dim(i) and jb >= a.dim(j):
+            terms = b._lookup(i, ia - a.dim(i), j, jb - a.dim(j))
+            shift = a.dim(i + j)
+            return None if terms is None else [(shift + t, x) for t, x in terms]
         return ()
 
     def labels():
@@ -648,10 +654,9 @@ def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = Non
         i2, a2, j2, b2 = bases[j].keys[y]
         if i1 + i2 > a.cutoff or j1 + j2 > b.cutoff:
             return None
-        try:
-            pa = a._terms(i1, a1, i2, a2)
-            pb = b._terms(j1, b1, j2, b2)
-        except CutoffTooSmallError:
+        pa = a._lookup(i1, a1, i2, a2)
+        pb = None if pa is None else b._lookup(j1, b1, j2, b2)
+        if pb is None:
             return None
         sign = -1 if (j1 * i2) % 2 else 1
         index = bases[i + j].index
@@ -688,26 +693,46 @@ def tensor_product(a: TruncatedDGA, b: TruncatedDGA, cutoff: Optional[int] = Non
 class GradedCohomology:
     """Chosen cocycle representatives and class arithmetic up to a degree.
 
-    ``spaces[k]`` spans the cocycles of degree k: its kept columns are
-    boundaries first and then ``reps[k]``.
+    ``cocycles[k]`` holds the representatives of H^k as sparse columns, ``reps[k]`` as dense
+    vectors.  ``spaces[k]`` spans the cocycles of degree k: its kept columns are boundaries first
+    and then the representatives.  Classes are read a matrix (:meth:`classes`) or a vector at a time.
     """
 
     algebra: TruncatedDGA
     upto: int
     dims: list[int]
     reps: list[list[Vector]]
+    cocycles: list[QMatrix] = field(repr=False)
     spaces: list[RowSpace] = field(repr=False)
+
+    def classes(self, k: int, left: QMatrix, right: QMatrix) -> QMatrix:
+        """The classes of the columns of ``left right`` in H^k (:meth:`class_of` of each column),
+        as the columns of a matrix."""
+        self._check_degree(k)
+        coords = self.spaces[k].coords_matrix(left, right)
+        if coords is None:
+            self._refuse(k, left.matmul(right).to_cols())
+        return _tail(coords, self.dims[k])
 
     def class_of(self, k: int, v: Vector) -> Vector:
         """Coordinates of [v] in the chosen representatives of H^k."""
+        self._check_degree(k)
+        (coords,) = self.spaces[k].coords_many([v])
+        if coords is None:
+            self._refuse(k, [v])
+        return coords[len(coords) - self.dims[k] :]
+
+    def _check_degree(self, k: int) -> None:
         if not 0 <= k <= self.upto:
             raise InputError(f"degree {k} outside the computed range")
-        if k < self.algebra.cutoff and not vec_is_zero(self.algebra.apply_d(k, v)):
+
+    def _refuse(self, k: int, vectors: Sequence[Vector]) -> None:
+        """Raise for vectors outside the cocycle space, which holds every cocycle: the first failing check."""
+        if k < self.algebra.cutoff and any(any(self.algebra.apply_d(k, v)) for v in vectors):
             raise InputError("class_of called on a non-cocycle")
-        space = self.spaces[k]
-        if not space.rank and not vec_is_zero(v):
+        if not self.spaces[k].rank:
             raise InputError("nonzero vector in a degree with no cocycles")
-        return space.tail_coords(v, self.dims[k], "vector is not a cocycle modulo boundaries")
+        raise InputError("vector is not a cocycle modulo boundaries")
 
     def cup(self, p: int, i: int, q: int, j: int) -> Vector:
         """Class coordinates of [rep_i^p * rep_j^q] in H^{p+q}."""
@@ -724,14 +749,12 @@ def cohomology(a: TruncatedDGA, upto: int) -> GradedCohomology:
     """
     _below_cutoff(a, upto)
     degrees = [_cohomology_degree(a, k) for k in range(upto + 1)]
-    reps = [chosen for chosen, _ in degrees]
-    return GradedCohomology(a, upto, [len(chosen) for chosen in reps], reps, [rs for _, rs in degrees])
+    cocycles, spaces = [m for m, _ in degrees], [rs for _, rs in degrees]
+    return GradedCohomology(a, upto, [m.cols for m in cocycles], [m.to_cols() for m in cocycles], cocycles, spaces)
 
 
-def _cohomology_degree(
-    a: TruncatedDGA, k: int, cocycles: Optional[QMatrix] = None
-) -> tuple[list[Vector], RowSpace]:
-    """Representatives of H^k and the cocycle space they complete.
+def _cohomology_degree(a: TruncatedDGA, k: int, cocycles: Optional[QMatrix] = None) -> tuple[QMatrix, RowSpace]:
+    """Representatives of H^k, the columns of a matrix, and the cocycle space they complete.
 
     The space is the column span of ``[d_{k-1} | cocycles]``, so the boundaries come
     first; the representatives are the kept cocycle columns.  ``cocycles`` is the
@@ -741,7 +764,17 @@ def _cohomology_degree(
         cocycles = KernelBasis(a.d_matrix(k)).inclusion
     boundaries = a.d_matrix(k - 1) if k else QMatrix._of(a.dim(k), 0, {})
     rs = RowSpace(boundaries.hstack(cocycles))
-    return [cocycles.column(c) for c in rs.columns_from(boundaries.cols)], rs
+    at = {c: i for i, c in enumerate(rs.columns_from(boundaries.cols))}
+    reps = QMatrix._of(cocycles.rows, len(at), {(r, at[c]): x for (r, c), x in cocycles.entries.items() if c in at})
+    return reps, rs
+
+
+def _tail(coords: QMatrix, n: int) -> QMatrix:
+    """The last ``n`` rows of coordinates in a quotient's kept columns: classes modulo the columns before."""
+    skip = coords.rows - n
+    if not skip:
+        return coords
+    return QMatrix._of(n, coords.cols, {(r - skip, c): x for (r, c), x in coords.entries.items() if r >= skip})
 
 
 def _below_cutoff(a: TruncatedDGA, upto: int) -> None:
@@ -805,11 +838,6 @@ class DGMorphism:
     def identity(cls, a: TruncatedDGA) -> "DGMorphism":
         return cls(a, a, [QMatrix.identity(a.dim(k)) for k in range(a.cutoff + 1)], check="none")
 
-    def apply(self, k: int, v: Vector) -> Vector:
-        if k > self.cap:
-            raise CutoffTooSmallError(f"morphism not stored above degree {self.cap}")
-        return self.mats[k].matvec(v)
-
     def compose(self, other: "DGMorphism") -> "DGMorphism":
         """self after other (source of self must be target of other)."""
         if other.target is not self.source:
@@ -845,18 +873,16 @@ class DGMorphism:
         images = [m.sparse_columns() for m in self.mats]
         checked = 0
         for i, a, j, b in pairs:
-            try:
-                terms = src._terms(i, a, j, b)
-            except CutoffTooSmallError:
+            terms = src._lookup(i, a, j, b)
+            if terms is None:
                 continue
             # phi(e_a e_b): the product's terms times the images of their basis elements
             lhs = [ZERO] * tgt.dim(i + j)
             for t, x in terms:
                 for r, y in images[i + j].get(t, ()):
                     lhs[r] += x * y
-            try:
-                rhs = tgt._product(i, images[i].get(a, ()), j, images[j].get(b, ()))
-            except CutoffTooSmallError:
+            rhs = tgt._product(i, images[i].get(a, ()), j, images[j].get(b, ()))
+            if rhs is None:
                 continue
             if lhs != rhs:
                 raise InputError(
@@ -906,11 +932,7 @@ def induced_map(
         raise InputError("induced_map needs upto below both cutoffs")
     hs = source_h if source_h is not None else cohomology(h.source, upto)
     ht = target_h if target_h is not None else cohomology(h.target, upto)
-    return [_induced(h, k, hs.reps[k], ht) for k in range(upto + 1)]
-
-
-def _induced(h: DGMorphism, k: int, reps: Sequence[Vector], ht: GradedCohomology) -> QMatrix:
-    return QMatrix.from_cols([ht.class_of(k, h.apply(k, r)) for r in reps], ht.dims[k])
+    return [ht.classes(k, h.mats[k], hs.cocycles[k]) for k in range(upto + 1)]
 
 
 def is_quasi_iso(
@@ -930,7 +952,7 @@ def is_quasi_iso(
         if dims[k] != ht.dims[k]:
             return False, k
         if dims[k]:
-            reps = source_h.reps[k] if source_h is not None else _cohomology_degree(h.source, k)[0]
-            if rank(_induced(h, k, reps, ht)) != dims[k]:
+            reps = source_h.cocycles[k] if source_h is not None else _cohomology_degree(h.source, k)[0]
+            if rank(ht.classes(k, h.mats[k], reps)) != dims[k]:
                 return False, k
     return True, None

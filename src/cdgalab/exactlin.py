@@ -8,10 +8,15 @@ positive denominator), so results are exact and reproducible.  Matrices are
 stored sparsely.  Elimination clears each row to integers, reduces over the
 integers through a column -> rows index, in a forward pass and one back
 substitution, and builds Fractions only for the result; kernels are sparse
-columns read off the integer echelon rows, held by :class:`KernelBasis` and
-densified by :func:`kernel_basis`.  ``matvec`` and ``matmul``
-accumulate integers over a common denominator; ``matvec`` walks a column index
-kept on the immutable matrix.
+columns read off the integer echelon rows, held by :class:`KernelBasis`.
+``matvec`` and ``matmul`` accumulate integers over a common denominator;
+``matvec`` walks a column index kept on the immutable matrix.
+
+Coordinates go through one core.  :class:`RowSpace` (a column span) and
+:class:`KernelBasis` (a kernel) each read one sparse integer column over a
+denominator, or refuse it when it lies outside; the shared front ends are
+``coords_matrix``, which reads the columns of a product ``left · right``
+taken over the integers, and ``coords_many``, which reads dense vectors.
 
 Determinism rules used throughout:
 
@@ -71,23 +76,8 @@ def format_rat(x: Fraction) -> str:
 # vectors
 # ---------------------------------------------------------------------------
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def vec_is_zero(a: Vector) -> bool:
-    return not any(a)
-
-
-def concat(*vs: Vector) -> Vector:
-    out: list[Fraction] = []
-    for v in vs:
-        out.extend(v)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +494,43 @@ def solve_many(m: QMatrix, rhs: Sequence[Vector]) -> list[Optional[Vector]]:
 
 
 class _Coordinates:
-    """Writing vectors in a basis; subclasses provide ``coords_many``."""
+    """Writing vectors in a basis through one read: a subclass's ``_read(col, den)`` gives the
+    nonzero coordinates of a sparse column of nonzero integers over a denominator, or None when it
+    lies outside.  It holds ``dim`` (the vector length), ``rank`` and ``_LENGTH`` (the message for
+    a wrong length, given ``n`` and ``dim``)."""
+
+    dim: int
+    _LENGTH: str
+
+    def coords_matrix(self, left: QMatrix, right: QMatrix) -> Optional[QMatrix]:
+        """The columns of ``left right`` in the basis, or None when one lies outside; each product
+        column is taken over the integers, and a Fraction is built only for each coordinate."""
+        if left.cols != right.rows:
+            raise InputError("coords_matrix: inner dimensions differ")
+        if left.rows != self.dim:
+            raise InputError(self._LENGTH.format(n=left.rows, dim=self.dim))
+        entries: dict[tuple[int, int], Fraction] = {}
+        if not (left.entries and right.entries):  # every column is zero
+            return QMatrix._of(self.rank, right.cols, entries)
+        (lden, l_cols), (rden, r_cols) = left._int_columns(), right._int_columns()
+        for c, terms in r_cols.items():
+            coords = self._read({r: v for r, v in _combine(l_cols, terms).items() if v}, lden * rden)
+            if coords is None:
+                return None
+            entries.update(((j, c), x) for j, x in coords.items())
+        return QMatrix._of(self.rank, right.cols, entries)
+
+    def coords_many(self, vectors: Sequence[Sequence[Fraction]]) -> list[Optional[Vector]]:
+        """Coordinates of each dense vector, or None for a vector outside."""
+        out: list[Optional[Vector]] = []
+        for v in vectors:
+            if len(v) != self.dim:
+                raise InputError(self._LENGTH.format(n=len(v), dim=self.dim))
+            sparse = {i: rat(x) for i, x in enumerate(v) if x is not ZERO and x}
+            den = lcm(*(x.denominator for x in sparse.values()))
+            coords = self._read({i: x.numerator * (den // x.denominator) for i, x in sparse.items()}, den)
+            out.append(None if coords is None else tuple(coords.get(j, ZERO) for j in range(self.rank)))
+        return out
 
     def coords(self, v: Sequence[Fraction]) -> Optional[Vector]:
         """Coordinates of ``v`` in the basis, or None when ``v`` lies outside."""
@@ -528,13 +554,15 @@ class RowSpace(_Coordinates):
     first query, so spaces that only test membership never pay for it.
     """
 
+    _LENGTH = "RowSpace: vector of wrong length"
+
     def __init__(self, m: QMatrix):
         self.dim = m.rows
         self.matrix = m
         # reduced echelon rows keyed by pivot column, as primitive integer rows
         self._rows: dict[int, dict[int, int]] = {}
         self.columns: list[int] = []
-        self._transform: Optional[dict[int, dict[int, Fraction]]] = None
+        self._transform: Optional[tuple[int, dict[int, list[tuple[int, int]]]]] = None
         _, by_col = m._int_columns()
         for c in sorted(by_col):
             residual = self._residual(_primitive(dict(by_col[c])))
@@ -558,7 +586,7 @@ class RowSpace(_Coordinates):
     def reduce(self, v: Sequence[Fraction]) -> dict[int, int]:
         """A nonzero integer multiple of the residual of ``v``; empty in the span."""
         if len(v) != self.dim:
-            raise InputError("RowSpace: vector of wrong length")
+            raise InputError(self._LENGTH)
         return self._residual(_int_row({i: rat(x) for i, x in enumerate(v) if x}))
 
     def _residual(self, work: dict[int, int]) -> dict[int, int]:
@@ -571,8 +599,8 @@ class RowSpace(_Coordinates):
     def contains(self, v: Sequence[Fraction]) -> bool:
         return not self.reduce(v)
 
-    def _transforms(self) -> dict[int, dict[int, Fraction]]:
-        """Per pivot column, the echelon row as a combination of the kept columns.
+    def _transforms(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
+        """Per pivot column, the echelon row as a combination of the kept columns, in integers over ``den``.
 
         The reduced echelon form of ``[kept columns transposed | identity]``
         has all its pivots left of the bar, because the kept columns are
@@ -586,42 +614,25 @@ class RowSpace(_Coordinates):
                 if c in at:
                     entries[(at[c], row)] = x
             rows, pivots, _ = _int_echelon(QMatrix._of(r, n + r, entries), pivot_cols=n)
-            self._transform = {
-                p: {c - n: Fraction(x, row[p]) for c, x in row.items() if c >= n} for row, p in zip(rows, pivots)
+            den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+            self._transform = den, {
+                p: [(c - n, x * (den // row[p])) for c, x in row.items() if c >= n] for row, p in zip(rows, pivots)
             }
         return self._transform
 
-    def coords_many(self, vectors: Sequence[Sequence[Fraction]]) -> list[Optional[Vector]]:
-        """Coordinates in the kept ``columns``, or None for vectors outside the span.
-
-        A member of the span is the sum of the echelon rows weighted by its
-        own entries at the pivot columns, because the echelon form is reduced.
-        """
-        out: list[Optional[Vector]] = []
-        for v in vectors:
-            if self.reduce(v):
-                out.append(None)
-                continue
-            acc = [ZERO] * self.rank
-            for p, row in self._transforms().items():
-                f = v[p]
-                if f:
-                    for j, t in row.items():
-                        acc[j] += f * t
-            out.append(tuple(acc))
-        return out
+    def _read(self, col: dict[int, int], den: int) -> Optional[dict[int, Fraction]]:
+        """A member of the span is the sum of the echelon rows weighted by its own entries at
+        the pivot columns, because the echelon form is reduced."""
+        if self._residual(_primitive(dict(col))):
+            return None
+        tden, rows = self._transforms()
+        return {j: Fraction(x, tden * den) for j, x in _combine(rows, col.items()).items() if x}
 
     # -- a quotient: the span of [denominators | candidates] ----------------
     def columns_from(self, j: int) -> list[int]:
         """The kept columns at or after column ``j``, counted from ``j``: the candidates,
         from column ``j`` on, that enlarge the span of the denominators before them."""
         return [c - j for c in self.columns if c >= j]
-
-    def tail_coords(self, v: Sequence[Fraction], n: int, message: str) -> Vector:
-        """Coordinates of the member ``v`` in the last ``n`` kept columns, its class modulo
-        the columns kept before them; raises InputError(message) when ``v`` lies outside."""
-        (coords,) = self.express([v], message)
-        return coords[self.rank - n :]
 
 
 class KernelBasis(_Coordinates):
@@ -630,8 +641,11 @@ class KernelBasis(_Coordinates):
     certifies that ``x`` lies in the span its coordinates are read off there, never solved for.
     """
 
+    _LENGTH = "kernel basis: vector of length {n} against {dim} columns"
+
     def __init__(self, m: QMatrix):
         self.matrix = m
+        self.dim = m.cols
         columns = _kernel_columns(m)
         entries = {(r, j): x for j, (_, _, col) in enumerate(columns) for r, x in col.items()}
         self.inclusion = QMatrix._of(m.cols, len(columns), entries)
@@ -650,36 +664,12 @@ class KernelBasis(_Coordinates):
             self._vectors = self.inclusion.to_cols()
         return self._vectors
 
-    def coords_many(self, vectors: Sequence[Sequence[Fraction]]) -> list[Optional[Vector]]:
-        m = self.matrix
-        out: list[Optional[Vector]] = []
-        for x in vectors:
-            if len(x) != m.cols:
-                raise InputError(f"kernel basis: vector of length {len(x)} against {m.cols} columns")
-            if any(m._int_matvec(x)[0]):
-                out.append(None)
-            else:
-                out.append(tuple(x[c] * s if x[c] else ZERO for c, (_, s) in self._reads.items()))
-        return out
-
-    def coords_matrix(self, left: QMatrix, right: QMatrix) -> Optional[QMatrix]:
-        """The columns of ``left right`` in kernel coordinates, or None when one lies outside.
-        Each product column is taken over the integers and certified in the kernel by the
-        integer columns of ``m``; a Fraction is built only for each coordinate read."""
-        if left.cols != right.rows:
-            raise InputError("coords_matrix: inner dimensions differ")
-        (lden, l_cols), (rden, r_cols) = left._int_columns(), right._int_columns()
-        m_cols, reads = self.matrix._int_columns(keep=True)[1], self._reads
-        entries: dict[tuple[int, int], Fraction] = {}
-        for c, terms in r_cols.items():
-            image = _combine(l_cols, terms)
-            if any(_combine(m_cols, image.items()).values()):
-                return None
-            for r, v in image.items():
-                if v and r in reads:
-                    j, inv = reads[r]
-                    entries[(j, c)] = Fraction(v * inv.numerator, lden * rden * inv.denominator)
-        return QMatrix._of(self.rank, right.cols, entries)
+    def _read(self, col: dict[int, int], den: int) -> Optional[dict[int, Fraction]]:
+        """The column is certified in the kernel by the integer columns of ``m``."""
+        if any(_combine(self.matrix._int_columns(keep=True)[1], col.items()).values()):
+            return None
+        reads = (self._reads[r] + (v,) for r, v in col.items() if r in self._reads)
+        return {j: Fraction(v * inv.numerator, den * inv.denominator) for j, inv, v in reads}
 
 
 def _dense_order(col: Mapping[int, Fraction]) -> tuple:

@@ -183,30 +183,23 @@ def mayer_vietoris(fp: FiberProductDGA, upto: int) -> MayerVietorisReport:
 
     ambient = fp.ambient
     rep = MayerVietorisReport(upto=upto)
-    # restriction: class of (x_a, x_b) components
     for k in range(upto + 1):
-        cols = []
-        for v in h_fp.reps[k]:
-            xa, xb = ambient.split(k, fp.kernels[k].inclusion.matvec(v))
-            cols.append(tuple(h_a.class_of(k, xa)) + tuple(h_b.class_of(k, xb)))
-        rep.restriction.append(QMatrix.from_cols(cols, h_a.dims[k] + h_b.dims[k]))
+        # restriction: classes of the (x_a, x_b) components, stacked
+        blocks = [ambient.block_rows(t, k, fp.kernels[k].inclusion) for t in (0, 1)]
+        in_a, in_b = (h.classes(k, block, h_fp.cocycles[k]) for h, block in zip((h_a, h_b), blocks))
+        rep.restriction.append(in_a.vstack(in_b))
         # difference map f* - g*
-        cols = []
-        for v in h_a.reps[k]:
-            cols.append(h_c.class_of(k, fp.f.apply(k, v)))
-        for v in h_b.reps[k]:
-            cols.append(tuple(-x for x in h_c.class_of(k, fp.g.apply(k, v))))
-        rep.difference.append(QMatrix.from_cols(cols, h_c.dims[k]))
+        from_a = h_c.classes(k, fp.f.mats[k], h_a.cocycles[k])
+        rep.difference.append(from_a.hstack(h_c.classes(k, fp.g.mats[k], h_b.cocycles[k]).scale(-1)))
     # connecting map
     for k in range(upto):
         pres = solve_many(fp.kernels[k].matrix, h_c.reps[k])
         if any(pre is None for pre in pres):
             raise PreconditionError(f"no preimage for a class in degree {k}")
-        d = ambient.d_matrix(k)
-        images = [d.matvec(pre) for pre in pres]
-        sols = fp.kernels[k + 1].express(images, "connecting image is not in the fiber product")
-        cols = [h_fp.class_of(k + 1, sol) for sol in sols]
-        rep.connecting.append(QMatrix.from_cols(cols, h_fp.dims[k + 1]))
+        sols = fp.kernels[k + 1].coords_matrix(ambient.d_matrix(k), QMatrix.from_cols(pres, ambient.dim(k)))
+        if sols is None:
+            raise InputError("connecting image is not in the fiber product")
+        rep.connecting.append(h_fp.classes(k + 1, sols, QMatrix.identity(sols.cols)))
 
     # exactness at every node
     def check(node, incoming: QMatrix, outgoing: QMatrix):

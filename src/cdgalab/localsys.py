@@ -25,13 +25,12 @@ from .cdga import (
     tensor_morphism,
     tensor_product,
 )
-from .errors import CdgaError, InputError, InternalError, PreconditionError
+from .errors import CdgaError, CutoffTooSmallError, InputError, InternalError, PreconditionError
 from .exactlin import (
     ONE,
     KernelBasis,
     QMatrix,
     ZERO,
-    concat,
     kernel_basis,  # noqa: F401  the benchmark's tracer self-test wraps this binding
     rank,
     solve_many,
@@ -305,18 +304,21 @@ def is_extendable(e: FiniteLocalSystem, upto: Optional[int] = None):
                 for i, _f in boundary.facets(t)
             },
         )
-        kernels, _ = _sections_basis(sub, upto)
+        kernels, ambient = _sections_basis(sub, upto)
         fib = e.fibers[s]
-        layout = boundary.all_simplices()
+        restrictions = [e.restriction(s, tau) for tau in boundary.all_simplices()]
+        cap = min(h.cap for h in restrictions)
         for k in range(min(upto, fib.cutoff) + 1):
-            targets = [
-                concat(*[e.restriction(s, tau).apply(k, unit_vector(fib.dim(k), t)) for tau in layout])
-                for t in range(fib.dim(k))
-            ]
-            cols = kernels[k].coords_many(targets)
-            if None in cols:
+            if k > cap:
+                raise CutoffTooSmallError(f"morphism not stored above degree {cap}")
+            # the fiber's basis restricted to every boundary simplex, stacked as in the boundary's sum
+            blocks = zip(restrictions, ambient.offsets(k))
+            entries = {(lo + r, c): x for h, lo in blocks for (r, c), x in h.mats[k].entries.items()}
+            targets = QMatrix._of(ambient.dim(k), fib.dim(k), entries)
+            cols = kernels[k].coords_matrix(targets, QMatrix.identity(fib.dim(k)))
+            if cols is None:
                 raise InternalError("boundary image is not a compatible family")
-            r = rank(QMatrix.from_cols(cols, kernels[k].rank))
+            r = rank(cols)
             if r != kernels[k].rank:
                 ok = False
                 witnesses.append((s, k, kernels[k].rank, r))

@@ -26,7 +26,7 @@ from itertools import accumulate
 from math import lcm
 from typing import NamedTuple, Optional
 
-from .cdga import TruncatedDGA, _block_diagonal, cohomology_dims
+from .cdga import TruncatedDGA, _block_diagonal, _tail, cohomology_dims
 from .errors import CutoffTooSmallError, InputError, InternalError, PreconditionError
 from .exactlin import ONE, ZERO, QMatrix, RowSpace, Vector, _combine, _eliminate, _primitive, _reduce_rows, _span_basis, rank
 from .gluing import _push
@@ -217,12 +217,11 @@ class FilteredComplex:
                 for a, (p, x) in enumerate(elements[i]):
                     start = a if i == j else 0
                     for b, (q, y) in enumerate(elements[j][start:], start):
-                        try:
-                            prods = [
-                                (lo, leaf._product(i, xs, j, ys))
-                                for leaf, lo, xs, ys in zip(leaves, starts[i + j], x, y) if xs and ys
-                            ]
-                        except CutoffTooSmallError:
+                        prods = [
+                            (lo, leaf._product(i, xs, j, ys))
+                            for leaf, lo, xs, ys in zip(leaves, starts[i + j], x, y) if xs and ys
+                        ]
+                        if any(prod is None for _, prod in prods):
                             continue
                         if any(w and levels[lo + t] < p + q for lo, prod in prods for t, w in enumerate(prod)):
                             problems.append(
@@ -273,8 +272,8 @@ class PageTower:
     def __init__(self, fc: FilteredComplex):
         self.fc = fc
         self._reductions: dict[int, _Reduction] = {}
-        # (r, p, q) -> (entry, space spanned by the denominators, then the reps)
-        self._entry_cache: dict[tuple[int, int, int], tuple[tuple, RowSpace]] = {}
+        # (r, p, q) -> (entry, space spanned by the denominators, then the reps, the reps as sparse columns)
+        self._entry_cache: dict[tuple[int, int, int], tuple[tuple, RowSpace, QMatrix]] = {}
 
     # -- the reduction -----------------------------------------------------
     def _reduction(self, n: int) -> _Reduction:
@@ -376,7 +375,11 @@ class PageTower:
         return [red.images[j] for j, end in red.low.items() if levels[j] >= p and after[end] >= target_p]
 
     def z_basis(self, p: int, target_p: int, n: int) -> list[Vector]:
-        """Basis of { x in F^p C^n : dx in F^{target_p} }.
+        """Basis of { x in F^p C^n : dx in F^{target_p} }: :meth:`_cycles`, dense."""
+        return [_dense(v, self.fc.algebra.dim(n)) for v in self._cycles(p, target_p, n)]
+
+    def _cycles(self, p: int, target_p: int, n: int) -> list[_Sparse]:
+        """Basis of { x in F^p C^n : dx in F^{target_p} }, as sparse vectors.
 
         It is the canonical basis of F^p times the canonical kernel basis of the condition in
         the coordinates of that basis.  Both are rebuilt from spans read off the reduction,
@@ -393,14 +396,8 @@ class PageTower:
             {t: x[end] / lead for t, (end, lead) in enumerate(ends) if end in x}
             for x in self.fc._adapted(n).span(self._z_span(p, target_p, n))
         ]
-        out = []
-        for c in _span_basis(coords, len(fp)):
-            acc: _Sparse = {}
-            for t, w in c.items():
-                for a, x in fp[t].items():
-                    acc[a] = acc.get(a, 0) + w * x
-            out.append(_dense(acc, alg.dim(n)))
-        return out
+        columns = {t: v.items() for t, v in enumerate(fp)}
+        return [{a: x for a, x in _combine(columns, c.items()).items() if x} for c in _span_basis(coords, len(fp))]
 
     def _cocycle_space(self, p: int, n: int) -> RowSpace:
         """The cocycles of F^p in degree n < cutoff plus every coboundary."""
@@ -412,49 +409,53 @@ class PageTower:
         """(dims, representatives, denominator basis) of E_r^{p,q}."""
         return self._entry(r, p, q)[0]
 
-    def _entry(self, r: int, p: int, q: int) -> tuple[tuple, RowSpace]:
+    def _entry(self, r: int, p: int, q: int) -> tuple[tuple, RowSpace, QMatrix]:
         key = (r, p, q)
         if key in self._entry_cache:
             return self._entry_cache[key]
         alg = self.fc.algebra
         n = p + q
+        dim = alg.dim(n)
         if p < 0 or n < 0 or n > alg.cutoff:
-            self._entry_cache[key] = ((0, [], []), RowSpace(_columns([], alg.dim(n))))
+            self._entry_cache[key] = ((0, [], []), RowSpace(_columns([], dim)), _columns([], dim))
             return self._entry_cache[key]
         if r == 0:
-            z = self.fc.subspace(p, n)
+            z = self.fc._level(p, n)
             denom = self.fc._level(p + 1, n)
         else:
-            z = self.z_basis(p, p + r, n)
+            z = self._cycles(p, p + r, n)
             spans = self._d_span(p - r + 1, p, n)
             if n < alg.cutoff:  # at the cutoff F^p = 0, and so is the cycle part
                 spans = self._z_span(p + 1, p + r, n) + spans
             denom = self.fc._adapted(n).span(spans)
-        dim = alg.dim(n)
-        rs = RowSpace(_columns(denom, dim).hstack(QMatrix.from_cols(z, dim)))
+        rs = RowSpace(_columns(denom, dim).hstack(_columns(z, dim)))
         reps = [z[c] for c in rs.columns_from(len(denom))]
-        self._entry_cache[key] = ((len(reps), reps, [_dense(v, dim) for v in denom]), rs)
+        entry = (len(reps), [_dense(v, dim) for v in reps], [_dense(v, dim) for v in denom])
+        self._entry_cache[key] = (entry, rs, _columns(reps, dim))
         return self._entry_cache[key]
+
+    def classes(self, r: int, p: int, q: int, left: QMatrix, right: QMatrix) -> QMatrix:
+        """The classes of the columns of ``left right`` in the representatives of E_r^{p,q},
+        as the columns of a matrix."""
+        (dim_e, _, _), space, _ = self._entry(r, p, q)
+        coords = space.coords_matrix(left, right)
+        if coords is None:
+            if not space.rank:
+                raise InputError("vector has no expression in an empty page entry")
+            raise InputError("vector does not lie in the page entry")
+        return _tail(coords, dim_e)
 
     def class_in_entry(self, r: int, p: int, q: int, v: Vector) -> Vector:
         """Coordinates of the class of ``v`` in the representatives of E_r^{p,q}."""
-        (dim_e, _, _), space = self._entry(r, p, q)
-        if not space.rank:
-            if any(v):
-                raise InputError("vector has no expression in an empty page entry")
-            return ()
-        return space.tail_coords(v, dim_e, "vector does not lie in the page entry")
+        return self.classes(r, p, q, QMatrix.from_cols([v], len(v)), QMatrix.identity(1)).column(0)
 
     def diff(self, r: int, p: int, q: int) -> QMatrix:
         """Matrix of d_r : E_r^{p,q} -> E_r^{p+r, q-r+1}."""
-        alg = self.fc.algebra
-        _, reps, _ = self.entry(r, p, q)
+        (dim_src, _, _), _, reps = self._entry(r, p, q)
         dim_tgt, _, _ = self.entry(r, p + r, q - r + 1)
-        cols = [
-            self.class_in_entry(r, p + r, q - r + 1, alg.apply_d(p + q, v)) if dim_tgt else ()
-            for v in reps
-        ]
-        return QMatrix.from_cols(cols, dim_tgt)
+        if not (dim_src and dim_tgt):
+            return QMatrix._of(dim_tgt, dim_src, {})
+        return self.classes(r, p + r, q - r + 1, self.fc.algebra.d_matrix(p + q), reps)
 
     def page(self, r: int, p_max: int, q_max: int) -> Page:
         page = Page(r=r)
@@ -725,13 +726,11 @@ def triple_morphism_pages(
             for q in range(q_max + 1):
                 if p + q >= upto:
                     continue
-                _, reps_s, _ = src_tower.entry(r, p, q)
+                (dim_s, _, _), _, reps_s = src_tower._entry(r, p, q)
                 dim_t, _, _ = dst_tower.entry(r, p, q)
-                cols = [
-                    dst_tower.class_in_entry(r, p, q, gamma_mats[p + q].matvec(v)) if dim_t else ()
-                    for v in reps_s
-                ]
-                psi[(r, p, q)] = QMatrix.from_cols(cols, dim_t)
+                psi[(r, p, q)] = (
+                    dst_tower.classes(r, p, q, gamma_mats[p + q], reps_s) if dim_t else QMatrix._of(0, dim_s, {})
+                )
     # d_r commutation
     for (r, p, q), mat in sorted(psi.items()):
         tgt = (r, p + r, q - r + 1)

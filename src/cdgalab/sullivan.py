@@ -28,7 +28,7 @@ from .cdga import (
     truncate,
 )
 from .errors import InputError, InternalError, PreconditionError
-from .exactlin import KernelBasis, QMatrix, RowSpace, kernel_basis, solve_many, vec_is_zero
+from .exactlin import KernelBasis, QMatrix, RowSpace, kernel_basis, solve_many
 from .graded import Element, FreeGCA, Monomial, _trim, apply_odd_derivation
 
 
@@ -112,7 +112,7 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
     if len(ht.dims) > 1 and ht.dims[1] != 0:
         raise PreconditionError("target is not 1-connected: H^1 is nonzero")
     unit_class = ht.class_of(0, target.unit)
-    if vec_is_zero(unit_class):
+    if not any(unit_class):
         raise PreconditionError("the unit is a coboundary in the target")
 
     model = FreeCDGA(FreeGCA([]), {}, check=False)
@@ -128,8 +128,7 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
         hs = {k: _cohomology_degree(trunc, k, cocycles[k]) for k in degrees}
         mats = _comparison_matrices(model, trunc, target, phi, degrees)
         # cokernel of H^n(phi): the target classes, unit vectors in class coordinates, that enlarge the image
-        reps = hs[n][0] if n in hs else []
-        images = QMatrix.from_cols([ht.class_of(n, mats[n].matvec(rep)) for rep in reps], ht.dims[n])
+        images = ht.classes(n, mats[n], hs[n][0]) if n in hs else QMatrix._of(ht.dims[n], 0, {})
         gens: list[tuple[str, int]] = []
         diff: dict[str, Element] = {}
         for c in RowSpace(images.hstack(QMatrix.identity(ht.dims[n]))).columns_from(images.cols):
@@ -138,16 +137,10 @@ def minimal_model(target: TruncatedDGA, upto: int) -> MinimalModelResult:
             phi[name] = (n, tuple(ht.reps[n][c]))
         # kernel of H^{n+1}(phi), computable while n+1 is below the cutoff
         if n + 1 <= target.cutoff - 1:
-            reps, space = hs[n + 1]
-            hmat = QMatrix.from_cols([ht.class_of(n + 1, mats[n + 1].matvec(rep)) for rep in reps], ht.dims[n + 1])
+            reps = hs[n + 1][0]
             keys = trunc.bases[n + 1].keys
-            # the representatives are the cocycle columns kept past the boundaries, taken sparse
-            at = {c: i for i, c in enumerate(space.columns_from(space.matrix.cols - cocycles[n + 1].cols))}
-            rep_mat = QMatrix._of(
-                len(keys), len(at), {(t, at[c]): x for (t, c), x in cocycles[n + 1].entries.items() if c in at}
-            )
             # each kernel vector combines model classes whose image class vanishes
-            z_mat = rep_mat.matmul(KernelBasis(hmat).inclusion)
+            z_mat = reps.matmul(KernelBasis(ht.classes(n + 1, mats[n + 1], reps)).inclusion)
             primitives = solve_many(target.d_matrix(n), mats[n + 1].matmul(z_mat).to_cols())
             z_cols = z_mat.sparse_columns()
             for j, b in enumerate(primitives):

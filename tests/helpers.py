@@ -11,12 +11,17 @@ from math import comb
 import random
 
 from cdgalab.cdga import _block_diagonal, cohomology, induced_map
-from cdgalab.errors import CutoffTooSmallError, InputError
+from cdgalab.errors import CutoffTooSmallError, InputError, InternalError
 from cdgalab.exactlin import (
-    ONE, ZERO, KernelBasis, KeyedBasis, QMatrix, RowSpace, _Coordinates, _eliminate, _int_row, concat, kernel_basis, rank, rat,
+    ONE, ZERO, KernelBasis, KeyedBasis, QMatrix, RowSpace, _Coordinates, _eliminate, _int_row, kernel_basis, rank, rat,
     rref, solve, unit_vector,
 )
-from cdgalab.polyforms import PolyForm, d, form_basis
+from cdgalab.polyforms import PolyForm, SimplicialComplexK, d, form_basis
+
+
+def concat(*vectors) -> tuple:
+    """The vectors joined end to end."""
+    return tuple(x for v in vectors for x in v)
 
 
 def minor_rank(m: QMatrix) -> int:
@@ -234,7 +239,7 @@ def dense_push(maps, src, dst) -> list:
     mats = []
     for k in range(min(src.cutoff, dst.cutoff) + 1):
         images = [
-            concat(*(h.apply(k, x) for h, x in zip(maps, src.ambient.split(k, v))))
+            concat(*(h.mats[k].matvec(x) for h, x in zip(maps, src.ambient.split(k, v))))
             for v in dense_kernel_basis(src.kernels[k].matrix)
         ]
         mats.append(_dense_columns(dense_kernel(dst.kernels[k].matrix), images))
@@ -1024,3 +1029,106 @@ def dense_filtration_problems(fc) -> list:
                             f"on adapted basis pair ({i},{a}),({j},{b})"
                         )
     return problems
+
+
+def dense_validate(alg) -> list:
+    """``TruncatedDGA.validate`` through dense vectors: every basis case of the unit laws, the
+    Leibniz rule and associativity, with both sides built by ``multiply``, ``product_basis`` and
+    ``apply_d`` on unit vectors; a case that needs a dropped product is skipped."""
+    problems: list[str] = []
+    # unit laws
+    for k in range(alg.cutoff + 1):
+        for a in range(alg.dim(k)):
+            try:
+                lhs = alg.multiply(0, alg.unit, k, unit_vector(alg.dim(k), a))
+            except CutoffTooSmallError:
+                continue
+            if lhs != unit_vector(alg.dim(k), a):
+                problems.append(f"unit law fails on basis ({k},{a})")
+    # Leibniz
+    pairs = (
+        (i, a, j, b)
+        for i in range(alg.cutoff + 1)
+        for j in range(i, alg.cutoff + 1 - i)
+        if i + j + 1 <= alg.cutoff
+        for a in range(alg.dim(i))
+        for b in range(alg.dim(j))
+    )
+    for i, a, j, b in pairs:
+        try:
+            lhs = alg.apply_d(i + j, alg.product_basis(i, a, j, b))
+            da = alg.apply_d(i, unit_vector(alg.dim(i), a))
+            db = alg.apply_d(j, unit_vector(alg.dim(j), b))
+            term1 = alg.multiply(i + 1, da, j, unit_vector(alg.dim(j), b))
+            term2 = alg.multiply(i, unit_vector(alg.dim(i), a), j + 1, db)
+        except CutoffTooSmallError:
+            continue
+        sign = -1 if i % 2 else 1
+        rhs = tuple(x + sign * y for x, y in zip(term1, term2))
+        if lhs != rhs:
+            problems.append(f"Leibniz fails on basis pair ({i},{a}),({j},{b})")
+    # associativity
+    triples = (
+        (i, a, j, b, k, c)
+        for i in range(alg.cutoff + 1)
+        for j in range(alg.cutoff + 1 - i)
+        for k in range(alg.cutoff + 1 - i - j)
+        for a in range(alg.dim(i))
+        for b in range(alg.dim(j))
+        for c in range(alg.dim(k))
+    )
+    for i, a, j, b, k, c in triples:
+        try:
+            ab = alg.product_basis(i, a, j, b)
+            left = alg.multiply(i + j, ab, k, unit_vector(alg.dim(k), c))
+            bc = alg.product_basis(j, b, k, c)
+            right = alg.multiply(i, unit_vector(alg.dim(i), a), j + k, bc)
+        except CutoffTooSmallError:
+            continue
+        if left != right:
+            problems.append(f"associativity fails on ({i},{a}),({j},{b}),({k},{c})")
+    return problems
+
+
+def dense_is_extendable(e, upto=None):
+    """``localsys.is_extendable`` one fiber basis vector at a time: each is restricted to every
+    boundary simplex through a freshly composed restriction, the images are joined densely and
+    written in the boundary sections by ``coords_many``."""
+    from cdgalab.localsys import FiniteLocalSystem, _sections_basis
+
+    if upto is None:
+        upto = e.min_cutoff()
+    witnesses = []
+    ok = True
+    for s in e.base.all_simplices():
+        n = len(s) - 1
+        if n < 1:
+            continue
+        boundary = SimplicialComplexK.from_maximal(
+            [s[:i] + s[i + 1 :] for i in range(n + 1)]
+        )
+        sub = FiniteLocalSystem(
+            boundary,
+            {t: e.fibers[t] for t in boundary.all_simplices()},
+            {
+                (t, i): e.facet_restrictions[(t, i)]
+                for t in boundary.all_simplices()
+                for i, _f in boundary.facets(t)
+            },
+        )
+        kernels, _ = _sections_basis(sub, upto)
+        fib = e.fibers[s]
+        layout = boundary.all_simplices()
+        for k in range(min(upto, fib.cutoff) + 1):
+            targets = [
+                concat(*[e.restriction(s, tau).mats[k].matvec(unit_vector(fib.dim(k), t)) for tau in layout])
+                for t in range(fib.dim(k))
+            ]
+            cols = kernels[k].coords_many(targets)
+            if None in cols:
+                raise InternalError("boundary image is not a compatible family")
+            r = rank(QMatrix.from_cols(cols, kernels[k].rank))
+            if r != kernels[k].rank:
+                ok = False
+                witnesses.append((s, k, kernels[k].rank, r))
+    return ok, witnesses

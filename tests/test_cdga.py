@@ -21,7 +21,7 @@ from cdgalab.cdga import (
     truncate,
 )
 from cdgalab.errors import CutoffTooSmallError, InputError
-from cdgalab.exactlin import QMatrix, kernel_basis, rank, unit_vector, vec_is_zero
+from cdgalab.exactlin import QMatrix, kernel_basis, rank, unit_vector
 from cdgalab.graded import FreeGCA
 from cdgalab.polyforms import FormsDGA, forms_dga
 
@@ -460,16 +460,110 @@ def test_validation_compares_every_leibniz_pair(monkeypatch):
     ]
     assert len(pairs) == 258
     seen = []
-    product_basis = type(src).product_basis
+    lookup = type(src)._lookup
 
     def recording(self, i, a, j, b):
         seen.append((i, a, j, b))
-        return product_basis(self, i, a, j, b)
+        return lookup(self, i, a, j, b)
 
-    monkeypatch.setattr(type(src), "product_basis", recording)
+    monkeypatch.setattr(type(src), "_lookup", recording)
     assert src.validate() == []
-    # each Leibniz pair takes one product, and they all come before the associativity triples
-    assert seen[: len(pairs)] == pairs
+    # the unit laws read 1 * e for every basis element e first
+    unit_laws = [(0, 0, k, a) for k in range(c + 1) for a in range(src.dim(k))]
+    assert src.unit == (1,) and seen[: len(unit_laws)] == unit_laws
+    # then each Leibniz pair takes its product, in order; the first is 1 * 1, which no other
+    # Leibniz read repeats, and the associativity cases start with (1 * 1) * 1
+    start = len(unit_laws)
+    assert seen[start] == (0, 0, 0, 0)
+    reads = iter(seen[start : seen.index((0, 0, 0, 0), start + 1)])
+    assert all(pair in reads for pair in pairs)
+
+
+def _table_copy(t, change=None, drop=()):
+    """``t`` as an explicit table, with the products in ``change`` replaced and those in
+    ``drop`` left out of the table, so that they are dropped."""
+    table = {
+        (i, a, j, b): t.product_basis(i, a, j, b)
+        for i in range(t.cutoff + 1)
+        for j in range(i, t.cutoff + 1 - i)
+        for a in range(t.dim(i))
+        for b in range(t.dim(j))
+        if (i, a, j, b) not in drop
+    }
+    table.update(change or {})
+    return from_tables(t.cutoff, t.dims, t.unit, t.diff_mats, table, check=False)
+
+
+def _cp1_model():
+    # x (degree 2), y (3), x^2 (4), xy (5), x^3 (6), x^2 y (7), with dy = x^2
+    return truncate(cp_model(1), 7)
+
+
+def _vec(*xs):
+    return tuple(Fraction(x) for x in xs)
+
+
+def _wedge_comparison_source():
+    from cdgalab.sullivan import minimal_model
+
+    return minimal_model(wedge_of_2_spheres(2, 9), 8).comparison.source
+
+
+VALIDATE_CASES = {
+    "torus": lambda: torus_model(3),
+    "cp1": _cp1_model,
+    "cp1-tensor-sphere": lambda: tensor_product(truncate(cp_model(1), 5), sphere_even_model(5), cutoff=5),
+    "wedge-model": _wedge_comparison_source,
+    "forms": lambda: forms_dga(2, 3),
+    "forms-interval": lambda: forms_dga(1, 2, cutoff=2),
+    "cp2-formal": lambda: cp2_formal(8),
+    # the unit doubles x
+    "broken-unit": lambda: _table_copy(_cp1_model(), {(0, 0, 2, 0): _vec(2)}),
+    # x y = -(x y): d(x y) = -x^3 against x dy = x^3
+    "broken-leibniz": lambda: _table_copy(_cp1_model(), {(2, 0, 3, 0): _vec(-1)}),
+    # y x^2 = 2 (x^2 y), a product of degree 7 that no Leibniz pair reads
+    "broken-associativity": lambda: _table_copy(_cp1_model(), {(3, 0, 4, 0): _vec(2)}),
+    # x x dropped: every case that needs it is skipped, the broken x y included where it needs it
+    "partial": lambda: _table_copy(_cp1_model(), {(2, 0, 3, 0): _vec(-1)}, drop={(2, 0, 2, 0)}),
+    "forms-tensor-cp2": lambda: tensor_product(forms_dga(2, 4), cp2_formal(8), cutoff=6),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATE_CASES)
+def test_validation_matches_the_dense_reference(case):
+    alg = VALIDATE_CASES[case]()
+    problems = alg.validate()
+    # a fresh copy, so the dense check reads the product table from scratch too
+    assert problems == helpers.dense_validate(VALIDATE_CASES[case]())
+    assert bool(problems) == case.startswith(("broken", "partial")), problems
+    if case == "partial":
+        assert all("(2,0),(2,0)" not in problem for problem in problems)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: cp2_formal(8), _wedge_model_truncation],
+    ids=["cp2-formal", "wedge-model"],
+)
+def test_classes_of_a_product_are_the_classes_of_its_columns(make):
+    a = make()
+    h = cohomology(a, a.cutoff - 1)
+    rng = random.Random(8)
+    for k in range(a.cutoff):
+        cocycles = QMatrix.from_cols(kernel_basis(a.d_matrix(k)), a.dim(k))
+        right = helpers.random_qmatrix(rng, cocycles.cols, 4, density=0.5)
+        for left, rhs in [(cocycles, right), (cocycles.scale(Fraction(3, 5)), right), (cocycles, right.scale(0))]:
+            columns = helpers.fraction_matmul(left, rhs).to_cols()
+            assert h.classes(k, left, rhs) == QMatrix.from_cols([h.class_of(k, v) for v in columns], h.dims[k])
+        # a column that is not a cocycle fails both reads with the same message
+        outside = [v for v in QMatrix.identity(a.dim(k)).to_cols() if any(a.d_matrix(k).matvec(v))]
+        if outside:
+            with pytest.raises(InputError, match="class_of called on a non-cocycle"):
+                h.class_of(k, outside[0])
+            with pytest.raises(InputError, match="class_of called on a non-cocycle"):
+                h.classes(k, QMatrix.identity(a.dim(k)), QMatrix.identity(a.dim(k)))
+    with pytest.raises(InputError, match="outside the computed range"):
+        h.classes(a.cutoff, QMatrix.zero(a.dim(a.cutoff), 1), QMatrix.identity(1))
 
 
 def test_element_vector_roundtrip():
@@ -477,7 +571,7 @@ def test_element_vector_roundtrip():
     t = truncate(f, 6)
     x = f.gca.gen("x")
     vec = t.bases[4].vector((x * x).terms)
-    assert not vec_is_zero(vec)
+    assert any(vec)
     assert f.gca.element(zip(t.bases[4].keys, vec)) == x * x
 
 

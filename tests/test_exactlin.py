@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cdgalab import exactlin
+from cdgalab.cdga import _tail
 from cdgalab.errors import InputError
 from cdgalab.exactlin import (
     KernelBasis,
@@ -19,7 +20,6 @@ from cdgalab.exactlin import (
     solve,
     solve_many,
     unit_vector,
-    vec_is_zero,
 )
 
 from fixtures import wedge_of_2_spheres
@@ -146,7 +146,7 @@ def test_rank_nullity_randomized():
         m = random_qmatrix(rng, rows, cols)
         assert rank(m) + len(kernel_basis(m)) == cols
         for v in kernel_basis(m):
-            assert vec_is_zero(m.matvec(v))
+            assert not any(m.matvec(v))
 
 
 def test_solve_identity():
@@ -273,12 +273,14 @@ def test_rowspace_coords_match_solve_and_oracle():
         assert rs.pivots == oracle.pivots
         assert rs.rank == len(rs.columns) == naive_rank([list(v) for v in added])
         m = QMatrix.from_cols([added[c] for c in rs.columns], n)
-        for x in _probes(rng, added, n):
+        probes = _probes(rng, added, n)
+        for x in probes:
             expected = solve(m, x)
             assert expected == _fraction_solve(m, x)
             assert rs.coords(x) == oracle.coords(x) == expected
             member = naive_rank([list(added[c]) for c in rs.columns] + [list(x)]) == rs.rank
             assert rs.contains(x) == member == (expected is not None)
+        _check_coords_matrix(rng, rs, oracle, added, probes)
 
 
 def test_rowspace_express_raises_with_message():
@@ -286,6 +288,27 @@ def test_rowspace_express_raises_with_message():
     assert rs.express([(Fraction(2), Fraction(2))], "outside") == [(Fraction(2),)]
     with pytest.raises(InputError, match="outside"):
         rs.express([(Fraction(2), Fraction(2)), (Fraction(1), Fraction(0))], "outside")
+
+
+def _check_coords_matrix(rng, space, oracle, span, probes):
+    """``space.coords_matrix(left, right)`` against ``oracle.coords_many`` on the columns of
+    ``fraction_matmul(left, right)``: members of ``span``, with rational entries and scaled by
+    a fraction, probes (most of them outside), zero columns and no columns."""
+    n = space.dim
+    members = QMatrix.from_cols([_combo(rng, span, n) for _ in range(3)], n)
+    lefts = [members, members.scale(Fraction(2, 7)), QMatrix.from_cols(probes, n), QMatrix.zero(n, 2)]
+    for left in lefts + [QMatrix.zero(n, 0)]:
+        for right in [QMatrix.identity(left.cols), random_qmatrix(rng, left.cols, 3), QMatrix.zero(left.cols, 2)]:
+            cols = oracle.coords_many(fraction_matmul(left, right).to_cols())
+            got = space.coords_matrix(left, right)
+            assert got == (None if None in cols else QMatrix.from_cols(cols, space.rank))
+
+
+def _class(space, v, n):
+    """The class of ``v`` modulo the columns kept before the last ``n``, or None when ``v`` lies
+    outside the space: the one-column read behind ``class_of`` and ``class_in_entry``."""
+    coords = space.coords_matrix(QMatrix.from_cols([v], space.dim), QMatrix.identity(1))
+    return None if coords is None else _tail(coords, n).column(0)
 
 
 def test_rowspace_coords_of_reps_modulo_dependent_denominators():
@@ -306,18 +329,14 @@ def test_rowspace_coords_of_reps_modulo_dependent_denominators():
             assert (fast is None) == (slow is None)
             if fast is not None:
                 assert fast[rs.rank - len(reps):] == slow[: len(reps)]
-                assert rs.tail_coords(x, len(reps), "outside") == slow[: len(reps)]
-            else:
-                with pytest.raises(InputError, match="outside"):
-                    rs.tail_coords(x, len(reps), "outside")
+            assert _class(rs, x, len(reps)) == (None if slow is None else slow[: len(reps)])
 
 
 def test_rowspace_quotient_reads_on_a_rank_zero_space():
     empty = RowSpace(QMatrix.zero(3, 2))
     assert empty.rank == 0 and empty.columns_from(0) == empty.columns_from(1) == []
-    assert empty.tail_coords((Fraction(0),) * 3, 0, "outside") == ()
-    with pytest.raises(InputError, match="^no class here$"):
-        empty.tail_coords((Fraction(0), Fraction(1), Fraction(0)), 0, "no class here")
+    assert _class(empty, (Fraction(0),) * 3, 0) == ()
+    assert _class(empty, (Fraction(0), Fraction(1), Fraction(0)), 0) is None
 
 
 def test_rowspace_quotient_reads_when_a_candidate_repeats_a_denominator():
@@ -334,12 +353,11 @@ def test_rowspace_quotient_reads_when_a_candidate_repeats_a_denominator():
     kept = QMatrix.from_cols([(denom + z)[c] for c in rs.columns], 4)
     members = [col(2, 3, 5, 0), col(1, 0, 0, 0), col(0, 1, 1, 6), col(0, 0, 0, 0)]
     for v, x in zip(members, solve_many(kept, members)):
-        assert rs.tail_coords(v, 2, "outside") == x[2:]
+        assert _class(rs, v, 2) == x[2:]
     # a rank-4 space holds every vector; drop the last candidate to leave one outside
     small = RowSpace(QMatrix.from_cols(denom + z[:4], 4))
     assert small.columns_from(len(denom)) == [1]
-    with pytest.raises(InputError, match="^not a class$"):
-        small.tail_coords(col(0, 0, 0, 1), 1, "not a class")
+    assert _class(small, col(0, 0, 0, 1), 1) is None
 
 
 def _kernel_cases(rng):
@@ -449,6 +467,8 @@ def test_kernel_coords_matrix_matches_coords_of_each_column():
                 assert got == QMatrix.from_cols(cols, ker.rank)
                 assert ker.inclusion.matmul(got) == mat
             seen.add(got is None)
+        # the same read against the dense kernel oracle and Fraction products
+        _check_coords_matrix(rng, ker, dense_kernel(m), ker.vectors, _probes(rng, ker.vectors, m.cols))
     assert seen == {True, False}
 
 
@@ -816,14 +836,14 @@ def test_plumbing_and_kernels_match_fraction_loops():
 
 
 def test_plumbing_and_kernels_match_fraction_loops_on_recorded_traffic(monkeypatch):
-    """Every matvec, matmul, kernel membership test and full elimination of a
+    """Every matvec, matmul, kernel coordinate read and full elimination of a
     small spectral sequence and a minimal model, replayed against the loops."""
     from cdgalab.specseq import einfty_vs_target
     from cdgalab.sullivan import minimal_model
     from test_specseq import _small_suspension_system
 
-    calls = {"matvec": [], "matmul": [], "coords": [], "coords_matrix": [], "kernel": []}
-    engine, matvec, matmul, coords = exactlin._int_echelon, QMatrix.matvec, QMatrix.matmul, KernelBasis.coords_many
+    calls = {"matvec": [], "matmul": [], "read": [], "coords_matrix": [], "kernel": []}
+    engine, matvec, matmul, read = exactlin._int_echelon, QMatrix.matvec, QMatrix.matmul, KernelBasis._read
     coords_matrix = KernelBasis.coords_matrix
 
     def recording(name, fn):
@@ -842,7 +862,7 @@ def test_plumbing_and_kernels_match_fraction_loops_on_recorded_traffic(monkeypat
     monkeypatch.setattr(exactlin, "_int_echelon", full_elimination)
     monkeypatch.setattr(QMatrix, "matvec", recording("matvec", matvec))
     monkeypatch.setattr(QMatrix, "matmul", recording("matmul", matmul))
-    monkeypatch.setattr(KernelBasis, "coords_many", recording("coords", coords))
+    monkeypatch.setattr(KernelBasis, "_read", recording("read", read))
     monkeypatch.setattr(KernelBasis, "coords_matrix", recording("coords_matrix", coords_matrix))
     assert einfty_vs_target(_small_suspension_system(), 3).ok()
     minimal_model(wedge_of_2_spheres(2, 7), 6)
@@ -852,9 +872,12 @@ def test_plumbing_and_kernels_match_fraction_loops_on_recorded_traffic(monkeypat
         assert out == fraction_matvec(m, v)
     for (a, b), out in calls["matmul"]:
         assert out == fraction_matmul(a, b)
-    for (ker, vectors), out in calls["coords"]:
-        for x, got in zip(vectors, out):
-            assert (got is not None) == (not any(fraction_matvec(ker.matrix, x)))
+    # the shared core: one integer column over a denominator, read in the kernel or refused
+    for (ker, col, den), out in calls["read"]:
+        x = tuple(Fraction(col.get(c, 0), den) for c in range(ker.matrix.cols))
+        assert (out is not None) == (not any(fraction_matvec(ker.matrix, x)))
+        if out is not None:
+            assert fraction_matvec(ker.inclusion, [out.get(j, Fraction(0)) for j in range(ker.rank)]) == x
     for (ker, left, right), out in calls["coords_matrix"]:
         images = fraction_matmul(left, right)
         assert (out is not None) == fraction_matmul(ker.matrix, images).is_zero()

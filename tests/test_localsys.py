@@ -43,7 +43,12 @@ from cdgalab.polyforms import (
 )
 
 from fixtures import sphere_even_model, torus_model
-from helpers import dense_carrier_differentials, dense_kernel_basis, per_simplex_fiber_product_system
+from helpers import (
+    dense_carrier_differentials,
+    dense_is_extendable,
+    dense_kernel_basis,
+    per_simplex_fiber_product_system,
+)
 
 
 def odd_generator_fiber(degree=3, cutoff=5) -> TruncatedDGA:
@@ -233,7 +238,7 @@ def test_rigid_system_not_extendable():
 def test_boundary_image_outside_the_sections_is_internal(monkeypatch):
     # the restrictions of a system compose, so a failure here is the program's
     e = forms_system(standard_complex(1), 2)
-    monkeypatch.setattr(KernelBasis, "coords_many", lambda self, vectors: [None] * len(vectors))
+    monkeypatch.setattr(KernelBasis, "coords_matrix", lambda self, left, right: None)
     with pytest.raises(InternalError, match="boundary image is not a compatible family"):
         is_extendable(e, 2)
 
@@ -242,6 +247,23 @@ def test_forms_system_extendable():
     e = forms_system(standard_complex(2), 3)
     ok, w = is_extendable(e, 2)
     assert ok, w
+
+
+@pytest.mark.parametrize(
+    "make, upto",
+    [
+        (lambda: forms_system(cycle_complex(3), 2), 2),
+        (lambda: tensor_system(forms_system(standard_complex(1), 2), sphere_even_model(6), cutoff=3), 3),
+        (lambda: constant_system(standard_complex(1), sphere_even_model(4)), 3),
+        (lambda: forms_system(standard_complex(1), 2), 2),
+        (lambda: forms_system(standard_complex(2), 3), 2),
+        (lambda: constant_system(standard_complex(2), sphere_even_model(4)), None),
+    ],
+    ids=["forms-circle", "forms-tensor-edge", "rigid-edge", "forms-edge", "forms-triangle", "rigid-triangle"],
+)
+def test_extendability_matches_the_dense_reference(make, upto):
+    # the verdict and every witness, in order, against one restriction per basis vector
+    assert is_extendable(make(), upto) == dense_is_extendable(make(), upto)
 
 
 # -- global sections ---------------------------------------------------------------

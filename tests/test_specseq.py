@@ -674,22 +674,32 @@ def test_class_in_entry_matches_a_fresh_solve_on_a_real_tower():
     alg = tower.fc.algebra
     rng = random.Random(5)
     checked = 0
+    refused = set()
     for r in range(4):
         for p in range(2):
             for q in range(3):
                 dim_e, reps, denom = tower.entry(r, p, q)
                 cols = list(reps) + list(denom)
+                n = alg.dim(p + q)
+                # a vector outside the entry's span is refused, with the empty entry's own message
+                span = QMatrix.from_cols(cols, n)
+                outside = [unit_vector(n, a) for a in range(n) if not cols or solve(span, unit_vector(n, a)) is None]
+                if outside:
+                    message = "does not lie in the page entry" if cols else "no expression in an empty page entry"
+                    with pytest.raises(InputError, match=message):
+                        tower.class_in_entry(r, p, q, outside[0])
+                    refused.add(message)
                 if not cols:
+                    assert tower.class_in_entry(r, p, q, (ZERO,) * n) == ()
                     continue
-                m = QMatrix.from_cols(cols, alg.dim(p + q))
                 for _ in range(3):
-                    x = [ZERO] * alg.dim(p + q)
+                    x = [ZERO] * n
                     for v in cols:
                         c = Fraction(rng.randint(-2, 2))
                         x = [a + c * b for a, b in zip(x, v)]
-                    assert tower.class_in_entry(r, p, q, tuple(x)) == solve(m, tuple(x))[:dim_e]
+                    assert tower.class_in_entry(r, p, q, tuple(x)) == solve(span, tuple(x))[:dim_e]
                     checked += 1
-    assert checked
+    assert checked and len(refused) == 2
 
 
 def test_e2_check_tests_local_constancy_and_fiber_cohomology_once(monkeypatch):
