@@ -132,7 +132,7 @@ class TruncatedDGA:
 
     __slots__ = (
         "cutoff", "dims", "unit", "diff_mats", "_mult_fn", "_products",
-        "_labels", "levels", "bases", "ambient", "kernels", "name", "_leaf_cache", "__weakref__",
+        "_labels", "levels", "bases", "ambient", "kernels", "name", "_leaf_cache", "_own_levels", "__weakref__",
     )
 
     def __init__(
@@ -188,6 +188,8 @@ class TruncatedDGA:
         self.kernels = list(kernels) if kernels is not None else None
         self.name = name
         self._leaf_cache: dict[int, tuple] = {}  # the spectral sequences' view, per degree
+        # their levels in the algebra's own basis, or None where a basis element mixes levels
+        self._own_levels: Union[list[list[int]], None, object] = _UNREAD
         if check:
             self._check_d_squared()
 

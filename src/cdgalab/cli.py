@@ -32,6 +32,9 @@ System specs are ``{"type": "explicit", "base": K, "fibers": {simplex: alg},
 "tensor_with": alg}``; the skeletal filtration of a ``tensor_with`` system
 counts the form degree of the base forms only, never levels of ``alg``.
 
+A complex is the set of faces of its ``maximal`` simplices; its optional
+``vertices``, when given, must list their vertex set, each vertex once.
+
 Rational literals are ``"p/q"`` strings or integers; decimal notation is
 rejected everywhere.  Integer fields (degrees, cutoffs, dimensions, faces,
 exponents, indices) are JSON integers or integral strings such as ``"3"``;
@@ -135,6 +138,20 @@ def _simplex_key(text: str) -> tuple[int, ...]:
         raise InputError(f"bad simplex key {text!r}") from exc
 
 
+def _check_vertices(name: str, listed, vertices: tuple[int, ...]) -> None:
+    """A complex's ``vertices`` must be distinct integers, the vertex set of its maximal simplices."""
+    seen: set[int] = set()
+    for v in (_int(x, "vertex") for x in _list(listed, "vertices")):
+        if v in seen:
+            raise InputError(f"complex {name!r} lists vertex {v} twice")
+        if v not in vertices:
+            raise InputError(f"complex {name!r} lists vertex {v}, which no maximal simplex contains")
+        seen.add(v)
+    for v in vertices:
+        if v not in seen:
+            raise InputError(f"complex {name!r} has vertex {v} in a maximal simplex but not in its vertices")
+
+
 class Problem:
     """Parsed and resolved problem file.
 
@@ -164,6 +181,8 @@ class Problem:
                     for s in _list(_req(spec, "maximal"), "maximal")
                 ]
             )
+            if "vertices" in spec:
+                _check_vertices(name, spec["vertices"], self.complexes[name].vertices)
         for name in self._algebra_specs:
             self._resolve_algebra(name, [])
         self.morphisms: dict[str, DGMorphism] = {}

@@ -493,6 +493,20 @@ def solve_many(m: QMatrix, rhs: Sequence[Vector]) -> list[Optional[Vector]]:
     return out
 
 
+def _inverse(m: QMatrix) -> Optional[QMatrix]:
+    """The inverse of ``m``, or None when ``m`` is not square and invertible: one elimination of
+    ``[m | I]``, whose pivot rows hold the inverse's rows right of the bar."""
+    n = m.rows
+    if m.cols != n:
+        return None
+    aug = QMatrix._of(n, 2 * n, m.entries | {(r, n + r): ONE for r in range(n)})
+    rows, pivots, _ = _int_echelon(aug, pivot_cols=n)
+    if len(pivots) < n:
+        return None
+    entries = {(p, c - n): Fraction(x, row[p]) for row, p in zip(rows, pivots) for c, x in row.items() if c >= n}
+    return QMatrix._of(n, n, entries)
+
+
 class _Coordinates:
     """Writing vectors in a basis through one read: a subclass's ``_read(col, den)`` gives the
     nonzero coordinates of a sparse column of nonzero integers over a denominator, or None when it

@@ -21,7 +21,6 @@ from .cdga import (
     TruncatedDGA,
     cohomology,
     induced_map,
-    is_quasi_iso,
     tensor_morphism,
     tensor_product,
 )
@@ -31,10 +30,9 @@ from .exactlin import (
     KernelBasis,
     QMatrix,
     ZERO,
+    _inverse,
     kernel_basis,  # noqa: F401  the benchmark's tracer self-test wraps this binding
     rank,
-    solve_many,
-    unit_vector,
 )
 from .gluing import FiberProductDGA, _evaluation, _kernel_carrier, _push, fiber_product, interval_forms
 from .polyforms import (
@@ -261,19 +259,30 @@ def _fiber_cohomologies(e: FiniteLocalSystem, upto: int) -> dict[int, GradedCoho
 
 
 def is_locally_constant(
-    e: FiniteLocalSystem, upto: int, fiber_h: Optional[dict[int, GradedCohomology]] = None
+    e: FiniteLocalSystem,
+    upto: int,
+    fiber_h: Optional[dict[int, GradedCohomology]] = None,
+    induced: Optional[dict[int, list[QMatrix]]] = None,
 ) -> bool:
     """Every restriction a quasi-isomorphism in degrees <= upto.
 
     ``fiber_h`` may pass in the fiber cohomologies, keyed by ``id`` of the
-    fiber, when the caller needs them too.  Facets may share one restriction
-    object, which is checked once.
+    fiber, when the caller needs them too; ``induced``, when given, receives
+    the map in cohomology (:func:`cdga.induced_map`) of every restriction the
+    check passed, keyed by ``id``.  Facets may share one restriction object,
+    which is checked once.
     """
     hs = fiber_h if fiber_h is not None else _fiber_cohomologies(e, upto)
     for r in {id(r): r for r in e.facet_restrictions.values()}.values():
-        ok, _ = is_quasi_iso(r, upto, source_h=hs[id(r.source)], target_h=hs[id(r.target)])
-        if not ok:
+        source_h, target_h = hs[id(r.source)], hs[id(r.target)]
+        if source_h.dims[: upto + 1] != target_h.dims[: upto + 1]:
             return False
+        mats = induced_map(r, upto, source_h, target_h)
+        # the dimensions agree, so each matrix is square, and bijective when it has full rank
+        if any(rank(m) != m.cols for m in mats):
+            return False
+        if induced is not None:
+            induced[id(r)] = mats
     return True
 
 
@@ -469,34 +478,23 @@ def cohomology_local_system(e: FiniteLocalSystem, upto: int) -> LocalCoefficient
     H(restrict to u) composed with the inverse of H(restrict to v).
     """
     hs = _fiber_cohomologies(e, upto)
-    if not is_locally_constant(e, upto, hs):
+    # H of every restriction, read off the local-constancy check, once per restriction object
+    induced: dict[int, list[QMatrix]] = {}
+    if not is_locally_constant(e, upto, hs, induced):
         raise PreconditionError("system is not locally constant in the range")
     vertex_dims = {}
     for (v,) in e.base.simplices_of_dim(0):
         vertex_dims[v] = {q: hs[id(e.fibers[(v,)])].dims[q] for q in range(upto + 1)}
-    # edges may share one restriction object, as facets do in is_locally_constant
-    induced: dict[int, list[QMatrix]] = {}
-
-    def to_end(s: Simplex, i: int) -> list[QMatrix]:
-        """H of the restriction of the edge s that omits s[i], once per restriction object."""
-        r = e.facet_restrictions[(s, i)]
-        if id(r) not in induced:
-            face = s[:i] + s[i + 1 :]
-            induced[id(r)] = induced_map(r, upto, source_h=hs[id(e.fibers[s])], target_h=hs[id(e.fibers[face])])
-        return induced[id(r)]
-
     edges = {}
     for s in e.base.simplices_of_dim(1):
         u, v = s
-        to_u, to_v = to_end(s, 1), to_end(s, 0)
+        to_u, to_v = (induced[id(e.facet_restrictions[(s, i)])] for i in (1, 0))
         per_q = {}
         for q in range(upto + 1):
-            m = to_v[q]
-            # the inverse solves m x = e_r for every unit vector e_r
-            inv = solve_many(m, [unit_vector(m.rows, r) for r in range(m.rows)])
-            if m.rows != m.cols or None in inv:
+            inv = _inverse(to_v[q])
+            if inv is None:
                 raise PreconditionError(f"transport not invertible on edge {s}")
-            per_q[q] = to_u[q].matmul(QMatrix.from_cols(inv, m.cols))  # type: ignore[arg-type]
+            per_q[q] = to_u[q].matmul(inv)
         edges[(u, v)] = per_q
     return LocalCoefficients(e.base, vertex_dims, edges)
 

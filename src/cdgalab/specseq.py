@@ -26,7 +26,7 @@ from itertools import accumulate
 from math import lcm
 from typing import NamedTuple, Optional
 
-from .cdga import TruncatedDGA, _block_diagonal, _tail, cohomology_dims
+from .cdga import _UNREAD, TruncatedDGA, _block_diagonal, _tail, cohomology_dims
 from .errors import CutoffTooSmallError, InputError, InternalError, PreconditionError
 from .exactlin import ONE, ZERO, QMatrix, RowSpace, Vector, _combine, _eliminate, _primitive, _reduce_rows, _span_basis, rank
 from .gluing import _push
@@ -81,39 +81,86 @@ def _in_leaves(alg: TruncatedDGA, k: int) -> tuple[list[TruncatedDGA], int, list
     return alg._leaf_cache[k]
 
 
+def _own_levels(alg: TruncatedDGA) -> Optional[list[list[int]]]:
+    """The raw level of every basis element of ``alg`` in every degree, or None when a basis
+    element of some degree does not lie in one level.
+
+    A leaf's levels are its ``basis_level``s.  A kernel carrier's basis element lies in level l
+    when every nonzero entry of its inclusion column sits at an ambient basis element of level l,
+    read by this same rule in its part; a part without levels of its own, or a column that mixes
+    levels, leaves the carrier without them.  A part's basis elements are independent and each
+    lies in one level, so a column lies in one level in its parts' coordinates exactly when it
+    does in its leaves' (:func:`_in_leaves`).  A carrier keeps the answer, as it keeps its view.
+    """
+    if alg.ambient is None:
+        return alg.levels if alg.levels is not None else [[0] * n for n in alg.dims]
+    if alg._own_levels is _UNREAD:
+        alg._own_levels = _carrier_levels(alg)
+    return alg._own_levels  # type: ignore[return-value]
+
+
+def _carrier_levels(alg: TruncatedDGA) -> Optional[list[list[int]]]:
+    """:func:`_own_levels` of a kernel carrier, read off its parts'."""
+    parts = [_own_levels(part) for part in alg.ambient.parts]  # type: ignore[union-attr]
+    if any(levels is None for levels in parts):
+        return None
+    out = []
+    for k, kernel in enumerate(alg.kernels):  # type: ignore[arg-type]
+        ambient = [level for levels in parts for level in levels[k]]  # type: ignore[union-attr]
+        column: dict[int, int] = {}
+        for r, j in kernel.inclusion.entries:
+            if column.setdefault(j, ambient[r]) != ambient[r]:
+                return None
+        out.append([column[j] for j in range(kernel.rank)])
+    return out
+
+
+def _clamped(levels: list[int], p_bound: int) -> list[int]:
+    return [min(max(level, 0), p_bound) for level in levels]
+
+
 class _AdaptedBasis:
     """One degree of a filtered complex in a basis adapted to its filtration.
 
-    ``rows`` spans the degree's basis written in the innermost coordinates (:func:`_in_leaves`),
-    as primitive integer rows sorted by level, and ``pivots`` holds the coordinate of each row's
-    pivot: no other row is nonzero there, and the row vanishes at every coordinate of lower
-    level.  ``levels``, nondecreasing, are the levels of the pivots: F^p is spanned by the rows
-    of level >= p, because a combination vanishing below level p uses no row whose pivot lies
-    there.  The rows need not be in reduced row echelon form.
+    ``rows`` spans the degree's basis written in some coordinates, each of one level (clamped to
+    [0, p_bound]), as primitive integer rows sorted by level, and ``pivots`` holds the coordinate
+    of each row's pivot: no other row is nonzero there, and the row vanishes at every coordinate
+    of lower level.  ``levels``, nondecreasing, are the levels of the pivots: F^p is spanned by
+    the rows of level >= p, because a combination vanishing below level p uses no row whose pivot
+    lies there.  The rows need not be in reduced row echelon form.
 
-    They come from :func:`_reduce_rows` with the coordinates taken by level and, within a
-    level, the basis elements' read coordinates first.  A read coordinate is nonzero in its own
-    column only, so where every column lies in one level, each column is its own row with its
-    read coordinate as pivot, and nothing is eliminated; columns that mix levels are reduced to
-    an echelon form in the same order.
+    When every basis element lies in one level (``own``, its raw levels, from :func:`_own_levels`),
+    the coordinates are the algebra's own basis and ``leaves`` is None: each row is a basis element,
+    the rows sorted by level, and nothing is eliminated.  Otherwise the coordinates are those of
+    the innermost algebras (:func:`_in_leaves`), and the rows come from :func:`_reduce_rows` with
+    the coordinates taken by level and, within a level, the basis elements' read coordinates
+    first; a read coordinate is nonzero in its own column only, so each column that lies in one
+    level is its own row, pivoted there, and columns that mix levels are reduced to an echelon
+    form in the same order.
     """
 
-    def __init__(self, alg: TruncatedDGA, k: int, p_bound: int):
+    def __init__(self, alg: TruncatedDGA, k: int, p_bound: int, own: Optional[list[int]]):
         self.dim = alg.dim(k)
-        self.leaves, _, self.columns, reads = _in_leaves(alg, k)
-        self.coord_levels = [
-            min(max(leaf.basis_level(k, a), 0), p_bound) for leaf in self.leaves for a in range(leaf.dim(k))
-        ]
-        private = {c for c, _ in reads}
-        order = sorted(range(len(self.coord_levels)), key=lambda c: (self.coord_levels[c], c not in private))
-        position = {c: i for i, c in enumerate(order)}
-        rows, pivots, _ = _reduce_rows(
-            [_primitive({position[c]: x for c, x in col.items()}) for col in self.columns], len(order)
-        )
-        self.rows = [{order[i]: x for i, x in row.items()} for row in rows]
-        self.pivots = [order[i] for i in pivots]
+        if own is not None:
+            self.leaves: Optional[list[TruncatedDGA]] = None
+            self.coord_levels = _clamped(own, p_bound)
+            self.columns = [{a: 1} for a in range(self.dim)]
+            self.pivots = sorted(range(self.dim), key=self.coord_levels.__getitem__)
+            self.rows = [{a: 1} for a in self.pivots]
+            self._reads = {a: (a, ONE) for a in range(self.dim)}
+        else:
+            self.leaves, _, self.columns, reads = _in_leaves(alg, k)
+            self.coord_levels = _leaf_levels(self.leaves, k, p_bound)
+            private = {c for c, _ in reads}
+            order = sorted(range(len(self.coord_levels)), key=lambda c: (self.coord_levels[c], c not in private))
+            position = {c: i for i, c in enumerate(order)}
+            rows, pivots, _ = _reduce_rows(
+                [_primitive({position[c]: x for c, x in col.items()}) for col in self.columns], len(order)
+            )
+            self.rows = [{order[i]: x for i, x in row.items()} for row in rows]
+            self.pivots = [order[i] for i in pivots]
+            self._reads = {c: (a, x) for a, (c, x) in enumerate(reads)}
         self.levels = [self.coord_levels[c] for c in self.pivots]
-        self._reads = {c: (a, x) for a, (c, x) in enumerate(reads)}
         self._basis: Optional[dict[int, list[tuple[int, Fraction]]]] = None
 
     def span(self, combos: list[dict[int, int]]) -> list[_Sparse]:
@@ -125,6 +172,11 @@ class _AdaptedBasis:
                 for i, row in enumerate(self.rows)
             }
         return [{a: x for a, x in _combine(self._basis, combo.items()).items() if x} for combo in combos]
+
+
+def _leaf_levels(leaves: list[TruncatedDGA], k: int, p_bound: int) -> list[int]:
+    """The clamped level of every degree-k coordinate of ``leaves``, in block order."""
+    return _clamped([leaf.basis_level(k, a) for leaf in leaves for a in range(leaf.dim(k))], p_bound)
 
 
 def _columns(vectors: list[_Sparse], dim: int) -> QMatrix:
@@ -146,7 +198,8 @@ class FilteredComplex:
     F^p in degree k holds the elements whose coordinates in the innermost algebras vanish
     below level p, with levels clamped to [0, p_bound]: F^0 is the whole complex, and F^p = 0
     beyond p_bound.  Each degree is written in an adapted basis (:class:`_AdaptedBasis`) once,
-    when first read, and every F^p is read off it.
+    when first read, and every F^p is read off it: in the algebra's own basis when every basis
+    element lies in one level (:func:`_own_levels`), else in the innermost coordinates.
     """
 
     algebra: TruncatedDGA
@@ -156,7 +209,8 @@ class FilteredComplex:
 
     def _adapted(self, k: int) -> _AdaptedBasis:
         if k not in self._bases:
-            self._bases[k] = _AdaptedBasis(self.algebra, k, self.p_bound)
+            own = _own_levels(self.algebra)
+            self._bases[k] = _AdaptedBasis(self.algebra, k, self.p_bound, None if own is None else own[k])
         return self._bases[k]
 
     def _level(self, p: int, k: int) -> list[_Sparse]:
@@ -201,19 +255,22 @@ class FilteredComplex:
             for k in range(alg.cutoff):
                 if not all(self.contains(p, k + 1, alg.apply_d(k, v)) for v in self.subspace(p, k)):
                     problems.append(f"d leaves F^{p} at degree {k}")
-        # products are blockwise down to the leaves, so the adapted rows are multiplied leaf by leaf
+        # products are blockwise down to the leaves, so the adapted rows are multiplied leaf by
+        # leaf; a row in the algebra's own basis is a basis element, read there by its leaf column
         adapted = [self._adapted(k) for k in range(alg.cutoff + 1)]
-        leaves = adapted[0].leaves
+        views = [_in_leaves(alg, k) for k in range(alg.cutoff + 1)]
+        leaves = views[0][0]
         starts = [list(accumulate((leaf.dim(k) for leaf in leaves), initial=0)) for k in range(alg.cutoff + 1)]
+        coord_levels = [_leaf_levels(leaves, k, self.p_bound) for k in range(alg.cutoff + 1)]
         elements = [
             [(level, [[(c - lo, x) for c, x in row.items() if lo <= c < hi] for lo, hi in zip(st, st[1:])])
-             for level, row in zip(ad.levels, ad.rows)]
-            for ad, st in zip(adapted, starts)
+             for level, row in zip(ad.levels, ad.rows if ad.leaves is not None else [columns[a] for a in ad.pivots])]
+            for ad, (_, _, columns, _), st in zip(adapted, views, starts)
         ]
         # the product table is graded commutative, so each unordered pair is checked once
         for i in range(alg.cutoff + 1):
             for j in range(i, alg.cutoff + 1 - i):
-                levels = adapted[i + j].coord_levels
+                levels = coord_levels[i + j]
                 for a, (p, x) in enumerate(elements[i]):
                     start = a if i == j else 0
                     for b, (q, y) in enumerate(elements[j][start:], start):
@@ -290,7 +347,12 @@ class PageTower:
             return self._reductions[n]
         below = self._reduction(n - 1) if n else None
         src, dst = self.fc._adapted(n), self.fc._adapted(n + 1)
-        _, d_cols = _block_diagonal([leaf.d_matrix(n) for leaf in src.leaves])._int_columns()
+        # both degrees read the same coordinates: the algebra's own basis, or the leaves'
+        if src.leaves is None:
+            d = self.fc.algebra.d_matrix(n)
+        else:
+            d = _block_diagonal([leaf.d_matrix(n) for leaf in src.leaves])
+        _, d_cols = d._int_columns()
         # d of a row is a combination of the next rows, read off at their pivots
         at = {c: (i, row[c]) for i, (row, c) in enumerate(zip(dst.rows, dst.pivots))}
         cleared = {low: j for j, low in below.low.items()} if below else {}

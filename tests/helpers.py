@@ -17,6 +17,7 @@ from cdgalab.exactlin import (
     rref, solve, unit_vector,
 )
 from cdgalab.polyforms import PolyForm, SimplicialComplexK, d, form_basis
+from cdgalab.specseq import FilteredComplex, _AdaptedBasis
 
 
 def concat(*vectors) -> tuple:
@@ -571,6 +572,32 @@ def representative_quasi_iso(h, upto):
     return True, None
 
 
+def transports_edge_by_edge(e, upto) -> dict:
+    """The edge transports of ``localsys.cohomology_local_system``, built apart from the
+    local-constancy check: H of each edge restriction induced on its own, and the inverse of
+    H(to v) solved for one unit vector at a time.  The reference for the transports read off
+    the check."""
+    from cdgalab.exactlin import solve_many
+    from cdgalab.localsys import _fiber_cohomologies
+
+    hs = _fiber_cohomologies(e, upto)
+    edges = {}
+    for s in e.base.simplices_of_dim(1):
+        u, v = s
+        to_u, to_v = (
+            induced_map(e.facet_restrictions[(s, i)], upto, hs[id(e.fibers[s])], hs[id(e.fibers[(w,)])])
+            for i, w in ((1, u), (0, v))
+        )
+        per_q = {}
+        for q in range(upto + 1):
+            m = to_v[q]
+            inv = solve_many(m, [unit_vector(m.rows, r) for r in range(m.rows)])
+            assert m.rows == m.cols and None not in inv, f"transport not invertible on edge {s}"
+            per_q[q] = to_u[q].matmul(QMatrix.from_cols(inv, m.cols))
+        edges[(u, v)] = per_q
+    return edges
+
+
 def full_zero_divisor_solve(f: PolyForm, wtotal: int) -> bool:
     """Whether df = f w for a 1-form w of total degree <= wtotal, by one solve of the
     full product matrix on every 1-form basis key: the reference for
@@ -659,6 +686,17 @@ def symbolic_odd_derivation(images, x):
             term = (sign * e) * (left * img * right)
             out = out + coeff * term
     return out
+
+
+class LeafFilteredComplex(FilteredComplex):
+    """A filtered complex adapted in the innermost coordinates in every degree, as if some
+    basis element mixed levels: the leaf path of ``specseq._AdaptedBasis``, the reference for
+    the filtration read in the algebra's own basis."""
+
+    def _adapted(self, k: int) -> _AdaptedBasis:
+        if k not in self._bases:
+            self._bases[k] = _AdaptedBasis(self.algebra, k, self.p_bound, None)
+        return self._bases[k]
 
 
 class PerEntryTower:

@@ -259,6 +259,8 @@ def ss_problem():
         (edge_system_problem, _set(("algebras", "PP"), {"type": "product", "factors": "PP"})),
         (loop_model_problem, _set(("task_args", "model"), ["S2"])),
         (loop_model_problem, _set(("task_args", "model"), {"a": 1})),
+        (edge_system_problem, _set(("complexes", "K", "vertices"), [0, 1, 2])),
+        (edge_system_problem, _set(("complexes", "K", "maximal"), [[0, 5]])),
     ],
 )
 def test_malformed_references_and_integers_exit_2(tmp_path, capsys, make, mutate):
@@ -804,6 +806,44 @@ def test_restrictions_by_face_and_by_morphism_name_match_the_forms_system(tmp_pa
     code, out, _ = run_cli(capsys, [write(tmp_path, doc), "--format", "machine"])
     assert code == 0
     assert json.loads(out)["result"] == explicit
+
+
+def _forms_gamma_problem(complex_spec):
+    return {
+        "version": "1",
+        "task": "gamma",
+        "complexes": {"K": complex_spec},
+        "systems": {"E": {"type": "forms", "base": "K", "total_degree": 2, "cutoff": 3}},
+        "task_args": {"system": "E", "upto": 2},
+    }
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"vertices": [0, 1, 2], "maximal": [[0, 1]]}, "complex 'K' lists vertex 2, which no maximal simplex contains"),
+        ({"vertices": [0, 1], "maximal": [[0, 5]]}, "complex 'K' lists vertex 1, which no maximal simplex contains"),
+        ({"vertices": [0], "maximal": [[0, 5]]}, "complex 'K' has vertex 5 in a maximal simplex but not in its vertices"),
+        ({"vertices": [0, 1, 0], "maximal": [[0, 1]]}, "complex 'K' lists vertex 0 twice"),
+        ({"vertices": [0, "a"], "maximal": [[0, 1]]}, "vertex must be an integer"),
+        ({"vertices": 3, "maximal": [[0, 1]]}, "vertices must be a JSON list"),
+    ],
+    ids=["isolated-vertex", "unlisted-vertex", "missing-vertex", "repeated-vertex", "not-an-integer", "not-a-list"],
+)
+def test_vertices_that_disagree_with_the_maximal_simplices_exit_2(tmp_path, capsys, spec, message):
+    """A listed vertex is never dropped in silence: an isolated point is a maximal simplex."""
+    code, out, err = run_cli(capsys, [write(tmp_path, _forms_gamma_problem(spec)), "--format", "machine"])
+    assert (code, out) == (2, "")
+    assert f"input error: {message}" in err
+
+
+def test_vertices_in_any_order_agree_with_the_maximal_simplices(tmp_path, capsys):
+    dims = []
+    for spec in ({"vertices": [2, "0", 1], "maximal": [[0, 1], [2]]}, {"maximal": [[0, 1], [2]]}):
+        code, out, _ = run_cli(capsys, [write(tmp_path, _forms_gamma_problem(spec)), "--format", "machine"])
+        assert code == 0
+        dims.append(json.loads(out)["result"]["cohomology_dims"])
+    assert dims == [[2, 0], [2, 0]]
 
 
 def test_truncated_diff_entries_are_read(tmp_path, capsys):

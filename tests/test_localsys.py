@@ -48,6 +48,7 @@ from helpers import (
     dense_is_extendable,
     dense_kernel_basis,
     per_simplex_fiber_product_system,
+    transports_edge_by_edge,
 )
 
 
@@ -148,13 +149,13 @@ def _counting_quasi_iso_checks(monkeypatch) -> list:
     import cdgalab.localsys as localsys
 
     checked = []
-    quasi_iso = localsys.is_quasi_iso
+    induced_map = localsys.induced_map
 
     def counting(r, *args, **kwargs):
         checked.append(id(r))
-        return quasi_iso(r, *args, **kwargs)
+        return induced_map(r, *args, **kwargs)
 
-    monkeypatch.setattr(localsys, "is_quasi_iso", counting)
+    monkeypatch.setattr(localsys, "induced_map", counting)
     return checked
 
 
@@ -195,10 +196,17 @@ def _point_vertex_system():
 
 @pytest.mark.parametrize("make", [_killing_system, _point_vertex_system], ids=["singular", "non-square"])
 def test_a_transport_that_is_not_invertible_is_a_precondition_error(monkeypatch, make):
-    # past the local-constancy check, the transport on edge (0, 1) has no inverse
+    # past the local-constancy check, which hands on the map in cohomology of every restriction,
+    # the transport on edge (0, 1) has no inverse
     import cdgalab.localsys as localsys
+    from cdgalab.cdga import induced_map
 
-    monkeypatch.setattr(localsys, "is_locally_constant", lambda *args: True)
+    def passing(e, upto, fiber_h, induced):
+        for r in e.facet_restrictions.values():
+            induced[id(r)] = induced_map(r, upto, fiber_h[id(r.source)], fiber_h[id(r.target)])
+        return True
+
+    monkeypatch.setattr(localsys, "is_locally_constant", passing)
     with pytest.raises(PreconditionError, match=r"transport not invertible on edge \(0, 1\)"):
         cohomology_local_system(make(), 4)
 
@@ -481,6 +489,47 @@ def test_cohomology_local_system_induces_each_edge_restriction_once(monkeypatch,
         to_u, to_v = (induced_map(e.restriction((u, v), (w,)), 4) for w in (u, v))
         for q in range(5):
             assert c.edges[(u, v)][q].matmul(to_v[q]) == to_u[q]
+
+
+def _double_cover_system():
+    """The twisted circle pulled back along the order-preserving double cover of the 3-cycle."""
+    e, _ = twisted_circle_system(3, 5)
+    cover = SimplicialComplexK.from_maximal([(0, 1), (1, 4), (2, 4), (2, 3), (3, 5), (0, 5)])
+    return pullback(e, {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 2}, cover)
+
+
+def _tier1_system(module: str, name: str):
+    def make():
+        import importlib
+
+        return getattr(importlib.import_module(module), name)()
+    return make
+
+
+@pytest.mark.parametrize(
+    "make, upto",
+    [
+        (lambda: forms_system(cycle_complex(3), 2, cutoff=5), 4),
+        (lambda: forms_system(boundary_complex(3), 2, cutoff=4), 3),
+        (lambda: constant_system(cycle_complex(3), sphere_even_model(5)), 4),
+        (lambda: twisted_circle_system()[0], 4),
+        (_double_cover_system, 4),
+        (lambda: fiber_product_system(*suspension_system_legs(cycle_complex(3), sphere_even_model(6), 5), 5)[0], 4),
+        (lambda: tensor_system(forms_system(cycle_complex(3), 2, cutoff=6), odd_generator_fiber(1, 6), cutoff=6), 4),
+        (_tier1_system("test_specseq", "_circle_tensor_system"), 4),
+        (_tier1_system("test_specseq", "_small_suspension_system"), 3),
+        (_tier1_system("test_specseq", "hopf_like_system"), 3),
+        (_tier1_system("test_acceptance", "criterion_09_system_a"), 4),
+        (_tier1_system("test_acceptance", "criterion_09_system_b"), 4),
+        (_tier1_system("test_acceptance", "criterion_09_system_c"), 4),
+    ],
+    ids=["forms-circle", "forms-boundary3", "constant", "twisted-circle", "double-cover", "suspension-circle",
+         "odd-torus", "circle-tensor", "small-suspension", "hopf-like", "criterion-9a", "criterion-9b",
+         "criterion-9c"],
+)
+def test_transports_read_off_the_local_constancy_check_are_the_edge_by_edge_ones(make, upto):
+    e = make()
+    assert cohomology_local_system(e, upto).edges == transports_edge_by_edge(e, upto)
 
 
 def test_h_local_coefficients_trivial_circle():

@@ -44,6 +44,7 @@ from cdgalab.specseq import (
     Page,
     PageTower,
     SpectralSequence,
+    _own_levels,
     e2_check,
     einfty_vs_target,
     page_consistency,
@@ -839,6 +840,77 @@ def test_graded_carriers_need_no_elimination(monkeypatch):
         assert {len({ad.coord_levels[c] for c in row}) for row in ad.rows} <= {1}
 
 
+def assert_towers_agree(fc, leaf_fc, rng) -> None:
+    """Two towers of one filtered algebra agree on every computable entry: F^p, membership, every
+    E_r dimension, z_basis, the representatives, classes and d_r."""
+    alg = fc.algebra
+    for k in range(alg.cutoff + 1):
+        for p in range(fc.p_bound + 2):
+            level = fc._level(p, k)
+            assert level == leaf_fc._level(p, k), (p, k)
+            for _ in range(2):
+                v = _combination(rng, fc.subspace(p, k) + fc.subspace(0, k)[:1], alg.dim(k))
+                assert fc.contains(p, k, v) == leaf_fc.contains(p, k, v), (p, k)
+    tower, oracle = PageTower(fc), PageTower(leaf_fc)
+    for r in range(tower.infinity_page_index() + 1):
+        for n in range(alg.cutoff + (r == 0)):
+            for p in range(fc.p_bound + 2):
+                q = n - p
+                assert tower.dim(r, p, q) == oracle.dim(r, p, q), (r, p, q)
+                dim_e, reps, denom = tower.entry(r, p, q)
+                assert (dim_e, reps) == oracle.entry(r, p, q)[:2], (r, p, q)
+                if n < alg.cutoff:
+                    assert tower.z_basis(p, p + r, n) == oracle.z_basis(p, p + r, n), (r, p, n)
+                v = _combination(rng, reps + denom, alg.dim(n))
+                assert tower.class_in_entry(r, p, q, v) == oracle.class_in_entry(r, p, q, v), (r, p, q)
+                if n + 1 < alg.cutoff:
+                    assert tower.diff(r, p, q) == oracle.diff(r, p, q), (r, p, q)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: skeletal_filtration(_small_suspension_system(), 4),
+        _criterion_09("a"),
+        _criterion_09("b"),
+        _criterion_09("c"),
+        lambda: skeletal_filtration(hopf_like_system(), 4),  # the line bundle whose d2 is nonzero
+        lambda: skeletal_filtration(_circle_tensor_system(), 5),
+    ],
+    ids=["small-suspension", "criterion-9a", "criterion-9b", "criterion-9c", "line-bundle", "circle-tensor"],
+)
+def test_the_filtration_in_the_own_basis_reads_as_the_leaf_path(make):
+    """Where every basis element of the sections lies in one level, the adapted bases are the
+    sections' own basis, and every canonical answer is the leaf path's."""
+    fc = make()
+    leaf_fc = helpers.LeafFilteredComplex(fc.algebra, fc.p_bound)
+    for k in range(fc.algebra.cutoff + 1):
+        ad, leaf_ad = fc._adapted(k), leaf_fc._adapted(k)
+        assert ad.leaves is None and leaf_ad.leaves is not None
+        assert ad.rows == [{a: 1} for a in ad.pivots] and sorted(ad.pivots) == list(range(fc.algebra.dim(k)))
+        assert ad.levels == leaf_ad.levels
+    assert_towers_agree(fc, leaf_fc, random.Random(13))
+
+
+def test_every_e2_dimension_of_the_sections_reads_their_own_basis_and_differential(monkeypatch):
+    """On the small suspension system no degree of the sections is written in its leaves, and
+    no leaf differential is multiplied: d comes from the sections' own matrices."""
+    import cdgalab.specseq as specseq
+
+    e = _small_suspension_system()
+    ss = SpectralSequence(e, 4)
+    views, blocks = [], []
+    in_leaves, block_diagonal = specseq._in_leaves, specseq._block_diagonal
+    monkeypatch.setattr(specseq, "_in_leaves", lambda alg, k: views.append((alg, k)) or in_leaves(alg, k))
+    monkeypatch.setattr(specseq, "_block_diagonal", lambda ms: blocks.append(len(ms)) or block_diagonal(ms))
+    dims = {(p, n - p): ss.tower.dim(2, p, n - p) for n in range(4) for p in range(min(n, 2) + 1)}
+    # the base is S^2 and the fiber's suspension class has degree 3
+    assert {key: dim for key, dim in dims.items() if dim} == {(0, 0): 1, (2, 0): 1, (0, 3): 1}
+    assert ss.e2_check(2, 1).ok()
+    assert (views, blocks) == ([], [])
+    assert sorted(ss.tower._reductions) == [0, 1, 2, 3]
+
+
 def _mixed_level_carrier():
     """The pullback of the identity and a chain automorphism phi = 1 + hd + dh of a leveled
     complex into the same complex without levels: its basis columns (phi(e_b), e_b) mix the
@@ -874,6 +946,8 @@ def test_a_carrier_whose_columns_mix_levels_reduces_to_the_row_oracle(monkeypatc
     calls = _counting_eliminations(monkeypatch)
     adapted = [fc._adapted(k) for k in range(alg.cutoff + 1)]
     assert calls
+    # a column mixes levels, so the carrier has no levels of its own and takes the leaf path
+    assert _own_levels(alg) is None and all(ad.leaves is not None for ad in adapted)
     assert any(len({ad.coord_levels[c] for c in col}) > 1 for ad in adapted for col in ad.columns)
     for k, ad in enumerate(adapted):
         # each pivot is private to its row, and no row reaches below its pivot's level
