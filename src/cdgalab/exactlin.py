@@ -8,7 +8,8 @@ positive denominator), so results are exact and reproducible.  Matrices are
 stored sparsely.  Elimination clears each row to integers, reduces over the
 integers through a column -> rows index, in a forward pass and one back
 substitution, and builds Fractions only for the result; kernels are sparse
-columns read off the integer echelon rows, held by :class:`KernelBasis`.
+columns read off the integer echelon rows, held by :class:`KernelBasis`, or
+placed with no elimination from the kernels of the blocks of a block sum.
 ``matvec`` and ``matmul`` accumulate integers over a common denominator;
 ``matvec`` walks a column index kept on the immutable matrix.
 
@@ -658,14 +659,56 @@ class KernelBasis(_Coordinates):
     _LENGTH = "kernel basis: vector of length {n} against {dim} columns"
 
     def __init__(self, m: QMatrix):
-        self.matrix = m
-        self.dim = m.cols
         columns = _kernel_columns(m)
         entries = {(r, j): x for j, (_, _, col) in enumerate(columns) for r, x in col.items()}
-        self.inclusion = QMatrix._of(m.cols, len(columns), entries)
-        # free column -> (its basis vector, 1 / the vector's entry there), in basis order
-        self._reads = {f: (j, inv) for j, (f, inv, _) in enumerate(columns)}
+        self._hold(m, entries, {f: (j, inv) for j, (f, inv, _) in enumerate(columns)})
+
+    def _hold(
+        self, m: QMatrix, entries: dict[tuple[int, int], Fraction], reads: dict[int, tuple[int, Fraction]]
+    ) -> None:
+        """Hold the canonical basis of ``ker m``: the entries of its inclusion, and per free column its
+        basis vector and 1 / the vector's entry there, in basis order."""
+        self.matrix = m
+        self.dim = m.cols
+        self.inclusion = QMatrix._of(m.cols, len(reads), entries)
+        self._reads = reads
         self._vectors: Optional[list[Vector]] = None
+
+    @classmethod
+    def _placed(cls, m: QMatrix, parts: Sequence[tuple["KernelBasis", Sequence[int]]]) -> "KernelBasis":
+        """The canonical basis of ``ker m`` read off the kernels of smaller matrices, with no elimination.
+
+        Each part is ``(kernel, place)``: coordinate c of the kernel's space is coordinate ``place[c]``
+        of ``m``'s.  The caller guarantees that every ``place`` is increasing, that the places of
+        different parts are disjoint, and that ``ker m`` is the sum of the placed kernels (as when
+        ``m`` is, up to the order of its rows and columns, the block sum of the parts' matrices).
+        Then the placed vectors are the canonical ones: a column is free in ``m`` exactly when it
+        is the place of a free column, and a placed vector is still 1 at its free column and 0 at
+        the others.  Their first nonzeros differ between parts, whose supports are disjoint, and
+        within a part an increasing place keeps the part's own order; so they are sorted by first
+        nonzero, then by part and position in the part.  ``m`` is kept to certify later reads.
+        """
+        # per kernel, read once: each vector as (first nonzero, free column, inverse read, entries)
+        vectors: dict[int, list[tuple[int, int, Fraction, list[tuple[int, Fraction]]]]] = {}
+        order = []
+        for t, (kernel, place) in enumerate(parts):
+            if id(kernel) not in vectors:
+                cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(kernel.rank)]
+                for (r, j), x in kernel.inclusion.entries.items():
+                    cols[j].append((r, x))
+                free = {j: (f, inv) for f, (j, inv) in kernel._reads.items()}
+                vectors[id(kernel)] = [(min(col)[0], *free[j], col) for j, col in enumerate(cols)]
+            order.extend([(place[v[0]], t, j, place, v) for j, v in enumerate(vectors[id(kernel)])])
+        order.sort()  # (first nonzero, part, position) is unique, so nothing after it is compared
+        entries: dict[tuple[int, int], Fraction] = {}
+        reads: dict[int, tuple[int, Fraction]] = {}
+        for n, (_, _, _, place, (_, f, inv, col)) in enumerate(order):
+            reads[place[f]] = (n, inv)
+            for r, x in col:
+                entries[(place[r], n)] = x
+        out = cls.__new__(cls)
+        out._hold(m, entries, reads)
+        return out
 
     @property
     def rank(self) -> int:

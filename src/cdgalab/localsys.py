@@ -7,6 +7,20 @@ the standard predicates (locally constant, extendable), global sections as a
 DG algebra, pullback along simplicial vertex maps, objectwise fiber products,
 the vertexwise cohomology local coefficients with their edge transports, and
 twisted simplicial cohomology with those coefficients.
+
+Global sections are the kernel of the facet-compatibility map, found by exact
+elimination, except on a tensor system E (x) M (:func:`tensor_system`).  Over
+Q, tensoring with a finite-dimensional M is exact, so it commutes with the
+finite limit Gamma; the restrictions r (x) id keep the bidegree, so
+
+    Gamma(K; E (x) M)_k = (+)_{a+b=k} Gamma(K; E)_a (x) M_b.
+
+Its canonical basis is {w (x) e_jb}, for w the canonical basis of
+Gamma(K; E)_a, placed at the tensor keys (a, ia, b, jb), and is read off with
+no elimination.  The supports of different (b, jb) are disjoint, and for fixed
+(b, jb) the keys keep the order of E's coordinates; so sorting the placed
+vectors by first nonzero, then by (b, jb) and position in Gamma(E)_a, gives the
+order the elimination gives.
 """
 
 from __future__ import annotations
@@ -43,6 +57,19 @@ from .polyforms import (
 )
 
 
+@dataclass(frozen=True, eq=False)
+class _TensorFactors:
+    """How :func:`tensor_system` built a system: ``system`` (x) ``factor`` up to ``cutoff``.
+
+    Every fiber of the built system is ``tensor_product(system.fibers[s], factor, cutoff)`` and every
+    restriction is r (x) id for the restriction r of ``system``.
+    """
+
+    system: "FiniteLocalSystem"
+    factor: TruncatedDGA
+    cutoff: int
+
+
 @dataclass
 class FiniteLocalSystem:
     """Contravariant assignment of DG algebras to the simplices of a complex.
@@ -51,11 +78,20 @@ class FiniteLocalSystem:
     sections, filtration and page tower) on the system, and later checks read it; so a system
     is not to be mutated after a check.  Nothing in the library mutates a system after
     construction.
+
+    A system that :func:`tensor_system` built as E (x) M records E, M and the cutoff, and only
+    there; its sections are then read off Gamma(E), as Gamma(E (x) M)_k is the sum of
+    Gamma(E)_a (x) M_b over a + b = k, in the canonical order (see the module docstring).  Any
+    other constructor, :func:`twist_restriction` and :func:`pullback` included, leaves it unset,
+    and the sections are eliminated.
     """
 
     base: SimplicialComplexK
     fibers: dict[Simplex, TruncatedDGA]
     facet_restrictions: dict[tuple[Simplex, int], DGMorphism]
+    # set only by _tensor_system, the body of tensor_system, which _restricted reuses; an init
+    # field, so dataclasses.replace keeps it
+    _tensor_of: Optional[_TensorFactors] = field(default=None, repr=False, compare=False)
     _sequence_cache: object = field(default=None, init=False, repr=False, compare=False)
 
     def restriction(self, s: Simplex, t: Simplex) -> DGMorphism:
@@ -200,21 +236,56 @@ def forms_system(
 def tensor_system(
     e: FiniteLocalSystem, factor: TruncatedDGA, cutoff: int
 ) -> FiniteLocalSystem:
-    """Objectwise tensor with a fixed algebra, restrictions r (x) id."""
-    tensored: dict[int, TruncatedDGA] = {}
+    """Objectwise tensor with a fixed algebra, restrictions r (x) id.
+
+    The system records that it is ``e`` (x) ``factor`` (:class:`_TensorFactors`), and its global
+    sections are read off those of ``e``.  Over Q, tensoring with a finite-dimensional M is exact,
+    so it commutes with the finite limit Gamma, and r (x) id keeps the bidegree:
+    Gamma(K; E (x) M)_k = (+)_{a+b=k} Gamma(K; E)_a (x) M_b.  The canonical basis of the left side
+    is {w (x) e_jb}, for w the canonical basis of Gamma(E)_a, each at the tensor keys
+    (a, ia, b, jb).  Different (b, jb) have disjoint supports, so no two of them tie on the first
+    nonzero; for fixed (b, jb) the keys keep the order of E's coordinates, so Gamma(E)'s canonical
+    order carries over (:meth:`exactlin.KernelBasis._placed`).
+    """
+    return _tensor_system(e, factor, cutoff, {}, {})
+
+
+def _tensor_system(
+    e: FiniteLocalSystem,
+    factor: TruncatedDGA,
+    cutoff: int,
+    tensored: dict[int, TruncatedDGA],
+    per_map: dict[int, DGMorphism],
+) -> FiniteLocalSystem:
+    """:func:`tensor_system`, taking each fiber and restriction from ``tensored`` and ``per_map``
+    (keyed by ``id`` of the fiber or restriction of ``e``) when there, and adding it there when built."""
     fibers = {}
     for s in e.base.all_simplices():
         key = id(e.fibers[s])
         if key not in tensored:
             tensored[key] = tensor_product(e.fibers[s], factor, cutoff=cutoff)
         fibers[s] = tensored[key]
-    per_map: dict[int, DGMorphism] = {}
     restr = {}
     for (s, i), r in e.facet_restrictions.items():
         if id(r) not in per_map:
             per_map[id(r)] = tensor_morphism(fibers[s], fibers[s[:i] + s[i + 1 :]], r, None)
         restr[(s, i)] = per_map[id(r)]
-    return FiniteLocalSystem(e.base, fibers, restr)
+    return FiniteLocalSystem(e.base, fibers, restr, _tensor_of=_TensorFactors(e, factor, cutoff))
+
+
+def _restricted(e: FiniteLocalSystem, sub: SimplicialComplexK) -> FiniteLocalSystem:
+    """``e`` over the subcomplex ``sub``, on the same fiber and restriction objects.  A tensor
+    system E (x) M restricts to the tensor system of E restricted, so its sections are still read
+    off E's."""
+    origin = e._tensor_of
+    if origin is not None:
+        inner = origin.system
+        tensored = {id(inner.fibers[s]): e.fibers[s] for s in e.base.all_simplices()}
+        per_map = {id(r): e.facet_restrictions[key] for key, r in inner.facet_restrictions.items()}
+        return _tensor_system(_restricted(inner, sub), origin.factor, origin.cutoff, tensored, per_map)
+    simplices = sub.all_simplices()
+    restr = {(t, i): e.facet_restrictions[(t, i)] for t in simplices for i, _f in sub.facets(t)}
+    return FiniteLocalSystem(sub, {t: e.fibers[t] for t in simplices}, restr)
 
 
 def tensor_system_morphism(
@@ -304,16 +375,7 @@ def is_extendable(e: FiniteLocalSystem, upto: Optional[int] = None):
         boundary = SimplicialComplexK.from_maximal(
             [s[:i] + s[i + 1 :] for i in range(n + 1)]
         )
-        sub = FiniteLocalSystem(
-            boundary,
-            {t: e.fibers[t] for t in boundary.all_simplices()},
-            {
-                (t, i): e.facet_restrictions[(t, i)]
-                for t in boundary.all_simplices()
-                for i, _f in boundary.facets(t)
-            },
-        )
-        kernels, ambient = _sections_basis(sub, upto)
+        kernels, ambient = _sections_basis(_restricted(e, boundary), upto)
         fib = e.fibers[s]
         restrictions = [e.restriction(s, tau) for tau in boundary.all_simplices()]
         cap = min(h.cap for h in restrictions)
@@ -344,24 +406,83 @@ def _sections_basis(e: FiniteLocalSystem, upto: int) -> tuple[list[KernelBasis],
     Returns (kernels, ambient); the ambient sum has the fibers over all
     simplices as blocks, in simplex order.  The map sends a family to the
     differences ``r(x_s) - x_t`` over all facets t of all simplices s, one
-    block of rows each.
+    block of rows each.  A tensor system's kernels are read off its factor's
+    sections (:func:`_section_kernels`).
+    """
+    ambient = BlockSum([e.fibers[s] for s in e.base.all_simplices()], upto)
+    return _section_kernels(e, upto, ambient), ambient
+
+
+def _section_kernels(e: FiniteLocalSystem, upto: int, ambient: BlockSum) -> list[KernelBasis]:
+    """The kernels of :func:`_sections_basis` in the sum ``ambient``.
+
+    A system that :func:`tensor_system` built from E, whose fibers all reach
+    the degrees it needs, takes its kernels from those of E
+    (:func:`_tensor_parts`) with no elimination; every other system
+    eliminates.  Each degree's constraint matrix is built either way, because
+    every later coordinate read is certified against it.
     """
     layout = e.base.all_simplices()
     pairs = [(s, i, s[:i] + s[i + 1 :]) for s in layout for i, _t in e.base.facets(s)]
-    ambient = BlockSum([e.fibers[s] for s in layout], upto)
     differences = BlockSum([e.fibers[t] for _, _, t in pairs], upto)
+    factor_kernels = _factor_kernels(e, upto)
+    minus_one = -ONE
     kernels = []
     for k in range(upto + 1):
         col = dict(zip(layout, ambient.offsets(k)))
+        # a facet block and its face block never share a column (s != t), and no two pairs share a row
         entries = {}
         for (s, i, t), row in zip(pairs, differences.offsets(k)):
             for (rr, cc), v in e.facet_restrictions[(s, i)].mats[k].entries.items():
                 entries[(row + rr, col[s] + cc)] = v
             for rr in range(e.fibers[t].dim(k)):
-                key = (row + rr, col[t] + rr)
-                entries[key] = entries.get(key, ZERO) - ONE
-        kernels.append(KernelBasis(QMatrix(differences.dim(k), ambient.dim(k), entries)))
-    return kernels, ambient
+                entries[(row + rr, col[t] + rr)] = minus_one
+        m = QMatrix._of(differences.dim(k), ambient.dim(k), entries)
+        if factor_kernels is None:
+            kernels.append(KernelBasis(m))
+        else:
+            kernels.append(KernelBasis._placed(m, _tensor_parts(e, k, ambient.offsets(k), factor_kernels)))
+    return kernels
+
+
+def _factor_kernels(e: FiniteLocalSystem, upto: int) -> Optional[list[KernelBasis]]:
+    """For a system built as E (x) M, the section kernels of E in every degree that E (x) M reaches
+    up to ``upto`` and some fiber of E has; None for any other system, and for one where a fiber
+    of E has a degree above the cutoff of another, which Gamma(E) cannot reach."""
+    origin = e._tensor_of
+    if origin is None:
+        return None
+    inner = origin.system
+    reach = min(upto, origin.cutoff)
+    top = min(reach, inner.min_cutoff())
+    if any(f.dim(a) for f in inner.fibers.values() for a in range(top + 1, reach + 1)):
+        return None
+    inner_ambient = BlockSum([inner.fibers[s] for s in inner.base.all_simplices()], top)
+    return _section_kernels(inner, top, inner_ambient)
+
+
+def _tensor_parts(
+    e: FiniteLocalSystem, k: int, starts: list[int], kernels: list[KernelBasis]
+) -> list[tuple[KernelBasis, list[int]]]:
+    """Degree k of Gamma(E (x) M) as the parts of :meth:`KernelBasis._placed`, one per basis element
+    e_jb of M_b: Gamma(E)_a (x) e_jb with a + b = k, ordered by (b, jb).
+
+    A vector w of Gamma(E)_a sits at (s, ia) in E's sum, and w (x) e_jb at the key (a, ia, b, jb) of
+    the fiber over s, which ``starts`` offsets; the fiber's own key index places it, so
+    :func:`cdga.tensor_product` alone owns the key layout.  For fixed (b, jb) the keys follow ia,
+    and the blocks follow the simplices in both sums, so each place is increasing.
+    """
+    inner, factor = e._tensor_of.system, e._tensor_of.factor
+    layout = e.base.all_simplices()
+    parts = []
+    # above the last degree of ``kernels`` no fiber of E has a basis element
+    for b in range(max(0, k + 1 - len(kernels)), min(k, factor.cutoff) + 1):
+        a = k - b
+        blocks = [(lo, e.fibers[s].bases[k].index, inner.fibers[s].dim(a)) for s, lo in zip(layout, starts)]
+        for jb in range(factor.dim(b)):
+            place = [lo + index[(a, ia, b, jb)] for lo, index, n in blocks for ia in range(n)]
+            parts.append((kernels[a], place))
+    return parts
 
 
 def global_sections(e: FiniteLocalSystem, upto: int) -> TruncatedDGA:

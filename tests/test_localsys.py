@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from cdgalab.gluing import fiber_product, suspension_triple, interval_forms
 from cdgalab.localsys import (
     FiniteLocalSystem,
     LocalCoefficients,
+    _sections_basis,
     SystemMorphism,
     cohomology_local_system,
     constant_system,
@@ -41,8 +43,9 @@ from cdgalab.polyforms import (
     forms_dga,
     standard_complex,
 )
+from cdgalab.specseq import SpectralSequence
 
-from fixtures import sphere_even_model, torus_model
+from fixtures import cp2_formal, sphere_even_model, torus_model
 from helpers import (
     dense_carrier_differentials,
     dense_is_extendable,
@@ -73,6 +76,14 @@ def twisted_circle_system(degree=3, cutoff=5):
     fiber = odd_generator_fiber(degree, cutoff)
     e = constant_system(base, fiber)
     return twist_restriction(e, (0, 2), 0, sign_automorphism(fiber, degree)), fiber
+
+
+def _tier1_system(module: str, name: str):
+    def make():
+        import importlib
+
+        return getattr(importlib.import_module(module), name)()
+    return make
 
 
 # -- validation ---------------------------------------------------------------
@@ -327,6 +338,155 @@ def test_gamma_product_system_matches_tensor():
     assert g.dims == direct.dims
 
 
+# -- tensor systems: sections read off the factor's sections ------------------------
+
+def _cli_system(task: str, base: dict, total_degree: int, cutoff: int):
+    """A ``tensor_with`` system as the CLI builds it: forms tensored with a free model of S^2."""
+    from cdgalab.cli import Problem
+
+    doc = {
+        "version": "1",
+        "task": task,
+        "algebras": {"S": {"type": "free", "generators": [["x", 2], ["y", 3]],
+                           "differential": {"y": [["3/2", {"x": 2}]]}, "cutoff": cutoff}},
+        "complexes": {"K": base},
+        "systems": {"E": {"type": "forms", "base": "K", "total_degree": total_degree, "cutoff": cutoff,
+                          "tensor_with": "S"}},
+        "task_args": {"system": "E", "upto": 3},
+    }
+    return Problem(doc).system("E")
+
+
+CIRCLE = {"vertices": [0, 1, 2], "maximal": [[0, 1], [1, 2], [0, 2]]}
+SPHERE = {"vertices": [0, 1, 2, 3], "maximal": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
+
+
+def _suspension_tensor_systems():
+    """The three tensor systems the small suspension system glues."""
+    from test_acceptance import _suspension_legs
+
+    sizes = dict(forms_total=2, forms_cutoff=3, sys_cutoff=4)
+    f, g = _suspension_legs(boundary_complex(3), sphere_even_model(6), **sizes)
+    return [f.source, f.target, g.source]
+
+
+def _forms_tensor(base, total_degree, fiber, cutoff, forms_cutoff=None):
+    """Forms on ``base`` tensored with ``fiber``; the forms are cut off at ``forms_cutoff``,
+    or at their default when it is None."""
+    return tensor_system(forms_system(base, total_degree, cutoff=forms_cutoff), fiber, cutoff=cutoff)
+
+
+TENSOR_SYSTEMS = {
+    # every tensor system the tests build, and a tensor of a tensor; each with the degree its sections reach
+    "cp2-circle": (_tier1_system("test_acceptance", "criterion_09_system_a"), 6),
+    "cp2-sphere": (lambda: _forms_tensor(boundary_complex(3), 3, cp2_formal(8), 8, 8), 6),
+    "circle-tensor": (_tier1_system("test_specseq", "_circle_tensor_system"), 5),
+    "odd-torus": (lambda: _forms_tensor(cycle_complex(3), 2, odd_generator_fiber(1, 6), 6, 6), 6),
+    "forms-tensor-edge": (lambda: _forms_tensor(standard_complex(1), 2, sphere_even_model(6), 3), 3),
+    "criterion-8": (lambda: _forms_tensor(standard_complex(2), 3, sphere_even_model(5), 4, 4), 4),
+    "cylinder": (lambda: cylinder(constant_system(cycle_complex(3), sphere_even_model(4)))[0], 4),
+    "cylinder-twisted": (lambda: cylinder(twisted_circle_system()[0])[0], 5),
+    "suspension-e1": (lambda: _suspension_tensor_systems()[0], 4),
+    "suspension-e0": (lambda: _suspension_tensor_systems()[1], 4),
+    "suspension-qq": (lambda: _suspension_tensor_systems()[2], 4),
+    "cli-gamma-circle": (lambda: _cli_system("gamma", CIRCLE, 2, 4), 4),
+    "cli-gamma-sphere": (lambda: _cli_system("gamma", SPHERE, 3, 5), 5),
+    "cli-ss-circle": (lambda: _cli_system("ss", CIRCLE, 2, 5), 5),
+    "tensor-of-tensor": (
+        lambda: tensor_system(
+            _forms_tensor(cycle_complex(3), 2, odd_generator_fiber(1, 6), 6, 6), sphere_even_model(6), cutoff=6
+        ),
+        6,
+    ),
+}
+
+
+def _counting_placed(monkeypatch) -> list:
+    """The kernels read off placed parts, one entry per call of ``KernelBasis._placed``."""
+    calls = []
+    placed = KernelBasis._placed.__func__
+    counting = classmethod(lambda cls, m, parts: calls.append(m) or placed(cls, m, parts))
+    monkeypatch.setattr(KernelBasis, "_placed", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_SYSTEMS))
+def test_tensor_sections_equal_the_general_elimination(monkeypatch, name):
+    make, upto = TENSOR_SYSTEMS[name]
+    e = make()
+    general = replace(e, _tensor_of=None)
+    placed = _counting_placed(monkeypatch)
+    fast, ambient = _sections_basis(e, upto)
+    # every degree of E (x) M is read off E's sections, and so is E's when E is a tensor system too
+    assert len(placed) >= upto + 1 and placed[-(upto + 1):] == [k.matrix for k in fast]
+    placed.clear()
+    slow, general_ambient = _sections_basis(general, upto)
+    assert placed == []
+    assert ambient.offsets(upto) == general_ambient.offsets(upto)
+    for k, (a, b) in enumerate(zip(fast, slow)):
+        assert a.matrix == b.matrix, k
+        assert a.inclusion == b.inclusion, k
+        assert a._reads == b._reads, k
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_SYSTEMS))
+def test_tensor_extendability_matches_the_dense_reference(monkeypatch, name):
+    # each boundary subsystem is the tensor system of the factor's, so its sections are read off
+    make, upto = TENSOR_SYSTEMS[name]
+    placed = _counting_placed(monkeypatch)
+    verdict = is_extendable(make(), upto)
+    assert placed
+    assert verdict == dense_is_extendable(make(), upto)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # a sign twist of one restriction of a tensor system, and a tensor system pulled back
+        _tier1_system("test_acceptance", "criterion_09_system_b"),
+        lambda: pullback(
+            tensor_system(forms_system(cycle_complex(3), 2, cutoff=5), sphere_even_model(5), cutoff=5),
+            {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 2},
+            SimplicialComplexK.from_maximal([(0, 1), (1, 4), (2, 4), (2, 3), (3, 5), (0, 5)]),
+        ),
+    ],
+    ids=["twisted-tensor", "pulled-back-tensor"],
+)
+def test_twisted_and_pulled_back_tensor_systems_take_the_general_path(monkeypatch, make):
+    e = make()
+    assert e._tensor_of is None
+    placed = _counting_placed(monkeypatch)
+    _sections_basis(e, 4)
+    assert placed == []
+
+
+def test_a_factor_whose_fibers_stop_at_different_degrees_is_read_off_only_below_both(monkeypatch):
+    # CP^2 truncated at 6 over the vertices and at 3 over the edge: Gamma(E) stops at degree 3,
+    # while E (x) Q has a degree-4 basis element over each vertex
+    low, high = cp2_formal(3), cp2_formal(6)
+    up = DGMorphism(low, high, [QMatrix.identity(low.dim(k)) for k in range(4)])
+    edge = standard_complex(1)
+    e = tensor_system(
+        FiniteLocalSystem(edge, {(0,): high, (1,): high, (0, 1): low}, {((0, 1), 0): up, ((0, 1), 1): up}),
+        point_dga(4),
+        cutoff=4,
+    )
+    placed = _counting_placed(monkeypatch)
+    for upto, calls in ((3, 4), (4, 0)):
+        placed.clear()
+        kernels, _ = _sections_basis(e, upto)
+        assert len(placed) == calls
+        assert [k.inclusion for k in kernels] == [KernelBasis(k.matrix).inclusion for k in kernels]
+    assert [k.rank for k in kernels] == [1, 0, 1, 0, 0]
+
+
+def test_a_copy_of_a_tensor_system_keeps_its_factors():
+    e = _tier1_system("test_specseq", "_circle_tensor_system")()
+    assert e._tensor_of is not None
+    assert replace(e)._tensor_of is e._tensor_of
+    assert SpectralSequence(e, 3).system._tensor_of is e._tensor_of
+
+
 # -- pullback -------------------------------------------------------------------
 
 def test_pullback_identity():
@@ -496,14 +656,6 @@ def _double_cover_system():
     e, _ = twisted_circle_system(3, 5)
     cover = SimplicialComplexK.from_maximal([(0, 1), (1, 4), (2, 4), (2, 3), (3, 5), (0, 5)])
     return pullback(e, {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 2}, cover)
-
-
-def _tier1_system(module: str, name: str):
-    def make():
-        import importlib
-
-        return getattr(importlib.import_module(module), name)()
-    return make
 
 
 @pytest.mark.parametrize(
