@@ -15,6 +15,7 @@ constructor could not represent) is recorded as *dropped*; using it raises
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -28,7 +29,8 @@ from .exactlin import (
     QMatrix,
     RowSpace,
     Vector,
-    ZERO,
+    _combine,
+    _dense,
     _primitive,
     _reduce_rows,
     rank,
@@ -120,14 +122,14 @@ class TruncatedDGA:
     on first read: the results, dropped products included, make the one sparse
     product table that every product and construction reads.  ``labels`` gives
     a string per basis element and degree, or is a callable that returns them,
-    called on first read.  ``levels`` optionally attaches a
-    filtration level to every basis element (used by the spectral sequence
-    machinery).  ``bases`` optionally names the basis elements of every
-    degree by keys: a monomial, a form term or a tensor factor pair.  An
-    algebra carried by a subspace of an ambient sum (fiber products, global
-    sections) keeps that :class:`BlockSum` as ``ambient`` and the per-degree
-    ``kernels`` whose vectors are its basis in ambient coordinates; its
-    levels are those of the ambient sum.
+    called on first read.  ``levels`` optionally attaches a filtration level to
+    every basis element (used by the spectral sequence machinery).  ``bases``
+    optionally names the basis elements of every degree by keys: a monomial, a
+    form term or a tensor factor pair.  An algebra carried by a subspace of an
+    ambient sum (fiber products, global sections) keeps that :class:`BlockSum`
+    as ``ambient`` and per degree the ``kernels`` whose sparse inclusion columns
+    are its basis in ambient coordinates; their products are the sum's
+    (:meth:`BlockSum._product`), and its levels are those of the sum.
     """
 
     __slots__ = (
@@ -262,10 +264,7 @@ class TruncatedDGA:
     def product_basis(self, i: int, a: int, j: int, b: int) -> Vector:
         """Structure constants of e_a^{(i)} * e_b^{(j)} as a degree i+j vector: the dense
         view of the product table, for callers outside it."""
-        out = [ZERO] * self.dim(i + j)
-        for t, x in self._terms(i, a, j, b):
-            out[t] = x
-        return tuple(out)
+        return _dense(self._terms(i, a, j, b), self.dim(i + j))
 
     def multiply(self, i: int, va: Vector, j: int, vb: Vector) -> Vector:
         """Bilinear product of a degree-i vector and a degree-j vector."""
@@ -282,12 +281,12 @@ class TruncatedDGA:
         if prod is None:
             # the first dropped product it needs, in the order it reads them
             raise next(self._dropped(i, a, j, b) for a, _ in left for b, _ in right if self._lookup(i, a, j, b) is None)
-        return tuple(prod)
+        return _dense(prod.items(), self.dim(i + j))
 
-    def _product(self, i: int, xs: Sequence, j: int, ys: Sequence) -> Optional[list]:
+    def _product(self, i: int, xs: Sequence, j: int, ys: Sequence) -> Optional[dict[int, Fraction]]:
         """The product of a degree-i and a degree-j vector given by their nonzero ``(index, value)``
-        pairs, as a dense list, or None when it needs a dropped product."""
-        acc = [ZERO] * self.dim(i + j)
+        pairs, as its nonzero entries, or None when it needs a dropped product."""
+        acc: dict[int, Fraction] = {}
         table = self._products
         for a, ca in xs:
             for b, cb in ys:
@@ -298,8 +297,8 @@ class TruncatedDGA:
                     return None
                 c = ca * cb
                 for t, x in terms:
-                    acc[t] += c * x
-        return acc
+                    acc[t] = acc[t] + c * x if t in acc else c * x
+        return {t: x for t, x in acc.items() if x}
 
     # -- filtration levels -------------------------------------------------
     def basis_level(self, k: int, a: int) -> int:
@@ -476,10 +475,11 @@ class BlockSum:
     """Vectors of A_0 (+) ... (+) A_m up to ``cutoff``, written block after block.
 
     The operations are blockwise: each part differentiates and multiplies
-    only its own block.  This is not a :class:`TruncatedDGA` over the whole
-    sum, whose ``multiply`` would look up a product for every pair of entries,
-    blocks apart or not.  Fiber products and global sections are carried by
-    kernels inside such a sum.
+    only its own block, through its own differential and product table.
+    This is not a :class:`TruncatedDGA` over the whole sum, whose table
+    would hold a product for every pair of entries, blocks apart or not.
+    Fiber products and global sections are carried by kernels inside such
+    a sum, and :meth:`_product` is the one product of their vectors.
     """
 
     __slots__ = ("parts", "cutoff", "unit", "_starts")
@@ -500,18 +500,6 @@ class BlockSum:
         """Where each block starts in degree k, followed by the total dimension."""
         return self._starts[k]
 
-    def split(self, k: int, v: Vector) -> list[Vector]:
-        """The blocks of a degree-k vector."""
-        starts = self._starts[k]
-        if len(v) != starts[-1]:
-            raise InputError(f"vector of length {len(v)} in a sum of dimension {starts[-1]}")
-        return [v[lo:hi] for lo, hi in zip(starts, starts[1:])]
-
-    def inject(self, t: int, k: int, v: Vector) -> Vector:
-        """The degree-k vector that is ``v`` in block t and zero elsewhere."""
-        starts = self._starts[k]
-        return (ZERO,) * starts[t] + tuple(v) + (ZERO,) * (starts[-1] - starts[t + 1])
-
     def block_rows(self, t: int, k: int, m: QMatrix) -> QMatrix:
         """The rows of ``m``, a matrix on degree-k vectors, that block t holds."""
         lo, hi = self._starts[k][t : t + 2]
@@ -523,10 +511,24 @@ class BlockSum:
             raise CutoffTooSmallError(f"no differential out of degree {k} (cutoff {self.cutoff})")
         return _block_diagonal([part.d_matrix(k) for part in self.parts])
 
-    def multiply(self, i: int, va: Vector, j: int, vb: Vector) -> Vector:
-        """Blockwise product of a degree-i vector and a degree-j vector."""
-        pairs = zip(self.parts, self.split(i, va), self.split(j, vb))
-        return tuple(z for part, x, y in pairs for z in part.multiply(i, x, j, y))
+    def _product(self, i: int, xs: Sequence, j: int, ys: Sequence) -> Optional[dict[int, Fraction]]:
+        """The blockwise product of a degree-i and a degree-j vector given by their nonzero
+        ``(index, value)`` pairs, as its nonzero entries, or None when a block product was dropped.
+        Each pair of nonempty blocks is multiplied by its part's :meth:`TruncatedDGA._product`, in
+        block order; an empty block starts where the next does, so an index lies in the last block
+        starting at or below it."""
+        left, right = {}, {}  # block -> its pairs in block coordinates
+        for starts, vs, blocks in ((self._starts[i], xs, left), (self._starts[j], ys, right)):
+            for c, x in vs:
+                t = bisect_right(starts, c) - 1
+                blocks.setdefault(t, []).append((c - starts[t], x))
+        starts, out = self._starts[i + j], {}
+        for t in sorted(left.keys() & right.keys()):
+            prod = self.parts[t]._product(i, left[t], j, right[t])
+            if prod is None:
+                return None
+            out.update((starts[t] + c, x) for c, x in prod.items())
+        return out
 
 
 def _block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
@@ -876,17 +878,11 @@ class DGMorphism:
         checked = 0
         for i, a, j, b in pairs:
             terms = src._lookup(i, a, j, b)
-            if terms is None:
-                continue
-            # phi(e_a e_b): the product's terms times the images of their basis elements
-            lhs = [ZERO] * tgt.dim(i + j)
-            for t, x in terms:
-                for r, y in images[i + j].get(t, ()):
-                    lhs[r] += x * y
-            rhs = tgt._product(i, images[i].get(a, ()), j, images[j].get(b, ()))
+            rhs = None if terms is None else tgt._product(i, images[i].get(a, ()), j, images[j].get(b, ()))
             if rhs is None:
                 continue
-            if lhs != rhs:
+            # phi(e_a e_b): the product's terms times the images of their basis elements
+            if {r: y for r, y in _combine(images[i + j], terms).items() if y} != rhs:
                 raise InputError(
                     f"morphism is not multiplicative on basis pair ({i},{a}),({j},{b})"
                 )

@@ -81,6 +81,14 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+def _dense(terms: Iterable[tuple[int, Fraction]], n: int) -> Vector:
+    """The length-n vector whose nonzero entries are the ``(index, value)`` pairs ``terms``."""
+    out = [ZERO] * n
+    for t, x in terms:
+        out[t] = x
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -541,22 +549,18 @@ class _Coordinates:
         for v in vectors:
             if len(v) != self.dim:
                 raise InputError(self._LENGTH.format(n=len(v), dim=self.dim))
-            sparse = {i: rat(x) for i, x in enumerate(v) if x is not ZERO and x}
-            den = lcm(*(x.denominator for x in sparse.values()))
-            coords = self._read({i: x.numerator * (den // x.denominator) for i, x in sparse.items()}, den)
+            coords = self._read_sparse({i: rat(x) for i, x in enumerate(v) if x is not ZERO and x})
             out.append(None if coords is None else tuple(coords.get(j, ZERO) for j in range(self.rank)))
         return out
+
+    def _read_sparse(self, v: Mapping[int, Fraction]) -> Optional[dict[int, Fraction]]:
+        """The nonzero coordinates of a vector given by its nonzero entries, or None when it lies outside."""
+        den = lcm(*(x.denominator for x in v.values()))
+        return self._read({i: x.numerator * (den // x.denominator) for i, x in v.items()}, den)
 
     def coords(self, v: Sequence[Fraction]) -> Optional[Vector]:
         """Coordinates of ``v`` in the basis, or None when ``v`` lies outside."""
         return self.coords_many([v])[0]
-
-    def express(self, vectors: Sequence[Sequence[Fraction]], message: str) -> list[Vector]:
-        """Coordinates of every vector; raises InputError(message) if one lies outside."""
-        out = self.coords_many(vectors)
-        if any(c is None for c in out):
-            raise InputError(message)
-        return out  # type: ignore[return-value]
 
 
 class RowSpace(_Coordinates):

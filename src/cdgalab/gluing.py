@@ -29,7 +29,7 @@ from .cdga import (
     point_dga,
     tensor_product,
 )
-from .errors import CutoffTooSmallError, InputError, InternalError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .exactlin import (
     ONE,
     KernelBasis,
@@ -79,8 +79,9 @@ class FiberProductDGA:
 def _kernel_carrier(kernels: list[KernelBasis], ambient: BlockSum, name: str) -> TruncatedDGA:
     """Shared construction: a sub-DG-algebra of ``ambient`` presented by kernel bases.
 
-    Returns the TruncatedDGA whose degree-k basis is ``kernels[k].vectors``,
-    with the differential, product, unit and levels of the ambient sum.
+    Returns the TruncatedDGA whose degree-k basis is the columns of ``kernels[k].inclusion``, with
+    the differential, unit and levels of the ambient sum, and the sum's product of the sparse columns
+    (:meth:`BlockSum._product`) read back in the kernels; no kernel is written as dense vectors.
     """
     cutoff = ambient.cutoff
     dims = [kernels[k].rank for k in range(cutoff + 1)]
@@ -90,16 +91,21 @@ def _kernel_carrier(kernels: list[KernelBasis], ambient: BlockSum, name: str) ->
         if mat is None:
             raise InternalError("differential does not preserve the kernel subspace")
         diff_mats.append(mat)
+    columns: dict[int, dict[int, list]] = {}  # per degree, read on its first product
 
     # a leg's products may only have been sampled, so one outside the kernel
     # can come from the input; its unit and d were checked in full
     def mult_fn(i, a, j, b):
-        try:
-            prod = ambient.multiply(i, kernels[i].vectors[a], j, kernels[j].vectors[b])
-        except CutoffTooSmallError:
+        for k in (i, j):
+            if k not in columns:
+                columns[k] = kernels[k].inclusion.sparse_columns()
+        prod = ambient._product(i, columns[i].get(a, ()), j, columns[j].get(b, ()))
+        if prod is None:
             return None
-        (coords,) = kernels[i + j].express([prod], "product does not preserve the kernel subspace")
-        return [(t, x) for t, x in enumerate(coords) if x]
+        coords = kernels[i + j]._read_sparse(prod)
+        if coords is None:
+            raise InputError("product does not preserve the kernel subspace")
+        return sorted(coords.items())
 
     (unit,) = kernels[0].coords_many([ambient.unit])
     if unit is None:
@@ -374,8 +380,8 @@ def two_point_unit_leg(mm: TruncatedDGA, m: TruncatedDGA, cutoff: int) -> tuple[
     """The algebra Q x Q with its unit-pair inclusion into m x m."""
     qq = direct_sum(point_dga(cutoff), point_dga(cutoff))
     mats = [QMatrix.zero(mm.dim(k), qq.dim(k)) for k in range(min(qq.cutoff, mm.cutoff) + 1)]
-    blocks = BlockSum((m, m), 0)
-    mats[0] = QMatrix.from_cols([blocks.inject(t, 0, m.unit) for t in (0, 1)], mm.dim(0))
+    unit = [(r, x) for r, x in enumerate(m.unit) if x]  # in each block of m x m
+    mats[0] = QMatrix._of(mm.dim(0), 2, {(lo + r, t): x for t, lo in enumerate((0, m.dim(0))) for r, x in unit})
     return qq, DGMorphism(qq, mm, mats, name="unit pair")
 
 
@@ -395,22 +401,20 @@ def suspension_triple(m: TruncatedDGA, upto: int, interval_total: int = 2) -> tu
 
 def suspension_inclusion(susp: SuspensionModel, fp: FiberProductDGA) -> DGMorphism:
     """The map 1 -> (1,1), w*dt -> (w (x) dt, 0) into the fiber product."""
-    cyl = fp.a
     cap = min(susp.carrier.cutoff, fp.carrier.cutoff)
-    # index of dt among the degree-1 interval basis: interval pairs are
-    # (i, ia, 1, jb) with jb indexing t^l dt; dt itself is jb = 0
     ambient = fp.ambient
     mats = []
     for k in range(cap + 1):
-        ambs = []
-        for t in range(susp.carrier.dim(k)):
-            if k == 0:
-                amb = ambient.unit
-            else:
-                w = susp.shifted_basis[k][t]
-                terms = {(k - 1, r, 1, 0): val for r, val in enumerate(w) if val}
-                amb = ambient.inject(0, k, cyl.bases[k].vector(terms))
-            ambs.append(amb)
-        cols = fp.kernels[k].express(ambs, "suspension element is not in the fiber product")
-        mats.append(QMatrix.from_cols(cols, fp.carrier.dim(k)))
+        if k == 0:
+            entries = {(r, 0): x for r, x in enumerate(ambient.unit) if x}
+        else:
+            # w (x) dt in the cylinder, block 0 of the ambient sum: interval pairs are (i, ia, 1, jb)
+            # with jb indexing t^l dt, and dt itself is jb = 0
+            images = [{(k - 1, r, 1, 0): x for r, x in enumerate(w) if x} for w in susp.shifted_basis[k]]
+            entries = fp.a.bases[k].matrix(images).entries
+        n = susp.carrier.dim(k)
+        mat = fp.kernels[k].coords_matrix(QMatrix._of(ambient.dim(k), n, entries), QMatrix.identity(n))
+        if mat is None:
+            raise InputError("suspension element is not in the fiber product")
+        mats.append(mat)
     return DGMorphism(susp.carrier, fp.carrier, mats, name="suspension inclusion")

@@ -268,7 +268,12 @@ def _tensor_system(
     restr = {}
     for (s, i), r in e.facet_restrictions.items():
         if id(r) not in per_map:
-            per_map[id(r)] = tensor_morphism(fibers[s], fibers[s[:i] + s[i + 1 :]], r, None)
+            face = s[:i] + s[i + 1 :]
+            # r (x) id reads r in every degree of the fiber within the tensor cutoff, as M has a unit
+            lost = next((a for a in range(r.cap + 1, cutoff + 1) if e.fibers[s].dim(a)), None)
+            if lost is not None:
+                raise CutoffTooSmallError(f"restriction from simplex {s} to facet {face} does not store degree {lost}")
+            per_map[id(r)] = tensor_morphism(fibers[s], fibers[face], r, None)
         restr[(s, i)] = per_map[id(r)]
     return FiniteLocalSystem(e.base, fibers, restr, _tensor_of=_TensorFactors(e, factor, cutoff))
 

@@ -22,13 +22,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 from typing import NamedTuple, Optional
 
-from .cdga import _UNREAD, TruncatedDGA, _block_diagonal, _tail, cohomology_dims
-from .errors import CutoffTooSmallError, InputError, InternalError, PreconditionError
-from .exactlin import ONE, ZERO, QMatrix, RowSpace, Vector, _combine, _eliminate, _primitive, _reduce_rows, _span_basis, rank
+from .cdga import _UNREAD, BlockSum, TruncatedDGA, _block_diagonal, _tail, cohomology_dims
+from .errors import InputError, InternalError, PreconditionError
+from .exactlin import (
+    ONE, QMatrix, RowSpace, Vector, _combine, _dense, _eliminate, _int_row, _primitive, _reduce_rows, _span_basis, rank,
+)
 from .gluing import _push
 from .localsys import (
     FiniteLocalSystem,
@@ -184,13 +185,6 @@ def _columns(vectors: list[_Sparse], dim: int) -> QMatrix:
     return QMatrix._of(dim, len(vectors), {(a, j): x for j, v in enumerate(vectors) for a, x in v.items()})
 
 
-def _dense(v: _Sparse, dim: int) -> Vector:
-    out = [ZERO] * dim
-    for a, x in v.items():
-        out[a] = x
-    return tuple(out)
-
-
 @dataclass
 class FilteredComplex:
     """A truncated DG algebra with a decreasing multiplicative filtration.
@@ -226,7 +220,7 @@ class FilteredComplex:
         """Basis of F^p in degree k: the canonical basis of :func:`kernel_basis`."""
         if k < 0 or k > self.algebra.cutoff:
             return []
-        return [_dense(v, self.algebra.dim(k)) for v in self._level(p, k)]
+        return [_dense(v.items(), self.algebra.dim(k)) for v in self._level(p, k)]
 
     def contains(self, p: int, k: int, v: Vector) -> bool:
         """Whether the degree-k vector ``v`` lies in F^p."""
@@ -255,17 +249,15 @@ class FilteredComplex:
             for k in range(alg.cutoff):
                 if not all(self.contains(p, k + 1, alg.apply_d(k, v)) for v in self.subspace(p, k)):
                     problems.append(f"d leaves F^{p} at degree {k}")
-        # products are blockwise down to the leaves, so the adapted rows are multiplied leaf by
-        # leaf; a row in the algebra's own basis is a basis element, read there by its leaf column
-        adapted = [self._adapted(k) for k in range(alg.cutoff + 1)]
+        # products are blockwise down to the leaves, so the adapted rows are multiplied in the sum of
+        # the leaves; a row in the algebra's own basis is a basis element, read there by its leaf column
         views = [_in_leaves(alg, k) for k in range(alg.cutoff + 1)]
-        leaves = views[0][0]
-        starts = [list(accumulate((leaf.dim(k) for leaf in leaves), initial=0)) for k in range(alg.cutoff + 1)]
-        coord_levels = [_leaf_levels(leaves, k, self.p_bound) for k in range(alg.cutoff + 1)]
+        leaves = BlockSum(views[0][0], alg.cutoff)
+        coord_levels = [_leaf_levels(leaves.parts, k, self.p_bound) for k in range(alg.cutoff + 1)]
         elements = [
-            [(level, [[(c - lo, x) for c, x in row.items() if lo <= c < hi] for lo, hi in zip(st, st[1:])])
+            [(level, list(row.items()))
              for level, row in zip(ad.levels, ad.rows if ad.leaves is not None else [columns[a] for a in ad.pivots])]
-            for ad, (_, _, columns, _), st in zip(adapted, views, starts)
+            for ad, (_, _, columns, _) in zip((self._adapted(k) for k in range(alg.cutoff + 1)), views)
         ]
         # the product table is graded commutative, so each unordered pair is checked once
         for i in range(alg.cutoff + 1):
@@ -274,13 +266,8 @@ class FilteredComplex:
                 for a, (p, x) in enumerate(elements[i]):
                     start = a if i == j else 0
                     for b, (q, y) in enumerate(elements[j][start:], start):
-                        prods = [
-                            (lo, leaf._product(i, xs, j, ys))
-                            for leaf, lo, xs, ys in zip(leaves, starts[i + j], x, y) if xs and ys
-                        ]
-                        if any(prod is None for _, prod in prods):
-                            continue
-                        if any(w and levels[lo + t] < p + q for lo, prod in prods for t, w in enumerate(prod)):
+                        prod = leaves._product(i, x, j, y)
+                        if prod is not None and any(levels[c] < p + q for c in prod):
                             problems.append(
                                 f"product of F^{p} and F^{q} leaves F^{p + q} "
                                 f"on adapted basis pair ({i},{a}),({j},{b})"
@@ -438,7 +425,7 @@ class PageTower:
 
     def z_basis(self, p: int, target_p: int, n: int) -> list[Vector]:
         """Basis of { x in F^p C^n : dx in F^{target_p} }: :meth:`_cycles`, dense."""
-        return [_dense(v, self.fc.algebra.dim(n)) for v in self._cycles(p, target_p, n)]
+        return [_dense(v.items(), self.fc.algebra.dim(n)) for v in self._cycles(p, target_p, n)]
 
     def _cycles(self, p: int, target_p: int, n: int) -> list[_Sparse]:
         """Basis of { x in F^p C^n : dx in F^{target_p} }, as sparse vectors.
@@ -468,10 +455,13 @@ class PageTower:
 
     # -- entries -----------------------------------------------------------
     def entry(self, r: int, p: int, q: int):
-        """(dims, representatives, denominator basis) of E_r^{p,q}."""
-        return self._entry(r, p, q)[0]
+        """(dims, representatives, denominator basis) of E_r^{p,q}, as dense vectors."""
+        (dim_e, reps, denom), _, _ = self._entry(r, p, q)
+        n = self.fc.algebra.dim(p + q)
+        return dim_e, [_dense(v.items(), n) for v in reps], [_dense(v.items(), n) for v in denom]
 
     def _entry(self, r: int, p: int, q: int) -> tuple[tuple, RowSpace, QMatrix]:
+        """:meth:`entry` with sparse vectors, the space classes are read in, and the representatives' matrix."""
         key = (r, p, q)
         if key in self._entry_cache:
             return self._entry_cache[key]
@@ -492,7 +482,7 @@ class PageTower:
             denom = self.fc._adapted(n).span(spans)
         rs = RowSpace(_columns(denom, dim).hstack(_columns(z, dim)))
         reps = [z[c] for c in rs.columns_from(len(denom))]
-        entry = (len(reps), [_dense(v, dim) for v in reps], [_dense(v, dim) for v in denom])
+        entry = (len(reps), reps, denom)
         self._entry_cache[key] = (entry, rs, _columns(reps, dim))
         return self._entry_cache[key]
 
@@ -514,7 +504,7 @@ class PageTower:
     def diff(self, r: int, p: int, q: int) -> QMatrix:
         """Matrix of d_r : E_r^{p,q} -> E_r^{p+r, q-r+1}."""
         (dim_src, _, _), _, reps = self._entry(r, p, q)
-        dim_tgt, _, _ = self.entry(r, p + r, q - r + 1)
+        (dim_tgt, _, _), _, _ = self._entry(r, p + r, q - r + 1)
         if not (dim_src and dim_tgt):
             return QMatrix._of(dim_tgt, dim_src, {})
         return self.classes(r, p + r, q - r + 1, self.fc.algebra.d_matrix(p + q), reps)
@@ -689,11 +679,10 @@ class SpectralSequence:
             (p2, q2) = keys[rng.randrange(len(keys))]
             if p1 + q1 + p2 + q2 > upto:
                 continue
-            x = tower.entry(r_inf, p1, q1)[1][rng.randrange(dims[(p1, q1)])]
-            y = tower.entry(r_inf, p2, q2)[1][rng.randrange(dims[(p2, q2)])]
-            try:
-                prod = gamma.multiply(p1 + q1, x, p2 + q2, y)
-            except CutoffTooSmallError:
+            x = tower._entry(r_inf, p1, q1)[0][1][rng.randrange(dims[(p1, q1)])]
+            y = tower._entry(r_inf, p2, q2)[0][1][rng.randrange(dims[(p2, q2)])]
+            prod = gamma._product(p1 + q1, x.items(), p2 + q2, y.items())
+            if prod is None:
                 report.products_skipped += 1
                 continue
             n = p1 + q1 + p2 + q2
@@ -703,7 +692,7 @@ class SpectralSequence:
             if (pf, n) not in spaces:
                 spaces[(pf, n)] = tower._cocycle_space(pf, n)
             report.product_checks += 1
-            if not spaces[(pf, n)].contains(prod):
+            if spaces[(pf, n)]._residual(_int_row(prod)):
                 report.product_failures.append(((p1, q1), (p2, q2)))
         return report
 
@@ -789,7 +778,7 @@ def triple_morphism_pages(
                 if p + q >= upto:
                     continue
                 (dim_s, _, _), _, reps_s = src_tower._entry(r, p, q)
-                dim_t, _, _ = dst_tower.entry(r, p, q)
+                (dim_t, _, _), _, _ = dst_tower._entry(r, p, q)
                 psi[(r, p, q)] = (
                     dst_tower.classes(r, p, q, gamma_mats[p + q], reps_s) if dim_t else QMatrix._of(0, dim_s, {})
                 )

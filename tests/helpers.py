@@ -25,6 +25,19 @@ def concat(*vectors) -> tuple:
     return tuple(x for v in vectors for x in v)
 
 
+def split_blocks(amb, k: int, v) -> list:
+    """The blocks of a degree-k vector of the sum ``amb``, sliced at its block offsets."""
+    starts = amb.offsets(k)
+    assert len(v) == starts[-1]
+    return [tuple(v[lo:hi]) for lo, hi in zip(starts, starts[1:])]
+
+
+def in_block(amb, t: int, k: int, v) -> tuple:
+    """The degree-k vector of the sum ``amb`` that is ``v`` in block t and zero elsewhere."""
+    starts = amb.offsets(k)
+    return (ZERO,) * starts[t] + tuple(v) + (ZERO,) * (starts[-1] - starts[t + 1])
+
+
 def minor_rank(m: QMatrix) -> int:
     """Rank via minor expansion: largest k with a nonzero k x k minor."""
     rows = m.to_rows()
@@ -240,7 +253,7 @@ def dense_push(maps, src, dst) -> list:
     mats = []
     for k in range(min(src.cutoff, dst.cutoff) + 1):
         images = [
-            concat(*(h.mats[k].matvec(x) for h, x in zip(maps, src.ambient.split(k, v))))
+            concat(*(h.mats[k].matvec(x) for h, x in zip(maps, split_blocks(src.ambient, k, v))))
             for v in dense_kernel_basis(src.kernels[k].matrix)
         ]
         mats.append(_dense_columns(dense_kernel(dst.kernels[k].matrix), images))
@@ -390,7 +403,7 @@ def stacked_level_subspace(alg, k: int, p: int) -> list:
     if alg.ambient is None:
         return [unit_vector(alg.dim(k), a) for a in range(alg.dim(k)) if alg.basis_level(k, a) >= p]
     sub = [
-        alg.ambient.inject(t, k, v)
+        in_block(alg.ambient, t, k, v)
         for t, part in enumerate(alg.ambient.parts)
         for v in stacked_level_subspace(part, k, p)
     ]
@@ -780,7 +793,9 @@ class PerEntryTower:
             if any(v):
                 raise InputError("vector has no expression in an empty page entry")
             return ()
-        (coords,) = space.express([v], "vector does not lie in the page entry")
+        (coords,) = space.coords_many([v])
+        if coords is None:
+            raise InputError("vector does not lie in the page entry")
         return coords[space.rank - dim_e :]
 
     def diff(self, r: int, p: int, q: int) -> QMatrix:
@@ -956,7 +971,7 @@ def carrier_rule(carrier):
 
     def rule(i, a, j, b):
         va, vb = carrier.kernels[i].vectors[a], carrier.kernels[j].vectors[b]
-        blocks = zip(amb.parts, amb.split(i, va), amb.split(j, vb))
+        blocks = zip(amb.parts, split_blocks(amb, i, va), split_blocks(amb, j, vb))
         try:
             prod = concat(*(dense_multiply(part, i, x, j, y) for part, x, y in blocks))
         except CutoffTooSmallError:

@@ -222,24 +222,35 @@ def test_direct_sum_cohomology_is_product():
         assert hs == [x + y for x, y in zip(ha, hb)]
 
 
+def _nonzero(v) -> list:
+    return [(c, x) for c, x in enumerate(v) if x]
+
+
 def test_block_sum_agrees_with_the_direct_sum_tables():
     # BlockSum multiplies block by block; direct_sum looks every basis pair
-    # up in its own product table, so the two are computed independently
+    # up in its own product table, so the two are computed independently.
+    # The forms drop products above their total degree, so some products are dropped
     rng = random.Random(7)
-    a, b = truncate(cp_model(1), 6), torus_model(6)
-    blocks, s = BlockSum((a, b), 6), direct_sum(a, b)
+    a, b = torus_model(6), forms_dga(2, 3)
+    blocks, s = BlockSum((a, b), 3), direct_sum(a, b)
     assert blocks.unit == s.unit
-    for k in range(6):
+    for k in range(3):
         assert blocks.d_matrix(k) == s.d_matrix(k)
+    seen = set()
     for i in range(4):
-        for j in range(6 - i + 1):
-            x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(s.dim(i)))
-            y = tuple(Fraction(rng.randint(-2, 2)) for _ in range(s.dim(j)))
-            assert blocks.multiply(i, x, j, y) == s.multiply(i, x, j, y)
-            xa, xb = blocks.split(i, x)
-            assert [blocks.block_rows(t, i, QMatrix.identity(s.dim(i))).matvec(x) for t in (0, 1)] == [xa, xb]
-            joined = zip(blocks.inject(0, i, xa), blocks.inject(1, i, xb))
-            assert tuple(u + v for u, v in joined) == x
+        for j in range(3 - i + 1):
+            for _ in range(8):
+                x, y = (tuple(Fraction(rng.randint(-2, 2)) * (rng.random() < 0.3) for _ in range(s.dim(k))) for k in (i, j))
+                got = blocks._product(i, _nonzero(x), j, _nonzero(y))
+                try:
+                    want = {t: v for t, v in enumerate(s.multiply(i, x, j, y)) if v}
+                except CutoffTooSmallError:
+                    want = None
+                assert got == want
+                seen.add(None if got is None else bool(got))
+                lo = blocks.offsets(i)[1]
+                assert [blocks.block_rows(t, i, QMatrix.identity(s.dim(i))).matvec(x) for t in (0, 1)] == [x[:lo], x[lo:]]
+    assert seen == {None, True, False}
 
 
 # -- morphisms -----------------------------------------------------------
@@ -653,6 +664,7 @@ def _table_cases():
     from cdgalab.localsys import forms_system, global_sections
     from cdgalab.polyforms import cycle_complex
     from test_gluing import circle_legs
+    from test_specseq import _mixed_level_carrier, _small_suspension_system
 
     cp1, torus = cp_model(1), torus_free()
     exterior = FreeCDGA(FreeGCA([("t1", 1), ("t2", 1), ("t3", 1)]), {})
@@ -665,6 +677,9 @@ def _table_cases():
     circle = fiber_product(*circle_legs(total=2, cutoff=3), 2).carrier
     sections = global_sections(forms_system(cycle_complex(3), 2, cutoff=3), 2)
     susp = suspension_model(t_exterior, 4).carrier
+    # a carrier of carriers, whose unit is a sum of basis elements with dropped products
+    sections_of_carriers = global_sections(_small_suspension_system(), 4)
+    mixed = _mixed_level_carrier()
     return {
         "truncate-cp1": (t_cp1, helpers.truncation_rule(cp1, t_cp1)),
         "truncate-exterior": (t_exterior, helpers.truncation_rule(exterior, t_exterior)),
@@ -676,6 +691,8 @@ def _table_cases():
         "tensor-forms-forms": (tp2, helpers.tensor_rule(forms1, interval_forms(2, cutoff=3), tp2)),
         "fiber-product-circle": (circle, helpers.carrier_rule(circle)),
         "global-sections": (sections, helpers.carrier_rule(sections)),
+        "sections-of-carriers": (sections_of_carriers, helpers.carrier_rule(sections_of_carriers)),
+        "mixed-level-carrier": (mixed, helpers.carrier_rule(mixed)),
         "suspension": (susp, helpers.suspension_rule(susp)),
     }
 
@@ -683,7 +700,7 @@ def _table_cases():
 TABLE_CASES = [
     "truncate-cp1", "truncate-exterior", "forms-interval", "forms-triangle", "direct-sum-forms-torus",
     "direct-sum-cp2-forms", "tensor-torus-torus", "tensor-forms-forms", "fiber-product-circle",
-    "global-sections", "suspension",
+    "global-sections", "sections-of-carriers", "mixed-level-carrier", "suspension",
 ]
 
 

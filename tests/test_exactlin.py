@@ -283,13 +283,6 @@ def test_rowspace_coords_match_solve_and_oracle():
         _check_coords_matrix(rng, rs, oracle, added, probes)
 
 
-def test_rowspace_express_raises_with_message():
-    rs = RowSpace(QMatrix.from_rows([[1], [1]]))
-    assert rs.express([(Fraction(2), Fraction(2))], "outside") == [(Fraction(2),)]
-    with pytest.raises(InputError, match="outside"):
-        rs.express([(Fraction(2), Fraction(2)), (Fraction(1), Fraction(0))], "outside")
-
-
 def _check_coords_matrix(rng, space, oracle, span, probes):
     """``space.coords_matrix(left, right)`` against ``oracle.coords_many`` on the columns of
     ``fraction_matmul(left, right)``: members of ``span``, with rational entries and scaled by

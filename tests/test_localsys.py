@@ -9,10 +9,11 @@ from cdgalab.cdga import (
     TruncatedDGA,
     cohomology_dims,
     point_dga,
+    power_quotient_dga,
     tensor_product,
     truncate,
 )
-from cdgalab.errors import InputError, InternalError, PreconditionError
+from cdgalab.errors import CutoffTooSmallError, InputError, InternalError, PreconditionError
 from cdgalab.exactlin import KernelBasis, QMatrix
 from cdgalab.graded import FreeGCA
 from cdgalab.cdga import FreeCDGA
@@ -437,6 +438,20 @@ def test_tensor_extendability_matches_the_dense_reference(monkeypatch, name):
     verdict = is_extendable(make(), upto)
     assert placed
     assert verdict == dense_is_extendable(make(), upto)
+
+
+def test_tensor_system_refuses_a_restriction_short_of_the_tensor_cutoff():
+    # x^2 lives in degree 4 of the edge fiber; the restrictions to the vertices stop at degree 3,
+    # which the system's own check accepts, but r (x) id needs r in degree 4
+    edge, vertex = power_quotient_dga(2, 3, 6), power_quotient_dga(2, 3, 3)
+    r = DGMorphism(edge, vertex, [QMatrix.identity(vertex.dim(k)) for k in range(4)])
+    fibers = {(0,): vertex, (1,): vertex, (0, 1): edge}
+    e = FiniteLocalSystem(SimplicialComplexK.from_maximal([(0, 1)]), fibers, {((0, 1), 0): r, ((0, 1), 1): r})
+    assert validate(e) == []
+    with pytest.raises(CutoffTooSmallError, match=r"simplex \(0, 1\) to facet \(1,\) does not store degree 4"):
+        tensor_system(e, point_dga(4), 4)
+    # within the restrictions' degrees the tensor is built
+    assert tensor_system(e, point_dga(3), 3).fibers[(0, 1)].dims == [1, 0, 1, 0]
 
 
 @pytest.mark.parametrize(

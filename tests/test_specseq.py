@@ -203,6 +203,18 @@ def test_sum_and_tensor_refuse_a_carrier_filtration_levels_cannot_hold():
     assert tensor_product(plain, point, cutoff=3).dims == plain.dims[:4]
 
 
+def _mixed_level_carrier():
+    """A degree-1 carrier spanned by e0 + e1 and e0 + e2 over a leaf with levels 0, 1, 1: its
+    columns cut below level 1 are nonzero but dependent, and e1 - e2 has level 1."""
+    leaf = from_tables(
+        1, [1, 3], (ONE,), [None],
+        {(0, 0, 0, 0): (ONE,), **{(0, 0, 1, b): unit_vector(3, b) for b in range(3)}},
+        levels=[[0], [0, 1, 1]],
+    )
+    kernels = [KernelBasis(QMatrix.zero(0, 1)), KernelBasis(QMatrix.from_rows([[1, -1, -1]]))]
+    return _kernel_carrier(kernels, BlockSum((leaf,), 1), "mixed")
+
+
 def test_the_carrier_guard_agrees_with_the_row_oracle():
     """The guard refuses a carrier exactly where the row oracle finds an element of level >= 1,
     on carriers of leaves and on carriers of carriers."""
@@ -210,15 +222,7 @@ def test_the_carrier_guard_agrees_with_the_row_oracle():
     plain = fiber_product(*suspension_triple(sphere_even_model(5), 3), 3).carrier
     carriers = list({id(f): f for f in e.fibers.values()}.values())
     carriers += [plain, global_sections(e, 3), global_sections(constant_system(boundary_complex(2), plain), 3)]
-    # a degree-1 carrier spanned by e0 + e1 and e0 + e2 over a leaf with levels 0, 1, 1: its
-    # columns cut below level 1 are nonzero but dependent, and e1 - e2 has level 1
-    leaf = from_tables(
-        1, [1, 3], (ONE,), [None],
-        {(0, 0, 0, 0): (ONE,), **{(0, 0, 1, b): unit_vector(3, b) for b in range(3)}},
-        levels=[[0], [0, 1, 1]],
-    )
-    kernels = [KernelBasis(QMatrix.zero(0, 1)), KernelBasis(QMatrix.from_rows([[1, -1, -1]]))]
-    carriers.append(_kernel_carrier(kernels, BlockSum((leaf,), 1), "mixed"))
+    carriers.append(_mixed_level_carrier())
     verdicts = []
     for alg in carriers:
         oracle = any(kernel_basis(level_rows(alg, k, 1)) for k in range(alg.cutoff + 1))
@@ -230,6 +234,29 @@ def test_the_carrier_guard_agrees_with_the_row_oracle():
             verdicts.append((False, oracle))
     assert all(refused == oracle for refused, oracle in verdicts)
     assert {refused for refused, _ in verdicts} == {True, False}
+
+
+def test_products_on_sections_build_no_dense_kernel_view():
+    # Gamma's products go through the sparse inclusion columns of its kernels and of its fibers'
+    # kernels, never through the dense vectors of a whole kernel; the suspension system's fibers
+    # are carriers whose products the cutoff drops, the circle tensor's products are kept
+    seen = set()
+    for make in (_small_suspension_system, _circle_tensor_system):
+        e = make()
+        ss = SpectralSequence(e, 4)
+        gamma = ss.filtered.algebra
+        for i in range(gamma.cutoff + 1):
+            for j in range(gamma.cutoff + 1 - i):
+                for a in range(gamma.dim(i)):
+                    for b in range(gamma.dim(j)):
+                        gamma._lookup(i, a, j, b)
+        report = ss.einfty_vs_target(3)
+        assert report.ok()
+        kernels = gamma.kernels + [k for f in e.fibers.values() if f.kernels is not None for k in f.kernels]
+        assert [k for k in kernels if k._vectors is not None] == []
+        seen.update("dropped" if terms is None else bool(terms) for terms in gamma._products.values())
+        seen.update({("carrier fibers", len(kernels) > len(gamma.kernels)), ("checks", report.product_checks > 0)})
+    assert seen >= {"dropped", True, ("carrier fibers", True), ("checks", True)}
 
 
 @pytest.mark.parametrize("make, upto", [(_circle_tensor_system, 4), (_small_suspension_system, 3)])
